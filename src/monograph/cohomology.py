@@ -112,7 +112,12 @@ def residue_kernel(sys: LocalSystem) -> Subspace:
 
 def obstruction(sys: LocalSystem) -> Subspace:
     """Intersection of the coboundary image with the residue kernel."""
-    return coboundary_image(sys).intersect(residue_kernel(sys))
+    return _obstruction(coboundary_matrix(sys), residue_constraint_matrix(sys))
+
+
+def _obstruction(cob: Mat, residue: Mat) -> Subspace:
+    """The obstruction from already assembled coboundary and residue matrices."""
+    return colspace(cob).intersect(nullspace(residue))
 
 
 def coboundary(sys: LocalSystem, vertex_values: Sequence[Fraction]) -> EdgeCochain:

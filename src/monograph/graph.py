@@ -125,7 +125,7 @@ def incidence_matrix(g: DualGraph) -> Mat:
     for e, (s, t) in enumerate(g.edges):
         entries[s][e] += 1
         entries[t][e] -= 1
-    return Mat.from_rows(entries, cols=g.m)
+    return Mat(g.n, g.m, tuple(x for row in entries for x in row))
 
 
 def laplacian(g: DualGraph) -> Mat:
@@ -137,7 +137,7 @@ def laplacian(g: DualGraph) -> Mat:
         entries[t][t] += 1
         entries[s][t] -= 1
         entries[t][s] -= 1
-    return Mat.from_rows(entries, cols=g.n)
+    return Mat(g.n, g.n, tuple(x for row in entries for x in row))
 
 
 def cycle_graph(m: int, labels: tuple[str, ...] | None = None) -> DualGraph:

@@ -1,9 +1,16 @@
-"""Exact dense linear algebra over the rationals.
+"""Exact linear algebra over the rationals.
 
 Every entry is a ``fractions.Fraction``, so nothing ever rounds: results are
-the mathematically exact values.  Matrices are immutable and dense; the graph
-instances this package targets have at most a few hundred entries, so sparse
-machinery would be pure overhead.
+the mathematically exact values.  Matrices are immutable, stored row-major
+as one flat tuple.  The matrices this package builds (coboundary, residue
+and system matrices) have only a few nonzero entries per row, so products
+skip zero entries instead of running a dense triple loop.
+
+All elimination runs through one routine, ``_eliminate``: a fraction-free
+Gauss-Jordan pass over Python ints (Bareiss 1968).  Each row's denominators
+are cleared once, every interior division is exact, and canonical Fractions
+are built only at the output.  ``rref``, ``rank``, ``nullspace``,
+``colspace``, ``Subspace`` and ``det`` are all views of that one pass.
 
 Subspaces are kept in a canonical reduced column echelon form (pivots 1,
 pivot rows cleared, pivot rows strictly increasing left to right), which
@@ -12,6 +19,7 @@ makes subspace equality plain value equality.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
@@ -19,6 +27,9 @@ from typing import Iterable, Sequence
 
 Rational = Fraction
 Vector = tuple[Fraction, ...]
+
+_ZERO = Fraction(0)
+_RATIONAL_LITERAL = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
 
 
 class DimensionMismatch(ValueError):
@@ -33,20 +44,22 @@ def rat(x: int | str | Fraction) -> Fraction:
 
 
 def parse_rational(text: str) -> Fraction:
-    """Parse an integer or 'p/q' literal.
+    """Parse an integer or 'p/q' literal in ASCII digits.
 
     Decimal literals are rejected so that no inexact value can sneak in
-    through an input file.
+    through an input file, and so are the digit separators ('1_000') that
+    Fraction itself would accept.
     """
     text = text.strip()
     if "." in text or "e" in text.lower():
         raise ValueError("bad rational literal %r: decimals are not accepted, "
                          "write an integer or p/q" % (text,))
+    if not _RATIONAL_LITERAL.fullmatch(text):
+        raise ValueError("bad rational literal %r: write an integer or p/q" % (text,))
     try:
-        value = Fraction(text)
-    except (ValueError, ZeroDivisionError) as exc:
+        return Fraction(text)
+    except ZeroDivisionError as exc:
         raise ValueError("bad rational literal %r: %s" % (text, exc)) from None
-    return value
 
 
 def format_rational(q: Fraction) -> str:
@@ -150,14 +163,16 @@ class Mat:
         return self.entries[i * self.cols:(i + 1) * self.cols]
 
     def column_vector(self, j: int) -> Vector:
-        return tuple(self.entries[i * self.cols + j] for i in range(self.rows))
+        if not 0 <= j < self.cols:
+            raise IndexError(j)
+        return self.entries[j::self.cols]
 
     def row_list(self) -> list[list[Fraction]]:
         return [list(self.row(i)) for i in range(self.rows)]
 
     def transpose(self) -> Mat:
-        return Mat(self.cols, self.rows,
-                   tuple(self[i, j] for j in range(self.cols) for i in range(self.rows)))
+        c = self.cols
+        return Mat(c, self.rows, tuple(x for j in range(c) for x in self.entries[j::c]))
 
     def __add__(self, other: Mat) -> Mat:
         if (self.rows, self.cols) != (other.rows, other.cols):
@@ -180,19 +195,25 @@ class Mat:
         if self.cols != other.rows:
             raise DimensionMismatch("multiply %dx%d by %dx%d"
                                     % (self.rows, self.cols, other.rows, other.cols))
-        out = []
+        p = other.cols
+        # the nonzero (column, entry) pairs of each row of `other`, found once
+        other_rows = [[(j, y) for j, y in enumerate(other.row(k)) if y]
+                      for k in range(other.rows)]
+        out: list[Fraction] = []
         for i in range(self.rows):
-            ri = self.row(i)
-            for j in range(other.cols):
-                out.append(sum((ri[k] * other[k, j] for k in range(self.cols)),
-                               Fraction(0)))
-        return Mat(self.rows, other.cols, tuple(out))
+            acc = [_ZERO] * p
+            for x, nonzero in zip(self.row(i), other_rows):
+                if x:
+                    for j, y in nonzero:
+                        acc[j] += x * y
+            out.extend(acc)
+        return Mat(self.rows, p, tuple(out))
 
     def mul_vec(self, v: Sequence[Fraction]) -> Vector:
         if len(v) != self.cols:
             raise DimensionMismatch("apply %dx%d to vector of length %d"
                                     % (self.rows, self.cols, len(v)))
-        return tuple(sum((self[i, k] * v[k] for k in range(self.cols)), Fraction(0))
+        return tuple(sum((x * y for x, y in zip(self.row(i), v) if x and y), _ZERO)
                      for i in range(self.rows))
 
     def is_zero(self) -> bool:
@@ -205,72 +226,92 @@ class Mat:
                          for r in grid)
 
 
+def _eliminate(m: Mat) -> tuple[list[list[int]], list[int], Fraction]:
+    """Fraction-free Gauss-Jordan elimination of m over the integers.
+
+    Returns the eliminated rows, the pivot columns, and sign x last pivot /
+    row scales, which is det(m) when m is square of full rank.  Row i <
+    len(pivots) holds pivot i; dividing it by its entry in column pivots[i]
+    gives row i of the RREF.  The remaining rows are zero.
+
+    Each row's denominators are cleared once, by their lcm.  After that
+    every stored entry is a minor of the cleared matrix scaled to some
+    earlier pivot (Bareiss), so every division below is exact.  A row with
+    a zero in the pivot column is skipped: level[i] is the pivot its stored
+    entries are scaled to, and a row catches up on the pivots it missed in
+    the one update that next reaches it.
+    """
+    cols = m.cols
+    work: list[list[int]] = []
+    scale = 1
+    for i in range(m.rows):
+        row = m.entries[i * cols:(i + 1) * cols]
+        d = lcm(*(x.denominator for x in row))
+        scale *= d
+        work.append([x.numerator * (d // x.denominator) for x in row])
+    n = len(work)
+    level = [1] * n
+    pivots: list[int] = []
+    sign = prev = 1
+    for c in range(cols):
+        r = len(pivots)
+        if r == n:
+            break
+        found = next((i for i in range(r, n) if work[i][c]), None)
+        if found is None:
+            continue
+        if found != r:
+            work[r], work[found] = work[found], work[r]
+            level[r], level[found] = level[found], level[r]
+            sign = -sign
+        prow = work[r]
+        if level[r] != prev:
+            lv = level[r]
+            prow = work[r] = [x * prev // lv for x in prow]
+        p = prow[c]
+        for i, row in enumerate(work):
+            a = row[c]
+            if not a or i == r:
+                continue
+            lv = level[i]
+            if lv == prev:
+                work[i] = [(p * x - a * y) // prev for x, y in zip(row, prow)]
+            else:
+                a = a * prev // lv
+                px, ay, d = p * prev, a * lv, lv * prev
+                work[i] = [(px * x - ay * y) // d for x, y in zip(row, prow)]
+            level[i] = p
+        level[r] = prev = p
+        pivots.append(c)
+    return work, pivots, Fraction(sign * prev, scale)
+
+
 def rref(m: Mat) -> tuple[Mat, tuple[int, ...]]:
     """Reduced row echelon form and its pivot columns.
 
     The result is the unique RREF: pivots are 1, pivot columns are cleared
     above and below, pivot columns strictly increase down the rows.
     """
-    work = [list(m.row(i)) for i in range(m.rows)]
-    pivots: list[int] = []
-    r = 0
-    for c in range(m.cols):
-        pivot_row = next((i for i in range(r, m.rows) if work[i][c] != 0), None)
-        if pivot_row is None:
-            continue
-        work[r], work[pivot_row] = work[pivot_row], work[r]
-        inv = 1 / work[r][c]
-        work[r] = [x * inv for x in work[r]]
-        for i in range(m.rows):
-            if i != r and work[i][c] != 0:
-                f = work[i][c]
-                work[i] = [x - f * y for x, y in zip(work[i], work[r])]
-        pivots.append(c)
-        r += 1
-        if r == m.rows:
-            break
-    return Mat.from_rows(work, cols=m.cols), tuple(pivots)
+    work, pivots, _ = _eliminate(m)
+    entries: list[Fraction] = []
+    for row, c in zip(work, pivots):
+        p = row[c]
+        entries.extend(Fraction(x, p) if x else _ZERO for x in row)
+    entries.extend((_ZERO,) * ((m.rows - len(pivots)) * m.cols))
+    return Mat(m.rows, m.cols, tuple(entries)), tuple(pivots)
 
 
 def rank(m: Mat) -> int:
-    return len(rref(m)[1])
+    return len(_eliminate(m)[1])
 
 
 def det(m: Mat) -> Fraction:
-    """Exact determinant.
-
-    Row denominators are cleared first, then a fraction-free Bareiss
-    elimination runs over the integers (every interior division is exact),
-    and the cleared factors are divided back out at the end.
-    """
+    """Exact determinant: the last pivot of the elimination, or 0 when
+    m is rank-deficient."""
     if m.rows != m.cols:
         raise DimensionMismatch("determinant of %dx%d matrix" % (m.rows, m.cols))
-    n = m.rows
-    if n == 0:
-        return Fraction(1)
-    scale = 1
-    work: list[list[int]] = []
-    for i in range(n):
-        row = m.row(i)
-        d = lcm(*(x.denominator for x in row))
-        scale *= d
-        work.append([int(x * d) for x in row])
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if work[k][k] == 0:
-            swap = next((i for i in range(k + 1, n) if work[i][k] != 0), None)
-            if swap is None:
-                return Fraction(0)
-            work[k], work[swap] = work[swap], work[k]
-            sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                work[i][j] = (work[k][k] * work[i][j]
-                              - work[i][k] * work[k][j]) // prev
-            work[i][k] = 0
-        prev = work[k][k]
-    return Fraction(sign * work[n - 1][n - 1], scale)
+    _, pivots, value = _eliminate(m)
+    return value if len(pivots) == m.rows else _ZERO
 
 
 @dataclass(frozen=True)
@@ -307,11 +348,7 @@ class Subspace:
             if len(r) != ambient_dim:
                 raise DimensionMismatch("vector of length %d in ambient dimension %d"
                                         % (len(r), ambient_dim))
-        if not rows:
-            return cls.zero(ambient_dim)
-        reduced, pivots = rref(Mat.from_rows(rows, cols=ambient_dim))
-        cols = [reduced.row(i) for i in range(len(pivots))]
-        return cls(ambient_dim, Mat.from_columns(cols, rows=ambient_dim))
+        return _row_span(Mat(len(rows), ambient_dim, tuple(x for r in rows for x in r)))
 
     @property
     def dim(self) -> int:
@@ -348,14 +385,23 @@ class Subspace:
         stacked = Mat.block([[self.basis, other.basis]])
         coeffs = nullspace(stacked)
         vectors = [self.basis.mul_vec(c[:self.dim]) for c in coeffs.vectors()]
-        return Subspace.from_vectors(self.ambient_dim, vectors)
+        return _row_span(Mat(len(vectors), self.ambient_dim,
+                             tuple(x for v in vectors for x in v)))
 
     def plus(self, other: Subspace) -> Subspace:
         if self.ambient_dim != other.ambient_dim:
             raise DimensionMismatch("ambient dimensions %d and %d"
                                     % (self.ambient_dim, other.ambient_dim))
-        return Subspace.from_vectors(self.ambient_dim,
-                                     self.vectors() + other.vectors())
+        return _row_span(Mat.block([[self.basis, other.basis]]).transpose())
+
+
+def _row_span(m: Mat) -> Subspace:
+    """Canonical Subspace of Q^cols spanned by the rows of m."""
+    if m.rows == 0:
+        return Subspace.zero(m.cols)
+    reduced, pivots = rref(m)
+    k = len(pivots)
+    return Subspace(m.cols, Mat(k, m.cols, reduced.entries[:k * m.cols]).transpose())
 
 
 def nullspace(m: Mat) -> Subspace:
@@ -363,20 +409,19 @@ def nullspace(m: Mat) -> Subspace:
     reduced, pivots = rref(m)
     pivot_set = set(pivots)
     free = [c for c in range(m.cols) if c not in pivot_set]
-    vectors = []
+    entries: list[Fraction] = []
     for f in free:
-        v = [Fraction(0)] * m.cols
+        v = [_ZERO] * m.cols
         v[f] = Fraction(1)
         for i, p in enumerate(pivots):
-            v[p] = -reduced[i, f]
-        vectors.append(v)
-    return Subspace.from_vectors(m.cols, vectors)
+            v[p] = -reduced.entries[i * m.cols + f]
+        entries.extend(v)
+    return _row_span(Mat(len(free), m.cols, tuple(entries)))
 
 
 def colspace(m: Mat) -> Subspace:
     """Canonical basis of the column span."""
-    return Subspace.from_vectors(
-        m.rows, [m.column_vector(j) for j in range(m.cols)])
+    return _row_span(m.transpose())
 
 
 def intersect(a: Subspace, b: Subspace) -> Subspace:

@@ -28,9 +28,9 @@ def _inverse(m: Mat) -> Mat:
     n = m.rows
     augmented = Mat.block([[m, Mat.identity(n)]])
     reduced, pivots = rref(augmented)
-    if tuple(pivots) != tuple(range(n)):
+    if pivots != tuple(range(n)):
         raise ValueError("matrix is singular")
-    return Mat.from_rows([reduced.row(i)[n:] for i in range(n)], cols=n)
+    return Mat(n, n, tuple(x for i in range(n) for x in reduced.row(i)[n:]))
 
 
 @dataclass(frozen=True)
@@ -69,7 +69,8 @@ class LocalSystem:
         values = vec(gvals)
         if len(values) != g.m:
             raise ValueError("%d cocycle values for %d edges" % (len(values), g.m))
-        return cls(g, 2, tuple(Mat.from_rows([[1, ge], [0, 1]]) for ge in values))
+        one, zero = Fraction(1), Fraction(0)
+        return cls(g, 2, tuple(Mat(2, 2, (one, ge, zero, one)) for ge in values))
 
     def transition_inverse(self, e: int) -> Mat:
         return self._inverses[e]  # type: ignore[attr-defined]

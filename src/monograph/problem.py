@@ -119,7 +119,7 @@ class SystemSpec:
         params = tuple(_json_rational(x) for x in doc.get("params", []))
         if kind == "trivial":
             rank = doc.get("rank", 1)
-            if not isinstance(rank, int):
+            if isinstance(rank, bool) or not isinstance(rank, int):
                 raise ParseError("trivial system rank must be an integer")
             return cls("trivial", rank)
         if kind == "unipotent2":
@@ -267,7 +267,8 @@ def _parse_system_lines(system_lines: list[tuple[int, list[str]]],
     lineno, tokens = system_lines[0]
     head, args = tokens[0], tokens[1:]
     if head == "trivial":
-        if len(args) != 1 or not args[0].isdigit() or int(args[0]) < 1:
+        if len(args) != 1 or not (args[0].isascii() and args[0].isdigit()) \
+                or int(args[0]) < 1:
             raise ParseError("trivial takes one positive integer rank", lineno)
         system = SystemSpec("trivial", int(args[0]))
     elif head == "unipotent2":

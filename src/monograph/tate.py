@@ -13,9 +13,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .cohomology import edge_image, obstruction, system_matrix
+from .cohomology import (_obstruction, coboundary_matrix, residue_constraint_matrix,
+                         system_matrix)
 from .graph import DualGraph, cycle_graph
-from .linalg import Mat, Subspace, Vector, det, nullspace, rank, vec
+from .linalg import Mat, Subspace, Vector, det, nullspace, vec
 from .localsystem import LocalSystem
 
 
@@ -61,13 +62,16 @@ def tate_report(m: int, gvals: Sequence[int | str | Fraction]) -> TateReport:
     of this family, checked in the test suite rather than assumed here.
     The quotient dimension measures the span of the nonzero kernel image
     inside the obstruction space, which is the residue shadow of the
-    one-dimensional quotient the example exhibits.
+    one-dimensional quotient the example exhibits.  The rank is 2m minus
+    the kernel dimension, so one elimination gives both, and the coboundary
+    matrix is assembled once for the edge images and the obstruction.
     """
     g, sys = build_tate(m, gvals)
     a = system_matrix(sys)
+    cob = coboundary_matrix(sys)
     kernel = nullspace(a)
-    images = tuple(edge_image(sys, k) for k in kernel.vectors())
-    blocked = obstruction(sys)
+    images = tuple(cob.mul_vec(k) for k in kernel.vectors())
+    blocked = _obstruction(cob, residue_constraint_matrix(sys))
     nonzero = next((img for img in images if any(x != 0 for x in img)), None)
     if nonzero is None:
         quotient_dim = 0
@@ -79,7 +83,7 @@ def tate_report(m: int, gvals: Sequence[int | str | Fraction]) -> TateReport:
         gvals=vec(gvals),
         system=a,
         det=det(a),
-        rank=rank(a),
+        rank=a.cols - kernel.dim,
         kernel=kernel,
         edge_images=images,
         holonomy=holonomy(vec(gvals)),

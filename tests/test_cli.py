@@ -124,6 +124,38 @@ class TestDeterminism:
 
 
 class TestErrors:
+    @pytest.mark.parametrize("values", ["1_2/3,1,1", "1,1_000,1", "1,\u0662,1"])
+    def test_separated_or_non_ascii_cocycle_exit_2(self, capsys, values):
+        code, out, err = run_cli(capsys, ["tate", "--ord", "3", "--g", values])
+        assert code == 2
+        assert out == ""
+        assert "bad rational literal" in err
+
+    def test_digit_separator_in_input_file_exit_2(self, capsys, tmp_path):
+        path = write(tmp_path, "t.txt",
+                     TRIANGLE_TRIVIAL + "SYSTEM\nunipotent2 1 1_000 4\n")
+        code, out, err = run_cli(capsys, ["defect", "--input", path])
+        assert code == 2
+        assert out == ""
+        assert "line 8" in err and "1_000" in err
+
+    @pytest.mark.parametrize("rank", ["1_0", "\u0662"])
+    def test_separated_or_non_ascii_rank_exit_2(self, capsys, tmp_path, rank):
+        path = write(tmp_path, "t.txt", TRIANGLE_TRIVIAL + "SYSTEM\ntrivial %s\n" % rank)
+        code, out, err = run_cli(capsys, ["cohomology", "--input", path])
+        assert code == 2
+        assert out == ""
+        assert "positive integer rank" in err
+
+    def test_bool_rank_exit_2(self, capsys, tmp_path):
+        doc = {"vertices": ["a", "b"], "edges": [{"from": "a", "to": "b"}],
+               "system": {"kind": "trivial", "rank": True}}
+        path = write(tmp_path, "t.json", json.dumps(doc))
+        code, out, err = run_cli(capsys, ["cohomology", "--input", path])
+        assert code == 2
+        assert out == ""
+        assert "rank must be an integer" in err
+
     def test_parse_error_exit_2(self, capsys, tmp_path):
         path = write(tmp_path, "bad.txt", "VERTICES\na\nEDGES\na b\n")
         code, _, err = run_cli(capsys, ["defect", "--input", path])

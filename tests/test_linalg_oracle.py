@@ -1,0 +1,238 @@
+"""The fraction-free elimination kernel and the sparse products against
+slow reference implementations.
+
+The oracles are the plain Fraction Gauss-Jordan elimination and the
+Bareiss determinant loop that the kernel replaced, the dense triple-loop
+matrix product, and sympy where it is installed.  Every comparison is exact.
+"""
+
+from fractions import Fraction
+from math import lcm
+import random
+
+import pytest
+
+from monograph.linalg import Mat, Subspace, colspace, det, nullspace, rank, rref
+from monograph.localsystem import _inverse
+
+F = Fraction
+
+
+def oracle_rref(m):
+    """Gauss-Jordan over Fraction, one pivot column at a time."""
+    work = [list(m.row(i)) for i in range(m.rows)]
+    pivots = []
+    r = 0
+    for c in range(m.cols):
+        pivot_row = next((i for i in range(r, m.rows) if work[i][c] != 0), None)
+        if pivot_row is None:
+            continue
+        work[r], work[pivot_row] = work[pivot_row], work[r]
+        inv = 1 / work[r][c]
+        work[r] = [x * inv for x in work[r]]
+        for i in range(m.rows):
+            if i != r and work[i][c] != 0:
+                f = work[i][c]
+                work[i] = [x - f * y for x, y in zip(work[i], work[r])]
+        pivots.append(c)
+        r += 1
+        if r == m.rows:
+            break
+    return Mat.from_rows(work, cols=m.cols), tuple(pivots)
+
+
+def oracle_det(m):
+    """Bareiss forward elimination on the row-cleared integer matrix."""
+    n = m.rows
+    if n == 0:
+        return F(1)
+    scale = 1
+    work = []
+    for i in range(n):
+        row = m.row(i)
+        d = lcm(*(x.denominator for x in row))
+        scale *= d
+        work.append([int(x * d) for x in row])
+    sign = 1
+    prev = 1
+    for k in range(n - 1):
+        if work[k][k] == 0:
+            swap = next((i for i in range(k + 1, n) if work[i][k] != 0), None)
+            if swap is None:
+                return F(0)
+            work[k], work[swap] = work[swap], work[k]
+            sign = -sign
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                work[i][j] = (work[k][k] * work[i][j]
+                              - work[i][k] * work[k][j]) // prev
+            work[i][k] = 0
+        prev = work[k][k]
+    return F(sign * work[n - 1][n - 1], scale)
+
+
+def oracle_span(ambient, vectors):
+    """Canonical basis matrix (columns) of the span, via the oracle rref."""
+    vectors = [list(v) for v in vectors]
+    if not vectors:
+        return Mat.zeros(ambient, 0)
+    reduced, pivots = oracle_rref(Mat.from_rows(vectors, cols=ambient))
+    return Mat.from_columns([reduced.row(i) for i in range(len(pivots))],
+                            rows=ambient)
+
+
+def oracle_nullspace(m):
+    reduced, pivots = oracle_rref(m)
+    vectors = []
+    for f in (c for c in range(m.cols) if c not in pivots):
+        v = [F(0)] * m.cols
+        v[f] = F(1)
+        for i, p in enumerate(pivots):
+            v[p] = -reduced[i, f]
+        vectors.append(v)
+    return oracle_span(m.cols, vectors)
+
+
+def oracle_inverse(m):
+    n = m.rows
+    reduced, _ = oracle_rref(Mat.block([[m, Mat.identity(n)]]))
+    return Mat.from_rows([reduced.row(i)[n:] for i in range(n)], cols=n)
+
+
+def oracle_colspace(m):
+    return oracle_span(m.rows, [[m[i, j] for i in range(m.rows)]
+                                for j in range(m.cols)])
+
+
+def dense_matmul(a, b):
+    return Mat(a.rows, b.cols, tuple(
+        sum((a[i, k] * b[k, j] for k in range(a.cols)), F(0))
+        for i in range(a.rows) for j in range(b.cols)))
+
+
+def random_entry(rng, max_den):
+    kind = rng.randrange(6)
+    if kind < 2:
+        return F(0)
+    if kind < 4:
+        return F(rng.randint(-9, 9))
+    return F(rng.randint(-max_den, max_den), rng.randint(1, max_den))
+
+
+def random_matrix(rng, rows, cols, max_den=10 ** 6):
+    """Sparse-ish rational matrix, made rank-deficient half of the time by
+    duplicating, negating or combining earlier rows."""
+    out = []
+    for i in range(rows):
+        if i and rng.random() < 0.5:
+            kind = rng.randrange(3)
+            a = out[rng.randrange(i)]
+            if kind == 0:
+                row = list(a)
+            elif kind == 1:
+                c = F(rng.randint(-5, 5), rng.randint(1, 7))
+                row = [-c * x for x in a]
+            else:
+                b = out[rng.randrange(i)]
+                c = F(rng.randint(-max_den, max_den), rng.randint(1, max_den))
+                row = [x + c * y for x, y in zip(a, b)]
+        else:
+            row = [random_entry(rng, max_den) for _ in range(cols)]
+        out.append(row)
+    return Mat(rows, cols, tuple(x for row in out for x in row))
+
+
+def matrices(seed, count, max_size=7):
+    rng = random.Random(seed)
+    shapes = [(0, 0), (0, 4), (4, 0), (1, 1), (1, 5), (5, 1)]
+    for rows, cols in shapes:
+        yield random_matrix(rng, rows, cols)
+    for _ in range(count):
+        yield random_matrix(rng, rng.randint(1, max_size), rng.randint(1, max_size))
+
+
+def first_pivot(m):
+    """The entry the elimination pivots on first, or None for m = 0."""
+    for j in range(m.cols):
+        column = [x for x in m.column_vector(j) if x]
+        if column:
+            return column[0]
+    return None
+
+
+def test_random_matrices_cover_the_hard_cases():
+    """The samples have rank-deficient matrices, negative pivots and
+    denominators near 10^6, so the oracle comparisons exercise them."""
+    sample = list(matrices(0, 150))
+    assert sum(rank(m) < min(m.rows, m.cols) for m in sample) > 30
+    assert sum((first_pivot(m) or 0) < 0 for m in sample) > 30
+    assert max(x.denominator for m in sample for x in m.entries) > 10 ** 5
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_rref_rank_det_match_oracles(seed):
+    for m in matrices(seed, 150):
+        reduced, pivots = rref(m)
+        assert (reduced, pivots) == oracle_rref(m)
+        assert rank(m) == len(pivots)
+        if m.rows == m.cols:
+            assert det(m) == oracle_det(m)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_square_det_and_inverse_match_oracles(seed):
+    rng = random.Random(100 + seed)
+    for _ in range(120):
+        n = rng.randint(0, 6)
+        m = random_matrix(rng, n, n)
+        assert det(m) == oracle_det(m)
+        if det(m) == 0:
+            with pytest.raises(ValueError):
+                _inverse(m)
+            continue
+        inv = _inverse(m)
+        assert inv == oracle_inverse(m)
+        assert dense_matmul(m, inv) == Mat.identity(n)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_nullspace_colspace_span_match_oracles(seed):
+    for m in matrices(10 + seed, 100):
+        assert nullspace(m).basis == oracle_nullspace(m)
+        assert colspace(m).basis == oracle_colspace(m)
+        vectors = [m.row(i) for i in range(m.rows)]
+        assert Subspace.from_vectors(m.cols, vectors).basis == \
+            oracle_span(m.cols, vectors)
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_sparse_products_match_dense_loop(seed):
+    rng = random.Random(200 + seed)
+    for _ in range(80):
+        n, k, p = rng.randint(0, 6), rng.randint(0, 6), rng.randint(0, 6)
+        a, b = random_matrix(rng, n, k), random_matrix(rng, k, p)
+        assert a @ b == dense_matmul(a, b)
+        v = tuple(random_entry(rng, 1000) for _ in range(k))
+        assert a.mul_vec(v) == dense_matmul(a, Mat(k, 1, v)).entries
+        assert a.transpose() == Mat(k, n, tuple(a[i, j] for j in range(k)
+                                                for i in range(n)))
+        for j in range(k):
+            assert a.column_vector(j) == tuple(a[i, j] for i in range(n))
+
+
+def test_sympy_agrees_on_rref_rank_nullspace_det():
+    sympy = pytest.importorskip("sympy")
+    for m in matrices(300, 60, max_size=5):
+        if not (m.rows and m.cols):
+            continue
+        s = sympy.Matrix(m.rows, m.cols,
+                         [sympy.Rational(x.numerator, x.denominator) for x in m.entries])
+        s_reduced, s_pivots = s.rref()
+        reduced, pivots = rref(m)
+        assert pivots == tuple(s_pivots)
+        assert reduced.entries == tuple(F(int(x.p), int(x.q)) for x in s_reduced)
+        assert rank(m) == s.rank()
+        assert nullspace(m).dim == len(s.nullspace())
+        if m.rows == m.cols:
+            d = s.det()
+            assert det(m) == F(int(d.p), int(d.q))
