@@ -12,8 +12,9 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .cohomology import (coboundary_matrix, edge_image, h0, h1_dim, obstruction,
-                         residue_constraint_matrix, system_matrix)
+from .cohomology import (coboundary_image, coboundary_matrix, h0, h1_dim,
+                         invariant_cycles_report, obstruction,
+                         residue_constraint_matrix, residue_kernel, system_matrix)
 from .graph import DualGraph, incidence_matrix, laplacian
 from .linalg import Mat, Subspace, nullspace, rank
 from .localsystem import EdgeCochain, LocalSystem
@@ -136,32 +137,49 @@ def check_factorization(seed: int, instances: int = 30) -> CheckResult:
 
 
 def check_obstruction_route(seed: int, instances: int = 30) -> CheckResult:
-    """Obstruction agrees with the coboundary image of the system kernel."""
+    """The report's obstruction, defect, image and residue-kernel dims and
+    system rank, from one elimination of the system matrix, agree with the
+    direct route: colspace(coboundary) meet nullspace(residue)."""
+    name = "obstruction via system kernel"
     rng = random.Random(seed)
     for i in range(instances):
         g = random_connected_multigraph(rng, max_vertices=7)
         sys = random_unipotent_system(rng, g, rng.randint(1, 3))
-        via_kernel = Subspace.from_vectors(
-            g.m * sys.rank,
-            [edge_image(sys, k) for k in nullspace(system_matrix(sys)).vectors()])
-        if via_kernel != obstruction(sys):
-            return CheckResult("obstruction via system kernel", False,
-                               "routes disagree (instance %d)" % i)
-    return CheckResult("obstruction via system kernel", True,
-                       "%d random unipotent systems" % instances)
+        report = invariant_cycles_report(sys)
+        blocked = obstruction(sys)
+        for field, got, want in (
+                ("obstruction", report.obstruction, blocked),
+                ("defect", report.defect, blocked.dim),
+                ("coboundary image dim", report.coboundary_image_dim,
+                 coboundary_image(sys).dim),
+                ("residue kernel dim", report.residue_kernel_dim,
+                 residue_kernel(sys).dim),
+                ("system rank", report.system_rank, rank(system_matrix(sys)))):
+            if got != want:
+                return CheckResult(name, False,
+                                   "%s disagrees with the direct route (instance %d)"
+                                   % (field, i))
+    return CheckResult(name, True, "%d random unipotent systems" % instances)
 
 
 def check_euler_characteristic(seed: int, instances: int = 30) -> CheckResult:
-    """h0 - h1 = rank (n - m) on random unipotent systems."""
+    """The report's h0 basis and h1 agree with the direct route, and the
+    direct route satisfies h0 - h1 = rank (n - m) on random unipotent
+    systems (the report takes h1 from that identity)."""
+    name = "euler characteristic"
     rng = random.Random(seed)
     for i in range(instances):
         g = random_connected_multigraph(rng, max_vertices=7)
         sys = random_unipotent_system(rng, g, rng.randint(1, 3))
-        if h0(sys).dim - h1_dim(sys) != sys.rank * (g.n - g.m):
-            return CheckResult("euler characteristic", False,
-                               "h0 - h1 != r(n - m) (instance %d)" % i)
-    return CheckResult("euler characteristic", True,
-                       "%d random unipotent systems" % instances)
+        report = invariant_cycles_report(sys)
+        sections, h1 = h0(sys), h1_dim(sys)
+        if sections.dim - h1 != sys.rank * (g.n - g.m):
+            return CheckResult(name, False, "h0 - h1 != r(n - m) (instance %d)" % i)
+        if (report.h0_basis, report.h0_dim, report.h1_dim) != (sections, sections.dim, h1):
+            return CheckResult(name, False,
+                               "report h0/h1 disagree with the direct route "
+                               "(instance %d)" % i)
+    return CheckResult(name, True, "%d random unipotent systems" % instances)
 
 
 # The 3-cycle golden values for cocycle g = (1, 2, 4): the balance matrix,
@@ -190,17 +208,13 @@ def check_cycle_golden_values() -> CheckResult:
         return CheckResult(name, False, "kernel mismatch")
     if r.defect != 1 or r.holonomy != -1 or r.quotient_dim != 1:
         return CheckResult(name, False, "defect/holonomy mismatch")
-    _, sys124 = _build_cycle((1, 2, 4))
+    _, sys124 = build_tate(3, (1, 2, 4))
     if obstruction(sys124) != Subspace.from_vectors(6, [_CYCLE_OBSTRUCTION_124]):
         return CheckResult(name, False, "obstruction mismatch")
     balanced = tate_report(3, (1, 2, 3))
     if balanced.defect != 0 or balanced.holonomy != 0 or balanced.rank != 4:
         return CheckResult(name, False, "holonomy-zero case mismatch")
     return CheckResult(name, True, "matrix, kernel, obstruction and defect pinned")
-
-
-def _build_cycle(gvals: tuple[int, ...]) -> tuple[DualGraph, LocalSystem]:
-    return build_tate(len(gvals), gvals)
 
 
 def check_defect_dichotomy(seed: int, draws: int = 56) -> CheckResult:

@@ -15,6 +15,7 @@ an internal invariant violation (which indicates a bug) or a failed check.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 
 from .checks import run_all_checks
@@ -29,7 +30,9 @@ EXIT_INPUT = 2
 EXIT_INTERNAL = 3
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The one parser of the process; parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="monograph",
         description="Exact graph cohomology with local coefficients: "

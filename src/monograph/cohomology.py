@@ -18,6 +18,18 @@ the graph Laplacian.
 The obstruction space is the intersection of the coboundary image with the
 residue-balanced space; its dimension (the defect) is what the exactness
 verdict reports.
+
+``invariant_cycles_report`` analyzes a system with one elimination of the
+system matrix A = R.delta (R the residue map, delta the coboundary), the
+connection Laplacian of the system.  Two identities make that enough:
+
+* obstruction = delta(ker A): delta(x) is residue-balanced exactly when
+  A x = R delta(x) = 0;
+* ker delta lies inside ker A, so H0 is cut out of ker A by the images.
+
+The free functions ``h0``, ``h1_dim``, ``coboundary_image``,
+``residue_kernel`` and ``obstruction`` compute each space directly from
+delta and R; they are the oracle the checks compare the report against.
 """
 
 from __future__ import annotations
@@ -29,6 +41,27 @@ from typing import Sequence
 from .linalg import Mat, Subspace, Vector, colspace, nullspace, rank
 from .localsystem import EdgeCochain, LocalSystem
 
+_ZERO = Fraction(0)
+
+
+def _assemble(block_rows: int, block_cols: int, r: int,
+              blocks: list[tuple[int, int, int, Mat]]) -> Mat:
+    """Sum coefficient x block at each (block row, block column) given.
+
+    Every block is r x r and is written straight into one flat entry list;
+    blocks at the same position add up.
+    """
+    width = block_cols * r
+    entries = [_ZERO] * (block_rows * r * width)
+    for bi, bj, coefficient, block in blocks:
+        corner = bi * r * width + bj * r
+        for i in range(r):
+            at = corner + i * width
+            for j, x in enumerate(block.entries[i * r:(i + 1) * r]):
+                if x:
+                    entries[at + j] += coefficient * x
+    return Mat(block_rows * r, width, tuple(entries))
+
 
 def coboundary_matrix(sys: LocalSystem) -> Mat:
     """The (m*r) x (n*r) matrix of the vertex-to-edge difference map.
@@ -37,15 +70,11 @@ def coboundary_matrix(sys: LocalSystem) -> Mat:
     block column t, i.e. it computes a_s - U_e a_t in the s-frame.
     """
     g, r = sys.graph, sys.rank
-    grid = []
+    one = Mat.identity(r)
+    blocks = []
     for e, (s, t) in enumerate(g.edges):
-        row = [Mat.zeros(r, r) for _ in range(g.n)]
-        row[s] = row[s] + Mat.identity(r)
-        row[t] = row[t] - sys.transitions[e]
-        grid.append(row)
-    if not grid:
-        return Mat.zeros(0, g.n * r)
-    return Mat.block(grid)
+        blocks += [(e, s, 1, one), (e, t, -1, sys.transitions[e])]
+    return _assemble(g.m, g.n, r, blocks)
 
 
 def residue_constraint_matrix(sys: LocalSystem) -> Mat:
@@ -56,38 +85,30 @@ def residue_constraint_matrix(sys: LocalSystem) -> Mat:
     kernel element has vanishing residue sum at every vertex.
     """
     g, r = sys.graph, sys.rank
-    if g.m == 0:
-        return Mat.zeros(g.n * r, 0)
-    grid = []
-    for u in range(g.n):
-        row = []
-        for e, (s, t) in enumerate(g.edges):
-            if s == u:
-                row.append(Mat.identity(r))
-            elif t == u:
-                row.append(-sys.transition_inverse(e))
-            else:
-                row.append(Mat.zeros(r, r))
-        grid.append(row)
-    return Mat.block(grid)
+    one = Mat.identity(r)
+    blocks = []
+    for e, (s, t) in enumerate(g.edges):
+        blocks += [(s, e, 1, one), (t, e, -1, sys.transition_inverse(e))]
+    return _assemble(g.n, g.m, r, blocks)
 
 
 def system_matrix(sys: LocalSystem) -> Mat:
     """The (n*r) x (n*r) matrix of the per-vertex balance equations.
 
-    Block (u, u) is deg(u) I; for every edge between u and w the block
-    (u, w) loses the transition that carries the w-frame into the u-frame.
-    Built directly from the degrees so the factorization through the
-    coboundary and residue matrices stays an independent check.
+    Block (u, u) is deg(u) I, one I per edge end at u; for every edge
+    between u and w the block (u, w) loses the transition that carries the
+    w-frame into the u-frame.  Built directly from the edges so the
+    factorization through the coboundary and residue matrices stays an
+    independent check.
     """
     g, r = sys.graph, sys.rank
-    grid = [[Mat.zeros(r, r) for _ in range(g.n)] for _ in range(g.n)]
-    for u in range(g.n):
-        grid[u][u] = Mat.identity(r).scale(g.degree(u))
+    one = Mat.identity(r)
+    blocks = []
     for e, (s, t) in enumerate(g.edges):
-        grid[s][t] = grid[s][t] - sys.transitions[e]
-        grid[t][s] = grid[t][s] - sys.transition_inverse(e)
-    return Mat.block(grid)
+        blocks += [(s, s, 1, one), (t, t, 1, one),
+                   (s, t, -1, sys.transitions[e]),
+                   (t, s, -1, sys.transition_inverse(e))]
+    return _assemble(g.n, g.n, r, blocks)
 
 
 def h0(sys: LocalSystem) -> Subspace:
@@ -112,12 +133,7 @@ def residue_kernel(sys: LocalSystem) -> Subspace:
 
 def obstruction(sys: LocalSystem) -> Subspace:
     """Intersection of the coboundary image with the residue kernel."""
-    return _obstruction(coboundary_matrix(sys), residue_constraint_matrix(sys))
-
-
-def _obstruction(cob: Mat, residue: Mat) -> Subspace:
-    """The obstruction from already assembled coboundary and residue matrices."""
-    return colspace(cob).intersect(nullspace(residue))
+    return coboundary_image(sys).intersect(residue_kernel(sys))
 
 
 def coboundary(sys: LocalSystem, vertex_values: Sequence[Fraction]) -> EdgeCochain:
@@ -135,15 +151,19 @@ def edge_image(sys: LocalSystem, vertex_values: Sequence[Fraction]) -> Vector:
 
 @dataclass(frozen=True)
 class CohomologyReport:
-    """Dimensions, subspaces and verdict for one coefficient system."""
+    """Dimensions, subspaces, assembled matrices and verdict for one
+    coefficient system."""
 
     h0_dim: int
     h1_dim: int
     h0_basis: Subspace
-    coboundary_image: Subspace
-    residue_kernel: Subspace
     obstruction: Subspace
+    coboundary: Mat
+    residue: Mat
     system: Mat
+    system_rank: int
+    coboundary_image_dim: int
+    residue_kernel_dim: int
     defect: int
     exact: bool
 
@@ -154,20 +174,39 @@ def invariant_cycles_report(sys: LocalSystem) -> CohomologyReport:
     The verdict is combinatorial: a nonzero obstruction exhibits a
     residue-balanced edge family that comes from vertex data, which is
     exactly the defect the obstruction space measures.
+
+    Each matrix is assembled once and the system matrix A = R.delta is
+    eliminated once.  Its kernel K gives everything else: the obstruction
+    is delta(K), because delta(x) lies in ker R exactly when A x = 0; and
+    H0 = ker delta is the set of x in K with delta(x) = 0, because
+    ker delta lies inside ker A.  h1 then follows from the Euler
+    characteristic, and only the sparse residue matrix is eliminated
+    besides.  The free functions h0, h1_dim, coboundary_image,
+    residue_kernel and obstruction keep the direct route as an oracle.
     """
-    sections = h0(sys)
-    image = coboundary_image(sys)
-    balanced = residue_kernel(sys)
-    blocked = image.intersect(balanced)
-    defect = blocked.dim
+    g, r = sys.graph, sys.rank
+    cob = coboundary_matrix(sys)
+    residue = residue_constraint_matrix(sys)
+    a = system_matrix(sys)
+    kernel = nullspace(a)
+    images = [cob.mul_vec(k) for k in kernel.vectors()]
+    blocked = Subspace.from_vectors(g.m * r, images)
+    # coefficient vectors c with sum c_i delta(k_i) = 0 give ker delta
+    relations = nullspace(Mat.from_columns(images, rows=g.m * r))
+    sections = Subspace.from_vectors(
+        g.n * r, [kernel.basis.mul_vec(c) for c in relations.vectors()])
+    image_dim = g.n * r - sections.dim
     return CohomologyReport(
         h0_dim=sections.dim,
-        h1_dim=h1_dim(sys),
+        h1_dim=g.m * r - image_dim,
         h0_basis=sections,
-        coboundary_image=image,
-        residue_kernel=balanced,
         obstruction=blocked,
-        system=system_matrix(sys),
-        defect=defect,
-        exact=defect == 0,
+        coboundary=cob,
+        residue=residue,
+        system=a,
+        system_rank=g.n * r - kernel.dim,
+        coboundary_image_dim=image_dim,
+        residue_kernel_dim=g.m * r - rank(residue),
+        defect=blocked.dim,
+        exact=blocked.dim == 0,
     )

@@ -80,13 +80,6 @@ class DualGraph:
             missing = [self.vertex_name(v) for v, ok in enumerate(seen) if not ok]
             raise DisconnectedError("unreachable vertices: %s" % ", ".join(missing))
 
-    def is_valid(self) -> bool:
-        try:
-            self.validate()
-        except GraphError:
-            return False
-        return True
-
     def degree(self, v: int) -> int:
         """Number of edge ends at v (parallel edges count separately)."""
         self._check_vertex(v)

@@ -302,11 +302,16 @@ def _parse_values(tokens: list[str], lineno: int) -> tuple[Fraction, ...]:
 
 
 def load_problem(text: str) -> ProblemSpec:
-    """Accept either format: JSON if the first character is '{'."""
-    if text.lstrip().startswith("{"):
-        try:
-            doc = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise ParseError("invalid JSON: %s" % exc) from None
-        return ProblemSpec.from_json_dict(doc)
-    return parse_spec(text)
+    """Accept either format: JSON if the first character is '{'.
+
+    A system chain too deep to recurse through, in either format, is bad
+    input like any other.
+    """
+    try:
+        if text.lstrip().startswith("{"):
+            return ProblemSpec.from_json_dict(json.loads(text))
+        return parse_spec(text)
+    except json.JSONDecodeError as exc:
+        raise ParseError("invalid JSON: %s" % exc) from None
+    except RecursionError:
+        raise ParseError("system is nested too deeply") from None

@@ -52,11 +52,9 @@ def run(problem: ProblemSpec, command: str) -> dict:
 
     incidence = incidence_matrix(g)
     lap = laplacian(g)
-    cob = cohomology.coboundary_matrix(sys)
-    residue = cohomology.residue_constraint_matrix(sys)
     report = cohomology.invariant_cycles_report(sys)
 
-    if residue @ cob != report.system:
+    if report.residue @ report.coboundary != report.system:
         raise InternalCheckError(
             "system matrix does not factor through the residue and coboundary "
             "matrices")
@@ -67,8 +65,8 @@ def run(problem: ProblemSpec, command: str) -> dict:
         "matrices": {
             "incidence": matrix_grid(incidence),
             "laplacian": matrix_grid(lap),
-            "coboundary": matrix_grid(cob),
-            "residue": matrix_grid(residue),
+            "coboundary": matrix_grid(report.coboundary),
+            "residue": matrix_grid(report.residue),
             "system": matrix_grid(report.system),
         },
         "dims": {
@@ -78,9 +76,9 @@ def run(problem: ProblemSpec, command: str) -> dict:
             "h0": report.h0_dim,
             "h1": report.h1_dim,
             "laplacian_rank": rank(lap),
-            "system_rank": rank(report.system),
-            "coboundary_image": report.coboundary_image.dim,
-            "residue_kernel": report.residue_kernel.dim,
+            "system_rank": report.system_rank,
+            "coboundary_image": report.coboundary_image_dim,
+            "residue_kernel": report.residue_kernel_dim,
             "defect": report.defect,
         },
         "bases": {

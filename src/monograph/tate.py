@@ -13,8 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .cohomology import (_obstruction, coboundary_matrix, residue_constraint_matrix,
-                         system_matrix)
+from .cohomology import coboundary_matrix, system_matrix
 from .graph import DualGraph, cycle_graph
 from .linalg import Mat, Subspace, Vector, det, nullspace, vec
 from .localsystem import LocalSystem
@@ -60,33 +59,30 @@ def tate_report(m: int, gvals: Sequence[int | str | Fraction]) -> TateReport:
     The defect is computed from the obstruction space itself; the holonomy
     dichotomy (defect 1 exactly when the holonomy is nonzero) is a property
     of this family, checked in the test suite rather than assumed here.
-    The quotient dimension measures the span of the nonzero kernel image
-    inside the obstruction space, which is the residue shadow of the
-    one-dimensional quotient the example exhibits.  The rank is 2m minus
-    the kernel dimension, so one elimination gives both, and the coboundary
-    matrix is assembled once for the edge images and the obstruction.
+    The obstruction is the span of the kernel's edge images, since the
+    system matrix factors through the coboundary (see ``cohomology``).
+    The quotient dimension is that of the line a nonzero kernel image spans
+    inside it, so 1 exactly when the obstruction is nonzero: the residue
+    shadow of the one-dimensional quotient the example exhibits.  The rank is 2m minus the kernel dimension, so one
+    elimination gives both, and the determinant needs its own elimination
+    only when the kernel is zero, which the flat constant section (1, 0)
+    rules out for this family.
     """
     g, sys = build_tate(m, gvals)
     a = system_matrix(sys)
     cob = coboundary_matrix(sys)
     kernel = nullspace(a)
     images = tuple(cob.mul_vec(k) for k in kernel.vectors())
-    blocked = _obstruction(cob, residue_constraint_matrix(sys))
-    nonzero = next((img for img in images if any(x != 0 for x in img)), None)
-    if nonzero is None:
-        quotient_dim = 0
-    else:
-        line = Subspace.from_vectors(g.m * sys.rank, [nonzero])
-        quotient_dim = line.intersect(blocked).dim
+    blocked = Subspace.from_vectors(g.m * sys.rank, images)
     return TateReport(
         m=m,
         gvals=vec(gvals),
         system=a,
-        det=det(a),
+        det=Fraction(0) if kernel.dim else det(a),
         rank=a.cols - kernel.dim,
         kernel=kernel,
         edge_images=images,
         holonomy=holonomy(vec(gvals)),
         defect=blocked.dim,
-        quotient_dim=quotient_dim,
+        quotient_dim=min(blocked.dim, 1),
     )

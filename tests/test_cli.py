@@ -2,10 +2,15 @@
 
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from monograph.cli import main
+import monograph
+from monograph.cli import _build_parser, main
 
 TRIANGLE_TRIVIAL = "VERTICES\nI II III\nEDGES\nI II\nII III\nI III\n"
 TRIANGLE_124 = TRIANGLE_TRIVIAL + "SYSTEM\nunipotent2 1 2 4\n"
@@ -162,6 +167,20 @@ class TestErrors:
         assert code == 2
         assert "unknown vertex" in err
 
+    @pytest.mark.parametrize("name, text", [
+        ("deep.json",
+         '{"vertices": ["a"], "edges": [], "system": '
+         + '{"kind": "extension", "params": [], "base": ' * 1200
+         + '{"kind": "trivial"}' + "}" * 1201),
+        ("deep.txt", "VERTICES\na\nSYSTEM\ntrivial 1\n" + "extend\n" * 1200),
+    ])
+    def test_system_nested_1200_deep_exit_2(self, capsys, tmp_path, name, text):
+        path = write(tmp_path, name, text)
+        code, out, err = run_cli(capsys, ["defect", "--input", path])
+        assert code == 2
+        assert out == ""
+        assert err == "error: system is nested too deeply\n"
+
     def test_disconnected_exit_2(self, capsys, tmp_path):
         path = write(tmp_path, "bad.txt", "VERTICES\na b c\nEDGES\na b\n")
         code, _, err = run_cli(capsys, ["defect", "--input", path])
@@ -208,3 +227,42 @@ class TestCheck:
         assert doc["passed"] is True
         assert len(doc["results"]) == 6
         assert all(r["passed"] for r in doc["results"])
+
+
+class TestInProcessReuse:
+    """One parser serves every call of the process: consecutive calls give
+    what fresh processes give, and no flag carries over."""
+
+    def fresh_run(self, argv):
+        env = dict(os.environ,
+                   PYTHONPATH=str(Path(monograph.__file__).resolve().parents[1]))
+        proc = subprocess.run([sys.executable, "-m", "monograph.cli", *argv],
+                              capture_output=True, text=True, env=env, timeout=60)
+        return proc.returncode, proc.stdout
+
+    def test_consecutive_calls_match_fresh_runs(self, capsys, tmp_path):
+        cycle = write(tmp_path, "cycle.txt", TRIANGLE_124)
+        trivial = write(tmp_path, "trivial.txt", TRIANGLE_TRIVIAL)
+        calls = [
+            ["defect", "--input", cycle, "--pretty"],
+            ["defect", "--input", cycle],
+            ["tate", "--ord", "3", "--g", "1,1,1", "--pretty"],
+            ["tate", "--ord", "3", "--g", "1,1,1"],
+            ["laplacian", "--input", trivial, "--pretty"],
+            ["cohomology", "--input", trivial],
+            ["tate", "--ord", "1", "--g", "1"],
+            ["cohomology", "--input", cycle, "--json"],
+            ["laplacian", "--input", trivial],
+        ]
+        in_process = [run_cli(capsys, argv)[:2] for argv in calls]
+        assert in_process == [self.fresh_run(argv) for argv in calls]
+        assert _build_parser() is _build_parser()
+
+    def test_usage_error_does_not_leak(self, capsys, tmp_path):
+        path = write(tmp_path, "t.txt", TRIANGLE_124)
+        with pytest.raises(SystemExit):
+            main(["defect", "--input", path, "--json", "--pretty"])
+        capsys.readouterr()
+        code, out, _ = run_cli(capsys, ["defect", "--input", path])
+        assert code == 0
+        assert json.loads(out)["verdict"] == "defect 1"

@@ -5,12 +5,13 @@ from fractions import Fraction
 
 from monograph.checks import (random_connected_multigraph, random_rational,
                               random_unipotent_system)
-from monograph.cohomology import (coboundary, coboundary_matrix, edge_image,
-                                  h0, h1_dim, invariant_cycles_report,
-                                  obstruction, residue_constraint_matrix,
-                                  residue_kernel, system_matrix)
+from monograph.cohomology import (coboundary, coboundary_image,
+                                  coboundary_matrix, edge_image, h0, h1_dim,
+                                  invariant_cycles_report, obstruction,
+                                  residue_constraint_matrix, residue_kernel,
+                                  system_matrix)
 from monograph.graph import DualGraph, cycle_graph
-from monograph.linalg import Mat, Subspace, nullspace, vec
+from monograph.linalg import Mat, Subspace, nullspace, rank, vec
 from monograph.localsystem import EdgeCochain, LocalSystem
 from monograph.tate import build_tate
 
@@ -254,3 +255,109 @@ class TestCoboundaryInvariance:
             two = invariant_cycles_report(base.extend_by_trivial(shifted))
             assert (one.h0_dim, one.h1_dim, one.defect) == \
                 (two.h0_dim, two.h1_dim, two.defect)
+
+
+def _block_assembly(sys):
+    """The block-grid assembly the flat one replaced: (coboundary, residue,
+    system), each built from r x r Mat blocks with Mat.block."""
+    g, r = sys.graph, sys.rank
+    zero, one = Mat.zeros(r, r), Mat.identity(r)
+    cob_grid = []
+    for e, (s, t) in enumerate(g.edges):
+        row = [zero] * g.n
+        row[s] = row[s] + one
+        row[t] = row[t] - sys.transitions[e]
+        cob_grid.append(row)
+    cob = Mat.block(cob_grid) if cob_grid else Mat.zeros(0, g.n * r)
+    if g.m == 0:
+        residue = Mat.zeros(g.n * r, 0)
+    else:
+        residue = Mat.block([
+            [one if s == u else -sys.transition_inverse(e) if t == u else zero
+             for e, (s, t) in enumerate(g.edges)]
+            for u in range(g.n)])
+    grid = [[zero] * g.n for _ in range(g.n)]
+    for u in range(g.n):
+        grid[u][u] = one.scale(g.degree(u))
+    for e, (s, t) in enumerate(g.edges):
+        grid[s][t] = grid[s][t] - sys.transitions[e]
+        grid[t][s] = grid[t][s] - sys.transition_inverse(e)
+    return cob, residue, Mat.block(grid)
+
+
+def _random_tree(rng, n):
+    edges = []
+    for v in range(1, n):
+        u = rng.randrange(v)
+        edges.append((u, v) if rng.random() < 0.5 else (v, u))
+    return DualGraph(n, tuple(edges))
+
+
+def _oracle_systems(seed):
+    """Seeded systems of rank 1..3 on trees, a single vertex, parallel
+    edges and random multigraphs, with rational cocycles and extensions."""
+    rng = random.Random(seed)
+    for _ in range(12):
+        tree = _random_tree(rng, rng.randint(2, 7))
+        yield random_unipotent_system(rng, tree, rng.randint(1, 3))
+    single = DualGraph(1, ())
+    for r in (1, 2, 3):
+        yield random_unipotent_system(rng, single, r)
+        yield LocalSystem.trivial(single, r)
+    for edges in (((0, 1), (1, 0)), ((0, 1), (0, 1), (1, 0)),
+                  ((0, 1), (1, 2), (2, 1), (0, 2), (2, 0))):
+        g = DualGraph(1 + max(max(e) for e in edges), edges)
+        for r in (1, 2, 3):
+            yield random_unipotent_system(rng, g, r)
+        yield LocalSystem.unipotent_rank2(g, [random_rational(rng) for _ in edges])
+    for m in range(2, 7):
+        gvals = [random_rational(rng, zero_weight=0) for _ in range(m)]
+        base = cycle_system(gvals)
+        yield base
+        values = [tuple(random_rational(rng) for _ in range(2)) for _ in range(m)]
+        yield base.extend_by_trivial(EdgeCochain.from_values(base, values))
+    for _ in range(30):
+        g = random_connected_multigraph(rng, max_vertices=7)
+        yield random_unipotent_system(rng, g, rng.randint(1, 3))
+
+
+class TestReportMatchesOracle:
+    """invariant_cycles_report, from one elimination of the system matrix,
+    against the direct route of the free functions and the block-grid
+    assembly."""
+
+    def test_every_field(self):
+        count = 0
+        for sys in _oracle_systems(20261):
+            g, r = sys.graph, sys.rank
+            report = invariant_cycles_report(sys)
+            cob, residue, system = _block_assembly(sys)
+            assert (report.coboundary, report.residue, report.system) == \
+                (cob, residue, system)
+            assert residue @ cob == system
+            sections = h0(sys)
+            assert report.h0_basis == sections
+            assert report.h0_dim == sections.dim
+            assert report.h1_dim == h1_dim(sys)
+            blocked = obstruction(sys)
+            assert report.obstruction == blocked
+            assert report.defect == blocked.dim
+            assert report.exact == (blocked.dim == 0)
+            assert report.coboundary_image_dim == coboundary_image(sys).dim
+            assert report.residue_kernel_dim == residue_kernel(sys).dim
+            assert report.system_rank == rank(system)
+            assert report.coboundary.rows == g.m * r
+            count += 1
+        assert count == 70
+
+    def test_cases_are_covered(self):
+        systems = list(_oracle_systems(20261))
+        assert any(s.graph.m == s.graph.n - 1 and s.graph.n > 1 for s in systems)
+        assert any(s.graph.m == 0 for s in systems)
+        assert any(len(set(map(frozenset, s.graph.edges))) < s.graph.m
+                   for s in systems)
+        assert any(x.denominator > 1 for s in systems
+                   for u in s.transitions for x in u.entries)
+        assert any(s.rank == 3 for s in systems)
+        assert any(report_defect > 0 for report_defect in
+                   (invariant_cycles_report(s).defect for s in systems))

@@ -8,7 +8,7 @@ import pytest
 from monograph.checks import random_rational
 from monograph.cohomology import obstruction
 from monograph.graph import GraphError
-from monograph.linalg import Mat, Subspace, rat, vec
+from monograph.linalg import Mat, Subspace, det, rat, vec
 from monograph.tate import build_tate, holonomy, tate_report
 
 F = Fraction
@@ -158,3 +158,28 @@ class TestDichotomy:
             gvals = tuple(body) + (sum(body, F(0)),)
             assert holonomy(vec(gvals)) == 0
             assert tate_report(m, gvals).defect == 0
+
+
+class TestDeterminant:
+    def test_det_equals_elimination_det(self):
+        # the report skips the determinant's own elimination when the
+        # kernel is nonzero; the skipped value must be the real one
+        rng = random.Random(101)
+        for draw in range(28):
+            m = 2 + draw % 7
+            gvals = tuple(random_rational(rng) for _ in range(m))
+            r = tate_report(m, gvals)
+            assert r.kernel.dim > 0
+            assert r.det == det(r.system) == 0
+
+    def test_obstruction_is_span_of_edge_images(self):
+        rng = random.Random(103)
+        for draw in range(28):
+            m = 2 + draw % 7
+            gvals = tuple(random_rational(rng) for _ in range(m))
+            r = tate_report(m, gvals)
+            _, sys = build_tate(m, gvals)
+            span = Subspace.from_vectors(2 * m, r.edge_images)
+            assert span == obstruction(sys)
+            assert r.defect == span.dim
+            assert r.quotient_dim == min(span.dim, 1)
