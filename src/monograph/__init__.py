@@ -9,14 +9,13 @@ command line sit on top.  All arithmetic is exact over the rationals.
 """
 
 from .cohomology import (CohomologyReport, coboundary, coboundary_image,
-                         coboundary_matrix, edge_image, h0, h1_dim,
-                         invariant_cycles_report, obstruction,
-                         residue_constraint_matrix, residue_kernel,
+                         coboundary_matrix, h0, h1_dim, invariant_cycles_report,
+                         obstruction, residue_constraint_matrix, residue_kernel,
                          system_matrix)
 from .graph import (DisconnectedError, DualGraph, GraphError, LoopEdgeError,
                     cycle_graph, incidence_matrix, laplacian)
 from .linalg import (Mat, Rational, Subspace, colspace, det, format_rational,
-                     intersect, nullspace, parse_rational, rank, rref, vec)
+                     nullspace, parse_rational, rank, rref, vec)
 from .localsystem import EdgeCochain, LocalSystem
 from .problem import ParseError, ProblemSpec, SystemSpec, load_problem, parse_spec, render
 from .tate import TateReport, build_tate, holonomy, tate_report
@@ -28,10 +27,9 @@ __all__ = [
     "GraphError", "LocalSystem", "LoopEdgeError", "Mat", "ParseError",
     "ProblemSpec", "Rational", "Subspace", "SystemSpec", "TateReport",
     "build_tate", "coboundary", "coboundary_image", "coboundary_matrix",
-    "colspace", "cycle_graph", "det", "edge_image", "format_rational", "h0",
-    "h1_dim", "holonomy", "incidence_matrix", "intersect",
-    "invariant_cycles_report", "laplacian", "load_problem", "nullspace",
-    "obstruction", "parse_rational", "parse_spec", "rank", "render",
-    "residue_constraint_matrix", "residue_kernel", "rref", "system_matrix",
-    "tate_report", "vec",
+    "colspace", "cycle_graph", "det", "format_rational", "h0", "h1_dim",
+    "holonomy", "incidence_matrix", "invariant_cycles_report", "laplacian",
+    "load_problem", "nullspace", "obstruction", "parse_rational", "parse_spec",
+    "rank", "render", "residue_constraint_matrix", "residue_kernel", "rref",
+    "system_matrix", "tate_report", "vec",
 ]

@@ -1,8 +1,10 @@
-"""Randomized invariant sweeps and golden-value checks.
+"""The registry of invariants: randomized sweeps and golden values.
 
-This is the engine behind the `check` subcommand: every identity the
-package is built on, run against freshly sampled graphs and coefficient
-systems plus the pinned 3-cycle example.  All sampling is driven by one
+Every identity the package is built on is one ``Check`` in ``CHECKS``: a
+name, a sub-seed offset, a default instance count, and a body that yields
+one detail line for each instance that breaks the identity.  The `check`
+subcommand runs the registry at the defaults; the acceptance tests run the
+same entries at their own seeds and counts.  All sampling is driven by one
 seed, so a run is reproducible and the aggregated table is deterministic.
 """
 
@@ -11,6 +13,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Callable, Iterator
 
 from .cohomology import (coboundary_image, coboundary_matrix, h0, h1_dim,
                          invariant_cycles_report, obstruction,
@@ -26,6 +29,31 @@ class CheckResult:
     name: str
     passed: bool
     detail: str
+
+
+@dataclass(frozen=True)
+class Check:
+    """One invariant: `body(rng, instances)` yields a detail line per
+    failure; `summary`, formatted with the instance count, describes a pass."""
+
+    name: str
+    seed_offset: int
+    instances: int
+    summary: str
+    body: Callable[[random.Random, int], Iterator[str]]
+
+    def failures(self, seed: int, instances: int | None = None) -> Iterator[str]:
+        """Failure details of a run seeded with `seed` itself."""
+        count = self.instances if instances is None else instances
+        return self.body(random.Random(seed), count)
+
+    def run(self, seed: int) -> CheckResult:
+        """The suite's run: sub-seed seed + offset, default count, and the
+        first failure as the detail."""
+        failure = next(self.failures(seed + self.seed_offset), None)
+        if failure is not None:
+            return CheckResult(self.name, False, failure)
+        return CheckResult(self.name, True, self.summary.format(self.instances))
 
 
 def random_rational(rng: random.Random, zero_weight: int = 1) -> Fraction:
@@ -74,8 +102,12 @@ def random_unipotent_system(rng: random.Random, g: DualGraph,
     return sys
 
 
-def _all_ones_kernel(lap: Mat, n: int) -> bool:
-    return nullspace(lap) == Subspace.from_vectors(n, [[1] * n])
+def random_unipotent_systems(rng: random.Random, count: int) -> Iterator[LocalSystem]:
+    """`count` unipotent systems of rank 1..3 on connected multigraphs with
+    at most 7 vertices, drawn one at a time."""
+    for _ in range(count):
+        g = random_connected_multigraph(rng, max_vertices=7)
+        yield random_unipotent_system(rng, g, rng.randint(1, 3))
 
 
 def _min_propagates(g: DualGraph, kernel_vector: tuple[Fraction, ...]) -> bool:
@@ -89,64 +121,47 @@ def _min_propagates(g: DualGraph, kernel_vector: tuple[Fraction, ...]) -> bool:
     return len(set(kernel_vector)) == 1
 
 
-def check_trivial_coefficients(seed: int, instances: int = 100) -> CheckResult:
+def _trivial_coefficients(rng: random.Random, instances: int) -> Iterator[str]:
     """Trivial rank-1 sweep: obstruction vanishes and the balance matrix is
     the graph laplacian with the expected rank and kernel."""
-    rng = random.Random(seed)
     for i in range(instances):
         g = random_connected_multigraph(rng)
         d = incidence_matrix(g)
         lap = laplacian(g)
+        kernel = nullspace(lap)
         sys = LocalSystem.trivial(g, 1)
         if any(sum(d.column_vector(e)) != 0 for e in range(g.m)):
-            return CheckResult("trivial coefficients sweep", False,
-                               "incidence column sum nonzero (instance %d)" % i)
+            yield "incidence column sum nonzero (instance %d)" % i
         if lap != d @ d.transpose():
-            return CheckResult("trivial coefficients sweep", False,
-                               "laplacian != D D^t (instance %d)" % i)
+            yield "laplacian != D D^t (instance %d)" % i
         if rank(lap) != g.n - 1 or rank(d) != g.n - 1:
-            return CheckResult("trivial coefficients sweep", False,
-                               "rank != n-1 (instance %d)" % i)
-        if not _all_ones_kernel(lap, g.n):
-            return CheckResult("trivial coefficients sweep", False,
-                               "kernel is not the all-ones line (instance %d)" % i)
-        if any(not _min_propagates(g, k) for k in nullspace(lap).vectors()):
-            return CheckResult("trivial coefficients sweep", False,
-                               "minimum argument failed (instance %d)" % i)
+            yield "rank != n-1 (instance %d)" % i
+        if kernel != Subspace.from_vectors(g.n, [[1] * g.n]):
+            yield "kernel is not the all-ones line (instance %d)" % i
+        if any(not _min_propagates(g, k) for k in kernel.vectors()):
+            yield "minimum argument failed (instance %d)" % i
         if system_matrix(sys) != lap:
-            return CheckResult("trivial coefficients sweep", False,
-                               "system matrix != laplacian (instance %d)" % i)
-        if obstruction(sys).dim != 0:
-            return CheckResult("trivial coefficients sweep", False,
-                               "nonzero obstruction (instance %d)" % i)
-    return CheckResult("trivial coefficients sweep", True,
-                       "%d random connected multigraphs" % instances)
+            yield "system matrix != laplacian (instance %d)" % i
+        if obstruction(sys) != Subspace.zero(g.m):
+            yield "nonzero obstruction (instance %d)" % i
 
 
-def check_factorization(seed: int, instances: int = 30) -> CheckResult:
+def _factorization(rng: random.Random, instances: int) -> Iterator[str]:
     """system = residue-constraints o coboundary on random unipotent systems."""
-    rng = random.Random(seed)
-    for i in range(instances):
-        g = random_connected_multigraph(rng, max_vertices=7)
-        sys = random_unipotent_system(rng, g, rng.randint(1, 3))
+    for i, sys in enumerate(random_unipotent_systems(rng, instances)):
         if residue_constraint_matrix(sys) @ coboundary_matrix(sys) != system_matrix(sys):
-            return CheckResult("system matrix factorization", False,
-                               "factorization failed (instance %d)" % i)
-    return CheckResult("system matrix factorization", True,
-                       "%d random unipotent systems" % instances)
+            yield "factorization failed (instance %d)" % i
 
 
-def check_obstruction_route(seed: int, instances: int = 30) -> CheckResult:
+def _obstruction_route(rng: random.Random, instances: int) -> Iterator[str]:
     """The report's obstruction, defect, image and residue-kernel dims and
     system rank, from one elimination of the system matrix, agree with the
-    direct route: colspace(coboundary) meet nullspace(residue)."""
-    name = "obstruction via system kernel"
-    rng = random.Random(seed)
-    for i in range(instances):
-        g = random_connected_multigraph(rng, max_vertices=7)
-        sys = random_unipotent_system(rng, g, rng.randint(1, 3))
+    direct route: colspace(coboundary) meet nullspace(residue); and the
+    defect is nullity(system) - h0."""
+    for i, sys in enumerate(random_unipotent_systems(rng, instances)):
         report = invariant_cycles_report(sys)
         blocked = obstruction(sys)
+        system_rank = rank(system_matrix(sys))
         for field, got, want in (
                 ("obstruction", report.obstruction, blocked),
                 ("defect", report.defect, blocked.dim),
@@ -154,37 +169,31 @@ def check_obstruction_route(seed: int, instances: int = 30) -> CheckResult:
                  coboundary_image(sys).dim),
                 ("residue kernel dim", report.residue_kernel_dim,
                  residue_kernel(sys).dim),
-                ("system rank", report.system_rank, rank(system_matrix(sys)))):
+                ("system rank", report.system_rank, system_rank)):
             if got != want:
-                return CheckResult(name, False,
-                                   "%s disagrees with the direct route (instance %d)"
-                                   % (field, i))
-    return CheckResult(name, True, "%d random unipotent systems" % instances)
+                yield "%s disagrees with the direct route (instance %d)" % (field, i)
+        nullity = sys.graph.n * sys.rank - system_rank
+        if blocked.dim != nullity - h0(sys).dim:
+            yield "defect != nullity - h0 (instance %d)" % i
 
 
-def check_euler_characteristic(seed: int, instances: int = 30) -> CheckResult:
+def _euler_characteristic(rng: random.Random, instances: int) -> Iterator[str]:
     """The report's h0 basis and h1 agree with the direct route, and the
     direct route satisfies h0 - h1 = rank (n - m) on random unipotent
     systems (the report takes h1 from that identity)."""
-    name = "euler characteristic"
-    rng = random.Random(seed)
-    for i in range(instances):
-        g = random_connected_multigraph(rng, max_vertices=7)
-        sys = random_unipotent_system(rng, g, rng.randint(1, 3))
+    for i, sys in enumerate(random_unipotent_systems(rng, instances)):
+        g = sys.graph
         report = invariant_cycles_report(sys)
         sections, h1 = h0(sys), h1_dim(sys)
         if sections.dim - h1 != sys.rank * (g.n - g.m):
-            return CheckResult(name, False, "h0 - h1 != r(n - m) (instance %d)" % i)
+            yield "h0 - h1 != r(n - m) (instance %d)" % i
         if (report.h0_basis, report.h0_dim, report.h1_dim) != (sections, sections.dim, h1):
-            return CheckResult(name, False,
-                               "report h0/h1 disagree with the direct route "
-                               "(instance %d)" % i)
-    return CheckResult(name, True, "%d random unipotent systems" % instances)
+            yield "report h0/h1 disagree with the direct route (instance %d)" % i
 
 
 # The 3-cycle golden values for cocycle g = (1, 2, 4): the balance matrix,
 # its kernel generators, and the canonical obstruction generator.
-_CYCLE_SYSTEM_124 = Mat.from_rows([
+CYCLE_SYSTEM_124 = Mat.from_rows([
     [2, 0, -1, -1, -1, -4],
     [0, 2, 0, -1, 0, -1],
     [-1, 1, 2, 0, -1, -2],
@@ -192,57 +201,67 @@ _CYCLE_SYSTEM_124 = Mat.from_rows([
     [-1, 4, -1, 2, 2, 0],
     [0, -1, 0, -1, 0, 2],
 ])
-_CYCLE_KERNEL_124 = ((1, 0, 1, 0, 1, 0), ("11/3", 1, "7/3", 1, 0, 1))
-_CYCLE_OBSTRUCTION_124 = (1, 0, 1, 0, -1, 0)
+CYCLE_KERNEL_124 = ((1, 0, 1, 0, 1, 0), ("11/3", 1, "7/3", 1, 0, 1))
+CYCLE_OBSTRUCTION_124 = (1, 0, 1, 0, -1, 0)
 
 
-def check_cycle_golden_values() -> CheckResult:
-    """The 3-cycle rank-2 example at g = (1, 2, 4) and g = (1, 2, 3)."""
-    name = "3-cycle golden values"
+def _cycle_golden_values(rng: random.Random, instances: int) -> Iterator[str]:
+    """The 3-cycle rank-2 example at g = (1, 2, 4) and g = (1, 2, 3); it
+    draws nothing and runs once whatever the count."""
     r = tate_report(3, (1, 2, 4))
-    if r.system != _CYCLE_SYSTEM_124:
-        return CheckResult(name, False, "system matrix mismatch")
+    if r.system != CYCLE_SYSTEM_124:
+        yield "system matrix mismatch"
     if r.det != 0 or r.rank != 4:
-        return CheckResult(name, False, "det/rank mismatch")
-    if r.kernel != Subspace.from_vectors(6, _CYCLE_KERNEL_124):
-        return CheckResult(name, False, "kernel mismatch")
+        yield "det/rank mismatch"
+    if r.kernel != Subspace.from_vectors(6, CYCLE_KERNEL_124):
+        yield "kernel mismatch"
     if r.defect != 1 or r.holonomy != -1 or r.quotient_dim != 1:
-        return CheckResult(name, False, "defect/holonomy mismatch")
+        yield "defect/holonomy mismatch"
     _, sys124 = build_tate(3, (1, 2, 4))
-    if obstruction(sys124) != Subspace.from_vectors(6, [_CYCLE_OBSTRUCTION_124]):
-        return CheckResult(name, False, "obstruction mismatch")
+    if obstruction(sys124) != Subspace.from_vectors(6, [CYCLE_OBSTRUCTION_124]):
+        yield "obstruction mismatch"
     balanced = tate_report(3, (1, 2, 3))
-    if balanced.defect != 0 or balanced.holonomy != 0 or balanced.rank != 4:
-        return CheckResult(name, False, "holonomy-zero case mismatch")
-    return CheckResult(name, True, "matrix, kernel, obstruction and defect pinned")
+    if (balanced.defect, balanced.quotient_dim, balanced.holonomy, balanced.rank) \
+            != (0, 0, 0, 4):
+        yield "holonomy-zero case mismatch"
 
 
-def check_defect_dichotomy(seed: int, draws: int = 56) -> CheckResult:
+def _defect_dichotomy(rng: random.Random, draws: int) -> Iterator[str]:
     """On cycles of length 2..8: defect is 1 exactly when the signed
-    holonomy is nonzero, and the kernel of the balance matrix is a plane."""
-    rng = random.Random(seed)
+    holonomy is nonzero, by the report and by the obstruction space itself;
+    the kernel of the balance matrix is a plane."""
     for i in range(draws):
         m = 2 + i % 7
         gvals = tuple(random_rational(rng) for _ in range(m))
         r = tate_report(m, gvals)
         expected = 1 if holonomy(gvals) != 0 else 0
         if r.defect != expected:
-            return CheckResult("cycle defect dichotomy", False,
-                               "defect %d, expected %d (draw %d)" % (r.defect, expected, i))
+            yield "defect %d, expected %d (draw %d)" % (r.defect, expected, i)
         if r.det != 0 or r.rank != 2 * m - 2 or r.kernel.dim != 2:
-            return CheckResult("cycle defect dichotomy", False,
-                               "det/rank/kernel shape wrong (draw %d)" % i)
-    return CheckResult("cycle defect dichotomy", True,
-                       "%d random cocycles on cycles of length 2..8" % draws)
+            yield "det/rank/kernel shape wrong (draw %d)" % i
+        if r.quotient_dim != r.defect:
+            yield "quotient dim != defect (draw %d)" % i
+        blocked = obstruction(build_tate(m, gvals)[1]).dim
+        if blocked != expected:
+            yield "obstruction dim %d, expected %d (draw %d)" % (blocked, expected, i)
+
+
+CHECKS = (
+    Check("trivial coefficients sweep", 0, 100,
+          "{} random connected multigraphs", _trivial_coefficients),
+    Check("system matrix factorization", 1, 30,
+          "{} random unipotent systems", _factorization),
+    Check("obstruction via system kernel", 2, 30,
+          "{} random unipotent systems", _obstruction_route),
+    Check("euler characteristic", 3, 30,
+          "{} random unipotent systems", _euler_characteristic),
+    Check("3-cycle golden values", 0, 1,
+          "matrix, kernel, obstruction and defect pinned", _cycle_golden_values),
+    Check("cycle defect dichotomy", 4, 56,
+          "{} random cocycles on cycles of length 2..8", _defect_dichotomy),
+)
 
 
 def run_all_checks(seed: int = 0) -> list[CheckResult]:
     """The full suite; sub-seeds keep the sweeps independent of each other."""
-    return [
-        check_trivial_coefficients(seed),
-        check_factorization(seed + 1),
-        check_obstruction_route(seed + 2),
-        check_euler_characteristic(seed + 3),
-        check_cycle_golden_values(),
-        check_defect_dichotomy(seed + 4),
-    ]
+    return [check.run(seed) for check in CHECKS]

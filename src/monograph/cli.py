@@ -8,8 +8,10 @@
 
 Machine output (the default) is a single JSON document on stdout with a
 one-line summary on stderr; --pretty replaces it with a human-readable
-report.  Exit status: 0 on success, 2 on a parse or validation error, 3 on
-an internal invariant violation (which indicates a bug) or a failed check.
+report.  Exit status: 0 on success, 2 on a parse or validation error
+(including a system chain nested too deeply to walk), 3 on an internal
+invariant violation or shape mismatch (which indicates a bug) or a failed
+check.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ import sys
 
 from .checks import run_all_checks
 from .graph import GraphError
-from .linalg import parse_rational
+from .linalg import DimensionMismatch, parse_rational
 from .problem import ParseError, load_problem
 from .report import (GRAPH_COMMANDS, InternalCheckError, render_pretty, run,
                      tate_document, to_json)
@@ -89,8 +91,13 @@ def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         if args.command in GRAPH_COMMANDS:
-            problem = load_problem(_read_input(args.input))
-            _emit(run(problem, args.command), args.pretty)
+            try:
+                problem = load_problem(_read_input(args.input))
+                _emit(run(problem, args.command), args.pretty)
+            except RecursionError:
+                # only a problem's system chain nests: loading, building
+                # and serializing all walk it
+                raise ParseError("system is nested too deeply") from None
         elif args.command == "tate":
             gvals = tuple(parse_rational(t) for t in args.g.split(","))
             _emit(tate_document(args.ord, gvals), args.pretty)
@@ -99,7 +106,7 @@ def main(argv: list[str] | None = None) -> int:
     except (ParseError, GraphError, ValueError, OSError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return EXIT_INPUT
-    except InternalCheckError as exc:
+    except (InternalCheckError, DimensionMismatch) as exc:
         print("internal error: %s" % exc, file=sys.stderr)
         return EXIT_INTERNAL
     return EXIT_OK

@@ -38,7 +38,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .linalg import Mat, Subspace, Vector, colspace, nullspace, rank
+from .linalg import Mat, Subspace, colspace, nullspace, rank
 from .localsystem import EdgeCochain, LocalSystem
 
 _ZERO = Fraction(0)
@@ -142,11 +142,6 @@ def coboundary(sys: LocalSystem, vertex_values: Sequence[Fraction]) -> EdgeCocha
     r = sys.rank
     values = [flat[e * r:(e + 1) * r] for e in range(sys.graph.m)]
     return EdgeCochain(sys, tuple(values))
-
-
-def edge_image(sys: LocalSystem, vertex_values: Sequence[Fraction]) -> Vector:
-    """The coboundary of flat vertex data, as a flat edge-space vector."""
-    return coboundary_matrix(sys).mul_vec(vertex_values)
 
 
 @dataclass(frozen=True)

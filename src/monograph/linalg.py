@@ -32,8 +32,12 @@ _ZERO = Fraction(0)
 _RATIONAL_LITERAL = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
 
 
-class DimensionMismatch(ValueError):
-    """Operands have incompatible shapes or ambient dimensions."""
+class DimensionMismatch(Exception):
+    """Operands have incompatible shapes or ambient dimensions.
+
+    Inputs are validated before any matrix is built, so this is an internal
+    error, never bad input; it is deliberately not a ValueError.
+    """
 
 
 def rat(x: int | str | Fraction) -> Fraction:
@@ -167,9 +171,6 @@ class Mat:
             raise IndexError(j)
         return self.entries[j::self.cols]
 
-    def row_list(self) -> list[list[Fraction]]:
-        return [list(self.row(i)) for i in range(self.rows)]
-
     def transpose(self) -> Mat:
         c = self.cols
         return Mat(c, self.rows, tuple(x for j in range(c) for x in self.entries[j::c]))
@@ -215,15 +216,6 @@ class Mat:
                                     % (self.rows, self.cols, len(v)))
         return tuple(sum((x * y for x, y in zip(self.row(i), v) if x and y), _ZERO)
                      for i in range(self.rows))
-
-    def is_zero(self) -> bool:
-        return all(a == 0 for a in self.entries)
-
-    def __str__(self) -> str:
-        grid = [[format_rational(x) for x in self.row(i)] for i in range(self.rows)]
-        width = max((len(s) for r in grid for s in r), default=1)
-        return "\n".join("[ " + "  ".join(s.rjust(width) for s in r) + " ]"
-                         for r in grid)
 
 
 def _eliminate(m: Mat) -> tuple[list[list[int]], list[int], Fraction]:
@@ -336,10 +328,6 @@ class Subspace:
         return cls(ambient_dim, Mat.zeros(ambient_dim, 0))
 
     @classmethod
-    def full(cls, ambient_dim: int) -> Subspace:
-        return cls(ambient_dim, Mat.identity(ambient_dim))
-
-    @classmethod
     def from_vectors(cls, ambient_dim: int,
                      vectors: Iterable[Sequence[int | str | Fraction]]) -> Subspace:
         """Span of the given vectors, canonicalized."""
@@ -388,12 +376,6 @@ class Subspace:
         return _row_span(Mat(len(vectors), self.ambient_dim,
                              tuple(x for v in vectors for x in v)))
 
-    def plus(self, other: Subspace) -> Subspace:
-        if self.ambient_dim != other.ambient_dim:
-            raise DimensionMismatch("ambient dimensions %d and %d"
-                                    % (self.ambient_dim, other.ambient_dim))
-        return _row_span(Mat.block([[self.basis, other.basis]]).transpose())
-
 
 def _row_span(m: Mat) -> Subspace:
     """Canonical Subspace of Q^cols spanned by the rows of m."""
@@ -422,7 +404,3 @@ def nullspace(m: Mat) -> Subspace:
 def colspace(m: Mat) -> Subspace:
     """Canonical basis of the column span."""
     return _row_span(m.transpose())
-
-
-def intersect(a: Subspace, b: Subspace) -> Subspace:
-    return a.intersect(b)

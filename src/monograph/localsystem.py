@@ -75,12 +75,6 @@ class LocalSystem:
     def transition_inverse(self, e: int) -> Mat:
         return self._inverses[e]  # type: ignore[attr-defined]
 
-    def transport(self, e: int, v: Sequence[Fraction], reverse: bool = False) -> Vector:
-        """Move a vector across edge e: target frame to source frame along
-        the canonical orientation, the inverse against it."""
-        u = self.transition_inverse(e) if reverse else self.transitions[e]
-        return u.mul_vec(v)
-
     def extend_by_trivial(self, c: EdgeCochain) -> LocalSystem:
         """Rank r+1 system with block transitions [[U_e, c_e], [0, 1]].
 
@@ -104,11 +98,6 @@ class LocalSystem:
                        + self.transitions[e + 1:])
         return LocalSystem(self.graph.reorient_edge(e), self.rank, transitions)
 
-    def is_unipotent_upper_triangular(self) -> bool:
-        return all(u[i, j] == (1 if i == j else 0)
-                   for u in self.transitions
-                   for i in range(self.rank) for j in range(i + 1))
-
 
 @dataclass(frozen=True)
 class EdgeCochain:
@@ -131,7 +120,3 @@ class EdgeCochain:
     def from_values(cls, system: LocalSystem,
                     values: Iterable[Sequence[int | str | Fraction]]) -> EdgeCochain:
         return cls(system, tuple(vec(v) for v in values))
-
-    def reversed_value(self, e: int) -> Vector:
-        """The cochain value seen from the target end: -(U_e^-1 value)."""
-        return tuple(-x for x in self.system.transport(e, self.values[e], reverse=True))

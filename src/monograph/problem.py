@@ -304,8 +304,8 @@ def _parse_values(tokens: list[str], lineno: int) -> tuple[Fraction, ...]:
 def load_problem(text: str) -> ProblemSpec:
     """Accept either format: JSON if the first character is '{'.
 
-    A system chain too deep to recurse through, in either format, is bad
-    input like any other.
+    A system chain is walked recursively here and later, so one too deep
+    raises RecursionError; the command line reports it as bad input.
     """
     try:
         if text.lstrip().startswith("{"):
@@ -313,5 +313,3 @@ def load_problem(text: str) -> ProblemSpec:
         return parse_spec(text)
     except json.JSONDecodeError as exc:
         raise ParseError("invalid JSON: %s" % exc) from None
-    except RecursionError:
-        raise ParseError("system is nested too deeply") from None

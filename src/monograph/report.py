@@ -46,9 +46,8 @@ def run(problem: ProblemSpec, command: str) -> dict:
     """Evaluate a graph command; every command emits the full document."""
     if command not in GRAPH_COMMANDS:
         raise ValueError("unknown command %r" % (command,))
-    g = problem.graph()
-    g.validate()
-    sys = problem.local_system()
+    sys = problem.local_system()  # builds and validates the graph
+    g = sys.graph
 
     incidence = incidence_matrix(g)
     lap = laplacian(g)

@@ -63,10 +63,10 @@ def tate_report(m: int, gvals: Sequence[int | str | Fraction]) -> TateReport:
     system matrix factors through the coboundary (see ``cohomology``).
     The quotient dimension is that of the line a nonzero kernel image spans
     inside it, so 1 exactly when the obstruction is nonzero: the residue
-    shadow of the one-dimensional quotient the example exhibits.  The rank is 2m minus the kernel dimension, so one
-    elimination gives both, and the determinant needs its own elimination
-    only when the kernel is zero, which the flat constant section (1, 0)
-    rules out for this family.
+    shadow of the one-dimensional quotient the example exhibits.  The rank
+    is 2m minus the kernel dimension, so one elimination gives both, and
+    the determinant needs its own elimination only when the kernel is zero,
+    which the flat constant section (1, 0) rules out for this family.
     """
     g, sys = build_tate(m, gvals)
     a = system_matrix(sys)

@@ -1,5 +1,6 @@
 """The monograph command line: outputs, determinism, exit codes."""
 
+import dataclasses
 import io
 import json
 import os
@@ -10,7 +11,9 @@ from pathlib import Path
 import pytest
 
 import monograph
+from monograph import checks
 from monograph.cli import _build_parser, main
+from monograph.linalg import DimensionMismatch
 
 TRIANGLE_TRIVIAL = "VERTICES\nI II III\nEDGES\nI II\nII III\nI III\n"
 TRIANGLE_124 = TRIANGLE_TRIVIAL + "SYSTEM\nunipotent2 1 2 4\n"
@@ -181,6 +184,36 @@ class TestErrors:
         assert out == ""
         assert err == "error: system is nested too deeply\n"
 
+    @pytest.mark.parametrize("form", ["text", "json"])
+    def test_every_chain_depth_exits_0_or_2(self, capsys, monkeypatch, form):
+        # a chain that loads can still be too deep for building or
+        # serializing; under a limit 40 frames above this one, every depth
+        # from 0 to 49 exits 0 (shallow) or 2 (deep), never with a traceback
+        def problem(k):
+            if form == "text":
+                return "VERTICES\na\nSYSTEM\ntrivial 1\n" + "extend\n" * k
+            return ('{"vertices": ["a"], "edges": [], "system": '
+                    + '{"kind": "extension", "params": [], "base": ' * k
+                    + '{"kind": "trivial"}' + "}" * (k + 1))
+
+        frame, depth = sys._getframe(), 0
+        while frame:
+            frame, depth = frame.f_back, depth + 1
+        codes = []
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(depth + 40)
+        try:
+            for k in range(50):
+                monkeypatch.setattr("sys.stdin", io.StringIO(problem(k)))
+                code = main(["defect"])
+                out, err = capsys.readouterr()
+                if code == 2:
+                    assert (out, err) == ("", "error: system is nested too deeply\n")
+                codes.append(code)
+        finally:
+            sys.setrecursionlimit(limit)
+        assert codes == sorted(codes) and codes[0] == 0 and codes[-1] == 2
+
     def test_disconnected_exit_2(self, capsys, tmp_path):
         path = write(tmp_path, "bad.txt", "VERTICES\na b c\nEDGES\na b\n")
         code, _, err = run_cli(capsys, ["defect", "--input", path])
@@ -211,22 +244,48 @@ class TestErrors:
         assert code == 3
         assert "internal error" in err
 
+    def test_dimension_mismatch_exit_3(self, capsys, tmp_path, monkeypatch):
+        # inputs are validated before any matrix is built, so a shape
+        # mismatch is a bug, not bad input
+        def explode(problem, command):
+            raise DimensionMismatch("multiply 2x3 by 2x3")
+
+        monkeypatch.setattr("monograph.cli.run", explode)
+        path = write(tmp_path, "t.txt", TRIANGLE_TRIVIAL)
+        code, out, err = run_cli(capsys, ["defect", "--input", path])
+        assert code == 3
+        assert out == ""
+        assert err == "internal error: multiply 2x3 by 2x3\n"
+
 
 class TestCheck:
+    """Each output format once, over the whole registry at two instances
+    per check; the acceptance tests run the full counts."""
+
+    @pytest.fixture(autouse=True)
+    def small_registry(self, monkeypatch):
+        monkeypatch.setattr(checks, "CHECKS", tuple(
+            dataclasses.replace(c, instances=min(c.instances, 2))
+            for c in checks.CHECKS))
+
     def test_table_all_pass(self, capsys):
         code, out, _ = run_cli(capsys, ["check", "--seed", "3"])
         assert code == 0
         assert "FAIL" not in out
         assert "all passed" in out
         assert out.count("PASS") == 6
+        assert "2 random connected multigraphs" in out
 
     def test_json_results(self, capsys):
         code, out, _ = run_cli(capsys, ["check", "--seed", "5", "--json"])
         assert code == 0
         doc = json.loads(out)
-        assert doc["passed"] is True
+        assert set(doc) == {"command", "seed", "passed", "results"}
+        assert (doc["command"], doc["seed"], doc["passed"]) == ("check", 5, True)
         assert len(doc["results"]) == 6
-        assert all(r["passed"] for r in doc["results"])
+        assert [r["name"] for r in doc["results"]] == [c.name for c in checks.CHECKS]
+        assert all(set(r) == {"name", "passed", "detail"} and r["passed"]
+                   for r in doc["results"])
 
 
 class TestInProcessReuse:

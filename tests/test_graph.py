@@ -104,27 +104,14 @@ class TestLaplacian:
             assert laplacian(g) == d @ d.transpose()
 
     def test_rank_and_kernel(self):
-        rng = random.Random(13)
-        for _ in range(25):
-            g = random_connected_multigraph(rng)
+        # hand-built edge cases; random graphs are the registry's trivial
+        # coefficients sweep
+        for g in (DualGraph(1, ()), DualGraph(2, ((0, 1),)), cycle_graph(2),
+                  triangle(), DualGraph(4, ((0, 1), (1, 0), (2, 1), (3, 1)))):
             lap = laplacian(g)
             assert rank(lap) == g.n - 1
             assert rank(incidence_matrix(g)) == g.n - 1
             assert nullspace(lap) == Subspace.from_vectors(g.n, [[1] * g.n])
-
-    def test_kernel_minimum_propagates(self):
-        # ordered-field cross-check: at any vertex attaining the minimum of
-        # a kernel vector, every neighbor attains it too, so by
-        # connectivity the vector is constant
-        rng = random.Random(19)
-        for _ in range(15):
-            g = random_connected_multigraph(rng)
-            for vector in nullspace(laplacian(g)).vectors():
-                low = min(vector)
-                for v in range(g.n):
-                    if vector[v] == low:
-                        assert all(vector[w] == low for w in g.neighbors(v))
-                assert len(set(vector)) == 1
 
 
 class TestCycleGraph:

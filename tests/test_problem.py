@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from monograph.linalg import Mat
 from monograph.problem import (ParseError, ProblemSpec, SystemSpec,
                                load_problem, parse_spec, render)
 
@@ -52,7 +53,9 @@ class TestParse:
         assert spec.system.rank == 3
         assert spec.system.base.rank == 2
         sys = spec.local_system()
-        assert sys.rank == 3 and sys.is_unipotent_upper_triangular()
+        assert sys.transitions == (
+            Mat.from_rows([[1, 1, 0], [0, 1, 1], [0, 0, 1]]),
+            Mat.from_rows([[1, 2, "1/2"], [0, 1, 0], [0, 0, 1]]))
 
     def test_undeclared_vertex(self):
         with pytest.raises(ParseError) as info:

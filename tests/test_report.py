@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from monograph.graph import DisconnectedError, LoopEdgeError
 from monograph.problem import ProblemSpec, SystemSpec, parse_spec
 from monograph.report import render_pretty, run, tate_document, to_json
 
@@ -34,6 +35,15 @@ class TestRun:
     def test_unknown_command(self):
         with pytest.raises(ValueError):
             run(TRIANGLE, "spectralize")
+
+    @pytest.mark.parametrize("text, error", [
+        ("VERTICES\na b\nEDGES\na b\nb b\nSYSTEM\nunipotent2 1 2\n", LoopEdgeError),
+        ("VERTICES\na b c\nEDGES\na b\nSYSTEM\ntrivial 1\nextend 3\n",
+         DisconnectedError),
+    ])
+    def test_invalid_graph(self, text, error):
+        with pytest.raises(error):
+            run(parse_spec(text), "defect")
 
     def test_document_is_json_clean(self):
         doc = run(TRIANGLE, "cohomology")
