@@ -38,7 +38,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .linalg import Mat, Subspace, colspace, nullspace, rank
+from .linalg import Mat, Subspace, Vector, colspace, nullspace, rank
 from .localsystem import EdgeCochain, LocalSystem
 
 _ZERO = Fraction(0)
@@ -144,6 +144,20 @@ def coboundary(sys: LocalSystem, vertex_values: Sequence[Fraction]) -> EdgeCocha
     return EdgeCochain(sys, tuple(values))
 
 
+def _kernel_route(sys: LocalSystem) -> tuple[Mat, Mat, Subspace,
+                                             tuple[Vector, ...], Subspace]:
+    """Assemble delta and A, eliminate A once, and map ker A through delta.
+
+    Returns (delta, A, ker A, the images of its basis, their span); the span
+    is the obstruction, because delta(x) lies in ker R exactly when A x = 0.
+    """
+    cob = coboundary_matrix(sys)
+    a = system_matrix(sys)
+    kernel = nullspace(a)
+    images = tuple(cob.mul_vec(k) for k in kernel.vectors())
+    return cob, a, kernel, images, Subspace.from_vectors(cob.rows, images)
+
+
 @dataclass(frozen=True)
 class CohomologyReport:
     """Dimensions, subspaces, assembled matrices and verdict for one
@@ -180,12 +194,8 @@ def invariant_cycles_report(sys: LocalSystem) -> CohomologyReport:
     residue_kernel and obstruction keep the direct route as an oracle.
     """
     g, r = sys.graph, sys.rank
-    cob = coboundary_matrix(sys)
+    cob, a, kernel, images, blocked = _kernel_route(sys)
     residue = residue_constraint_matrix(sys)
-    a = system_matrix(sys)
-    kernel = nullspace(a)
-    images = [cob.mul_vec(k) for k in kernel.vectors()]
-    blocked = Subspace.from_vectors(g.m * r, images)
     # coefficient vectors c with sum c_i delta(k_i) = 0 give ker delta
     relations = nullspace(Mat.from_columns(images, rows=g.m * r))
     sections = Subspace.from_vectors(

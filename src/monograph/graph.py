@@ -4,12 +4,12 @@ A graph is stored as a vertex count plus a list of (source, target) pairs;
 each unoriented edge carries exactly one canonical orientation, fixed at
 construction.  Parallel edges are allowed, loops are not: loops would break
 the column-sum invariant of the incidence matrix, and the curve
-configurations this models never produce them.
+configurations this models never produce them.  Construction rejects loops
+and disconnected graphs, so every ``DualGraph`` is a valid dual graph.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -30,7 +30,8 @@ class DisconnectedError(GraphError):
 
 @dataclass(frozen=True)
 class DualGraph:
-    """A multigraph; vertices are 0..n-1, edges canonical (source, target)."""
+    """A connected loop-free multigraph; vertices are 0..n-1, edges
+    canonical (source, target)."""
 
     n: int
     edges: tuple[tuple[int, int], ...]
@@ -49,16 +50,7 @@ class DualGraph:
             if len(self.labels) != self.n:
                 raise GraphError("%d labels for %d vertices"
                                  % (len(self.labels), self.n))
-
-    @property
-    def m(self) -> int:
-        return len(self.edges)
-
-    def vertex_name(self, v: int) -> str:
-        return self.labels[v] if self.labels is not None else "v%d" % v
-
-    def validate(self) -> None:
-        """Raise LoopEdgeError or DisconnectedError if the graph is invalid."""
+        # after the label check, so the messages name vertices by label
         for e, (s, t) in enumerate(self.edges):
             if s == t:
                 raise LoopEdgeError("edge %d is a loop at vertex %s"
@@ -69,35 +61,22 @@ class DualGraph:
             adjacency[t].append(s)
         seen = [False] * self.n
         seen[0] = True
-        queue = deque([0])
-        while queue:
-            v = queue.popleft()
-            for w in adjacency[v]:
+        stack = [0]
+        while stack:
+            for w in adjacency[stack.pop()]:
                 if not seen[w]:
                     seen[w] = True
-                    queue.append(w)
+                    stack.append(w)
         if not all(seen):
             missing = [self.vertex_name(v) for v, ok in enumerate(seen) if not ok]
             raise DisconnectedError("unreachable vertices: %s" % ", ".join(missing))
 
-    def degree(self, v: int) -> int:
-        """Number of edge ends at v (parallel edges count separately)."""
-        self._check_vertex(v)
-        return sum((s == v) + (t == v) for s, t in self.edges)
+    @property
+    def m(self) -> int:
+        return len(self.edges)
 
-    def star(self, v: int) -> tuple[tuple[int, bool], ...]:
-        """Incident edges as (edge index, v is the canonical source)."""
-        self._check_vertex(v)
-        return tuple((e, s == v) for e, (s, t) in enumerate(self.edges)
-                     if v in (s, t))
-
-    def neighbors(self, v: int) -> tuple[int, ...]:
-        """Other endpoints of the star, one entry per incident edge."""
-        out = []
-        for e, is_source in self.star(v):
-            s, t = self.edges[e]
-            out.append(t if is_source else s)
-        return tuple(out)
+    def vertex_name(self, v: int) -> str:
+        return self.labels[v] if self.labels is not None else "v%d" % v
 
     def reorient_edge(self, e: int) -> DualGraph:
         """Same graph with edge e's canonical orientation swapped."""
@@ -106,10 +85,6 @@ class DualGraph:
         s, t = self.edges[e]
         edges = self.edges[:e] + ((t, s),) + self.edges[e + 1:]
         return DualGraph(self.n, edges, self.labels)
-
-    def _check_vertex(self, v: int) -> None:
-        if not (0 <= v < self.n):
-            raise GraphError("no vertex %d" % v)
 
 
 def incidence_matrix(g: DualGraph) -> Mat:
@@ -123,7 +98,9 @@ def incidence_matrix(g: DualGraph) -> Mat:
 
 def laplacian(g: DualGraph) -> Mat:
     """n x n matrix with vertex degrees on the diagonal and, off the
-    diagonal, minus the number of edges between the two vertices."""
+    diagonal, minus the number of edges between the two vertices.  Its
+    kernel is the constant line, so its rank is n - 1: the graph is
+    connected."""
     entries = [[Fraction(0)] * g.n for _ in range(g.n)]
     for s, t in g.edges:
         entries[s][s] += 1

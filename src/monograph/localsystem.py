@@ -35,14 +35,13 @@ def _inverse(m: Mat) -> Mat:
 
 @dataclass(frozen=True)
 class LocalSystem:
-    """Per-edge invertible transitions over a validated graph."""
+    """Per-edge invertible transitions over a dual graph."""
 
     graph: DualGraph
     rank: int
     transitions: tuple[Mat, ...]
 
     def __post_init__(self) -> None:
-        self.graph.validate()
         if self.rank < 1:
             raise ValueError("rank must be >= 1")
         object.__setattr__(self, "transitions", tuple(self.transitions))

@@ -252,12 +252,7 @@ def parse_spec(text: str) -> ProblemSpec:
             raise ParseError("expected a VERTICES, EDGES or SYSTEM header", lineno)
 
     system = _parse_system_lines(system_lines, n_edges=len(edges))
-    try:
-        return ProblemSpec(tuple(vertices), tuple(edges), system)
-    except ParseError:
-        raise
-    except ValueError as exc:
-        raise ParseError(str(exc)) from None
+    return ProblemSpec(tuple(vertices), tuple(edges), system)
 
 
 def _parse_system_lines(system_lines: list[tuple[int, list[str]]],

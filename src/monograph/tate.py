@@ -13,9 +13,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .cohomology import coboundary_matrix, system_matrix
+from .cohomology import _kernel_route
 from .graph import DualGraph, cycle_graph
-from .linalg import Mat, Subspace, Vector, det, nullspace, vec
+from .linalg import Mat, Subspace, Vector, det, vec
 from .localsystem import LocalSystem
 
 
@@ -68,12 +68,7 @@ def tate_report(m: int, gvals: Sequence[int | str | Fraction]) -> TateReport:
     the determinant needs its own elimination only when the kernel is zero,
     which the flat constant section (1, 0) rules out for this family.
     """
-    g, sys = build_tate(m, gvals)
-    a = system_matrix(sys)
-    cob = coboundary_matrix(sys)
-    kernel = nullspace(a)
-    images = tuple(cob.mul_vec(k) for k in kernel.vectors())
-    blocked = Subspace.from_vectors(g.m * sys.rank, images)
+    _, a, kernel, images, blocked = _kernel_route(build_tate(m, gvals)[1])
     return TateReport(
         m=m,
         gvals=vec(gvals),

@@ -200,7 +200,8 @@ def _block_assembly(sys):
             for u in range(g.n)])
     grid = [[zero] * g.n for _ in range(g.n)]
     for u in range(g.n):
-        grid[u][u] = one.scale(g.degree(u))
+        degree = sum((s == u) + (t == u) for s, t in g.edges)
+        grid[u][u] = one.scale(degree)
     for e, (s, t) in enumerate(g.edges):
         grid[s][t] = grid[s][t] - sys.transitions[e]
         grid[t][s] = grid[t][s] - sys.transition_inverse(e)

@@ -1,4 +1,5 @@
-"""Dual graphs: validation, stars, incidence and laplacian matrices."""
+"""Dual graphs: validation at construction, incidence and laplacian
+matrices."""
 
 import random
 
@@ -16,53 +17,34 @@ def triangle():
 
 
 class TestValidate:
+    # construction is the validation: no DualGraph is a loop or disconnected
     def test_triangle_ok(self):
-        triangle().validate()
+        assert triangle().edges == ((0, 1), (1, 2), (0, 2))
 
     def test_two_isolated_vertices(self):
-        with pytest.raises(DisconnectedError):
-            DualGraph(2, ()).validate()
+        with pytest.raises(DisconnectedError, match="unreachable vertices: v1"):
+            DualGraph(2, ())
 
     def test_loop(self):
-        with pytest.raises(LoopEdgeError):
-            DualGraph(1, ((0, 0),)).validate()
+        with pytest.raises(LoopEdgeError, match="edge 0 is a loop at vertex v0"):
+            DualGraph(1, ((0, 0),))
 
     def test_single_vertex_ok(self):
-        DualGraph(1, ()).validate()
+        assert DualGraph(1, ()).m == 0
 
     def test_out_of_range_edge(self):
         with pytest.raises(GraphError):
             DualGraph(2, ((0, 5),))
 
+    def test_messages_name_vertices_by_label(self):
+        with pytest.raises(LoopEdgeError, match="edge 1 is a loop at vertex b$"):
+            DualGraph(2, ((0, 1), (1, 1)), labels=("a", "b"))
+        with pytest.raises(DisconnectedError, match="unreachable vertices: c, d$"):
+            DualGraph(4, ((0, 1),), labels=("a", "b", "c", "d"))
 
-class TestDegree:
-    def test_triangle(self):
-        g = triangle()
-        assert [g.degree(v) for v in range(3)] == [2, 2, 2]
-
-    def test_two_cycle_counts_parallel_edges(self):
-        g = cycle_graph(2)
-        assert g.degree(0) == 2 and g.degree(1) == 2
-
-    def test_path_midpoint(self):
-        g = DualGraph(3, ((0, 1), (1, 2)))
-        assert g.degree(1) == 2 and g.degree(0) == 1
-
-    def test_bad_vertex(self):
-        with pytest.raises(GraphError):
-            triangle().degree(3)
-
-
-class TestStar:
-    def test_triangle_first_vertex(self):
-        assert triangle().star(0) == ((0, True), (2, True))
-
-    def test_path_midpoint(self):
-        g = DualGraph(3, ((0, 1), (1, 2)))
-        assert g.star(1) == ((0, False), (1, True))
-
-    def test_two_cycle_sources(self):
-        assert cycle_graph(2).star(0) == ((0, True), (1, True))
+    def test_label_count_checked_before_loops(self):
+        with pytest.raises(GraphError, match="1 labels for 2 vertices"):
+            DualGraph(2, ((0, 0),), labels=("a",))
 
 
 class TestIncidence:
@@ -126,9 +108,9 @@ class TestCycleGraph:
             cycle_graph(1)
 
     def test_longer_cycles_validate(self):
+        # cycle_graph goes through the validating constructor
         for m in range(2, 9):
             g = cycle_graph(m)
-            g.validate()
             assert g.m == m and g.edges[-1] == (0, m - 1)
 
 

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from monograph.graph import DisconnectedError, LoopEdgeError
 from monograph.linalg import Mat
 from monograph.problem import (ParseError, ProblemSpec, SystemSpec,
                                load_problem, parse_spec, render)
@@ -61,6 +62,15 @@ class TestParse:
         with pytest.raises(ParseError) as info:
             parse_spec("VERTICES\na b\nEDGES\na c\n")
         assert "unknown vertex" in str(info.value)
+
+    def test_graph_is_validated_when_built(self):
+        # parsing accepts any edge list; building the graph rejects it
+        loop = parse_spec("VERTICES\na b\nEDGES\na b\nb b\n")
+        with pytest.raises(LoopEdgeError, match="edge 1 is a loop at vertex b$"):
+            loop.graph()
+        apart = parse_spec("VERTICES\na b c\nEDGES\na b\n")
+        with pytest.raises(DisconnectedError, match="unreachable vertices: c$"):
+            apart.graph()
 
     def test_duplicate_vertex(self):
         with pytest.raises(ParseError) as info:

@@ -1,10 +1,12 @@
 """The cycle workbench: golden values and the defect dichotomy."""
 
+import dataclasses
 import random
 from fractions import Fraction
 
 import pytest
 
+from monograph import checks
 from monograph.checks import random_rational
 from monograph.cohomology import obstruction
 from monograph.graph import GraphError
@@ -132,6 +134,17 @@ class TestDichotomy:
             assert holonomy(vec(gvals)) == 0
             r = tate_report(m, gvals)
             assert r.defect == 0 and r.quotient_dim == 0
+
+    def test_registry_sweep_reaches_zero_holonomy(self, monkeypatch):
+        # a report that always claims a quotient line is caught only on a
+        # closed cocycle, so the sweep at the acceptance seed must draw one
+        def forced(m, gvals):
+            return dataclasses.replace(tate_report(m, gvals), quotient_dim=1)
+
+        monkeypatch.setattr(checks, "tate_report", forced)
+        entry = next(c for c in checks.CHECKS if c.name == "cycle defect dichotomy")
+        assert any("quotient dim != defect" in detail
+                   for detail in entry.failures(20240, 63))
 
 
 class TestDeterminant:
