@@ -38,7 +38,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .linalg import Mat, Subspace, Vector, colspace, nullspace, rank
+from .linalg import Mat, Subspace, colspace, nullspace, rank
 from .localsystem import EdgeCochain, LocalSystem
 
 _ZERO = Fraction(0)
@@ -144,18 +144,19 @@ def coboundary(sys: LocalSystem, vertex_values: Sequence[Fraction]) -> EdgeCocha
     return EdgeCochain(sys, tuple(values))
 
 
-def _kernel_route(sys: LocalSystem) -> tuple[Mat, Mat, Subspace,
-                                             tuple[Vector, ...], Subspace]:
+def _kernel_route(sys: LocalSystem) -> tuple[Mat, Mat, Subspace, Mat, Subspace]:
     """Assemble delta and A, eliminate A once, and map ker A through delta.
 
-    Returns (delta, A, ker A, the images of its basis, their span); the span
-    is the obstruction, because delta(x) lies in ker R exactly when A x = 0.
+    Returns (delta, A, ker A, delta times its basis, the column span of
+    that product); the span is the obstruction, because delta(x) lies in
+    ker R exactly when A x = 0.  The product's columns are the images of
+    the kernel basis vectors, mapped in one matrix product.
     """
     cob = coboundary_matrix(sys)
     a = system_matrix(sys)
     kernel = nullspace(a)
-    images = tuple(cob.mul_vec(k) for k in kernel.vectors())
-    return cob, a, kernel, images, Subspace.from_vectors(cob.rows, images)
+    images = cob @ kernel.basis
+    return cob, a, kernel, images, colspace(images)
 
 
 @dataclass(frozen=True)
@@ -197,9 +198,8 @@ def invariant_cycles_report(sys: LocalSystem) -> CohomologyReport:
     cob, a, kernel, images, blocked = _kernel_route(sys)
     residue = residue_constraint_matrix(sys)
     # coefficient vectors c with sum c_i delta(k_i) = 0 give ker delta
-    relations = nullspace(Mat.from_columns(images, rows=g.m * r))
-    sections = Subspace.from_vectors(
-        g.n * r, [kernel.basis.mul_vec(c) for c in relations.vectors()])
+    relations = nullspace(images)
+    sections = colspace(kernel.basis @ relations.basis)
     image_dim = g.n * r - sections.dim
     return CohomologyReport(
         h0_dim=sections.dim,

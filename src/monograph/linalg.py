@@ -7,10 +7,13 @@ and system matrices) have only a few nonzero entries per row, so products
 skip zero entries instead of running a dense triple loop.
 
 All elimination runs through one routine, ``_eliminate``: a fraction-free
-Gauss-Jordan pass over Python ints (Bareiss 1968).  Each row's denominators
-are cleared once, every interior division is exact, and canonical Fractions
-are built only at the output.  ``rref``, ``rank``, ``nullspace``,
-``colspace``, ``Subspace`` and ``det`` are all views of that one pass.
+forward elimination over sparse rows of Python ints (Bareiss 1968), which
+updates only the rows below each pivot and only where either row is
+nonzero.  Each row's denominators are cleared once and every interior
+division is exact.  ``rank`` and ``det`` read the pivots of that pass and
+nothing more.  ``rref`` adds a back substitution, from the last pivot row
+upward, and builds canonical Fractions only at its output; ``nullspace``,
+``colspace`` and ``Subspace`` are views of the reduced rows.
 
 Subspaces are kept in a canonical reduced column echelon form (pivots 1,
 pivot rows cleared, pivot rows strictly increasing left to right), which
@@ -22,7 +25,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 from typing import Iterable, Sequence
 
 Rational = Fraction
@@ -106,21 +109,6 @@ class Mat:
         if cols is not None and rows and ncols != cols:
             raise ValueError("rows have %d columns, expected %d" % (ncols, cols))
         return cls(len(rows), ncols, tuple(rat(x) for r in rows for x in r))
-
-    @classmethod
-    def from_columns(cls, columns: Sequence[Sequence[int | str | Fraction]],
-                     rows: int | None = None) -> Mat:
-        cols = [list(c) for c in columns]
-        if cols:
-            nrows = len(cols[0])
-            if any(len(c) != nrows for c in cols):
-                raise ValueError("ragged columns")
-        else:
-            nrows = 0 if rows is None else rows
-        if rows is not None and cols and nrows != rows:
-            raise ValueError("columns have %d rows, expected %d" % (nrows, rows))
-        return cls(nrows, len(cols),
-                   tuple(rat(cols[j][i]) for i in range(nrows) for j in range(len(cols))))
 
     @classmethod
     def zeros(cls, rows: int, cols: int) -> Mat:
@@ -218,29 +206,31 @@ class Mat:
                      for i in range(self.rows))
 
 
-def _eliminate(m: Mat) -> tuple[list[list[int]], list[int], Fraction]:
-    """Fraction-free Gauss-Jordan elimination of m over the integers.
+def _eliminate(m: Mat) -> tuple[list[dict[int, int]], list[int], Fraction]:
+    """Fraction-free forward elimination of m over the integers.
 
-    Returns the eliminated rows, the pivot columns, and sign x last pivot /
-    row scales, which is det(m) when m is square of full rank.  Row i <
-    len(pivots) holds pivot i; dividing it by its entry in column pivots[i]
-    gives row i of the RREF.  The remaining rows are zero.
+    Returns the row-echelon rows, the pivot columns, and sign x last pivot /
+    row scales, which is det(m) when m is square of full rank.  Each row is
+    stored sparsely, as its nonzero {column: entry} pairs.  Row i <
+    len(pivots) holds pivot i in column pivots[i] and is zero in every
+    earlier column; the remaining rows are empty, i.e. zero.
 
     Each row's denominators are cleared once, by their lcm.  After that
     every stored entry is a minor of the cleared matrix scaled to some
-    earlier pivot (Bareiss), so every division below is exact.  A row with
-    a zero in the pivot column is skipped: level[i] is the pivot its stored
-    entries are scaled to, and a row catches up on the pivots it missed in
-    the one update that next reaches it.
+    earlier pivot (Bareiss), so every division below is exact.  Only the
+    rows below the pivot row are updated, over the union of the two rows'
+    nonzeros.  A row with a zero in the pivot column is skipped: level[i]
+    is the pivot its stored entries are scaled to, and a row catches up on
+    the pivots it missed in the one update that next reaches it.
     """
     cols = m.cols
-    work: list[list[int]] = []
+    work: list[dict[int, int]] = []
     scale = 1
     for i in range(m.rows):
-        row = m.entries[i * cols:(i + 1) * cols]
-        d = lcm(*(x.denominator for x in row))
+        nonzero = [(j, x) for j, x in enumerate(m.entries[i * cols:(i + 1) * cols]) if x]
+        d = lcm(*(x.denominator for _, x in nonzero))
         scale *= d
-        work.append([x.numerator * (d // x.denominator) for x in row])
+        work.append({j: x.numerator * (d // x.denominator) for j, x in nonzero})
     n = len(work)
     level = [1] * n
     pivots: list[int] = []
@@ -249,9 +239,10 @@ def _eliminate(m: Mat) -> tuple[list[list[int]], list[int], Fraction]:
         r = len(pivots)
         if r == n:
             break
-        found = next((i for i in range(r, n) if work[i][c]), None)
-        if found is None:
+        hits = [i for i in range(r, n) if c in work[i]]
+        if not hits:
             continue
+        found = hits[0]
         if found != r:
             work[r], work[found] = work[found], work[r]
             level[r], level[found] = level[found], level[r]
@@ -259,19 +250,18 @@ def _eliminate(m: Mat) -> tuple[list[list[int]], list[int], Fraction]:
         prow = work[r]
         if level[r] != prev:
             lv = level[r]
-            prow = work[r] = [x * prev // lv for x in prow]
+            prow = work[r] = {j: x * prev // lv for j, x in prow.items()}
         p = prow[c]
-        for i, row in enumerate(work):
-            a = row[c]
-            if not a or i == r:
-                continue
-            lv = level[i]
+        for i in hits[1:]:
+            row, lv = work[i], level[i]
             if lv == prev:
-                work[i] = [(p * x - a * y) // prev for x, y in zip(row, prow)]
+                px, ay, d = p, row[c], prev
             else:
-                a = a * prev // lv
-                px, ay, d = p * prev, a * lv, lv * prev
-                work[i] = [(px * x - ay * y) // d for x, y in zip(row, prow)]
+                px, ay, d = p * prev, row[c] * prev // lv * lv, lv * prev
+            acc = {j: px * x for j, x in row.items()}
+            for j, y in prow.items():
+                acc[j] = acc.get(j, 0) - ay * y
+            work[i] = {j: v // d for j, v in acc.items() if v}
             level[i] = p
         level[r] = prev = p
         pivots.append(c)
@@ -281,25 +271,48 @@ def _eliminate(m: Mat) -> tuple[list[list[int]], list[int], Fraction]:
 def rref(m: Mat) -> tuple[Mat, tuple[int, ...]]:
     """Reduced row echelon form and its pivot columns.
 
-    The result is the unique RREF: pivots are 1, pivot columns are cleared
+    Forward elimination, then back substitution from the last pivot row
+    upward: each later pivot column is cleared with p_j row - a row_j,
+    then the row is divided by the gcd of its entries, signed so that its
+    pivot is positive.  Fractions are built only at the output.  The
+    result is the unique RREF: pivots are 1, pivot columns are cleared
     above and below, pivot columns strictly increase down the rows.
     """
     work, pivots, _ = _eliminate(m)
-    entries: list[Fraction] = []
-    for row, c in zip(work, pivots):
+    pivot_row = {c: i for i, c in enumerate(pivots)}
+    reduced: list[dict[int, int]] = [{} for _ in pivots]
+    for i in range(len(pivots) - 1, -1, -1):
+        row = work[i]
+        for c in [c for c in row if c != pivots[i] and c in pivot_row]:
+            below = reduced[pivot_row[c]]
+            a, p = row[c], below[c]
+            g = gcd(a, p)
+            a, p = a // g, p // g
+            acc = {j: p * x for j, x in row.items()}
+            for j, y in below.items():
+                acc[j] = acc.get(j, 0) - a * y
+            row = {j: v for j, v in acc.items() if v}
+        g = gcd(*row.values())
+        if row[pivots[i]] < 0:
+            g = -g
+        reduced[i] = {j: x // g for j, x in row.items()}
+    entries = [_ZERO] * (m.rows * m.cols)
+    for i, (row, c) in enumerate(zip(reduced, pivots)):
         p = row[c]
-        entries.extend(Fraction(x, p) if x else _ZERO for x in row)
-    entries.extend((_ZERO,) * ((m.rows - len(pivots)) * m.cols))
+        for j, x in row.items():
+            entries[i * m.cols + j] = Fraction(x, p)
     return Mat(m.rows, m.cols, tuple(entries)), tuple(pivots)
 
 
 def rank(m: Mat) -> int:
+    """The number of pivots of the forward elimination."""
     return len(_eliminate(m)[1])
 
 
 def det(m: Mat) -> Fraction:
-    """Exact determinant: the last pivot of the elimination, or 0 when
-    m is rank-deficient."""
+    """Exact determinant: the last pivot of the forward elimination over the
+    row scales, with the sign of its row swaps, or 0 when m is
+    rank-deficient."""
     if m.rows != m.cols:
         raise DimensionMismatch("determinant of %dx%d matrix" % (m.rows, m.cols))
     _, pivots, value = _eliminate(m)
@@ -371,10 +384,10 @@ class Subspace:
         if self.dim == 0 or other.dim == 0:
             return Subspace.zero(self.ambient_dim)
         stacked = Mat.block([[self.basis, other.basis]])
-        coeffs = nullspace(stacked)
-        vectors = [self.basis.mul_vec(c[:self.dim]) for c in coeffs.vectors()]
-        return _row_span(Mat(len(vectors), self.ambient_dim,
-                             tuple(x for v in vectors for x in v)))
+        coeffs = nullspace(stacked).basis
+        # the x parts are the first self.dim rows of the coefficient basis
+        x_parts = Mat(self.dim, coeffs.cols, coeffs.entries[:self.dim * coeffs.cols])
+        return colspace(self.basis @ x_parts)
 
 
 def _row_span(m: Mat) -> Subspace:

@@ -22,7 +22,11 @@ from .linalg import DimensionMismatch, Mat, Vector, rref, vec
 
 
 def _inverse(m: Mat) -> Mat:
-    """Invert via Gauss-Jordan on [m | I]; raises on singular input."""
+    """Invert by reducing [m | I] to RREF; raises on singular input.
+
+    Only a LocalSystem built directly from its transitions needs this:
+    the constructors below supply closed-form inverses instead.
+    """
     if m.rows != m.cols:
         raise DimensionMismatch("inverse of %dx%d matrix" % (m.rows, m.cols))
     n = m.rows
@@ -52,14 +56,34 @@ class LocalSystem:
             if u.rows != self.rank or u.cols != self.rank:
                 raise DimensionMismatch("transition %d has shape %dx%d, rank is %d"
                                         % (e, u.rows, u.cols, self.rank))
-        # invertibility check doubles as the inverse cache
-        object.__setattr__(self, "_inverses",
-                           tuple(_inverse(u) for u in self.transitions))
+        # The inverse cache.  A constructor that knows the inverses in
+        # closed form supplies them (see _with_inverses), and each is
+        # checked with one product; otherwise inverting each transition is
+        # the invertibility check.
+        inverses = self.__dict__.get("_inverses")
+        if inverses is None:
+            object.__setattr__(self, "_inverses",
+                               tuple(_inverse(u) for u in self.transitions))
+            return
+        identity = Mat.identity(self.rank)
+        for e, (u, v) in enumerate(zip(self.transitions, inverses, strict=True)):
+            if u @ v != identity:
+                raise ValueError("supplied inverse of transition %d is wrong" % e)
+
+    @classmethod
+    def _with_inverses(cls, g: DualGraph, r: int, transitions: tuple[Mat, ...],
+                       inverses: tuple[Mat, ...]) -> LocalSystem:
+        """The system with these transitions, whose inverses are known."""
+        system = cls.__new__(cls)
+        object.__setattr__(system, "_inverses", tuple(inverses))
+        system.__init__(g, r, transitions)  # type: ignore[misc]
+        return system
 
     @classmethod
     def trivial(cls, g: DualGraph, r: int) -> LocalSystem:
         """All transitions identity."""
-        return cls(g, r, tuple(Mat.identity(r) for _ in range(g.m)))
+        one = Mat.identity(r)
+        return cls._with_inverses(g, r, (one,) * g.m, (one,) * g.m)
 
     @classmethod
     def unipotent_rank2(cls, g: DualGraph,
@@ -69,7 +93,9 @@ class LocalSystem:
         if len(values) != g.m:
             raise ValueError("%d cocycle values for %d edges" % (len(values), g.m))
         one, zero = Fraction(1), Fraction(0)
-        return cls(g, 2, tuple(Mat(2, 2, (one, ge, zero, one)) for ge in values))
+        return cls._with_inverses(
+            g, 2, tuple(Mat(2, 2, (one, ge, zero, one)) for ge in values),
+            tuple(Mat(2, 2, (one, -ge, zero, one)) for ge in values))
 
     def transition_inverse(self, e: int) -> Mat:
         return self._inverses[e]  # type: ignore[attr-defined]
@@ -78,24 +104,29 @@ class LocalSystem:
         """Rank r+1 system with block transitions [[U_e, c_e], [0, 1]].
 
         The first r coordinates embed this system; the last coordinate
-        projects onto the trivial rank-1 system.
+        projects onto the trivial rank-1 system.  The inverse of each block
+        is [[U_e^-1, -U_e^-1 c_e], [0, 1]].
         """
         if c.system != self:
             raise ValueError("cochain is valued in a different system")
-        transitions = []
+        bottom, one = Mat.zeros(1, self.rank), Mat.identity(1)
+        transitions, inverses = [], []
         for e, u in enumerate(self.transitions):
-            transitions.append(Mat.block([
-                [u, Mat.column(c.values[e])],
-                [Mat.zeros(1, self.rank), Mat.identity(1)],
-            ]))
-        return LocalSystem(self.graph, self.rank + 1, tuple(transitions))
+            column = Mat.column(c.values[e])
+            u_inv = self.transition_inverse(e)
+            transitions.append(Mat.block([[u, column], [bottom, one]]))
+            inverses.append(Mat.block([[u_inv, -(u_inv @ column)], [bottom, one]]))
+        return LocalSystem._with_inverses(self.graph, self.rank + 1,
+                                          tuple(transitions), tuple(inverses))
 
     def reorient_edge(self, e: int) -> LocalSystem:
         """Equivalent system with edge e's canonical orientation swapped;
         the stored transition becomes its inverse."""
-        transitions = (self.transitions[:e] + (self.transition_inverse(e),)
-                       + self.transitions[e + 1:])
-        return LocalSystem(self.graph.reorient_edge(e), self.rank, transitions)
+        inverses = self._inverses  # type: ignore[attr-defined]
+        transitions = self.transitions[:e] + (inverses[e],) + self.transitions[e + 1:]
+        inverses = inverses[:e] + (self.transitions[e],) + inverses[e + 1:]
+        return LocalSystem._with_inverses(self.graph.reorient_edge(e), self.rank,
+                                          transitions, inverses)
 
 
 @dataclass(frozen=True)

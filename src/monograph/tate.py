@@ -76,7 +76,7 @@ def tate_report(m: int, gvals: Sequence[int | str | Fraction]) -> TateReport:
         det=Fraction(0) if kernel.dim else det(a),
         rank=a.cols - kernel.dim,
         kernel=kernel,
-        edge_images=images,
+        edge_images=tuple(images.column_vector(j) for j in range(images.cols)),
         holonomy=holonomy(vec(gvals)),
         defect=blocked.dim,
         quotient_dim=min(blocked.dim, 1),

@@ -4,6 +4,12 @@ slow reference implementations.
 The oracles are the plain Fraction Gauss-Jordan elimination and the
 Bareiss determinant loop that the kernel replaced, the dense triple-loop
 matrix product, and sympy where it is installed.  Every comparison is exact.
+
+Besides random dense-ish matrices, the kernel is compared on the matrices
+its sparse forward pass is built for: the banded system matrices of
+unipotent m-cycles with their corner blocks, the system matrices of sampled
+unipotent systems, tall and wide matrices of low rank, matrices in which a
+row skips pivots and must catch up, and empty and zero matrices.
 """
 
 from fractions import Fraction
@@ -12,8 +18,11 @@ import random
 
 import pytest
 
+from monograph.checks import random_unipotent_systems
+from monograph.cohomology import system_matrix
+from monograph.graph import cycle_graph
 from monograph.linalg import Mat, Subspace, colspace, det, nullspace, rank, rref
-from monograph.localsystem import _inverse
+from monograph.localsystem import LocalSystem, _inverse
 
 F = Fraction
 
@@ -33,7 +42,7 @@ def oracle_rref(m):
         for i in range(m.rows):
             if i != r and work[i][c] != 0:
                 f = work[i][c]
-                work[i] = [x - f * y for x, y in zip(work[i], work[r])]
+                work[i] = [x - f * y if y else x for x, y in zip(work[i], work[r])]
         pivots.append(c)
         r += 1
         if r == m.rows:
@@ -77,12 +86,14 @@ def oracle_span(ambient, vectors):
     if not vectors:
         return Mat.zeros(ambient, 0)
     reduced, pivots = oracle_rref(Mat.from_rows(vectors, cols=ambient))
-    return Mat.from_columns([reduced.row(i) for i in range(len(pivots))],
-                            rows=ambient)
+    return Mat.from_rows([reduced.row(i) for i in range(len(pivots))],
+                         cols=ambient).transpose()
 
 
-def oracle_nullspace(m):
-    reduced, pivots = oracle_rref(m)
+def oracle_nullspace(m, reduced_pivots=None):
+    """The kernel read off the oracle RREF, or off an RREF already checked
+    against it."""
+    reduced, pivots = reduced_pivots or oracle_rref(m)
     vectors = []
     for f in (c for c in range(m.cols) if c not in pivots):
         v = [F(0)] * m.cols
@@ -227,6 +238,115 @@ def test_sympy_agrees_on_rref_rank_nullspace_det():
             continue
         s = sympy.Matrix(m.rows, m.cols,
                          [sympy.Rational(x.numerator, x.denominator) for x in m.entries])
+        s_reduced, s_pivots = s.rref()
+        reduced, pivots = rref(m)
+        assert pivots == tuple(s_pivots)
+        assert reduced.entries == tuple(F(int(x.p), int(x.q)) for x in s_reduced)
+        assert rank(m) == s.rank()
+        assert nullspace(m).dim == len(s.nullspace())
+        if m.rows == m.cols:
+            d = s.det()
+            assert det(m) == F(int(d.p), int(d.q))
+
+
+def cycle_system_matrix(m):
+    """System matrix of a unipotent2 m-cycle: block-tridiagonal with two
+    corner blocks, rational cocycle values, holonomy 0 for odd m."""
+    rng = random.Random(m)
+    gvals = [F(rng.randint(-5, 5), rng.randint(1, 3)) for _ in range(m - 1)]
+    # the closing edge runs 0 -> m-1, so this closing value gives holonomy 0
+    gvals.append(sum(gvals) if m % 2 else F(rng.randint(-5, 5)))
+    return system_matrix(LocalSystem.unipotent_rank2(cycle_graph(m), gvals))
+
+
+def low_rank_matrix(rng, rows, cols, k):
+    """A rows x cols product through Q^k, so its rank is at most k."""
+    return random_matrix(rng, rows, k) @ random_matrix(rng, k, cols)
+
+
+def sparse_integer_matrix(rng, rows, cols):
+    """Mostly zero, so most rows skip most pivots and catch up later."""
+    return Mat(rows, cols, tuple(F(rng.randint(-4, 4)) if rng.random() < 0.3 else F(0)
+                                 for _ in range(rows * cols)))
+
+
+# Row 1 skips pivots 0 and 1 and becomes the pivot row of column 2 from
+# level 1; row 3 skips pivot 0 and is updated at pivot 1 from level 1.
+SKIPS_PIVOTS = Mat.from_rows([[2, 1, 0, 1],
+                              [0, 0, 3, 1],
+                              [4, 5, 1, 0],
+                              [0, 7, 2, 5]])
+
+
+def structured_matrices():
+    rng = random.Random(400)
+    yield from (system_matrix(sys) for sys in random_unipotent_systems(rng, 30))
+    for _ in range(15):
+        rows, cols = rng.randint(8, 14), rng.randint(1, 5)
+        yield low_rank_matrix(rng, rows, cols, rng.randint(1, min(rows, cols)))
+        yield low_rank_matrix(rng, cols, rows, rng.randint(1, min(rows, cols)))
+    for _ in range(40):
+        yield sparse_integer_matrix(rng, rng.randint(2, 9), rng.randint(2, 9))
+    yield SKIPS_PIVOTS
+    yield from (Mat.zeros(r, c) for r, c in [(1, 1), (3, 5), (5, 3), (0, 0),
+                                             (0, 6), (6, 0)])
+
+
+def assert_kernel_matches_oracles(m):
+    reduced, pivots = rref(m)
+    assert (reduced, pivots) == oracle_rref(m)
+    assert rank(m) == len(pivots)
+    assert nullspace(m).basis == oracle_nullspace(m, (reduced, pivots))
+    if m.rows == m.cols:
+        assert det(m) == oracle_det(m)
+
+
+@pytest.mark.parametrize("m", range(2, 41))
+def test_cycle_system_matrices_match_oracles(m):
+    a = cycle_system_matrix(m)
+    assert_kernel_matches_oracles(a)
+    # shifted off the kernel, the banded matrix has a nonzero determinant
+    shifted = a + Mat.identity(a.rows)
+    assert det(shifted) == oracle_det(shifted) != 0
+
+
+def test_structured_matrices_match_oracles():
+    sample = list(structured_matrices())
+    assert any(rank(m) < min(m.rows, m.cols) and m.rows > 2 * m.cols for m in sample)
+    assert any(rank(m) < min(m.rows, m.cols) and m.cols > 2 * m.rows for m in sample)
+    for m in sample:
+        assert_kernel_matches_oracles(m)
+
+
+def test_skipped_rows_catch_up():
+    reduced, pivots = rref(SKIPS_PIVOTS)
+    assert pivots == (0, 1, 2, 3) and reduced == Mat.identity(4)
+    assert det(SKIPS_PIVOTS) == oracle_det(SKIPS_PIVOTS) == -176
+
+
+def test_empty_and_zero_matrices():
+    for rows, cols in [(0, 0), (0, 4), (4, 0), (3, 5)]:
+        z = Mat.zeros(rows, cols)
+        assert rref(z) == (z, ())
+        assert rank(z) == 0
+        assert nullspace(z).basis == Mat.identity(cols)
+    assert det(Mat.zeros(0, 0)) == 1
+    assert det(Mat.zeros(3, 3)) == 0
+
+
+def to_sympy(sympy, m):
+    return sympy.Matrix(m.rows, m.cols,
+                        [sympy.Rational(x.numerator, x.denominator) for x in m.entries])
+
+
+def test_sympy_agrees_on_structured_matrices():
+    """Cycles up to m = 12 and the largest, m = 40: sympy takes about 0.45 s
+    on that one, so the cycles between are left to the Fraction oracles."""
+    sympy = pytest.importorskip("sympy")
+    sample = [cycle_system_matrix(m) for m in (*range(2, 13), 40)]
+    sample += [m for m in structured_matrices() if m.rows and m.cols]
+    for m in sample:
+        s = to_sympy(sympy, m)
         s_reduced, s_pivots = s.rref()
         reduced, pivots = rref(m)
         assert pivots == tuple(s_pivots)

@@ -4,11 +4,12 @@ import random
 
 import pytest
 
-from monograph.checks import random_connected_multigraph, random_unipotent_system
+from monograph.checks import (random_connected_multigraph, random_unipotent_system,
+                              random_unipotent_systems)
 from monograph.cohomology import residue_constraint_matrix
 from monograph.graph import DualGraph, cycle_graph
 from monograph.linalg import DimensionMismatch, Mat, vec
-from monograph.localsystem import EdgeCochain, LocalSystem
+from monograph.localsystem import EdgeCochain, LocalSystem, _inverse
 
 
 def triangle():
@@ -172,3 +173,36 @@ class TestReorientEdge:
         assert flipped.graph.edges[1] == (2, 1)
         assert flipped.transitions[1] == Mat.from_rows([[1, -2], [0, 1]])
         assert flipped.reorient_edge(1) == sys
+
+
+class TestClosedFormInverses:
+    """The constructors supply each transition's inverse in closed form;
+    every one must be the inverse the elimination computes."""
+
+    def assert_cached_inverses_exact(self, sys):
+        for e, u in enumerate(sys.transitions):
+            assert sys.transition_inverse(e) == _inverse(u)
+
+    def test_sampled_systems_and_reorientations(self):
+        rng = random.Random(7)
+        for sys in random_unipotent_systems(rng, 80):
+            self.assert_cached_inverses_exact(sys)
+            flipped = sys.reorient_edge(rng.randrange(sys.graph.m))
+            self.assert_cached_inverses_exact(flipped)
+
+    def test_constructors(self):
+        g = triangle()
+        self.assert_cached_inverses_exact(LocalSystem.trivial(g, 3))
+        self.assert_cached_inverses_exact(
+            LocalSystem.unipotent_rank2(g, (5, "-2/3", 0)))
+
+    def test_direct_construction_inverts(self):
+        u = Mat.from_rows([[2, 1], [1, 1]])
+        sys = LocalSystem(DualGraph(2, ((0, 1),)), 2, (u,))
+        assert sys.transition_inverse(0) == Mat.from_rows([[1, -1], [-1, 2]])
+
+    def test_wrong_supplied_inverse_rejected(self):
+        g = DualGraph(2, ((0, 1),))
+        u = Mat.from_rows([[1, 3], [0, 1]])
+        with pytest.raises(ValueError):
+            LocalSystem._with_inverses(g, 2, (u,), (u,))

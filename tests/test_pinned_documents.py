@@ -1,0 +1,48 @@
+"""Pinned stdout of high-rank documents.
+
+The benchmark workloads reach rank 3 at most.  These documents have rank up
+to 40, where the kernel and H0 maps of the report work on many basis
+vectors at once; their stdout is pinned by sha256 so any change to the
+elimination or to those maps that alters a single output byte fails here.
+"""
+
+import hashlib
+
+import pytest
+
+from monograph.cli import main
+
+ONE_EDGE = "VERTICES\nA B\nEDGES\nA B\n"
+TRIANGLE = "VERTICES\nI II III\nEDGES\nI II\nII III\nI III\n"
+FOUR_CYCLE_EXTENDED = (
+    "VERTICES\na b c d\nEDGES\na b\nb c\nc d\na d\n"
+    "SYSTEM\nunipotent2 3 -1 2 0\n"
+    "extend 1 0 -2 1/2 0 3 5 -1\n"
+    "extend 0 1 1 2 -3 0 1/3 0 4 -1 0 2\n"
+)
+
+PINNED = [
+    ("defect", ONE_EDGE + "SYSTEM\ntrivial 40\n",
+     "d2cb8f5339e6491cc6b4bb844b9099f87707c15e4898b058fe07f58f30c1acf6"),
+    ("cohomology", ONE_EDGE + "SYSTEM\ntrivial 40\n",
+     "640823902ae81314c780922accc8f7fa2285fea32df237bfc48bf1eeb64bf238"),
+    ("defect", TRIANGLE + "SYSTEM\ntrivial 12\n",
+     "0fa4881ac49cc3003dc6ca657f1bf011cf717506a3c9f71ba60441a5874476d5"),
+    ("cohomology", TRIANGLE + "SYSTEM\ntrivial 12\n",
+     "cab0d6da4b96d3348fd6b7ead87cca19706ec3523f38328ea196f1d2d9e09f34"),
+    ("defect", FOUR_CYCLE_EXTENDED,
+     "22f90adaa03e9909c018952e417e9509c8d92a0404d0dcc15167d0b89f599e00"),
+]
+
+
+@pytest.mark.parametrize("command, text, digest", PINNED,
+                         ids=["defect-edge-trivial40", "cohomology-edge-trivial40",
+                              "defect-triangle-trivial12",
+                              "cohomology-triangle-trivial12",
+                              "defect-4cycle-unipotent2-extend2"])
+def test_stdout_digest(command, text, digest, capsys, tmp_path):
+    path = tmp_path / "problem.txt"
+    path.write_text(text, encoding="utf-8")
+    assert main([command, "--input", str(path)]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
