@@ -38,10 +38,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .linalg import Mat, Subspace, colspace, nullspace, rank
+# linalg's zero: products share it, so report.run's A == R.delta skips equal cells
+from .linalg import _ZERO, Mat, Subspace, colspace, nullspace, rank
 from .localsystem import EdgeCochain, LocalSystem
-
-_ZERO = Fraction(0)
 
 
 def _assemble(block_rows: int, block_cols: int, r: int,

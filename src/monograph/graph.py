@@ -11,9 +11,9 @@ and disconnected graphs, so every ``DualGraph`` is a valid dual graph.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
-from .linalg import Mat
+# linalg's zero: tuple equality skips identical objects
+from .linalg import _ZERO, Mat
 
 
 class GraphError(ValueError):
@@ -89,7 +89,7 @@ class DualGraph:
 
 def incidence_matrix(g: DualGraph) -> Mat:
     """n x m matrix: +1 at (source, e), -1 at (target, e)."""
-    entries = [[Fraction(0)] * g.m for _ in range(g.n)]
+    entries = [[_ZERO] * g.m for _ in range(g.n)]
     for e, (s, t) in enumerate(g.edges):
         entries[s][e] += 1
         entries[t][e] -= 1
@@ -101,7 +101,7 @@ def laplacian(g: DualGraph) -> Mat:
     diagonal, minus the number of edges between the two vertices.  Its
     kernel is the constant line, so its rank is n - 1: the graph is
     connected."""
-    entries = [[Fraction(0)] * g.n for _ in range(g.n)]
+    entries = [[_ZERO] * g.n for _ in range(g.n)]
     for s, t in g.edges:
         entries[s][s] += 1
         entries[t][t] += 1

@@ -6,14 +6,16 @@ as one flat tuple.  The matrices this package builds (coboundary, residue
 and system matrices) have only a few nonzero entries per row, so products
 skip zero entries instead of running a dense triple loop.
 
-All elimination runs through one routine, ``_eliminate``: a fraction-free
-forward elimination over sparse rows of Python ints (Bareiss 1968), which
-updates only the rows below each pivot and only where either row is
-nonzero.  Each row's denominators are cleared once and every interior
-division is exact.  ``rank`` and ``det`` read the pivots of that pass and
-nothing more.  ``rref`` adds a back substitution, from the last pivot row
-upward, and builds canonical Fractions only at its output; ``nullspace``,
-``colspace`` and ``Subspace`` are views of the reduced rows.
+All elimination runs through one routine, ``_eliminate``: a forward
+elimination over sparse rows of Python ints, each kept primitive (the gcd
+of its entries is 1).  It has one row operation, ``_combine``, which
+clears a column with p row - a prow and divides out the content, and it
+touches only the rows below each pivot and only where either row is
+nonzero.  ``rank`` and ``det`` read the pivots of that pass and nothing
+more.  ``rref`` adds a back substitution with the same row operation, from
+the last pivot row upward, and builds canonical Fractions only at its
+output; ``nullspace``, ``colspace`` and ``Subspace`` are views of the
+reduced rows, and ``Subspace.contains`` is a rank test.
 
 Subspaces are kept in a canonical reduced column echelon form (pivots 1,
 pivot rows cleared, pivot rows strictly increasing left to right), which
@@ -112,7 +114,7 @@ class Mat:
 
     @classmethod
     def zeros(cls, rows: int, cols: int) -> Mat:
-        return cls(rows, cols, (Fraction(0),) * (rows * cols))
+        return cls(rows, cols, (_ZERO,) * (rows * cols))
 
     @classmethod
     def identity(cls, n: int) -> Mat:
@@ -206,35 +208,54 @@ class Mat:
                      for i in range(self.rows))
 
 
+def _combine(row: dict[int, int], prow: dict[int, int],
+             c: int) -> tuple[dict[int, int], int]:
+    """The primitive part of p row - a prow, with p = prow[c] and a = row[c].
+
+    The result is zero in column c, the gcd of its entries is 1, and it is
+    empty when the two rows are proportional.  The content h it was divided
+    by comes back with it, for ``det``.
+    """
+    p, a = prow[c], row[c]
+    acc = {j: p * x for j, x in row.items()}
+    for j, y in prow.items():
+        acc[j] = acc.get(j, 0) - a * y
+    h = gcd(*acc.values())
+    return {j: v // h for j, v in acc.items() if v}, h
+
+
 def _eliminate(m: Mat) -> tuple[list[dict[int, int]], list[int], Fraction]:
-    """Fraction-free forward elimination of m over the integers.
+    """Forward elimination of m over the integers, in primitive rows.
 
-    Returns the row-echelon rows, the pivot columns, and sign x last pivot /
-    row scales, which is det(m) when m is square of full rank.  Each row is
-    stored sparsely, as its nonzero {column: entry} pairs.  Row i <
-    len(pivots) holds pivot i in column pivots[i] and is zero in every
-    earlier column; the remaining rows are empty, i.e. zero.
+    Returns the echelon rows, one per pivot, the pivot columns, and a value
+    that is det(m) when m is square of full rank.  Row i is stored sparsely,
+    as its nonzero {column: entry} pairs; it holds pivot i in column
+    pivots[i], is zero in every earlier column, and is primitive: the gcd of
+    its entries is 1.
 
-    Each row's denominators are cleared once, by their lcm.  After that
-    every stored entry is a minor of the cleared matrix scaled to some
-    earlier pivot (Bareiss), so every division below is exact.  Only the
-    rows below the pivot row are updated, over the union of the two rows'
-    nonzeros.  A row with a zero in the pivot column is skipped: level[i]
-    is the pivot its stored entries are scaled to, and a row catches up on
-    the pivots it missed in the one update that next reaches it.
+    Each input row is made primitive once, scaled by the lcm d of its
+    denominators and divided by the gcd g of the result.  At each pivot,
+    every lower row with a nonzero in the pivot column is replaced by its
+    ``_combine`` with the pivot row, over the union of the two rows'
+    nonzeros.  Up to sign, a primitive row is the one integer vector in the
+    span of the rows used so far that vanishes on the earlier pivot
+    columns, so its entries stay bounded by minors of the cleared matrix.
+    The determinant value is the product of the pivots, of g / d per row,
+    of h / p per update and of the sign of each row swap; it is reduced to
+    lowest terms at each pivot, which keeps it about the size of a minor.
     """
     cols = m.cols
     work: list[dict[int, int]] = []
-    scale = 1
+    num = den = 1
     for i in range(m.rows):
         nonzero = [(j, x) for j, x in enumerate(m.entries[i * cols:(i + 1) * cols]) if x]
         d = lcm(*(x.denominator for _, x in nonzero))
-        scale *= d
-        work.append({j: x.numerator * (d // x.denominator) for j, x in nonzero})
+        row = {j: x.numerator * (d // x.denominator) for j, x in nonzero}
+        g = gcd(*row.values())
+        num, den = num * g, den * d
+        work.append({j: x // g for j, x in row.items()})
     n = len(work)
-    level = [1] * n
     pivots: list[int] = []
-    sign = prev = 1
     for c in range(cols):
         r = len(pivots)
         if r == n:
@@ -245,59 +266,36 @@ def _eliminate(m: Mat) -> tuple[list[dict[int, int]], list[int], Fraction]:
         found = hits[0]
         if found != r:
             work[r], work[found] = work[found], work[r]
-            level[r], level[found] = level[found], level[r]
-            sign = -sign
+            num = -num
         prow = work[r]
-        if level[r] != prev:
-            lv = level[r]
-            prow = work[r] = {j: x * prev // lv for j, x in prow.items()}
         p = prow[c]
+        num *= p
         for i in hits[1:]:
-            row, lv = work[i], level[i]
-            if lv == prev:
-                px, ay, d = p, row[c], prev
-            else:
-                px, ay, d = p * prev, row[c] * prev // lv * lv, lv * prev
-            acc = {j: px * x for j, x in row.items()}
-            for j, y in prow.items():
-                acc[j] = acc.get(j, 0) - ay * y
-            work[i] = {j: v // d for j, v in acc.items() if v}
-            level[i] = p
-        level[r] = prev = p
+            work[i], h = _combine(work[i], prow, c)
+            num, den = num * h, den * p
+        g = gcd(num, den)
+        num, den = num // g, den // g
         pivots.append(c)
-    return work, pivots, Fraction(sign * prev, scale)
+    return work[:len(pivots)], pivots, Fraction(num, den)
 
 
 def rref(m: Mat) -> tuple[Mat, tuple[int, ...]]:
     """Reduced row echelon form and its pivot columns.
 
     Forward elimination, then back substitution from the last pivot row
-    upward: each later pivot column is cleared with p_j row - a row_j,
-    then the row is divided by the gcd of its entries, signed so that its
-    pivot is positive.  Fractions are built only at the output.  The
-    result is the unique RREF: pivots are 1, pivot columns are cleared
-    above and below, pivot columns strictly increase down the rows.
+    upward: each later pivot column in the row is cleared by ``_combine``
+    with that pivot's row, already reduced.  Fractions are built only at
+    the output, each entry over its row's pivot.  The result is the unique
+    RREF: pivots are 1, pivot columns are cleared above and below, pivot
+    columns strictly increase down the rows.
     """
-    work, pivots, _ = _eliminate(m)
+    rows, pivots, _ = _eliminate(m)
     pivot_row = {c: i for i, c in enumerate(pivots)}
-    reduced: list[dict[int, int]] = [{} for _ in pivots]
     for i in range(len(pivots) - 1, -1, -1):
-        row = work[i]
-        for c in [c for c in row if c != pivots[i] and c in pivot_row]:
-            below = reduced[pivot_row[c]]
-            a, p = row[c], below[c]
-            g = gcd(a, p)
-            a, p = a // g, p // g
-            acc = {j: p * x for j, x in row.items()}
-            for j, y in below.items():
-                acc[j] = acc.get(j, 0) - a * y
-            row = {j: v for j, v in acc.items() if v}
-        g = gcd(*row.values())
-        if row[pivots[i]] < 0:
-            g = -g
-        reduced[i] = {j: x // g for j, x in row.items()}
+        for c in [c for c in rows[i] if c != pivots[i] and c in pivot_row]:
+            rows[i], _ = _combine(rows[i], rows[pivot_row[c]], c)
     entries = [_ZERO] * (m.rows * m.cols)
-    for i, (row, c) in enumerate(zip(reduced, pivots)):
+    for i, (row, c) in enumerate(zip(rows, pivots)):
         p = row[c]
         for j, x in row.items():
             entries[i * m.cols + j] = Fraction(x, p)
@@ -310,9 +308,8 @@ def rank(m: Mat) -> int:
 
 
 def det(m: Mat) -> Fraction:
-    """Exact determinant: the last pivot of the forward elimination over the
-    row scales, with the sign of its row swaps, or 0 when m is
-    rank-deficient."""
+    """Exact determinant: the value the forward elimination collects from
+    its pivots, row scalings and swaps, or 0 when m is rank-deficient."""
     if m.rows != m.cols:
         raise DimensionMismatch("determinant of %dx%d matrix" % (m.rows, m.cols))
     _, pivots, value = _eliminate(m)
@@ -359,18 +356,12 @@ class Subspace:
         return tuple(self.basis.column_vector(j) for j in range(self.dim))
 
     def contains(self, v: Sequence[int | str | Fraction]) -> bool:
-        """Membership test by reducing v against the canonical basis."""
-        w = list(vec(v))
-        if len(w) != self.ambient_dim:
+        """Membership: v appended to the basis leaves the rank at dim."""
+        w = Mat.column(v)
+        if w.rows != self.ambient_dim:
             raise DimensionMismatch("vector of length %d in ambient dimension %d"
-                                    % (len(w), self.ambient_dim))
-        for j in range(self.dim):
-            col = self.basis.column_vector(j)
-            p = next(i for i, x in enumerate(col) if x != 0)  # pivot entry is 1
-            if w[p] != 0:
-                f = w[p]
-                w = [a - f * b for a, b in zip(w, col)]
-        return all(a == 0 for a in w)
+                                    % (w.rows, self.ambient_dim))
+        return rank(Mat.block([[self.basis, w]])) == self.dim
 
     def intersect(self, other: Subspace) -> Subspace:
         """Intersection, via the kernel of the concatenated bases.

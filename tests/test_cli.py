@@ -292,12 +292,20 @@ class TestInProcessReuse:
     """One parser serves every call of the process: consecutive calls give
     what fresh processes give, and no flag carries over."""
 
-    def fresh_run(self, argv):
+    def fresh_runs(self, calls):
+        """(exit code, stdout) of each call in its own interpreter, all
+        started before any is collected."""
         env = dict(os.environ,
                    PYTHONPATH=str(Path(monograph.__file__).resolve().parents[1]))
-        proc = subprocess.run([sys.executable, "-m", "monograph.cli", *argv],
-                              capture_output=True, text=True, env=env, timeout=60)
-        return proc.returncode, proc.stdout
+        procs = [subprocess.Popen([sys.executable, "-m", "monograph.cli", *argv],
+                                  stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                                  text=True, env=env)
+                 for argv in calls]
+        results = []
+        for proc in procs:
+            out, _ = proc.communicate(timeout=60)
+            results.append((proc.returncode, out))
+        return results
 
     def test_consecutive_calls_match_fresh_runs(self, capsys, tmp_path):
         cycle = write(tmp_path, "cycle.txt", TRIANGLE_124)
@@ -314,7 +322,7 @@ class TestInProcessReuse:
             ["laplacian", "--input", trivial],
         ]
         in_process = [run_cli(capsys, argv)[:2] for argv in calls]
-        assert in_process == [self.fresh_run(argv) for argv in calls]
+        assert in_process == self.fresh_runs(calls)
         assert _build_parser() is _build_parser()
 
     def test_usage_error_does_not_leak(self, capsys, tmp_path):

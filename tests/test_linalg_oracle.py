@@ -1,19 +1,21 @@
-"""The fraction-free elimination kernel and the sparse products against
+"""The primitive-row elimination kernel and the sparse products against
 slow reference implementations.
 
-The oracles are the plain Fraction Gauss-Jordan elimination and the
-Bareiss determinant loop that the kernel replaced, the dense triple-loop
-matrix product, and sympy where it is installed.  Every comparison is exact.
+The oracles are the plain Fraction Gauss-Jordan elimination, a dense
+Bareiss determinant loop, the dense triple-loop matrix product, and sympy
+where it is installed.  Every comparison is exact.
 
 Besides random dense-ish matrices, the kernel is compared on the matrices
 its sparse forward pass is built for: the banded system matrices of
 unipotent m-cycles with their corner blocks, the system matrices of sampled
-unipotent systems, tall and wide matrices of low rank, matrices in which a
-row skips pivots and must catch up, and empty and zero matrices.
+unipotent systems, tall and wide matrices of low rank, matrices in which
+rows skip pivots or cancel to zero part way through, and empty and zero
+matrices.  On the same matrices every echelon row the forward pass returns
+is checked to be nonzero and primitive.
 """
 
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 import random
 
 import pytest
@@ -21,7 +23,8 @@ import pytest
 from monograph.checks import random_unipotent_systems
 from monograph.cohomology import system_matrix
 from monograph.graph import cycle_graph
-from monograph.linalg import Mat, Subspace, colspace, det, nullspace, rank, rref
+from monograph.linalg import (Mat, Subspace, _eliminate, colspace, det, nullspace,
+                              rank, rref)
 from monograph.localsystem import LocalSystem, _inverse
 
 F = Fraction
@@ -265,17 +268,24 @@ def low_rank_matrix(rng, rows, cols, k):
 
 
 def sparse_integer_matrix(rng, rows, cols):
-    """Mostly zero, so most rows skip most pivots and catch up later."""
+    """Mostly zero, so most rows skip most pivots."""
     return Mat(rows, cols, tuple(F(rng.randint(-4, 4)) if rng.random() < 0.3 else F(0)
                                  for _ in range(rows * cols)))
 
 
-# Row 1 skips pivots 0 and 1 and becomes the pivot row of column 2 from
-# level 1; row 3 skips pivot 0 and is updated at pivot 1 from level 1.
+# Row 1 is zero in columns 0 and 1: it skips two pivots, is swapped down,
+# and becomes the pivot row of column 2 as it was read; row 3 is zero in
+# column 0 and is first combined at pivot 1.
 SKIPS_PIVOTS = Mat.from_rows([[2, 1, 0, 1],
                               [0, 0, 3, 1],
                               [4, 5, 1, 0],
                               [0, 7, 2, 5]])
+
+# Row 2 is row 0 plus row 1: it survives pivot 0 and cancels to zero at
+# pivot 1, where its combination is all zero and has content 0.
+CANCELS = Mat.from_rows([[1, 2, 0],
+                         [0, 3, 1],
+                         [1, 5, 1]])
 
 
 def structured_matrices():
@@ -288,6 +298,7 @@ def structured_matrices():
     for _ in range(40):
         yield sparse_integer_matrix(rng, rng.randint(2, 9), rng.randint(2, 9))
     yield SKIPS_PIVOTS
+    yield CANCELS
     yield from (Mat.zeros(r, c) for r, c in [(1, 1), (3, 5), (5, 3), (0, 0),
                                              (0, 6), (6, 0)])
 
@@ -322,6 +333,28 @@ def test_skipped_rows_catch_up():
     reduced, pivots = rref(SKIPS_PIVOTS)
     assert pivots == (0, 1, 2, 3) and reduced == Mat.identity(4)
     assert det(SKIPS_PIVOTS) == oracle_det(SKIPS_PIVOTS) == -176
+
+
+def test_row_cancelling_to_zero():
+    rows, pivots, _ = _eliminate(CANCELS)
+    assert pivots == [0, 1] and rows == [{0: 1, 1: 2}, {1: 3, 2: 1}]
+    assert rank(CANCELS) == len(oracle_rref(CANCELS)[1]) == 2
+    assert det(CANCELS) == oracle_det(CANCELS) == 0
+
+
+def assert_rows_primitive(m):
+    rows, pivots, _ = _eliminate(m)
+    assert len(rows) == len(pivots)
+    for row, c in zip(rows, pivots):
+        assert row and min(row) == c
+        assert gcd(*row.values()) == 1
+
+
+def test_forward_rows_are_primitive():
+    for m in structured_matrices():
+        assert_rows_primitive(m)
+    for m in range(2, 41):
+        assert_rows_primitive(cycle_system_matrix(m))
 
 
 def test_empty_and_zero_matrices():
