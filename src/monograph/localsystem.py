@@ -3,8 +3,8 @@
 A rank-r system assigns each edge an invertible r x r transition matrix
 expressing the target-vertex frame in the source-vertex frame along the
 canonical orientation.  The transition along the reversed edge is the
-inverse; it is always derived, never stored, so the one matrix per edge is
-the single source of truth.
+inverse; each inverse is derived once, when the system is built, so the
+one matrix per edge is the single source of truth.
 
 Edge cochains hold one r-vector per edge, pinned to the source-vertex
 frame.  The value seen from the target side is minus the inverse-transported
@@ -22,19 +22,36 @@ from .linalg import DimensionMismatch, Mat, Vector, rref, vec
 
 
 def _inverse(m: Mat) -> Mat:
-    """Invert by reducing [m | I] to RREF; raises on singular input.
+    """The inverse of a square matrix; raises ValueError if it is singular.
 
-    Only a LocalSystem built directly from its transitions needs this:
-    the constructors below supply closed-form inverses instead.
+    An upper-triangular m, which is every transition the constructors
+    build, is inverted by back substitution from the last row up: row i of
+    the inverse is (e_i - sum of m[i, k] row_k over k > i) / m[i, i], with
+    the zero entries of m skipped.  Any other m is reduced as [m | I].
     """
-    if m.rows != m.cols:
-        raise DimensionMismatch("inverse of %dx%d matrix" % (m.rows, m.cols))
     n = m.rows
-    augmented = Mat.block([[m, Mat.identity(n)]])
-    reduced, pivots = rref(augmented)
-    if pivots != tuple(range(n)):
-        raise ValueError("matrix is singular")
-    return Mat(n, n, tuple(x for i in range(n) for x in reduced.row(i)[n:]))
+    rows = [m.row(i) for i in range(n)]
+    if any(rows[i][j] for i in range(n) for j in range(i)):
+        reduced, pivots = rref(Mat.block([[m, Mat.identity(n)]]))
+        if pivots != tuple(range(n)):
+            raise ValueError("matrix is singular")
+        return Mat(n, n, tuple(x for i in range(n) for x in reduced.row(i)[n:]))
+    zero = Fraction(0)
+    inverse: list[list[Fraction]] = [[]] * n
+    for i in reversed(range(n)):
+        pivot = rows[i][i]
+        if not pivot:
+            raise ValueError("matrix is singular")
+        row = [zero] * n
+        row[i] = Fraction(1)
+        for k in range(i + 1, n):
+            a = rows[i][k]
+            if a:
+                row = [x - a * y for x, y in zip(row, inverse[k])]
+        if pivot != 1:
+            row = [x / pivot for x in row]
+        inverse[i] = row
+    return Mat(n, n, tuple(x for row in inverse for x in row))
 
 
 @dataclass(frozen=True)
@@ -56,34 +73,13 @@ class LocalSystem:
             if u.rows != self.rank or u.cols != self.rank:
                 raise DimensionMismatch("transition %d has shape %dx%d, rank is %d"
                                         % (e, u.rows, u.cols, self.rank))
-        # The inverse cache.  A constructor that knows the inverses in
-        # closed form supplies them (see _with_inverses), and each is
-        # checked with one product; otherwise inverting each transition is
-        # the invertibility check.
-        inverses = self.__dict__.get("_inverses")
-        if inverses is None:
-            object.__setattr__(self, "_inverses",
-                               tuple(_inverse(u) for u in self.transitions))
-            return
-        identity = Mat.identity(self.rank)
-        for e, (u, v) in enumerate(zip(self.transitions, inverses, strict=True)):
-            if u @ v != identity:
-                raise ValueError("supplied inverse of transition %d is wrong" % e)
-
-    @classmethod
-    def _with_inverses(cls, g: DualGraph, r: int, transitions: tuple[Mat, ...],
-                       inverses: tuple[Mat, ...]) -> LocalSystem:
-        """The system with these transitions, whose inverses are known."""
-        system = cls.__new__(cls)
-        object.__setattr__(system, "_inverses", tuple(inverses))
-        system.__init__(g, r, transitions)  # type: ignore[misc]
-        return system
+        object.__setattr__(self, "_inverses",
+                           tuple(_inverse(u) for u in self.transitions))
 
     @classmethod
     def trivial(cls, g: DualGraph, r: int) -> LocalSystem:
         """All transitions identity."""
-        one = Mat.identity(r)
-        return cls._with_inverses(g, r, (one,) * g.m, (one,) * g.m)
+        return cls(g, r, (Mat.identity(r),) * g.m)
 
     @classmethod
     def unipotent_rank2(cls, g: DualGraph,
@@ -93,9 +89,7 @@ class LocalSystem:
         if len(values) != g.m:
             raise ValueError("%d cocycle values for %d edges" % (len(values), g.m))
         one, zero = Fraction(1), Fraction(0)
-        return cls._with_inverses(
-            g, 2, tuple(Mat(2, 2, (one, ge, zero, one)) for ge in values),
-            tuple(Mat(2, 2, (one, -ge, zero, one)) for ge in values))
+        return cls(g, 2, tuple(Mat(2, 2, (one, ge, zero, one)) for ge in values))
 
     def transition_inverse(self, e: int) -> Mat:
         return self._inverses[e]  # type: ignore[attr-defined]
@@ -104,29 +98,21 @@ class LocalSystem:
         """Rank r+1 system with block transitions [[U_e, c_e], [0, 1]].
 
         The first r coordinates embed this system; the last coordinate
-        projects onto the trivial rank-1 system.  The inverse of each block
-        is [[U_e^-1, -U_e^-1 c_e], [0, 1]].
+        projects onto the trivial rank-1 system.
         """
         if c.system != self:
             raise ValueError("cochain is valued in a different system")
         bottom, one = Mat.zeros(1, self.rank), Mat.identity(1)
-        transitions, inverses = [], []
-        for e, u in enumerate(self.transitions):
-            column = Mat.column(c.values[e])
-            u_inv = self.transition_inverse(e)
-            transitions.append(Mat.block([[u, column], [bottom, one]]))
-            inverses.append(Mat.block([[u_inv, -(u_inv @ column)], [bottom, one]]))
-        return LocalSystem._with_inverses(self.graph, self.rank + 1,
-                                          tuple(transitions), tuple(inverses))
+        return LocalSystem(self.graph, self.rank + 1, tuple(
+            Mat.block([[u, Mat.column(v)], [bottom, one]])
+            for u, v in zip(self.transitions, c.values)))
 
     def reorient_edge(self, e: int) -> LocalSystem:
         """Equivalent system with edge e's canonical orientation swapped;
         the stored transition becomes its inverse."""
-        inverses = self._inverses  # type: ignore[attr-defined]
-        transitions = self.transitions[:e] + (inverses[e],) + self.transitions[e + 1:]
-        inverses = inverses[:e] + (self.transitions[e],) + inverses[e + 1:]
-        return LocalSystem._with_inverses(self.graph.reorient_edge(e), self.rank,
-                                          transitions, inverses)
+        transitions = (self.transitions[:e] + (self.transition_inverse(e),)
+                       + self.transitions[e + 1:])
+        return LocalSystem(self.graph.reorient_edge(e), self.rank, transitions)
 
 
 @dataclass(frozen=True)

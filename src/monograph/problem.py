@@ -116,7 +116,10 @@ class SystemSpec:
         if not isinstance(doc, dict) or "kind" not in doc:
             raise ParseError("system must be an object with a 'kind'")
         kind = doc["kind"]
-        params = tuple(_json_rational(x) for x in doc.get("params", []))
+        params = doc.get("params", [])
+        if not isinstance(params, list):
+            raise ParseError("system 'params' must be a list of rationals")
+        params = tuple(_json_rational(x) for x in params)
         if kind == "trivial":
             rank = doc.get("rank", 1)
             if isinstance(rank, bool) or not isinstance(rank, int):
@@ -191,11 +194,17 @@ class ProblemSpec:
         vertices = doc.get("vertices")
         if not isinstance(vertices, list) or not all(isinstance(v, str) for v in vertices):
             raise ParseError("'vertices' must be a list of names")
+        items = doc.get("edges", [])
+        if not isinstance(items, list):
+            raise ParseError("'edges' must be a list of edges")
         edges = []
-        for item in doc.get("edges", []):
+        for item in items:
             if not (isinstance(item, dict) and "from" in item and "to" in item):
                 raise ParseError("each edge needs 'from' and 'to'")
-            edges.append((item["from"], item["to"]))
+            edge = (item["from"], item["to"])
+            if not all(isinstance(name, str) for name in edge):
+                raise ParseError("edge endpoints must be vertex names")
+            edges.append(edge)
         system = doc.get("system")
         spec_system = (SystemSpec("trivial", 1) if system is None
                        else SystemSpec.from_json_dict(system))

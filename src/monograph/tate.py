@@ -15,7 +15,7 @@ from typing import Sequence
 
 from .cohomology import _kernel_route
 from .graph import DualGraph, cycle_graph
-from .linalg import Mat, Subspace, Vector, det, vec
+from .linalg import Mat, Subspace, Vector, vec
 from .localsystem import LocalSystem
 
 
@@ -64,16 +64,16 @@ def tate_report(m: int, gvals: Sequence[int | str | Fraction]) -> TateReport:
     The quotient dimension is that of the line a nonzero kernel image spans
     inside it, so 1 exactly when the obstruction is nonzero: the residue
     shadow of the one-dimensional quotient the example exhibits.  The rank
-    is 2m minus the kernel dimension, so one elimination gives both, and
-    the determinant needs its own elimination only when the kernel is zero,
-    which the flat constant section (1, 0) rules out for this family.
+    is 2m minus the kernel dimension, so one elimination gives both.
     """
     _, a, kernel, images, blocked = _kernel_route(build_tate(m, gvals)[1])
     return TateReport(
         m=m,
         gvals=vec(gvals),
         system=a,
-        det=Fraction(0) if kernel.dim else det(a),
+        # (1, 0) at every vertex is a flat section, so the kernel is never
+        # zero and the determinant always vanishes
+        det=Fraction(0),
         rank=a.cols - kernel.dim,
         kernel=kernel,
         edge_images=tuple(images.column_vector(j) for j in range(images.cols)),

@@ -164,6 +164,22 @@ class TestErrors:
         assert out == ""
         assert "rank must be an integer" in err
 
+    @pytest.mark.parametrize("doc", [
+        {"vertices": ["a"], "edges": 5},
+        {"vertices": ["a"], "system": {"kind": "trivial", "params": 5}},
+        {"vertices": ["a"], "edges": [{"from": ["x"], "to": "a"}]},
+        {"vertices": ["a", "b", "c"],
+         "edges": [{"from": "a", "to": "b"}, {"from": "b", "to": "c"},
+                   {"from": "a", "to": "c"}],
+         "system": {"kind": "unipotent2", "params": "124"}},
+    ])
+    def test_json_value_of_wrong_type_exit_2(self, capsys, tmp_path, doc):
+        path = write(tmp_path, "t.json", json.dumps(doc))
+        code, out, err = run_cli(capsys, ["defect", "--input", path])
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+
     def test_parse_error_exit_2(self, capsys, tmp_path):
         path = write(tmp_path, "bad.txt", "VERTICES\na\nEDGES\na b\n")
         code, _, err = run_cli(capsys, ["defect", "--input", path])

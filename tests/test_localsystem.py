@@ -4,12 +4,15 @@ import random
 
 import pytest
 
+from monograph import localsystem
 from monograph.checks import (random_connected_multigraph, random_unipotent_system,
                               random_unipotent_systems)
 from monograph.cohomology import residue_constraint_matrix
 from monograph.graph import DualGraph, cycle_graph
-from monograph.linalg import DimensionMismatch, Mat, vec
+from monograph.linalg import DimensionMismatch, Mat, rref, vec
 from monograph.localsystem import EdgeCochain, LocalSystem, _inverse
+
+from test_linalg_oracle import oracle_inverse
 
 
 def triangle():
@@ -175,34 +178,87 @@ class TestReorientEdge:
         assert flipped.reorient_edge(1) == sys
 
 
-class TestClosedFormInverses:
-    """The constructors supply each transition's inverse in closed form;
-    every one must be the inverse the elimination computes."""
+class TestInverses:
+    """Every cached inverse, and every inverse _inverse returns, against
+    the two-sided product and the Gauss-Jordan inverse of the oracle
+    tests.  Upper-triangular matrices are back-substituted; any other
+    matrix takes the rref of [u | I], and only that one."""
+
+    def assert_inverse(self, u, inv):
+        n = u.rows
+        assert u @ inv == Mat.identity(n)
+        assert inv @ u == Mat.identity(n)
+        assert inv == oracle_inverse(u)
 
     def assert_cached_inverses_exact(self, sys):
         for e, u in enumerate(sys.transitions):
-            assert sys.transition_inverse(e) == _inverse(u)
+            self.assert_inverse(u, sys.transition_inverse(e))
 
-    def test_sampled_systems_and_reorientations(self):
+    def rref_calls(self, monkeypatch):
+        calls = []
+
+        def counted(m):
+            calls.append(m)
+            return rref(m)
+        monkeypatch.setattr(localsystem, "rref", counted)
+        return calls
+
+    def test_sampled_systems_and_reorientations(self, monkeypatch):
         rng = random.Random(7)
-        for sys in random_unipotent_systems(rng, 80):
+        systems = random_unipotent_systems(rng, 80)
+        calls = self.rref_calls(monkeypatch)
+        for sys in systems:
             self.assert_cached_inverses_exact(sys)
             flipped = sys.reorient_edge(rng.randrange(sys.graph.m))
             self.assert_cached_inverses_exact(flipped)
+        assert calls == []
 
     def test_constructors(self):
         g = triangle()
         self.assert_cached_inverses_exact(LocalSystem.trivial(g, 3))
+        self.assert_cached_inverses_exact(LocalSystem.trivial(g, 40))
         self.assert_cached_inverses_exact(
             LocalSystem.unipotent_rank2(g, (5, "-2/3", 0)))
+
+    @pytest.mark.parametrize("rows", [
+        [["-3/4"]],
+        [[-2, 3, "1/2"], [0, "-3/5", 4], [0, 0, -7]],
+        [[5, 0, 0, 1], [0, "1/3", -2, 0], [0, 0, -1, "7/2"], [0, 0, 0, "-9/4"]],
+    ])
+    def test_upper_triangular_back_substituted(self, rows, monkeypatch):
+        u = Mat.from_rows(rows)
+        calls = self.rref_calls(monkeypatch)
+        self.assert_inverse(u, _inverse(u))
+        sys = LocalSystem(DualGraph(2, ((0, 1),)), u.rows, (u,))
+        self.assert_cached_inverses_exact(sys)
+        assert calls == []
+
+    @pytest.mark.parametrize("rows", [
+        [[1, 0], [5, 1]],
+        [[1, 0, 0], [0, 2, 0], [0, "1/2", -1]],
+        [[0, 1], [1, 0]],
+        [[2, 1, 0], [1, 1, 3], [4, 0, "-1/3"]],
+    ])
+    def test_other_matrices_take_rref(self, rows, monkeypatch):
+        u = Mat.from_rows(rows)
+        calls = self.rref_calls(monkeypatch)
+        self.assert_inverse(u, _inverse(u))
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("rows", [
+        [[0]],
+        [[1, 2], [0, 0]],
+        [[0, 1], [0, 1]],
+        [[3, 1, 4], [0, 0, 5], [0, 0, 9]],
+    ])
+    def test_zero_on_diagonal_is_singular(self, rows):
+        u = Mat.from_rows(rows)
+        with pytest.raises(ValueError, match="singular"):
+            _inverse(u)
+        with pytest.raises(ValueError, match="singular"):
+            LocalSystem(DualGraph(2, ((0, 1),)), u.rows, (u,))
 
     def test_direct_construction_inverts(self):
         u = Mat.from_rows([[2, 1], [1, 1]])
         sys = LocalSystem(DualGraph(2, ((0, 1),)), 2, (u,))
         assert sys.transition_inverse(0) == Mat.from_rows([[1, -1], [-1, 2]])
-
-    def test_wrong_supplied_inverse_rejected(self):
-        g = DualGraph(2, ((0, 1),))
-        u = Mat.from_rows([[1, 3], [0, 1]])
-        with pytest.raises(ValueError):
-            LocalSystem._with_inverses(g, 2, (u,), (u,))
