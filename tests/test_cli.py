@@ -6,14 +6,17 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 import monograph
-from monograph import checks
+from monograph import checks, cohomology, report
 from monograph.cli import _build_parser, main
-from monograph.linalg import DimensionMismatch
+from monograph.linalg import DimensionMismatch, Mat
+from monograph.problem import parse_spec
+from monograph.report import InternalCheckError
 
 TRIANGLE_TRIVIAL = "VERTICES\nI II III\nEDGES\nI II\nII III\nI III\n"
 TRIANGLE_124 = TRIANGLE_TRIVIAL + "SYSTEM\nunipotent2 1 2 4\n"
@@ -249,8 +252,6 @@ class TestErrors:
     def test_internal_violation_exit_3(self, capsys, tmp_path, monkeypatch):
         # the factorization self-check can only fail on a bug; the exit
         # status contract is still pinned here
-        from monograph.report import InternalCheckError
-
         def explode(problem, command):
             raise InternalCheckError("forced for the exit-code contract")
 
@@ -259,6 +260,30 @@ class TestErrors:
         code, _, err = run_cli(capsys, ["defect", "--input", path])
         assert code == 3
         assert "internal error" in err
+
+    @pytest.mark.parametrize("cell, value", [((0, 0), "plus one"), ((0, 0), 0),
+                                             ((0, 1), 1)],
+                             ids=["nonzero-changed", "nonzero-cleared", "zero-set"])
+    def test_factorization_mismatch_exit_3(self, capsys, tmp_path, monkeypatch,
+                                           cell, value):
+        # a system matrix wrong in one cell must fail the R.delta == A check
+        real = cohomology.system_matrix
+
+        def corrupted(sys):
+            a = real(sys)
+            rows = [list(a.row(i)) for i in range(a.rows)]
+            i, j = cell
+            rows[i][j] = rows[i][j] + 1 if value == "plus one" else Fraction(value)
+            return Mat.from_rows(rows)
+
+        monkeypatch.setattr(cohomology, "system_matrix", corrupted)
+        with pytest.raises(InternalCheckError):
+            report.run(parse_spec(TRIANGLE_124), "defect")
+        path = write(tmp_path, "t.txt", TRIANGLE_124)
+        code, out, err = run_cli(capsys, ["defect", "--input", path])
+        assert code == 3
+        assert out == ""
+        assert err.startswith("internal error: ") and err.count("\n") == 1
 
     def test_dimension_mismatch_exit_3(self, capsys, tmp_path, monkeypatch):
         # inputs are validated before any matrix is built, so a shape

@@ -1,9 +1,11 @@
-"""Pinned stdout of high-rank documents.
+"""Pinned stdout of high-rank and long-cycle documents.
 
-The benchmark workloads reach rank 3 at most.  These documents have rank up
-to 40, where the kernel and H0 maps of the report work on many basis
-vectors at once; their stdout is pinned by sha256 so any change to the
-elimination or to those maps that alters a single output byte fails here.
+The benchmark workloads reach rank 3 and the 32-cycle at most.  These
+documents have rank up to 40, where the kernel and H0 maps of the report
+work on many basis vectors at once, or live on the 64-cycle, where the
+banded system matrix is 128 x 128; their stdout is pinned by sha256 so any
+change to the elimination, the products or those maps that alters a single
+output byte fails here.
 """
 
 import hashlib
@@ -21,6 +23,13 @@ FOUR_CYCLE_EXTENDED = (
     "extend 0 1 1 2 -3 0 1/3 0 4 -1 0 2\n"
 )
 
+# the 64-cycle: edges v_i -> v_{i+1} and the closing edge v0 -> v63, with
+# the unipotent2 cocycle g_i = (7i mod 11) - 5, whose holonomy is 6
+CYCLE_64_G = [(7 * i) % 11 - 5 for i in range(64)]
+CYCLE_64 = ("VERTICES\n" + "".join("v%d\n" % i for i in range(64))
+            + "EDGES\n" + "".join("v%d v%d\n" % (i, i + 1) for i in range(63))
+            + "v0 v63\nSYSTEM\nunipotent2 " + " ".join(map(str, CYCLE_64_G)) + "\n")
+
 PINNED = [
     ("defect", ONE_EDGE + "SYSTEM\ntrivial 40\n",
      "d2cb8f5339e6491cc6b4bb844b9099f87707c15e4898b058fe07f58f30c1acf6"),
@@ -32,6 +41,8 @@ PINNED = [
      "cab0d6da4b96d3348fd6b7ead87cca19706ec3523f38328ea196f1d2d9e09f34"),
     ("defect", FOUR_CYCLE_EXTENDED,
      "22f90adaa03e9909c018952e417e9509c8d92a0404d0dcc15167d0b89f599e00"),
+    ("defect", CYCLE_64,
+     "dd4edf0ae3fcffdf77cc920fa8d7e50564492f630b44429bfd6986638c9af860"),
 ]
 
 
@@ -39,10 +50,20 @@ PINNED = [
                          ids=["defect-edge-trivial40", "cohomology-edge-trivial40",
                               "defect-triangle-trivial12",
                               "cohomology-triangle-trivial12",
-                              "defect-4cycle-unipotent2-extend2"])
+                              "defect-4cycle-unipotent2-extend2",
+                              "defect-64cycle-unipotent2"])
 def test_stdout_digest(command, text, digest, capsys, tmp_path):
     path = tmp_path / "problem.txt"
     path.write_text(text, encoding="utf-8")
     assert main([command, "--input", str(path)]) == 0
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
+
+
+def test_tate_64_cycle_digest(capsys):
+    argv = ["tate", "--ord", "64", "--g=" + ",".join(map(str, CYCLE_64_G))]
+    assert main(argv) == 0
+    out = capsys.readouterr().out
+    assert len(out.encode("utf-8")) == 223578
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == \
+        "0bc949ce412cd0934451dd18c61a16838a34fdf738f97be195ec48880981597d"
