@@ -38,8 +38,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-# linalg's zero: products share it, so report.run's A == R.delta skips equal cells
-from .linalg import _ZERO, Mat, Subspace, colspace, nullspace, rank
+from .linalg import Mat, Subspace, colspace, nullspace, rank
 from .localsystem import EdgeCochain, LocalSystem
 
 
@@ -47,19 +46,17 @@ def _assemble(block_rows: int, block_cols: int, r: int,
               blocks: list[tuple[int, int, int, Mat]]) -> Mat:
     """Sum coefficient x block at each (block row, block column) given.
 
-    Every block is r x r and is written straight into one flat entry list;
-    blocks at the same position add up.
+    Every block is r x r; its nonzeros are added into one {column: entry}
+    dict per output row, so blocks at the same position add up.
     """
-    width = block_cols * r
-    entries = [_ZERO] * (block_rows * r * width)
+    rows: list[dict[int, Fraction]] = [{} for _ in range(block_rows * r)]
     for bi, bj, coefficient, block in blocks:
-        corner = bi * r * width + bj * r
-        for i in range(r):
-            at = corner + i * width
-            for j, x in enumerate(block.entries[i * r:(i + 1) * r]):
-                if x:
-                    entries[at + j] += coefficient * x
-    return Mat(block_rows * r, width, tuple(entries))
+        for i, pairs in enumerate(block.nonzero):
+            row = rows[bi * r + i]
+            for j, x in pairs:
+                k, y = bj * r + j, coefficient * x
+                row[k] = row[k] + y if k in row else y
+    return Mat.from_dicts(rows, block_cols * r)
 
 
 def coboundary_matrix(sys: LocalSystem) -> Mat:

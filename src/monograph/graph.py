@@ -11,9 +11,9 @@ and disconnected graphs, so every ``DualGraph`` is a valid dual graph.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 
-# linalg's zero: tuple equality skips identical objects
-from .linalg import _ZERO, Mat
+from .linalg import Mat
 
 
 class GraphError(ValueError):
@@ -89,11 +89,10 @@ class DualGraph:
 
 def incidence_matrix(g: DualGraph) -> Mat:
     """n x m matrix: +1 at (source, e), -1 at (target, e)."""
-    entries = [[_ZERO] * g.m for _ in range(g.n)]
+    rows: list[dict[int, Fraction]] = [{} for _ in range(g.n)]
     for e, (s, t) in enumerate(g.edges):
-        entries[s][e] += 1
-        entries[t][e] -= 1
-    return Mat(g.n, g.m, tuple(x for row in entries for x in row))
+        rows[s][e], rows[t][e] = Fraction(1), Fraction(-1)
+    return Mat.from_dicts(rows, g.m)
 
 
 def laplacian(g: DualGraph) -> Mat:
@@ -101,13 +100,13 @@ def laplacian(g: DualGraph) -> Mat:
     diagonal, minus the number of edges between the two vertices.  Its
     kernel is the constant line, so its rank is n - 1: the graph is
     connected."""
-    entries = [[_ZERO] * g.n for _ in range(g.n)]
+    one = Fraction(1)
+    rows: list[dict[int, Fraction]] = [{} for _ in range(g.n)]
     for s, t in g.edges:
-        entries[s][s] += 1
-        entries[t][t] += 1
-        entries[s][t] -= 1
-        entries[t][s] -= 1
-    return Mat(g.n, g.n, tuple(x for row in entries for x in row))
+        for u, w in ((s, t), (t, s)):
+            rows[u][u] = rows[u].get(u, 0) + one
+            rows[u][w] = rows[u].get(w, 0) - one
+    return Mat.from_dicts(rows, g.n)
 
 
 def cycle_graph(m: int, labels: tuple[str, ...] | None = None) -> DualGraph:

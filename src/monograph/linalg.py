@@ -1,10 +1,11 @@
 """Exact linear algebra over the rationals.
 
 Every entry is a ``fractions.Fraction``, so nothing ever rounds: results are
-the mathematically exact values.  Matrices are immutable, stored row-major
-as one flat tuple.  The matrices this package builds (coboundary, residue
-and system matrices) have only a few nonzero entries per row, so products
-skip zero entries instead of running a dense triple loop.
+the mathematically exact values.  Matrices are immutable and store only
+their nonzero entries, row by row.  The matrices this package builds
+(coboundary, residue and system matrices) have only a few nonzero entries
+per row, so products, transposes and eliminations cost what the nonzeros
+cost, and a dense view is built only where a caller asks for one.
 
 All elimination runs through one routine, ``_eliminate``: a forward
 elimination over sparse rows of Python ints, each kept primitive (the gcd
@@ -34,6 +35,7 @@ Rational = Fraction
 Vector = tuple[Fraction, ...]
 
 _ZERO = Fraction(0)
+_ONE = Fraction(1)
 _RATIONAL_LITERAL = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
 
 
@@ -84,23 +86,33 @@ def vec(values: Iterable[int | str | Fraction]) -> Vector:
 
 @dataclass(frozen=True)
 class Mat:
-    """Immutable dense matrix of Fractions, row-major."""
+    """Immutable sparse matrix of Fractions.
+
+    Row i is stored as the tuple of its nonzero (column, entry) pairs, in
+    strictly increasing column order; no zero is ever stored, so two equal
+    matrices have equal rows and comparing them compares nonzeros only.
+    """
 
     rows: int
     cols: int
-    entries: tuple[Fraction, ...]
+    nonzero: tuple[tuple[tuple[int, Fraction], ...], ...]
 
     def __post_init__(self) -> None:
-        if self.rows < 0 or self.cols < 0:
-            raise ValueError("negative dimension")
-        if len(self.entries) != self.rows * self.cols:
-            raise ValueError("entry count %d does not match %dx%d"
-                             % (len(self.entries), self.rows, self.cols))
+        if self.cols < 0 or len(self.nonzero) != self.rows:
+            raise ValueError("%d stored rows do not make a %dx%d matrix"
+                             % (len(self.nonzero), self.rows, self.cols))
+        for i, pairs in enumerate(self.nonzero):
+            last = -1
+            for j, x in pairs:
+                if not (last < j < self.cols and x):
+                    raise ValueError("row %d: entry at column %r is zero, out of "
+                                     "order or out of range" % (i, j))
+                last = j
 
     @classmethod
     def from_rows(cls, rows: Sequence[Sequence[int | str | Fraction]],
                   cols: int | None = None) -> Mat:
-        """Build from an iterable of rows; `cols` disambiguates zero rows."""
+        """Build from dense rows; `cols` disambiguates zero rows."""
         rows = [list(r) for r in rows]
         if rows:
             ncols = len(rows[0])
@@ -110,21 +122,22 @@ class Mat:
             ncols = 0 if cols is None else cols
         if cols is not None and rows and ncols != cols:
             raise ValueError("rows have %d columns, expected %d" % (ncols, cols))
-        return cls(len(rows), ncols, tuple(rat(x) for r in rows for x in r))
+        return cls(len(rows), ncols, tuple(
+            tuple((j, x) for j, x in enumerate(map(rat, r)) if x) for r in rows))
+
+    @classmethod
+    def from_dicts(cls, rows: Sequence[dict[int, Fraction]], cols: int) -> Mat:
+        """Build from one {column: Fraction} dict per row; zeros are dropped."""
+        return cls(len(rows), cols, tuple(tuple((j, row[j]) for j in sorted(row) if row[j])
+                                          for row in rows))
 
     @classmethod
     def zeros(cls, rows: int, cols: int) -> Mat:
-        return cls(rows, cols, (_ZERO,) * (rows * cols))
+        return cls(rows, cols, ((),) * rows)
 
     @classmethod
     def identity(cls, n: int) -> Mat:
-        return cls(n, n, tuple(Fraction(1 if i == j else 0)
-                               for i in range(n) for j in range(n)))
-
-    @classmethod
-    def column(cls, values: Iterable[int | str | Fraction]) -> Mat:
-        v = vec(values)
-        return cls(len(v), 1, v)
+        return cls(n, n, tuple(((i, _ONE),) for i in range(n)))
 
     @classmethod
     def block(cls, grid: Sequence[Sequence[Mat]]) -> Mat:
@@ -140,72 +153,56 @@ class Mat:
                 if b.rows != row_heights[i] or b.cols != col_widths[j]:
                     raise DimensionMismatch("block (%d,%d) has shape %dx%d"
                                             % (i, j, b.rows, b.cols))
-        entries: list[Fraction] = []
-        for i, row in enumerate(grid):
-            for r in range(row_heights[i]):
-                for b in row:
-                    entries.extend(b.row(r))
-        return cls(sum(row_heights), sum(col_widths), tuple(entries))
+        offsets = [sum(col_widths[:j]) for j in range(len(col_widths))]
+        out = [tuple((at + j, x) for b, at in zip(row, offsets) for j, x in b.nonzero[r])
+               for i, row in enumerate(grid) for r in range(row_heights[i])]
+        return cls(sum(row_heights), sum(col_widths), tuple(out))
+
+    @property
+    def entries(self) -> tuple[Fraction, ...]:
+        """Every cell, row-major: a dense read view."""
+        return tuple(x for i in range(self.rows) for x in self.row(i))
 
     def __getitem__(self, key: tuple[int, int]) -> Fraction:
         i, j = key
         if not (0 <= i < self.rows and 0 <= j < self.cols):
             raise IndexError(key)
-        return self.entries[i * self.cols + j]
+        return self.row(i)[j]
 
     def row(self, i: int) -> Vector:
-        return self.entries[i * self.cols:(i + 1) * self.cols]
+        """Row i with its zeros: a dense read view."""
+        out = [_ZERO] * self.cols
+        for j, x in self.nonzero[i]:
+            out[j] = x
+        return tuple(out)
 
     def column_vector(self, j: int) -> Vector:
         if not 0 <= j < self.cols:
             raise IndexError(j)
-        return self.entries[j::self.cols]
+        return self.transpose().row(j)
 
     def transpose(self) -> Mat:
-        c = self.cols
-        return Mat(c, self.rows, tuple(x for j in range(c) for x in self.entries[j::c]))
-
-    def __add__(self, other: Mat) -> Mat:
-        if (self.rows, self.cols) != (other.rows, other.cols):
-            raise DimensionMismatch("add %dx%d to %dx%d"
-                                    % (self.rows, self.cols, other.rows, other.cols))
-        return Mat(self.rows, self.cols,
-                   tuple(a + b for a, b in zip(self.entries, other.entries)))
-
-    def __sub__(self, other: Mat) -> Mat:
-        return self + (-other)
-
-    def __neg__(self) -> Mat:
-        return Mat(self.rows, self.cols, tuple(-a for a in self.entries))
-
-    def scale(self, c: int | Fraction) -> Mat:
-        c = rat(c)
-        return Mat(self.rows, self.cols, tuple(c * a for a in self.entries))
+        out: list[list[tuple[int, Fraction]]] = [[] for _ in range(self.cols)]
+        for i, pairs in enumerate(self.nonzero):
+            for j, x in pairs:
+                out[j].append((i, x))
+        return Mat(self.cols, self.rows, tuple(map(tuple, out)))
 
     def __matmul__(self, other: Mat) -> Mat:
         if self.cols != other.rows:
             raise DimensionMismatch("multiply %dx%d by %dx%d"
                                     % (self.rows, self.cols, other.rows, other.cols))
-        p = other.cols
-        # the nonzero (column, entry) pairs of each row of `other`, found once
-        other_rows = [[(j, y) for j, y in enumerate(other.row(k)) if y]
-                      for k in range(other.rows)]
-        out: list[Fraction] = []
-        for i in range(self.rows):
-            acc = [_ZERO] * p
-            for x, nonzero in zip(self.row(i), other_rows):
-                if x:
-                    for j, y in nonzero:
-                        acc[j] += x * y
-            out.extend(acc)
-        return Mat(self.rows, p, tuple(out))
+        out: list[dict[int, Fraction]] = []
+        for pairs in self.nonzero:
+            acc = {}
+            for k, x in pairs:
+                for j, y in other.nonzero[k]:
+                    acc[j] = acc[j] + x * y if j in acc else x * y
+            out.append(acc)
+        return Mat.from_dicts(out, other.cols)
 
     def mul_vec(self, v: Sequence[Fraction]) -> Vector:
-        if len(v) != self.cols:
-            raise DimensionMismatch("apply %dx%d to vector of length %d"
-                                    % (self.rows, self.cols, len(v)))
-        return tuple(sum((x * y for x, y in zip(self.row(i), v) if x and y), _ZERO)
-                     for i in range(self.rows))
+        return (self @ Mat.from_rows([[x] for x in v], cols=1)).column_vector(0)
 
 
 def _combine(row: dict[int, int], prow: dict[int, int],
@@ -243,40 +240,48 @@ def _eliminate(m: Mat) -> tuple[list[dict[int, int]], list[int], Fraction]:
     The determinant value is the product of the pivots, of g / d per row,
     of h / p per update and of the sign of each row swap; it is reduced to
     lowest terms at each pivot, which keeps it about the size of a minor.
+
+    No zero cell is visited: a row waits under the column of its first
+    nonzero, and the pivot is the waiting row first in the row order.
     """
-    cols = m.cols
     work: list[dict[int, int]] = []
+    waiting: dict[int, list[int]] = {}
     num = den = 1
-    for i in range(m.rows):
-        nonzero = [(j, x) for j, x in enumerate(m.entries[i * cols:(i + 1) * cols]) if x]
-        d = lcm(*(x.denominator for _, x in nonzero))
-        row = {j: x.numerator * (d // x.denominator) for j, x in nonzero}
+    for i, pairs in enumerate(m.nonzero):
+        d = lcm(*(x.denominator for _, x in pairs))
+        row = {j: x.numerator * (d // x.denominator) for j, x in pairs}
         g = gcd(*row.values())
         num, den = num * g, den * d
         work.append({j: x // g for j, x in row.items()})
-    n = len(work)
+        if pairs:
+            waiting.setdefault(pairs[0][0], []).append(i)
+    order = list(range(len(work)))  # the row at each position
+    place = list(range(len(work)))  # the position of each row
     pivots: list[int] = []
-    for c in range(cols):
-        r = len(pivots)
-        if r == n:
-            break
-        hits = [i for i in range(r, n) if c in work[i]]
-        if not hits:
+    for c in range(m.cols):
+        hits = waiting.pop(c, None)
+        if hits is None:
             continue
-        found = hits[0]
-        if found != r:
-            work[r], work[found] = work[found], work[r]
+        r = len(pivots)
+        found = min(hits, key=place.__getitem__)
+        if place[found] != r:
+            moved = order[r]
+            order[r], order[place[found]] = found, moved
+            place[found], place[moved] = r, place[found]
             num = -num
-        prow = work[r]
+        prow = work[found]
         p = prow[c]
         num *= p
-        for i in hits[1:]:
-            work[i], h = _combine(work[i], prow, c)
-            num, den = num * h, den * p
+        for i in hits:
+            if i != found:
+                work[i], h = _combine(work[i], prow, c)
+                num, den = num * h, den * p
+                if work[i]:
+                    waiting.setdefault(min(work[i]), []).append(i)
         g = gcd(num, den)
         num, den = num // g, den // g
         pivots.append(c)
-    return work[:len(pivots)], pivots, Fraction(num, den)
+    return [work[i] for i in order[:len(pivots)]], pivots, Fraction(num, den)
 
 
 def rref(m: Mat) -> tuple[Mat, tuple[int, ...]]:
@@ -294,12 +299,10 @@ def rref(m: Mat) -> tuple[Mat, tuple[int, ...]]:
     for i in range(len(pivots) - 1, -1, -1):
         for c in [c for c in rows[i] if c != pivots[i] and c in pivot_row]:
             rows[i], _ = _combine(rows[i], rows[pivot_row[c]], c)
-    entries = [_ZERO] * (m.rows * m.cols)
-    for i, (row, c) in enumerate(zip(rows, pivots)):
-        p = row[c]
-        for j, x in row.items():
-            entries[i * m.cols + j] = Fraction(x, p)
-    return Mat(m.rows, m.cols, tuple(entries)), tuple(pivots)
+    out = [tuple((j, Fraction(row[j], row[c])) for j in sorted(row))
+           for row, c in zip(rows, pivots)]
+    out += [()] * (m.rows - len(out))
+    return Mat(m.rows, m.cols, tuple(out)), tuple(pivots)
 
 
 def rank(m: Mat) -> int:
@@ -341,23 +344,24 @@ class Subspace:
     def from_vectors(cls, ambient_dim: int,
                      vectors: Iterable[Sequence[int | str | Fraction]]) -> Subspace:
         """Span of the given vectors, canonicalized."""
-        rows = [vec(v) for v in vectors]
+        rows = [list(v) for v in vectors]
         for r in rows:
             if len(r) != ambient_dim:
                 raise DimensionMismatch("vector of length %d in ambient dimension %d"
                                         % (len(r), ambient_dim))
-        return _row_span(Mat(len(rows), ambient_dim, tuple(x for r in rows for x in r)))
+        return _row_span(Mat.from_rows(rows, cols=ambient_dim))
 
     @property
     def dim(self) -> int:
         return self.basis.cols
 
     def vectors(self) -> tuple[Vector, ...]:
-        return tuple(self.basis.column_vector(j) for j in range(self.dim))
+        columns = self.basis.transpose()
+        return tuple(columns.row(j) for j in range(self.dim))
 
     def contains(self, v: Sequence[int | str | Fraction]) -> bool:
         """Membership: v appended to the basis leaves the rank at dim."""
-        w = Mat.column(v)
+        w = Mat.from_rows([[x] for x in v], cols=1)
         if w.rows != self.ambient_dim:
             raise DimensionMismatch("vector of length %d in ambient dimension %d"
                                     % (w.rows, self.ambient_dim))
@@ -377,7 +381,7 @@ class Subspace:
         stacked = Mat.block([[self.basis, other.basis]])
         coeffs = nullspace(stacked).basis
         # the x parts are the first self.dim rows of the coefficient basis
-        x_parts = Mat(self.dim, coeffs.cols, coeffs.entries[:self.dim * coeffs.cols])
+        x_parts = Mat(self.dim, coeffs.cols, coeffs.nonzero[:self.dim])
         return colspace(self.basis @ x_parts)
 
 
@@ -387,22 +391,19 @@ def _row_span(m: Mat) -> Subspace:
         return Subspace.zero(m.cols)
     reduced, pivots = rref(m)
     k = len(pivots)
-    return Subspace(m.cols, Mat(k, m.cols, reduced.entries[:k * m.cols]).transpose())
+    return Subspace(m.cols, Mat(k, m.cols, reduced.nonzero[:k]).transpose())
 
 
 def nullspace(m: Mat) -> Subspace:
-    """Canonical basis of {x : m x = 0}."""
+    """Canonical basis of {x : m x = 0}: free column f gives 1 at f and
+    minus each reduced row's entry in column f at that row's pivot."""
     reduced, pivots = rref(m)
     pivot_set = set(pivots)
-    free = [c for c in range(m.cols) if c not in pivot_set]
-    entries: list[Fraction] = []
-    for f in free:
-        v = [_ZERO] * m.cols
-        v[f] = Fraction(1)
-        for i, p in enumerate(pivots):
-            v[p] = -reduced.entries[i * m.cols + f]
-        entries.extend(v)
-    return _row_span(Mat(len(free), m.cols, tuple(entries)))
+    vectors = {f: {f: _ONE} for f in range(m.cols) if f not in pivot_set}
+    for p, pairs in zip(pivots, reduced.nonzero):
+        for f, x in pairs[1:]:
+            vectors[f][p] = -x
+    return _row_span(Mat.from_dicts(list(vectors.values()), m.cols))
 
 
 def colspace(m: Mat) -> Subspace:

@@ -26,32 +26,30 @@ def _inverse(m: Mat) -> Mat:
 
     An upper-triangular m, which is every transition the constructors
     build, is inverted by back substitution from the last row up: row i of
-    the inverse is (e_i - sum of m[i, k] row_k over k > i) / m[i, i], with
-    the zero entries of m skipped.  Any other m is reduced as [m | I].
+    the inverse is (e_i - sum of m[i, k] row_k over k > i) / m[i, i], over
+    the nonzeros of m.  Any other m is reduced as [m | I].
     """
     n = m.rows
-    rows = [m.row(i) for i in range(n)]
-    if any(rows[i][j] for i in range(n) for j in range(i)):
+    if any(pairs and pairs[0][0] < i for i, pairs in enumerate(m.nonzero)):
         reduced, pivots = rref(Mat.block([[m, Mat.identity(n)]]))
         if pivots != tuple(range(n)):
             raise ValueError("matrix is singular")
-        return Mat(n, n, tuple(x for i in range(n) for x in reduced.row(i)[n:]))
-    zero = Fraction(0)
-    inverse: list[list[Fraction]] = [[]] * n
+        return Mat(n, n, tuple(tuple((j - n, x) for j, x in pairs if j >= n)
+                               for pairs in reduced.nonzero))
+    inverse: list[dict[int, Fraction]] = [{}] * n
     for i in reversed(range(n)):
-        pivot = rows[i][i]
-        if not pivot:
+        pairs = m.nonzero[i]
+        if not pairs or pairs[0][0] != i:
             raise ValueError("matrix is singular")
-        row = [zero] * n
-        row[i] = Fraction(1)
-        for k in range(i + 1, n):
-            a = rows[i][k]
-            if a:
-                row = [x - a * y for x, y in zip(row, inverse[k])]
+        row = {i: Fraction(1)}
+        for k, a in pairs[1:]:
+            for j, y in inverse[k].items():
+                row[j] = row[j] - a * y if j in row else -a * y
+        pivot = pairs[0][1]
         if pivot != 1:
-            row = [x / pivot for x in row]
+            row = {j: x / pivot for j, x in row.items()}
         inverse[i] = row
-    return Mat(n, n, tuple(x for row in inverse for x in row))
+    return Mat.from_dicts(inverse, n)
 
 
 @dataclass(frozen=True)
@@ -88,8 +86,10 @@ class LocalSystem:
         values = vec(gvals)
         if len(values) != g.m:
             raise ValueError("%d cocycle values for %d edges" % (len(values), g.m))
-        one, zero = Fraction(1), Fraction(0)
-        return cls(g, 2, tuple(Mat(2, 2, (one, ge, zero, one)) for ge in values))
+        one = Fraction(1)
+        # each [[1, g_e], [0, 1]] by its nonzero (column, entry) pairs
+        return cls(g, 2, tuple(Mat(2, 2, (((0, one), (1, ge)) if ge else ((0, one),),
+                                          ((1, one),))) for ge in values))
 
     def transition_inverse(self, e: int) -> Mat:
         return self._inverses[e]  # type: ignore[attr-defined]
@@ -104,7 +104,7 @@ class LocalSystem:
             raise ValueError("cochain is valued in a different system")
         bottom, one = Mat.zeros(1, self.rank), Mat.identity(1)
         return LocalSystem(self.graph, self.rank + 1, tuple(
-            Mat.block([[u, Mat.column(v)], [bottom, one]])
+            Mat.block([[u, Mat.from_rows([[x] for x in v], cols=1)], [bottom, one]])
             for u, v in zip(self.transitions, c.values)))
 
     def reorient_edge(self, e: int) -> LocalSystem:

@@ -180,32 +180,43 @@ class TestInvariantCyclesReport:
 
 
 def _block_assembly(sys):
-    """The block-grid assembly the flat one replaced: (coboundary, residue,
-    system), each built from r x r Mat blocks with Mat.block."""
+    """The block-grid assembly the sparse one replaced: (coboundary, residue,
+    system), each written cell by cell into dense r x r blocks and joined
+    with Mat.block."""
     g, r = sys.graph, sys.rank
-    zero, one = Mat.zeros(r, r), Mat.identity(r)
+
+    def dense(u, c=1):
+        return [[c * u[i, j] for j in range(r)] for i in range(r)]
+
+    def add(a, b):
+        return [[x + y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
+
+    def join(grid):
+        return Mat.block([[Mat.from_rows(b) for b in row] for row in grid])
+
+    zero, one = dense(Mat.zeros(r, r)), dense(Mat.identity(r))
     cob_grid = []
     for e, (s, t) in enumerate(g.edges):
         row = [zero] * g.n
-        row[s] = row[s] + one
-        row[t] = row[t] - sys.transitions[e]
+        row[s] = add(row[s], one)
+        row[t] = add(row[t], dense(sys.transitions[e], -1))
         cob_grid.append(row)
-    cob = Mat.block(cob_grid) if cob_grid else Mat.zeros(0, g.n * r)
+    cob = join(cob_grid) if cob_grid else Mat.zeros(0, g.n * r)
     if g.m == 0:
         residue = Mat.zeros(g.n * r, 0)
     else:
-        residue = Mat.block([
-            [one if s == u else -sys.transition_inverse(e) if t == u else zero
+        residue = join([
+            [one if s == u else dense(sys.transition_inverse(e), -1) if t == u else zero
              for e, (s, t) in enumerate(g.edges)]
             for u in range(g.n)])
     grid = [[zero] * g.n for _ in range(g.n)]
     for u in range(g.n):
         degree = sum((s == u) + (t == u) for s, t in g.edges)
-        grid[u][u] = one.scale(degree)
+        grid[u][u] = dense(Mat.identity(r), degree)
     for e, (s, t) in enumerate(g.edges):
-        grid[s][t] = grid[s][t] - sys.transitions[e]
-        grid[t][s] = grid[t][s] - sys.transition_inverse(e)
-    return cob, residue, Mat.block(grid)
+        grid[s][t] = add(grid[s][t], dense(sys.transitions[e], -1))
+        grid[t][s] = add(grid[t][s], dense(sys.transition_inverse(e), -1))
+    return cob, residue, join(grid)
 
 
 def _random_tree(rng, n):

@@ -284,6 +284,27 @@ class TestMat:
         m = random_matrix(rng, 3, 4)
         assert m.transpose().transpose() == m
 
+    @pytest.mark.parametrize("row", [
+        ((0, F(0)),), ((0, F(1)), (0, F(2))), ((1, F(1)), (0, F(2))),
+        ((2, F(1)),), ((-1, F(1)),)],
+        ids=["stored-zero", "repeated-column", "decreasing-column",
+             "column-past-end", "negative-column"])
+    def test_rejects_invalid_rows(self, row):
+        with pytest.raises(ValueError):
+            Mat(1, 2, (row,))
+
+    def test_rejects_wrong_row_count(self):
+        with pytest.raises(ValueError):
+            Mat(2, 2, (((0, F(1)),),))
+        with pytest.raises(ValueError):
+            Mat(1, 2, (F(1), F(0)))  # dense entries are not rows
+
+    def test_builders_store_nonzeros_only(self):
+        dense = Mat.from_rows([[0, 2, 0], [0, 0, 0]])
+        assert dense.nonzero == (((1, F(2)),), ())
+        assert Mat.from_dicts([{2: F(0), 1: F(2)}, {0: F(0)}], 3) == dense
+        assert dense.row(0) == (F(0), F(2), F(0)) and dense[1, 2] == 0
+
     def test_mul_vec(self):
         m = Mat.from_rows([[1, 2], [3, 4]])
         assert m.mul_vec((F(1), F(1))) == (F(3), F(7))

@@ -119,9 +119,8 @@ def oracle_colspace(m):
 
 
 def dense_matmul(a, b):
-    return Mat(a.rows, b.cols, tuple(
-        sum((a[i, k] * b[k, j] for k in range(a.cols)), F(0))
-        for i in range(a.rows) for j in range(b.cols)))
+    return Mat.from_rows([[sum((a[i, k] * b[k, j] for k in range(a.cols)), F(0))
+                           for j in range(b.cols)] for i in range(a.rows)], cols=b.cols)
 
 
 def random_entry(rng, max_den):
@@ -153,7 +152,7 @@ def random_matrix(rng, rows, cols, max_den=10 ** 6):
         else:
             row = [random_entry(rng, max_den) for _ in range(cols)]
         out.append(row)
-    return Mat(rows, cols, tuple(x for row in out for x in row))
+    return Mat.from_rows(out, cols=cols)
 
 
 def matrices(seed, count, max_size=7):
@@ -227,9 +226,10 @@ def test_sparse_products_match_dense_loop(seed):
         a, b = random_matrix(rng, n, k), random_matrix(rng, k, p)
         assert a @ b == dense_matmul(a, b)
         v = tuple(random_entry(rng, 1000) for _ in range(k))
-        assert a.mul_vec(v) == dense_matmul(a, Mat(k, 1, v)).entries
-        assert a.transpose() == Mat(k, n, tuple(a[i, j] for j in range(k)
-                                                for i in range(n)))
+        column = Mat.from_rows([[x] for x in v], cols=1)
+        assert a.mul_vec(v) == dense_matmul(a, column).entries
+        assert a.transpose() == Mat.from_rows([[a[i, j] for i in range(n)]
+                                               for j in range(k)], cols=n)
         for j in range(k):
             assert a.column_vector(j) == tuple(a[i, j] for i in range(n))
 
@@ -269,8 +269,8 @@ def low_rank_matrix(rng, rows, cols, k):
 
 def sparse_integer_matrix(rng, rows, cols):
     """Mostly zero, so most rows skip most pivots."""
-    return Mat(rows, cols, tuple(F(rng.randint(-4, 4)) if rng.random() < 0.3 else F(0)
-                                 for _ in range(rows * cols)))
+    return Mat.from_rows([[F(rng.randint(-4, 4)) if rng.random() < 0.3 else F(0)
+                           for _ in range(cols)] for _ in range(rows)], cols=cols)
 
 
 # Row 1 is zero in columns 0 and 1: it skips two pivots, is swapped down,
@@ -317,7 +317,8 @@ def test_cycle_system_matrices_match_oracles(m):
     a = cycle_system_matrix(m)
     assert_kernel_matches_oracles(a)
     # shifted off the kernel, the banded matrix has a nonzero determinant
-    shifted = a + Mat.identity(a.rows)
+    shifted = Mat.from_rows([[x + 1 if i == j else x for j, x in enumerate(a.row(i))]
+                             for i in range(a.rows)])
     assert det(shifted) == oracle_det(shifted) != 0
 
 
