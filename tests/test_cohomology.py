@@ -180,9 +180,8 @@ class TestInvariantCyclesReport:
 
 
 def _block_assembly(sys):
-    """The block-grid assembly the sparse one replaced: (coboundary, residue,
-    system), each written cell by cell into dense r x r blocks and joined
-    with Mat.block."""
+    """Dense oracle for the assemblers: (coboundary, residue, system), each
+    written cell by cell into dense r x r blocks and joined with Mat.block."""
     g, r = sys.graph, sys.rank
 
     def dense(u, c=1):
