@@ -8,14 +8,14 @@ of the exactness verdict.  The cycle-graph workbench and the `monograph`
 command line sit on top.  All arithmetic is exact over the rationals.
 """
 
-from .cohomology import (CohomologyReport, coboundary, coboundary_image,
+from .cohomology import (CohomologyReport, coboundary_image,
                          coboundary_matrix, h0, h1_dim, invariant_cycles_report,
                          obstruction, residue_constraint_matrix, residue_kernel,
                          system_matrix)
 from .graph import (DisconnectedError, DualGraph, GraphError, LoopEdgeError,
                     cycle_graph, incidence_matrix, laplacian)
-from .linalg import (Mat, Rational, Subspace, colspace, det, format_rational,
-                     nullspace, parse_rational, rank, rref, vec)
+from .linalg import (Mat, Subspace, colspace, det, nullspace, parse_rational,
+                     rank, rref, vec)
 from .localsystem import EdgeCochain, LocalSystem
 from .problem import ParseError, ProblemSpec, SystemSpec, load_problem, parse_spec, render
 from .tate import TateReport, build_tate, holonomy, tate_report
@@ -25,9 +25,9 @@ __version__ = "0.1.0"
 __all__ = [
     "CohomologyReport", "DisconnectedError", "DualGraph", "EdgeCochain",
     "GraphError", "LocalSystem", "LoopEdgeError", "Mat", "ParseError",
-    "ProblemSpec", "Rational", "Subspace", "SystemSpec", "TateReport",
-    "build_tate", "coboundary", "coboundary_image", "coboundary_matrix",
-    "colspace", "cycle_graph", "det", "format_rational", "h0", "h1_dim",
+    "ProblemSpec", "Subspace", "SystemSpec", "TateReport",
+    "build_tate", "coboundary_image", "coboundary_matrix",
+    "colspace", "cycle_graph", "det", "h0", "h1_dim",
     "holonomy", "incidence_matrix", "invariant_cycles_report", "laplacian",
     "load_problem", "nullspace", "obstruction", "parse_rational", "parse_spec",
     "rank", "render", "residue_constraint_matrix", "residue_kernel", "rref",

@@ -64,12 +64,11 @@ def random_rational(rng: random.Random, zero_weight: int = 1) -> Fraction:
 
 
 def random_connected_multigraph(rng: random.Random,
-                                min_vertices: int = 2,
                                 max_vertices: int = 12,
                                 max_parallel: int = 3) -> DualGraph:
     """Connected loop-free multigraph: a random spanning tree plus extras,
     with at most `max_parallel` edges between any two vertices."""
-    n = rng.randint(min_vertices, max_vertices)
+    n = rng.randint(2, max_vertices)
     edges: list[tuple[int, int]] = []
     multiplicity: dict[tuple[int, int], int] = {}
     for v in range(1, n):
@@ -78,8 +77,6 @@ def random_connected_multigraph(rng: random.Random,
         multiplicity[(u, v)] = 1
     extra = rng.randint(0, n)
     for _ in range(extra):
-        if n < 2:
-            break
         u, v = rng.sample(range(n), 2)
         key = (min(u, v), max(u, v))
         if multiplicity.get(key, 0) >= max_parallel:
@@ -96,7 +93,7 @@ def random_unipotent_system(rng: random.Random, g: DualGraph,
     while sys.rank < target_rank:
         values = [tuple(random_rational(rng) for _ in range(sys.rank))
                   for _ in range(g.m)]
-        sys = sys.extend_by_trivial(EdgeCochain.from_values(sys, values))
+        sys = sys.extend_by_trivial(EdgeCochain(sys, tuple(values)))
     return sys
 
 

@@ -36,10 +36,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
 
 from .linalg import Mat, Subspace, colspace, nullspace, rank
-from .localsystem import EdgeCochain, LocalSystem
+from .localsystem import LocalSystem
 
 
 def _assemble(block_rows: int, block_cols: int, r: int,
@@ -130,14 +129,6 @@ def residue_kernel(sys: LocalSystem) -> Subspace:
 def obstruction(sys: LocalSystem) -> Subspace:
     """Intersection of the coboundary image with the residue kernel."""
     return coboundary_image(sys).intersect(residue_kernel(sys))
-
-
-def coboundary(sys: LocalSystem, vertex_values: Sequence[Fraction]) -> EdgeCochain:
-    """Apply the coboundary map to flat vertex data, as an edge cochain."""
-    flat = coboundary_matrix(sys).mul_vec(vertex_values)
-    r = sys.rank
-    values = [flat[e * r:(e + 1) * r] for e in range(sys.graph.m)]
-    return EdgeCochain(sys, tuple(values))
 
 
 def _kernel_route(sys: LocalSystem) -> tuple[Mat, Mat, Subspace, Mat, Subspace]:

@@ -16,7 +16,7 @@ nonzero.  ``rank`` and ``det`` read the pivots of that pass and nothing
 more.  ``rref`` adds a back substitution with the same row operation, from
 the last pivot row upward, and builds canonical Fractions only at its
 output; ``nullspace``, ``colspace`` and ``Subspace`` are views of the
-reduced rows, and ``Subspace.contains`` is a rank test.
+reduced rows.
 
 Subspaces are kept in a canonical reduced column echelon form (pivots 1,
 pivot rows cleared, pivot rows strictly increasing left to right), which
@@ -31,7 +31,6 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import Iterable, Sequence
 
-Rational = Fraction
 Vector = tuple[Fraction, ...]
 
 _ZERO = Fraction(0)
@@ -71,13 +70,6 @@ def parse_rational(text: str) -> Fraction:
         return Fraction(text)
     except ZeroDivisionError as exc:
         raise ValueError("bad rational literal %r: %s" % (text, exc)) from None
-
-
-def format_rational(q: Fraction) -> str:
-    """Render as 'n' when integral, else 'p/q' in lowest terms."""
-    if q.denominator == 1:
-        return str(q.numerator)
-    return "%d/%d" % (q.numerator, q.denominator)
 
 
 def vec(values: Iterable[int | str | Fraction]) -> Vector:
@@ -200,9 +192,6 @@ class Mat:
                     acc[j] = acc[j] + x * y if j in acc else x * y
             out.append(acc)
         return Mat.from_dicts(out, other.cols)
-
-    def mul_vec(self, v: Sequence[Fraction]) -> Vector:
-        return (self @ Mat.from_rows([[x] for x in v], cols=1)).column_vector(0)
 
 
 def _combine(row: dict[int, int], prow: dict[int, int],
@@ -358,14 +347,6 @@ class Subspace:
     def vectors(self) -> tuple[Vector, ...]:
         columns = self.basis.transpose()
         return tuple(columns.row(j) for j in range(self.dim))
-
-    def contains(self, v: Sequence[int | str | Fraction]) -> bool:
-        """Membership: v appended to the basis leaves the rank at dim."""
-        w = Mat.from_rows([[x] for x in v], cols=1)
-        if w.rows != self.ambient_dim:
-            raise DimensionMismatch("vector of length %d in ambient dimension %d"
-                                    % (w.rows, self.ambient_dim))
-        return rank(Mat.block([[self.basis, w]])) == self.dim
 
     def intersect(self, other: Subspace) -> Subspace:
         """Intersection, via the kernel of the concatenated bases.

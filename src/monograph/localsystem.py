@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .graph import DualGraph
 from .linalg import DimensionMismatch, Mat, Vector, rref, vec
@@ -131,8 +131,3 @@ class EdgeCochain:
             if len(v) != self.system.rank:
                 raise DimensionMismatch("value on edge %d has length %d, rank is %d"
                                         % (e, len(v), self.system.rank))
-
-    @classmethod
-    def from_values(cls, system: LocalSystem,
-                    values: Iterable[Sequence[int | str | Fraction]]) -> EdgeCochain:
-        return cls(system, tuple(vec(v) for v in values))

@@ -35,7 +35,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .graph import DualGraph
-from .linalg import format_rational, parse_rational, vec
+from .linalg import parse_rational, vec
 from .localsystem import EdgeCochain, LocalSystem
 
 SYSTEM_KINDS = ("trivial", "unipotent2", "extension")
@@ -99,14 +99,14 @@ class SystemSpec:
         base_sys = self.base.build(g)
         r = self.base.rank
         values = [self.params[e * r:(e + 1) * r] for e in range(g.m)]
-        return base_sys.extend_by_trivial(EdgeCochain.from_values(base_sys, values))
+        return base_sys.extend_by_trivial(EdgeCochain(base_sys, tuple(values)))
 
     def to_json_dict(self) -> dict:
         doc: dict = {"kind": self.kind}
         if self.kind == "trivial":
             doc["rank"] = self.rank
         else:
-            doc["params"] = [format_rational(q) for q in self.params]
+            doc["params"] = list(map(str, self.params))
         if self.base is not None:
             doc["base"] = self.base.to_json_dict()
         return doc
@@ -124,7 +124,7 @@ class SystemSpec:
             rank = doc.get("rank", 1)
             if isinstance(rank, bool) or not isinstance(rank, int):
                 raise ParseError("trivial system rank must be an integer")
-            return cls("trivial", rank)
+            return cls("trivial", rank, params)
         if kind == "unipotent2":
             return cls("unipotent2", 2, params)
         if kind == "extension":
@@ -215,12 +215,12 @@ def _system_lines(system: SystemSpec) -> list[str]:
     layers = []
     node = system
     while node.kind == "extension":
-        layers.append("extend " + " ".join(format_rational(q) for q in node.params))
+        layers.append("extend " + " ".join(map(str, node.params)))
         node = node.base
     if node.kind == "trivial":
         layers.append("trivial %d" % node.rank)
     else:
-        layers.append("unipotent2 " + " ".join(format_rational(q) for q in node.params))
+        layers.append("unipotent2 " + " ".join(map(str, node.params)))
     return list(reversed(layers))
 
 
@@ -306,13 +306,13 @@ def _parse_values(tokens: list[str], lineno: int) -> tuple[Fraction, ...]:
 
 
 def load_problem(text: str) -> ProblemSpec:
-    """Accept either format: JSON if the first character is '{'.
+    """Accept either format: JSON if the first character is '{' or '['.
 
     A system chain is walked recursively here and later, so one too deep
     raises RecursionError; the command line reports it as bad input.
     """
     try:
-        if text.lstrip().startswith("{"):
+        if text.lstrip()[:1] in ("{", "["):
             return ProblemSpec.from_json_dict(json.loads(text))
         return parse_spec(text)
     except json.JSONDecodeError as exc:

@@ -16,7 +16,7 @@ from typing import Sequence
 
 from . import cohomology, tate
 from .graph import incidence_matrix, laplacian
-from .linalg import Mat, Subspace, format_rational
+from .linalg import Mat, Subspace
 from .problem import ProblemSpec
 
 GRAPH_COMMANDS = ("laplacian", "cohomology", "defect")
@@ -27,11 +27,11 @@ class InternalCheckError(RuntimeError):
 
 
 def matrix_grid(m: Mat) -> list[list[str]]:
-    return [[format_rational(x) for x in m.row(i)] for i in range(m.rows)]
+    return [list(map(str, m.row(i))) for i in range(m.rows)]
 
 
 def vector_strings(v: Sequence[Fraction]) -> list[str]:
-    return [format_rational(x) for x in v]
+    return list(map(str, v))
 
 
 def basis_grid(s: Subspace) -> list[list[str]]:
@@ -96,11 +96,11 @@ def tate_document(m: int, gvals: Sequence[Fraction]) -> dict:
             "m": r.m,
             "g": vector_strings(r.gvals),
             "system": matrix_grid(r.system),
-            "det": format_rational(r.det),
+            "det": str(r.det),
             "rank": r.rank,
             "kernel": basis_grid(r.kernel),
             "edge_images": [vector_strings(v) for v in r.edge_images],
-            "holonomy": format_rational(r.holonomy),
+            "holonomy": str(r.holonomy),
             "defect": r.defect,
             "quotient_dim": r.quotient_dim,
         },

@@ -183,6 +183,31 @@ class TestErrors:
         assert out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("system", [
+        {"kind": "trivial", "params": ["5"]},
+        {"kind": "extension", "params": ["1"],
+         "base": {"kind": "trivial", "rank": 1, "params": [0]}},
+    ], ids=["trivial", "trivial-base"])
+    def test_json_trivial_params_exit_2(self, capsys, tmp_path, system):
+        # the text form refuses `trivial 1 5`; the JSON form must not run
+        # it as `trivial 1` and drop the values
+        doc = {"vertices": ["a", "b"], "edges": [{"from": "a", "to": "b"}],
+               "system": system}
+        path = write(tmp_path, "t.json", json.dumps(doc))
+        code, out, err = run_cli(capsys, ["defect", "--input", path])
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: trivial system wants 0 values") \
+            and err.count("\n") == 1
+
+    @pytest.mark.parametrize("text", ["[1, 2]", "  []\n"])
+    def test_json_array_problem_exit_2(self, capsys, tmp_path, text):
+        path = write(tmp_path, "t.json", text)
+        code, out, err = run_cli(capsys, ["defect", "--input", path])
+        assert code == 2
+        assert out == ""
+        assert err == "error: problem must be a JSON object\n"
+
     def test_parse_error_exit_2(self, capsys, tmp_path):
         path = write(tmp_path, "bad.txt", "VERTICES\na\nEDGES\na b\n")
         code, _, err = run_cli(capsys, ["defect", "--input", path])
@@ -297,6 +322,13 @@ class TestErrors:
         assert code == 3
         assert out == ""
         assert err == "internal error: multiply 2x3 by 2x3\n"
+
+
+class TestPackage:
+    def test_star_import_binds_every_public_name(self):
+        namespace = {}
+        exec("from monograph import *", namespace)
+        assert [name for name in monograph.__all__ if name not in namespace] == []
 
 
 class TestCheck:

@@ -248,7 +248,7 @@ def _oracle_systems(seed):
         base = cycle_system(gvals)
         yield base
         values = [tuple(random_rational(rng) for _ in range(2)) for _ in range(m)]
-        yield base.extend_by_trivial(EdgeCochain.from_values(base, values))
+        yield base.extend_by_trivial(EdgeCochain(base, tuple(values)))
     for _ in range(30):
         g = random_connected_multigraph(rng, max_vertices=7)
         yield random_unipotent_system(rng, g, rng.randint(1, 3))

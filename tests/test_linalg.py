@@ -6,8 +6,7 @@ import random
 import pytest
 
 from monograph.linalg import (DimensionMismatch, Mat, Subspace, colspace, det,
-                              format_rational, nullspace, parse_rational, rank,
-                              rat, rref)
+                              nullspace, parse_rational, rank, rat, rref)
 
 F = Fraction
 
@@ -30,6 +29,11 @@ CYCLE_SYSTEM_111 = Mat.from_rows([
 TRIANGLE_LAPLACIAN = Mat.from_rows([[2, -1, -1], [-1, 2, -1], [-1, -1, 2]])
 
 
+def in_span(space, v):
+    """Membership: adding v to a spanning set leaves the subspace unchanged."""
+    return Subspace.from_vectors(space.ambient_dim, [*space.vectors(), v]) == space
+
+
 class TestRationals:
     def test_parse_integer_and_fraction(self):
         assert parse_rational("3") == F(3)
@@ -44,10 +48,6 @@ class TestRationals:
     def test_float_rejected(self):
         with pytest.raises(TypeError):
             rat(0.5)
-
-    def test_format(self):
-        assert format_rational(F(4, 2)) == "2"
-        assert format_rational(F(-1, 3)) == "-1/3"
 
 
 class TestRref:
@@ -122,8 +122,8 @@ class TestNullspace:
         kernel = nullspace(tate_report(3, (1, 2, 4)).system)
         assert kernel.dim == 2
         assert kernel == Subspace.from_vectors(6, [k_const, k_unit])
-        assert kernel.contains(k_const)
-        assert kernel.contains([rat(x) for x in k_unit])
+        assert in_span(kernel, k_const)
+        assert in_span(kernel, [rat(x) for x in k_unit])
 
 
 class TestColspace:
@@ -170,7 +170,7 @@ class TestIntersect:
             total = Subspace.from_vectors(n, a.vectors() + b.vectors())
             assert a.dim + b.dim == meet.dim + total.dim
             for v in meet.vectors():
-                assert a.contains(v) and b.contains(v)
+                assert in_span(a, v) and in_span(b, v)
 
     def test_ambient_mismatch(self):
         with pytest.raises(DimensionMismatch):
@@ -178,24 +178,12 @@ class TestIntersect:
 
 
 class TestContains:
-    def test_zero_in_zero(self):
-        assert Subspace.zero(2).contains([0, 0])
-        assert not Subspace.zero(2).contains([1, 0])
-
-    def test_scaled_vector(self):
-        assert Subspace.from_vectors(2, [[1, 1]]).contains([2, 2])
-        assert not Subspace.from_vectors(2, [[1, 1]]).contains([2, 3])
-
     def test_coboundary_image_contains_obstruction_generator(self):
         # the nonzero kernel edge image lies in the coboundary image
         from monograph.cohomology import coboundary_image
         from monograph.tate import build_tate
         _, sys = build_tate(3, (1, 2, 4))
-        assert coboundary_image(sys).contains(["1/3", 0, "1/3", 0, "-1/3", 0])
-
-    def test_length_mismatch(self):
-        with pytest.raises(DimensionMismatch):
-            Subspace.zero(2).contains([0, 0, 0])
+        assert in_span(coboundary_image(sys), ["1/3", 0, "1/3", 0, "-1/3", 0])
 
 
 class TestDet:
@@ -304,7 +292,3 @@ class TestMat:
         assert dense.nonzero == (((1, F(2)),), ())
         assert Mat.from_dicts([{2: F(0), 1: F(2)}, {0: F(0)}], 3) == dense
         assert dense.row(0) == (F(0), F(2), F(0)) and dense[1, 2] == 0
-
-    def test_mul_vec(self):
-        m = Mat.from_rows([[1, 2], [3, 4]])
-        assert m.mul_vec((F(1), F(1))) == (F(3), F(7))

@@ -227,7 +227,7 @@ def test_sparse_products_match_dense_loop(seed):
         assert a @ b == dense_matmul(a, b)
         v = tuple(random_entry(rng, 1000) for _ in range(k))
         column = Mat.from_rows([[x] for x in v], cols=1)
-        assert a.mul_vec(v) == dense_matmul(a, column).entries
+        assert a @ column == dense_matmul(a, column)
         assert a.transpose() == Mat.from_rows([[a[i, j] for i in range(n)]
                                                for j in range(k)], cols=n)
         for j in range(k):

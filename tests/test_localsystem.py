@@ -9,7 +9,7 @@ from monograph.checks import (random_connected_multigraph, random_unipotent_syst
                               random_unipotent_systems)
 from monograph.cohomology import residue_constraint_matrix
 from monograph.graph import DualGraph, cycle_graph
-from monograph.linalg import DimensionMismatch, Mat, rref, vec
+from monograph.linalg import DimensionMismatch, Mat, rref
 from monograph.localsystem import EdgeCochain, LocalSystem, _inverse
 
 from test_linalg_oracle import oracle_inverse
@@ -17,6 +17,10 @@ from test_linalg_oracle import oracle_inverse
 
 def triangle():
     return cycle_graph(3)
+
+
+def column(values):
+    return Mat.from_rows([[x] for x in values], cols=1)
 
 
 def unipotent_upper_triangular(sys):
@@ -68,12 +72,12 @@ class TestTransport:
 
     def test_trivial_is_identity(self):
         sys = LocalSystem.trivial(triangle(), 2)
-        v = vec([3, "1/2"])
-        assert sys.transitions[0].mul_vec(v) == v
+        v = column([3, "1/2"])
+        assert sys.transitions[0] @ v == v
 
     def test_unipotent_shear(self):
         sys = LocalSystem.unipotent_rank2(triangle(), (3, 0, 0))
-        assert sys.transitions[0].mul_vec(vec([1, 2])) == vec([7, 2])
+        assert sys.transitions[0] @ column([1, 2]) == column([7, 2])
 
     def test_forward_backward_roundtrip(self):
         rng = random.Random(31)
@@ -87,7 +91,7 @@ class TestTransport:
     def test_length_mismatch(self):
         sys = LocalSystem.trivial(triangle(), 2)
         with pytest.raises(DimensionMismatch):
-            sys.transitions[0].mul_vec(vec([1, 2, 3]))
+            sys.transitions[0] @ column([1, 2, 3])
 
 
 class TestSingularTransition:
@@ -101,13 +105,13 @@ class TestExtendByTrivial:
     def test_extension_of_trivial_is_unipotent(self):
         g = triangle()
         base = LocalSystem.trivial(g, 1)
-        c = EdgeCochain.from_values(base, [[1], [2], [4]])
+        c = EdgeCochain(base, [[1], [2], [4]])
         assert base.extend_by_trivial(c) == LocalSystem.unipotent_rank2(g, (1, 2, 4))
 
     def test_zero_cochain_splits(self):
         g = triangle()
         base = LocalSystem.unipotent_rank2(g, (1, 2, 4))
-        c = EdgeCochain.from_values(base, [[0, 0]] * 3)
+        c = EdgeCochain(base, [[0, 0]] * 3)
         extended = base.extend_by_trivial(c)
         for e in range(3):
             u = extended.transitions[e]
@@ -119,9 +123,9 @@ class TestExtendByTrivial:
         g = triangle()
         base = LocalSystem.trivial(g, 1)
         level1 = base.extend_by_trivial(
-            EdgeCochain.from_values(base, [[5], [7], [11]]))
+            EdgeCochain(base, [[5], [7], [11]]))
         level2 = level1.extend_by_trivial(
-            EdgeCochain.from_values(level1, [[1, 2], [3, 4], ["1/2", 0]]))
+            EdgeCochain(level1, [[1, 2], [3, 4], ["1/2", 0]]))
         assert level2.rank == 3
         assert level2.transitions[0] == Mat.from_rows([[1, 5, 1], [0, 1, 2], [0, 0, 1]])
         assert level2.transitions[1] == Mat.from_rows([[1, 7, 3], [0, 1, 4], [0, 0, 1]])
@@ -139,7 +143,7 @@ class TestExtendByTrivial:
         g = triangle()
         base = LocalSystem.trivial(g, 1)
         other = LocalSystem.unipotent_rank2(g, (1, 1, 1))
-        c = EdgeCochain.from_values(other, [[0, 0]] * 3)
+        c = EdgeCochain(other, [[0, 0]] * 3)
         with pytest.raises(ValueError):
             base.extend_by_trivial(c)
 
@@ -151,21 +155,22 @@ class TestEdgeCochain:
     def test_reversed_value(self):
         g = DualGraph(2, ((0, 1),))
         sys = LocalSystem.unipotent_rank2(g, (3,))
-        c = EdgeCochain.from_values(sys, [[1, 2]])
+        c = EdgeCochain(sys, [[1, 2]])
         # -(U^-1 (1,2)) = -((1-6, 2)) = (5, -2)
-        assert residue_constraint_matrix(sys).mul_vec(c.values[0]) == vec([1, 2, 5, -2])
+        assert residue_constraint_matrix(sys) @ column(c.values[0]) == \
+            column([1, 2, 5, -2])
 
     def test_trivial_reversal_is_negation(self):
         sys = LocalSystem.trivial(triangle(), 1)
-        c = EdgeCochain.from_values(sys, [[2], [-3], ["1/5"]])
+        c = EdgeCochain(sys, [[2], [-3], ["1/5"]])
         # only edge 1 = (1, 2): its source sees -3, its target 3
         only_edge_1 = (0, c.values[1][0], 0)
-        assert residue_constraint_matrix(sys).mul_vec(only_edge_1) == vec([0, -3, 3])
+        assert residue_constraint_matrix(sys) @ column(only_edge_1) == column([0, -3, 3])
 
     def test_wrong_shape(self):
         sys = LocalSystem.trivial(triangle(), 2)
         with pytest.raises(DimensionMismatch):
-            EdgeCochain.from_values(sys, [[1], [1], [1]])
+            EdgeCochain(sys, [[1], [1], [1]])
 
 
 class TestReorientEdge:

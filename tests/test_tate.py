@@ -13,6 +13,8 @@ from monograph.graph import GraphError
 from monograph.linalg import Mat, Subspace, det, rat, vec
 from monograph.tate import build_tate, holonomy, tate_report
 
+from test_linalg import in_span
+
 F = Fraction
 
 K_CONST = (1, 0, 1, 0, 1, 0)
@@ -64,8 +66,8 @@ class TestHolonomy:
 class TestGoldenInstances:
     def test_kernel_at_639(self):
         r = tate_report(3, (6, 3, 9))
-        assert r.kernel.contains(vec(K_CONST))
-        assert r.kernel.contains(vec([9, 1, 3, 1, 0, 1]))
+        assert in_span(r.kernel, vec(K_CONST))
+        assert in_span(r.kernel, vec([9, 1, 3, 1, 0, 1]))
         assert r.kernel == Subspace.from_vectors(6, [K_CONST, (9, 1, 3, 1, 0, 1)])
         assert second_kernel_generator(6, 3, 9) == vec([9, 1, 3, 1, 0, 1])
 
