@@ -5,7 +5,8 @@ the mathematically exact values.  Matrices are immutable and store only
 their nonzero entries, row by row.  The matrices this package builds
 (coboundary, residue and system matrices) have only a few nonzero entries
 per row, so products, transposes and eliminations cost what the nonzeros
-cost, and a dense view is built only where a caller asks for one.
+cost.  No dense view exists: ``Mat.nonzero`` is the one way to read a
+matrix, and documents render from those stored pairs.
 
 All elimination runs through one routine, ``_eliminate``: a forward
 elimination over sparse rows of Python ints, each kept primitive (the gcd
@@ -149,29 +150,6 @@ class Mat:
         out = [tuple((at + j, x) for b, at in zip(row, offsets) for j, x in b.nonzero[r])
                for i, row in enumerate(grid) for r in range(row_heights[i])]
         return cls(sum(row_heights), sum(col_widths), tuple(out))
-
-    @property
-    def entries(self) -> tuple[Fraction, ...]:
-        """Every cell, row-major: a dense read view."""
-        return tuple(x for i in range(self.rows) for x in self.row(i))
-
-    def __getitem__(self, key: tuple[int, int]) -> Fraction:
-        i, j = key
-        if not (0 <= i < self.rows and 0 <= j < self.cols):
-            raise IndexError(key)
-        return self.row(i)[j]
-
-    def row(self, i: int) -> Vector:
-        """Row i with its zeros: a dense read view."""
-        out = [_ZERO] * self.cols
-        for j, x in self.nonzero[i]:
-            out[j] = x
-        return tuple(out)
-
-    def column_vector(self, j: int) -> Vector:
-        if not 0 <= j < self.cols:
-            raise IndexError(j)
-        return self.transpose().row(j)
 
     def transpose(self) -> Mat:
         out: list[list[tuple[int, Fraction]]] = [[] for _ in range(self.cols)]
@@ -343,10 +321,6 @@ class Subspace:
     @property
     def dim(self) -> int:
         return self.basis.cols
-
-    def vectors(self) -> tuple[Vector, ...]:
-        columns = self.basis.transpose()
-        return tuple(columns.row(j) for j in range(self.dim))
 
     def intersect(self, other: Subspace) -> Subspace:
         """Intersection, via the kernel of the concatenated bases.

@@ -120,17 +120,18 @@ class SystemSpec:
         if not isinstance(params, list):
             raise ParseError("system 'params' must be a list of rationals")
         params = tuple(_json_rational(x) for x in params)
-        if kind == "trivial":
-            rank = doc.get("rank", 1)
-            if isinstance(rank, bool) or not isinstance(rank, int):
-                raise ParseError("trivial system rank must be an integer")
-            return cls("trivial", rank, params)
-        if kind == "unipotent2":
-            return cls("unipotent2", 2, params)
-        if kind == "extension":
+        if kind not in SYSTEM_KINDS:
+            raise ParseError("unknown system kind %r" % (kind,))
+        # a given rank or base goes to the constructor, which refuses one
+        # that contradicts the kind
+        base = None
+        if kind == "extension" or "base" in doc:
             base = cls.from_json_dict(doc.get("base", {}))
-            return cls("extension", base.rank + 1, params, base)
-        raise ParseError("unknown system kind %r" % (kind,))
+        rank = doc.get("rank", base.rank + 1 if kind == "extension"
+                       else 2 if kind == "unipotent2" else 1)
+        if isinstance(rank, bool) or not isinstance(rank, int):
+            raise ParseError("%s system rank must be an integer" % kind)
+        return cls(kind, rank, params, base)
 
 
 def _json_rational(x: object) -> Fraction:

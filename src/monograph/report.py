@@ -27,15 +27,19 @@ class InternalCheckError(RuntimeError):
 
 
 def matrix_grid(m: Mat) -> list[list[str]]:
-    return [list(map(str, m.row(i))) for i in range(m.rows)]
-
-
-def vector_strings(v: Sequence[Fraction]) -> list[str]:
-    return list(map(str, v))
+    """The rows of m as strings, rendered from its stored nonzeros."""
+    grid = []
+    for pairs in m.nonzero:
+        row = ["0"] * m.cols
+        for j, x in pairs:
+            row[j] = str(x)
+        grid.append(row)
+    return grid
 
 
 def basis_grid(s: Subspace) -> list[list[str]]:
-    return [vector_strings(v) for v in s.vectors()]
+    """One row per basis vector."""
+    return matrix_grid(s.basis.transpose())
 
 
 def verdict_of(defect: int) -> str:
@@ -94,12 +98,12 @@ def tate_document(m: int, gvals: Sequence[Fraction]) -> dict:
         "command": "tate",
         "tate": {
             "m": r.m,
-            "g": vector_strings(r.gvals),
+            "g": list(map(str, r.gvals)),
             "system": matrix_grid(r.system),
             "det": str(r.det),
             "rank": r.rank,
             "kernel": basis_grid(r.kernel),
-            "edge_images": [vector_strings(v) for v in r.edge_images],
+            "edge_images": matrix_grid(r.edge_images.transpose()),
             "holonomy": str(r.holonomy),
             "defect": r.defect,
             "quotient_dim": r.quotient_dim,

@@ -15,7 +15,7 @@ from typing import Sequence
 
 from .cohomology import _kernel_route
 from .graph import DualGraph, cycle_graph
-from .linalg import Mat, Subspace, Vector, vec
+from .linalg import Mat, Subspace, vec
 from .localsystem import LocalSystem
 
 
@@ -39,7 +39,11 @@ def holonomy(gvals: Sequence[Fraction]) -> Fraction:
 
 @dataclass(frozen=True)
 class TateReport:
-    """Everything the m-cycle example produces, exactly."""
+    """Everything the m-cycle example produces, exactly.
+
+    ``edge_images`` is the coboundary times the kernel basis: column j is
+    the edge-space image of kernel generator j.
+    """
 
     m: int
     gvals: tuple[Fraction, ...]
@@ -47,7 +51,7 @@ class TateReport:
     det: Fraction
     rank: int
     kernel: Subspace
-    edge_images: tuple[Vector, ...]
+    edge_images: Mat
     holonomy: Fraction
     defect: int
     quotient_dim: int
@@ -76,7 +80,7 @@ def tate_report(m: int, gvals: Sequence[int | str | Fraction]) -> TateReport:
         det=Fraction(0),
         rank=a.cols - kernel.dim,
         kernel=kernel,
-        edge_images=tuple(images.column_vector(j) for j in range(images.cols)),
+        edge_images=images,
         holonomy=holonomy(vec(gvals)),
         defect=blocked.dim,
         quotient_dim=min(blocked.dim, 1),

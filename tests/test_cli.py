@@ -18,6 +18,8 @@ from monograph.linalg import DimensionMismatch, Mat
 from monograph.problem import parse_spec
 from monograph.report import InternalCheckError
 
+from test_linalg_oracle import dense
+
 TRIANGLE_TRIVIAL = "VERTICES\nI II III\nEDGES\nI II\nII III\nI III\n"
 TRIANGLE_124 = TRIANGLE_TRIVIAL + "SYSTEM\nunipotent2 1 2 4\n"
 
@@ -200,6 +202,41 @@ class TestErrors:
         assert err.startswith("error: trivial system wants 0 values") \
             and err.count("\n") == 1
 
+    @pytest.mark.parametrize("system, message", [
+        ({"kind": "unipotent2", "rank": 7, "params": ["1"]},
+         "unipotent2 system has rank 2"),
+        ({"kind": "extension", "rank": 9, "params": ["1"], "base": {"kind": "trivial"}},
+         "extension rank must be base rank + 1"),
+        ({"kind": "trivial", "base": {"kind": "trivial"}},
+         "trivial system takes no base"),
+        ({"kind": "unipotent2", "params": ["1"], "base": {"kind": "trivial"}},
+         "unipotent2 system takes no base"),
+    ], ids=["unipotent2-rank", "extension-rank", "trivial-base", "unipotent2-base"])
+    def test_json_field_contradicting_kind_exit_2(self, capsys, tmp_path, system,
+                                                  message):
+        # the text form cannot say these, and the problem echo would drop
+        # them, so the JSON form must refuse them rather than ignore them
+        doc = {"vertices": ["a", "b"], "edges": [{"from": "a", "to": "b"}],
+               "system": system}
+        path = write(tmp_path, "t.json", json.dumps(doc))
+        code, out, err = run_cli(capsys, ["defect", "--input", path])
+        assert (code, out, err) == (2, "", "error: %s\n" % message)
+
+    @pytest.mark.parametrize("system, text", [
+        ({"kind": "unipotent2", "rank": 2, "params": ["3"]}, "unipotent2 3"),
+        ({"kind": "extension", "rank": 2, "params": ["3"], "base": {"kind": "trivial"}},
+         "trivial 1\nextend 3"),
+    ], ids=["unipotent2", "extension"])
+    def test_json_consistent_rank_matches_text(self, capsys, tmp_path, system, text):
+        doc = {"vertices": ["a", "b"], "edges": [{"from": "a", "to": "b"}],
+               "system": system}
+        json_path = write(tmp_path, "t.json", json.dumps(doc))
+        text_path = write(tmp_path, "t.txt",
+                          "VERTICES\na\nb\nEDGES\na b\nSYSTEM\n%s\n" % text)
+        from_json = run_cli(capsys, ["defect", "--input", json_path])
+        assert from_json[0] == 0
+        assert from_json == run_cli(capsys, ["defect", "--input", text_path])
+
     @pytest.mark.parametrize("text", ["[1, 2]", "  []\n"])
     def test_json_array_problem_exit_2(self, capsys, tmp_path, text):
         path = write(tmp_path, "t.json", text)
@@ -296,7 +333,7 @@ class TestErrors:
 
         def corrupted(sys):
             a = real(sys)
-            rows = [list(a.row(i)) for i in range(a.rows)]
+            rows = [list(row) for row in dense(a)]
             i, j = cell
             rows[i][j] = rows[i][j] + 1 if value == "plus one" else Fraction(value)
             return Mat.from_rows(rows)

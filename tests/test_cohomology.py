@@ -15,6 +15,8 @@ from monograph.linalg import Mat, Subspace, rank
 from monograph.localsystem import EdgeCochain, LocalSystem
 from monograph.tate import build_tate
 
+from test_linalg_oracle import dense
+
 
 def trivial_triangle():
     return LocalSystem.trivial(cycle_graph(3), 1)
@@ -184,8 +186,8 @@ def _block_assembly(sys):
     written cell by cell into dense r x r blocks and joined with Mat.block."""
     g, r = sys.graph, sys.rank
 
-    def dense(u, c=1):
-        return [[c * u[i, j] for j in range(r)] for i in range(r)]
+    def cells(u, c=1):
+        return [[c * x for x in row] for row in dense(u)]
 
     def add(a, b):
         return [[x + y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
@@ -193,28 +195,28 @@ def _block_assembly(sys):
     def join(grid):
         return Mat.block([[Mat.from_rows(b) for b in row] for row in grid])
 
-    zero, one = dense(Mat.zeros(r, r)), dense(Mat.identity(r))
+    zero, one = cells(Mat.zeros(r, r)), cells(Mat.identity(r))
     cob_grid = []
     for e, (s, t) in enumerate(g.edges):
         row = [zero] * g.n
         row[s] = add(row[s], one)
-        row[t] = add(row[t], dense(sys.transitions[e], -1))
+        row[t] = add(row[t], cells(sys.transitions[e], -1))
         cob_grid.append(row)
     cob = join(cob_grid) if cob_grid else Mat.zeros(0, g.n * r)
     if g.m == 0:
         residue = Mat.zeros(g.n * r, 0)
     else:
         residue = join([
-            [one if s == u else dense(sys.transition_inverse(e), -1) if t == u else zero
+            [one if s == u else cells(sys.transition_inverse(e), -1) if t == u else zero
              for e, (s, t) in enumerate(g.edges)]
             for u in range(g.n)])
     grid = [[zero] * g.n for _ in range(g.n)]
     for u in range(g.n):
         degree = sum((s == u) + (t == u) for s, t in g.edges)
-        grid[u][u] = dense(Mat.identity(r), degree)
+        grid[u][u] = cells(Mat.identity(r), degree)
     for e, (s, t) in enumerate(g.edges):
-        grid[s][t] = add(grid[s][t], dense(sys.transitions[e], -1))
-        grid[t][s] = add(grid[t][s], dense(sys.transition_inverse(e), -1))
+        grid[s][t] = add(grid[s][t], cells(sys.transitions[e], -1))
+        grid[t][s] = add(grid[t][s], cells(sys.transition_inverse(e), -1))
     return cob, residue, join(grid)
 
 
@@ -290,7 +292,7 @@ class TestReportMatchesOracle:
         assert any(len(set(map(frozenset, s.graph.edges))) < s.graph.m
                    for s in systems)
         assert any(x.denominator > 1 for s in systems
-                   for u in s.transitions for x in u.entries)
+                   for u in s.transitions for row in dense(u) for x in row)
         assert any(s.rank == 3 for s in systems)
         assert any(report_defect > 0 for report_defect in
                    (invariant_cycles_report(s).defect for s in systems))

@@ -30,9 +30,21 @@ from monograph.localsystem import LocalSystem, _inverse
 F = Fraction
 
 
+def dense(m):
+    """The rows of m with their zeros, as Fraction tuples.  Mat has no
+    dense view; the oracles and the tests read cells through this."""
+    out = []
+    for pairs in m.nonzero:
+        row = [F(0)] * m.cols
+        for j, x in pairs:
+            row[j] = x
+        out.append(tuple(row))
+    return out
+
+
 def oracle_rref(m):
     """Gauss-Jordan over Fraction, one pivot column at a time."""
-    work = [list(m.row(i)) for i in range(m.rows)]
+    work = [list(row) for row in dense(m)]
     pivots = []
     r = 0
     for c in range(m.cols):
@@ -60,8 +72,7 @@ def oracle_det(m):
         return F(1)
     scale = 1
     work = []
-    for i in range(n):
-        row = m.row(i)
+    for row in dense(m):
         d = lcm(*(x.denominator for x in row))
         scale *= d
         work.append([int(x * d) for x in row])
@@ -89,20 +100,20 @@ def oracle_span(ambient, vectors):
     if not vectors:
         return Mat.zeros(ambient, 0)
     reduced, pivots = oracle_rref(Mat.from_rows(vectors, cols=ambient))
-    return Mat.from_rows([reduced.row(i) for i in range(len(pivots))],
-                         cols=ambient).transpose()
+    return Mat.from_rows(dense(reduced)[:len(pivots)], cols=ambient).transpose()
 
 
 def oracle_nullspace(m, reduced_pivots=None):
     """The kernel read off the oracle RREF, or off an RREF already checked
     against it."""
     reduced, pivots = reduced_pivots or oracle_rref(m)
+    rows = dense(reduced)
     vectors = []
     for f in (c for c in range(m.cols) if c not in pivots):
         v = [F(0)] * m.cols
         v[f] = F(1)
         for i, p in enumerate(pivots):
-            v[p] = -reduced[i, f]
+            v[p] = -rows[i][f]
         vectors.append(v)
     return oracle_span(m.cols, vectors)
 
@@ -110,16 +121,18 @@ def oracle_nullspace(m, reduced_pivots=None):
 def oracle_inverse(m):
     n = m.rows
     reduced, _ = oracle_rref(Mat.block([[m, Mat.identity(n)]]))
-    return Mat.from_rows([reduced.row(i)[n:] for i in range(n)], cols=n)
+    return Mat.from_rows([row[n:] for row in dense(reduced)[:n]], cols=n)
 
 
 def oracle_colspace(m):
-    return oracle_span(m.rows, [[m[i, j] for i in range(m.rows)]
+    rows = dense(m)
+    return oracle_span(m.rows, [[rows[i][j] for i in range(m.rows)]
                                 for j in range(m.cols)])
 
 
 def dense_matmul(a, b):
-    return Mat.from_rows([[sum((a[i, k] * b[k, j] for k in range(a.cols)), F(0))
+    da, db = dense(a), dense(b)
+    return Mat.from_rows([[sum((da[i][k] * db[k][j] for k in range(a.cols)), F(0))
                            for j in range(b.cols)] for i in range(a.rows)], cols=b.cols)
 
 
@@ -166,8 +179,9 @@ def matrices(seed, count, max_size=7):
 
 def first_pivot(m):
     """The entry the elimination pivots on first, or None for m = 0."""
+    rows = dense(m)
     for j in range(m.cols):
-        column = [x for x in m.column_vector(j) if x]
+        column = [row[j] for row in rows if row[j]]
         if column:
             return column[0]
     return None
@@ -179,7 +193,7 @@ def test_random_matrices_cover_the_hard_cases():
     sample = list(matrices(0, 150))
     assert sum(rank(m) < min(m.rows, m.cols) for m in sample) > 30
     assert sum((first_pivot(m) or 0) < 0 for m in sample) > 30
-    assert max(x.denominator for m in sample for x in m.entries) > 10 ** 5
+    assert max(x.denominator for m in sample for row in dense(m) for x in row) > 10 ** 5
 
 
 @pytest.mark.parametrize("seed", range(4))
@@ -213,7 +227,7 @@ def test_nullspace_colspace_span_match_oracles(seed):
     for m in matrices(10 + seed, 100):
         assert nullspace(m).basis == oracle_nullspace(m)
         assert colspace(m).basis == oracle_colspace(m)
-        vectors = [m.row(i) for i in range(m.rows)]
+        vectors = dense(m)
         assert Subspace.from_vectors(m.cols, vectors).basis == \
             oracle_span(m.cols, vectors)
 
@@ -228,10 +242,9 @@ def test_sparse_products_match_dense_loop(seed):
         v = tuple(random_entry(rng, 1000) for _ in range(k))
         column = Mat.from_rows([[x] for x in v], cols=1)
         assert a @ column == dense_matmul(a, column)
-        assert a.transpose() == Mat.from_rows([[a[i, j] for i in range(n)]
+        da = dense(a)
+        assert a.transpose() == Mat.from_rows([[da[i][j] for i in range(n)]
                                                for j in range(k)], cols=n)
-        for j in range(k):
-            assert a.column_vector(j) == tuple(a[i, j] for i in range(n))
 
 
 def test_sympy_agrees_on_rref_rank_nullspace_det():
@@ -239,12 +252,12 @@ def test_sympy_agrees_on_rref_rank_nullspace_det():
     for m in matrices(300, 60, max_size=5):
         if not (m.rows and m.cols):
             continue
-        s = sympy.Matrix(m.rows, m.cols,
-                         [sympy.Rational(x.numerator, x.denominator) for x in m.entries])
+        s = to_sympy(sympy, m)
         s_reduced, s_pivots = s.rref()
         reduced, pivots = rref(m)
         assert pivots == tuple(s_pivots)
-        assert reduced.entries == tuple(F(int(x.p), int(x.q)) for x in s_reduced)
+        assert [x for row in dense(reduced) for x in row] == \
+            [F(int(x.p), int(x.q)) for x in s_reduced]
         assert rank(m) == s.rank()
         assert nullspace(m).dim == len(s.nullspace())
         if m.rows == m.cols:
@@ -317,8 +330,8 @@ def test_cycle_system_matrices_match_oracles(m):
     a = cycle_system_matrix(m)
     assert_kernel_matches_oracles(a)
     # shifted off the kernel, the banded matrix has a nonzero determinant
-    shifted = Mat.from_rows([[x + 1 if i == j else x for j, x in enumerate(a.row(i))]
-                             for i in range(a.rows)])
+    shifted = Mat.from_rows([[x + 1 if i == j else x for j, x in enumerate(row)]
+                             for i, row in enumerate(dense(a))])
     assert det(shifted) == oracle_det(shifted) != 0
 
 
@@ -369,8 +382,8 @@ def test_empty_and_zero_matrices():
 
 
 def to_sympy(sympy, m):
-    return sympy.Matrix(m.rows, m.cols,
-                        [sympy.Rational(x.numerator, x.denominator) for x in m.entries])
+    return sympy.Matrix(m.rows, m.cols, [sympy.Rational(x.numerator, x.denominator)
+                                         for row in dense(m) for x in row])
 
 
 def test_sympy_agrees_on_structured_matrices():
@@ -384,7 +397,8 @@ def test_sympy_agrees_on_structured_matrices():
         s_reduced, s_pivots = s.rref()
         reduced, pivots = rref(m)
         assert pivots == tuple(s_pivots)
-        assert reduced.entries == tuple(F(int(x.p), int(x.q)) for x in s_reduced)
+        assert [x for row in dense(reduced) for x in row] == \
+            [F(int(x.p), int(x.q)) for x in s_reduced]
         assert rank(m) == s.rank()
         assert nullspace(m).dim == len(s.nullspace())
         if m.rows == m.cols:

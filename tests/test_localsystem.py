@@ -12,7 +12,7 @@ from monograph.graph import DualGraph, cycle_graph
 from monograph.linalg import DimensionMismatch, Mat, rref
 from monograph.localsystem import EdgeCochain, LocalSystem, _inverse
 
-from test_linalg_oracle import oracle_inverse
+from test_linalg_oracle import dense, oracle_inverse
 
 
 def triangle():
@@ -24,7 +24,7 @@ def column(values):
 
 
 def unipotent_upper_triangular(sys):
-    return all(u[i, j] == (1 if i == j else 0)
+    return all(dense(u)[i][j] == (1 if i == j else 0)
                for u in sys.transitions
                for i in range(sys.rank) for j in range(i + 1))
 
@@ -115,7 +115,8 @@ class TestExtendByTrivial:
         extended = base.extend_by_trivial(c)
         for e in range(3):
             u = extended.transitions[e]
-            assert u[0, 2] == 0 and u[1, 2] == 0 and u[2, 2] == 1
+            cells = dense(u)
+            assert cells[0][2] == 0 and cells[1][2] == 0 and cells[2][2] == 1
 
     def test_iterated_extension_rank3(self):
         # block-multiplication oracle: layering (5,7,11) then the 2-vectors

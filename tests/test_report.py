@@ -5,8 +5,12 @@ import json
 import pytest
 
 from monograph.graph import DisconnectedError, LoopEdgeError
+from monograph.linalg import Subspace, colspace, nullspace
 from monograph.problem import ProblemSpec, SystemSpec, parse_spec
-from monograph.report import render_pretty, run, tate_document, to_json
+from monograph.report import (basis_grid, matrix_grid, render_pretty, run,
+                              tate_document, to_json)
+
+from test_linalg_oracle import dense, matrices
 
 TRIANGLE = parse_spec("VERTICES\nI II III\nEDGES\nI II\nII III\nI III\n")
 
@@ -51,12 +55,42 @@ class TestRun:
         assert to_json(doc).endswith("\n")
 
 
+class TestGrids:
+    """Grids render from the stored nonzeros; on every shape they must read
+    as the dense rows would."""
+
+    @pytest.mark.parametrize("seed", range(2))
+    def test_matrix_grid_matches_dense_rows(self, seed):
+        sample = list(matrices(seed, 150))
+        assert {(m.rows, m.cols) for m in sample} >= {(0, 0), (0, 4), (4, 0)}
+        for m in sample:
+            assert matrix_grid(m) == [[str(x) for x in row] for row in dense(m)]
+
+    def test_basis_grid_has_one_row_per_basis_vector(self):
+        for m in matrices(2, 100):
+            for space in (nullspace(m), colspace(m)):
+                assert basis_grid(space) == \
+                    [[str(x) for x in row] for row in dense(space.basis.transpose())]
+
+    @pytest.mark.parametrize("n", [0, 1, 4])
+    def test_zero_subspace_has_no_rows(self, n):
+        assert basis_grid(Subspace.zero(n)) == []
+
+
 class TestTateDocument:
     def test_golden(self):
         doc = tate_document(3, tuple(map(int, (1, 1, 1))))
         assert doc["tate"]["rank"] == 4
         assert doc["tate"]["holonomy"] == "1"
         assert doc["verdict"] == "defect 1"
+
+    def test_constant_section_image_renders_as_zeros(self):
+        # the first kernel generator is the constant section, whose edge
+        # image has no stored entry at all
+        t = tate_document(3, (1, 2, 4))["tate"]
+        assert t["kernel"][0] == ["1", "0", "1", "0", "1", "0"]
+        assert t["edge_images"][0] == ["0"] * 6
+        assert t["edge_images"][1] != ["0"] * 6
 
 
 class TestRenderPretty:
