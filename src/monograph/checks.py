@@ -20,7 +20,8 @@ from .cohomology import (coboundary_image, coboundary_matrix, h0, h1_dim,
                          residue_constraint_matrix, residue_kernel, system_matrix)
 from .graph import DualGraph, incidence_matrix, laplacian
 from .linalg import Mat, Subspace, nullspace, rank
-from .localsystem import EdgeCochain, LocalSystem
+from .localsystem import LocalSystem
+from .problem import SystemSpec
 from .tate import build_tate, holonomy, tate_report
 
 
@@ -89,12 +90,9 @@ def random_connected_multigraph(rng: random.Random,
 def random_unipotent_system(rng: random.Random, g: DualGraph,
                             target_rank: int) -> LocalSystem:
     """Iterated extensions of the trivial rank-1 system, up to target_rank."""
-    sys = LocalSystem.trivial(g, 1)
-    while sys.rank < target_rank:
-        values = [tuple(random_rational(rng) for _ in range(sys.rank))
-                  for _ in range(g.m)]
-        sys = sys.extend_by_trivial(EdgeCochain(sys, tuple(values)))
-    return sys
+    layers = [[random_rational(rng) for _ in range(g.m * r)]
+              for r in range(1, target_rank)]
+    return SystemSpec("trivial", 1, (), layers).build(g)
 
 
 def random_unipotent_systems(rng: random.Random, count: int) -> Iterator[LocalSystem]:

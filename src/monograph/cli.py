@@ -9,7 +9,7 @@
 Machine output (the default) is a single JSON document on stdout with a
 one-line summary on stderr; --pretty replaces it with a human-readable
 report.  Exit status: 0 on success, 2 on a parse or validation error
-(including a system chain nested too deeply to walk), 3 on an internal
+(including a system chain longer than the layer limit), 3 on an internal
 invariant violation or shape mismatch (which indicates a bug) or a failed
 check.
 """
@@ -91,13 +91,8 @@ def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         if args.command in GRAPH_COMMANDS:
-            try:
-                problem = load_problem(_read_input(args.input))
-                _emit(run(problem, args.command), args.pretty)
-            except RecursionError:
-                # only a problem's system chain nests: loading, building
-                # and serializing all walk it
-                raise ParseError("system is nested too deeply") from None
+            problem = load_problem(_read_input(args.input))
+            _emit(run(problem, args.command), args.pretty)
         elif args.command == "tate":
             gvals = tuple(parse_rational(t) for t in args.g.split(","))
             _emit(tate_document(args.ord, gvals), args.pretty)

@@ -22,7 +22,11 @@ Two equivalent on-disk forms are supported and produce identical specs:
   one value per edge per current rank, edge-major.  Omitting SYSTEM means
   ``trivial 1``.
 
-* a JSON object with the same content (see ``ProblemSpec.to_json_dict``).
+* a JSON object with the same content (see ``ProblemSpec.to_json_dict``),
+  each extension layer an ``"extension"`` object around its ``"base"``.
+
+Both become one flat ``SystemSpec``: the base line, then the extension
+layers innermost first, at most ``MAX_LAYERS`` of them.
 
 Rationals are written as integers or ``p/q``; decimal literals are rejected
 so no inexact value can enter.
@@ -38,7 +42,8 @@ from .graph import DualGraph
 from .linalg import parse_rational, vec
 from .localsystem import EdgeCochain, LocalSystem
 
-SYSTEM_KINDS = ("trivial", "unipotent2", "extension")
+BASE_KINDS = ("trivial", "unipotent2")
+MAX_LAYERS = 512
 
 
 class ParseError(ValueError):
@@ -52,86 +57,92 @@ class ParseError(ValueError):
 
 @dataclass(frozen=True)
 class SystemSpec:
-    """Recipe for a coefficient system on a yet-unbuilt graph."""
+    """Recipe for a coefficient system on a yet-unbuilt graph: a base of
+    rank ``rank``, then one trivial extension per entry of ``layers``; the
+    layer over rank r holds r values per edge, edge-major."""
 
     kind: str
     rank: int
     params: tuple[Fraction, ...] = ()
-    base: SystemSpec | None = None
+    layers: tuple[tuple[Fraction, ...], ...] = ()
 
     def __post_init__(self) -> None:
-        if self.kind not in SYSTEM_KINDS:
+        if self.kind not in BASE_KINDS:
             raise ParseError("unknown system kind %r" % (self.kind,))
         object.__setattr__(self, "params", vec(self.params))
+        object.__setattr__(self, "layers", tuple(map(vec, self.layers)))
         if self.rank < 1:
             raise ParseError("system rank must be >= 1")
-        if self.kind == "extension":
-            if self.base is None:
-                raise ParseError("extension needs a base system")
-            if self.rank != self.base.rank + 1:
-                raise ParseError("extension rank must be base rank + 1")
-        elif self.base is not None:
-            raise ParseError("%s system takes no base" % self.kind)
         if self.kind == "unipotent2" and self.rank != 2:
             raise ParseError("unipotent2 system has rank 2")
-
-    def expected_params(self, n_edges: int) -> int:
-        if self.kind == "trivial":
-            return 0
-        if self.kind == "unipotent2":
-            return n_edges
-        return n_edges * self.base.rank
+        if len(self.layers) > MAX_LAYERS:
+            raise ParseError("system has %d extension layers; the limit is %d"
+                             % (len(self.layers), MAX_LAYERS))
 
     def check_params(self, n_edges: int) -> None:
-        want = self.expected_params(n_edges)
-        if len(self.params) != want:
-            raise ParseError("%s system wants %d values for %d edges, got %d"
-                             % (self.kind, want, n_edges, len(self.params)))
-        if self.base is not None:
-            self.base.check_params(n_edges)
+        counts = [(self.kind, n_edges if self.kind == "unipotent2" else 0,
+                   self.params)]
+        counts += [("extension", n_edges * r, values)
+                   for r, values in enumerate(self.layers, self.rank)]
+        for kind, want, values in reversed(counts):
+            if len(values) != want:
+                raise ParseError("%s system wants %d values for %d edges, got %d"
+                                 % (kind, want, n_edges, len(values)))
 
     def build(self, g: DualGraph) -> LocalSystem:
         self.check_params(g.m)
         if self.kind == "trivial":
-            return LocalSystem.trivial(g, self.rank)
-        if self.kind == "unipotent2":
-            return LocalSystem.unipotent_rank2(g, self.params)
-        base_sys = self.base.build(g)
-        r = self.base.rank
-        values = [self.params[e * r:(e + 1) * r] for e in range(g.m)]
-        return base_sys.extend_by_trivial(EdgeCochain(base_sys, tuple(values)))
+            system = LocalSystem.trivial(g, self.rank)
+        else:
+            system = LocalSystem.unipotent_rank2(g, self.params)
+        for r, values in enumerate(self.layers, self.rank):
+            system = system.extend_by_trivial(EdgeCochain(
+                system, tuple(values[e * r:(e + 1) * r] for e in range(g.m))))
+        return system
 
     def to_json_dict(self) -> dict:
-        doc: dict = {"kind": self.kind}
         if self.kind == "trivial":
-            doc["rank"] = self.rank
+            doc = {"kind": "trivial", "rank": self.rank}
         else:
-            doc["params"] = list(map(str, self.params))
-        if self.base is not None:
-            doc["base"] = self.base.to_json_dict()
+            doc = {"kind": "unipotent2", "params": list(map(str, self.params))}
+        for values in self.layers:
+            doc = {"kind": "extension", "params": list(map(str, values)),
+                   "base": doc}
         return doc
 
     @classmethod
     def from_json_dict(cls, doc: dict) -> SystemSpec:
-        if not isinstance(doc, dict) or "kind" not in doc:
-            raise ParseError("system must be an object with a 'kind'")
-        kind = doc["kind"]
-        params = doc.get("params", [])
-        if not isinstance(params, list):
-            raise ParseError("system 'params' must be a list of rationals")
-        params = tuple(_json_rational(x) for x in params)
-        if kind not in SYSTEM_KINDS:
-            raise ParseError("unknown system kind %r" % (kind,))
-        # a given rank or base goes to the constructor, which refuses one
-        # that contradicts the kind
-        base = None
-        if kind == "extension" or "base" in doc:
-            base = cls.from_json_dict(doc.get("base", {}))
-        rank = doc.get("rank", base.rank + 1 if kind == "extension"
-                       else 2 if kind == "unipotent2" else 1)
-        if isinstance(rank, bool) or not isinstance(rank, int):
-            raise ParseError("%s system rank must be an integer" % kind)
-        return cls(kind, rank, params, base)
+        chain = []  # (given rank or None, params) per layer, outermost first
+        while True:
+            if not isinstance(doc, dict) or "kind" not in doc:
+                raise ParseError("system must be an object with a 'kind'")
+            _check_keys(doc, ("kind", "rank", "params", "base"), "system")
+            kind, rank, params = doc["kind"], doc.get("rank"), doc.get("params", [])
+            if not isinstance(params, list):
+                raise ParseError("system 'params' must be a list of rationals")
+            params = tuple(_json_rational(x) for x in params)
+            if kind not in BASE_KINDS + ("extension",):
+                raise ParseError("unknown system kind %r" % (kind,))
+            if "rank" in doc and (isinstance(rank, bool) or not isinstance(rank, int)):
+                raise ParseError("%s system rank must be an integer" % kind)
+            if kind != "extension":
+                break
+            chain.append((rank, params))
+            doc = doc.get("base", {})
+        if "base" in doc:
+            raise ParseError("%s system takes no base" % kind)
+        if rank is None:
+            rank = 2 if kind == "unipotent2" else 1
+        spec = cls(kind, rank, params, tuple(p for _, p in reversed(chain)))
+        if any(r not in (None, rank + i) for i, (r, _) in enumerate(reversed(chain), 1)):
+            raise ParseError("extension rank must be base rank + 1")
+        return spec
+
+
+def _check_keys(doc: dict, known: tuple[str, ...], what: str) -> None:
+    for key in doc:
+        if key not in known:
+            raise ParseError("unknown key %r in %s" % (key, what))
 
 
 def _json_rational(x: object) -> Fraction:
@@ -192,6 +203,7 @@ class ProblemSpec:
     def from_json_dict(cls, doc: dict) -> ProblemSpec:
         if not isinstance(doc, dict):
             raise ParseError("problem must be a JSON object")
+        _check_keys(doc, ("vertices", "edges", "system"), "problem")
         vertices = doc.get("vertices")
         if not isinstance(vertices, list) or not all(isinstance(v, str) for v in vertices):
             raise ParseError("'vertices' must be a list of names")
@@ -202,6 +214,7 @@ class ProblemSpec:
         for item in items:
             if not (isinstance(item, dict) and "from" in item and "to" in item):
                 raise ParseError("each edge needs 'from' and 'to'")
+            _check_keys(item, ("from", "to"), "edge")
             edge = (item["from"], item["to"])
             if not all(isinstance(name, str) for name in edge):
                 raise ParseError("edge endpoints must be vertex names")
@@ -212,19 +225,6 @@ class ProblemSpec:
         return cls(tuple(vertices), tuple(edges), spec_system)
 
 
-def _system_lines(system: SystemSpec) -> list[str]:
-    layers = []
-    node = system
-    while node.kind == "extension":
-        layers.append("extend " + " ".join(map(str, node.params)))
-        node = node.base
-    if node.kind == "trivial":
-        layers.append("trivial %d" % node.rank)
-    else:
-        layers.append("unipotent2 " + " ".join(map(str, node.params)))
-    return list(reversed(layers))
-
-
 def render(spec: ProblemSpec) -> str:
     """Text form; parse_spec(render(spec)) == spec."""
     lines = ["VERTICES"]
@@ -232,7 +232,12 @@ def render(spec: ProblemSpec) -> str:
     lines.append("EDGES")
     lines.extend("%s %s" % (a, b) for a, b in spec.edges)
     lines.append("SYSTEM")
-    lines.extend(_system_lines(spec.system))
+    system = spec.system
+    if system.kind == "trivial":
+        lines.append("trivial %d" % system.rank)
+    else:
+        lines.append("unipotent2 " + " ".join(map(str, system.params)))
+    lines.extend("extend " + " ".join(map(str, values)) for values in system.layers)
     return "\n".join(lines) + "\n"
 
 
@@ -275,28 +280,28 @@ def _parse_system_lines(system_lines: list[tuple[int, list[str]]],
         if len(args) != 1 or not (args[0].isascii() and args[0].isdigit()) \
                 or int(args[0]) < 1:
             raise ParseError("trivial takes one positive integer rank", lineno)
-        system = SystemSpec("trivial", int(args[0]))
+        rank, params = int(args[0]), ()
     elif head == "unipotent2":
-        values = _parse_values(args, lineno)
-        if len(values) != n_edges:
+        params = _parse_values(args, lineno)
+        if len(params) != n_edges:
             raise ParseError("unipotent2 takes one value per edge (%d), got %d"
-                             % (n_edges, len(values)), lineno)
-        system = SystemSpec("unipotent2", 2, values)
+                             % (n_edges, len(params)), lineno)
+        rank = 2
     elif head == "extend":
         raise ParseError("extend needs a trivial or unipotent2 line first", lineno)
     else:
         raise ParseError("unknown system kind %r" % head, lineno)
-    for lineno, tokens in system_lines[1:]:
+    layers = []
+    for r, (lineno, tokens) in enumerate(system_lines[1:], rank):
         if tokens[0] != "extend":
             raise ParseError("only extend lines may follow the first system line",
                              lineno)
         values = _parse_values(tokens[1:], lineno)
-        if len(values) != n_edges * system.rank:
+        if len(values) != n_edges * r:
             raise ParseError("extend takes %d values here (%d per edge), got %d"
-                             % (n_edges * system.rank, system.rank, len(values)),
-                             lineno)
-        system = SystemSpec("extension", system.rank + 1, values, base=system)
-    return system
+                             % (n_edges * r, r, len(values)), lineno)
+        layers.append(values)
+    return SystemSpec(head, rank, params, tuple(layers))
 
 
 def _parse_values(tokens: list[str], lineno: int) -> tuple[Fraction, ...]:
@@ -307,14 +312,14 @@ def _parse_values(tokens: list[str], lineno: int) -> tuple[Fraction, ...]:
 
 
 def load_problem(text: str) -> ProblemSpec:
-    """Accept either format: JSON if the first character is '{' or '['.
-
-    A system chain is walked recursively here and later, so one too deep
-    raises RecursionError; the command line reports it as bad input.
-    """
-    try:
-        if text.lstrip()[:1] in ("{", "["):
-            return ProblemSpec.from_json_dict(json.loads(text))
+    """Accept either format: JSON if the first character is '{' or '['."""
+    if text.lstrip()[:1] not in ("{", "["):
         return parse_spec(text)
+    try:
+        doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError("invalid JSON: %s" % exc) from None
+    except RecursionError:
+        # the decoder recurses once per nesting level of the input
+        raise ParseError("JSON is nested too deeply") from None
+    return ProblemSpec.from_json_dict(doc)

@@ -15,7 +15,7 @@ import monograph
 from monograph import checks, cohomology, report
 from monograph.cli import _build_parser, main
 from monograph.linalg import DimensionMismatch, Mat
-from monograph.problem import parse_spec
+from monograph.problem import MAX_LAYERS, parse_spec
 from monograph.report import InternalCheckError
 
 from test_linalg_oracle import dense
@@ -211,7 +211,14 @@ class TestErrors:
          "trivial system takes no base"),
         ({"kind": "unipotent2", "params": ["1"], "base": {"kind": "trivial"}},
          "unipotent2 system takes no base"),
-    ], ids=["unipotent2-rank", "extension-rank", "trivial-base", "unipotent2-base"])
+        ({"kind": "extension", "rank": 2, "params": ["1", "1"],
+          "base": {"kind": "extension", "params": ["5"], "base": {"kind": "trivial"}}},
+         "extension rank must be base rank + 1"),
+        ({"kind": "extension", "rank": 4, "params": ["1", "1"],
+          "base": {"kind": "extension", "params": ["5"], "base": {"kind": "trivial"}}},
+         "extension rank must be base rank + 1"),
+    ], ids=["unipotent2-rank", "extension-rank", "trivial-base", "unipotent2-base",
+            "outer-extension-rank-low", "outer-extension-rank-high"])
     def test_json_field_contradicting_kind_exit_2(self, capsys, tmp_path, system,
                                                   message):
         # the text form cannot say these, and the problem echo would drop
@@ -222,11 +229,36 @@ class TestErrors:
         code, out, err = run_cli(capsys, ["defect", "--input", path])
         assert (code, out, err) == (2, "", "error: %s\n" % message)
 
+    @pytest.mark.parametrize("doc, message", [
+        ({"vertices": ["a", "b"], "edges": [{"from": "a", "to": "b"}],
+          "system": {"kind": "trivial", "rnak": 3}},
+         "unknown key 'rnak' in system"),
+        ({"vertices": ["a", "b"], "edge": [{"from": "a", "to": "b"}]},
+         "unknown key 'edge' in problem"),
+        ({"vertices": ["a"], "edge": []}, "unknown key 'edge' in problem"),
+        ({"vertices": ["a", "b"], "edges": [{"from": "a", "to": "b", "weight": 2}]},
+         "unknown key 'weight' in edge"),
+        ({"vertices": ["a", "b"], "edges": [{"from": "a", "to": "b"}],
+          "system": {"kind": "extension", "params": ["1"],
+                     "base": {"kind": "trivial", "rank": 1, "label": "x"}}},
+         "unknown key 'label' in system"),
+    ], ids=["system-rnak", "problem-edge", "problem-edge-one-vertex", "edge-weight",
+            "base-label"])
+    def test_json_unknown_key_exit_2(self, capsys, tmp_path, doc, message):
+        # a misspelt or unsupported key must not run as if it were absent
+        path = write(tmp_path, "t.json", json.dumps(doc))
+        code, out, err = run_cli(capsys, ["defect", "--input", path])
+        assert (code, out, err) == (2, "", "error: %s\n" % message)
+
     @pytest.mark.parametrize("system, text", [
         ({"kind": "unipotent2", "rank": 2, "params": ["3"]}, "unipotent2 3"),
         ({"kind": "extension", "rank": 2, "params": ["3"], "base": {"kind": "trivial"}},
          "trivial 1\nextend 3"),
-    ], ids=["unipotent2", "extension"])
+        ({"kind": "extension", "rank": 4, "params": ["1", "2", "3"],
+          "base": {"kind": "extension", "rank": 3, "params": ["4", "5"],
+                   "base": {"kind": "unipotent2", "rank": 2, "params": ["6"]}}},
+         "unipotent2 6\nextend 4 5\nextend 1 2 3"),
+    ], ids=["unipotent2", "extension", "extension-chain"])
     def test_json_consistent_rank_matches_text(self, capsys, tmp_path, system, text):
         doc = {"vertices": ["a", "b"], "edges": [{"from": "a", "to": "b"}],
                "system": system}
@@ -259,17 +291,23 @@ class TestErrors:
         ("deep.txt", "VERTICES\na\nSYSTEM\ntrivial 1\n" + "extend\n" * 1200),
     ])
     def test_system_nested_1200_deep_exit_2(self, capsys, tmp_path, name, text):
+        # 1200 layers are over the cap; where the interpreter's JSON decoder
+        # stops short of 1200 nesting levels, it refuses the file first
+        expected = "error: system has 1200 extension layers; the limit is 512\n"
+        if name == "deep.json":
+            try:
+                json.loads(text)
+            except RecursionError:
+                expected = "error: JSON is nested too deeply\n"
         path = write(tmp_path, name, text)
         code, out, err = run_cli(capsys, ["defect", "--input", path])
-        assert code == 2
-        assert out == ""
-        assert err == "error: system is nested too deeply\n"
+        assert (code, out, err) == (2, "", expected)
 
     @pytest.mark.parametrize("form", ["text", "json"])
-    def test_every_chain_depth_exits_0_or_2(self, capsys, monkeypatch, form):
-        # a chain that loads can still be too deep for building or
-        # serializing; under a limit 40 frames above this one, every depth
-        # from 0 to 49 exits 0 (shallow) or 2 (deep), never with a traceback
+    def test_layer_cap_boundary(self, capsys, monkeypatch, form):
+        # MAX_LAYERS layers run even with 300 frames of caller above main at
+        # the default recursion limit; one more layer is refused in both
+        # forms with the same message
         def problem(k):
             if form == "text":
                 return "VERTICES\na\nSYSTEM\ntrivial 1\n" + "extend\n" * k
@@ -277,23 +315,21 @@ class TestErrors:
                     + '{"kind": "extension", "params": [], "base": ' * k
                     + '{"kind": "trivial"}' + "}" * (k + 1))
 
-        frame, depth = sys._getframe(), 0
-        while frame:
-            frame, depth = frame.f_back, depth + 1
-        codes = []
-        limit = sys.getrecursionlimit()
-        sys.setrecursionlimit(depth + 40)
-        try:
-            for k in range(50):
-                monkeypatch.setattr("sys.stdin", io.StringIO(problem(k)))
-                code = main(["defect"])
-                out, err = capsys.readouterr()
-                if code == 2:
-                    assert (out, err) == ("", "error: system is nested too deeply\n")
-                codes.append(code)
-        finally:
-            sys.setrecursionlimit(limit)
-        assert codes == sorted(codes) and codes[0] == 0 and codes[-1] == 2
+        def deep_main(depth):
+            return main(["defect"]) if depth == 0 else deep_main(depth - 1)
+
+        assert sys.getrecursionlimit() == 1000
+        monkeypatch.setattr("sys.stdin", io.StringIO(problem(MAX_LAYERS)))
+        code = deep_main(300)
+        out, err = capsys.readouterr()
+        assert (code, err) == (0, "verdict: exact\n")
+        assert json.loads(out)["dims"]["rank"] == MAX_LAYERS + 1
+        monkeypatch.setattr("sys.stdin", io.StringIO(problem(MAX_LAYERS + 1)))
+        code = main(["defect"])
+        out, err = capsys.readouterr()
+        assert (code, out) == (2, "")
+        assert err == "error: system has %d extension layers; the limit is %d\n" \
+            % (MAX_LAYERS + 1, MAX_LAYERS)
 
     def test_disconnected_exit_2(self, capsys, tmp_path):
         path = write(tmp_path, "bad.txt", "VERTICES\na b c\nEDGES\na b\n")

@@ -1,14 +1,18 @@
 """Pinned stdout of high-rank and long-cycle documents.
 
-The benchmark workloads reach rank 3 and the 32-cycle at most.  These
-documents have rank up to 40, where the kernel and H0 maps of the report
-work on many basis vectors at once, or live on the 64-cycle, where the
-banded system matrix is 128 x 128; their stdout is pinned by sha256 so any
-change to the elimination, the products or those maps that alters a single
-output byte fails here.
+The benchmark workloads reach rank 3, the 32-cycle and two extension
+layers at most.  These documents have rank up to 40, where the kernel and
+H0 maps of the report work on many basis vectors at once, or live on the
+64-cycle, where the banded system matrix is 128 x 128, or carry a long
+extension chain: six layers over the triangle, in the text and the JSON
+form, and the 512 layers the chain cap allows.  Their stdout is pinned by
+sha256 so any change to the elimination, the products, those maps or the
+chain walk that alters a single output byte fails here.
 """
 
 import hashlib
+import json
+from fractions import Fraction
 
 import pytest
 
@@ -30,6 +34,29 @@ CYCLE_64 = ("VERTICES\n" + "".join("v%d\n" % i for i in range(64))
             + "EDGES\n" + "".join("v%d v%d\n" % (i, i + 1) for i in range(63))
             + "v0 v63\nSYSTEM\nunipotent2 " + " ".join(map(str, CYCLE_64_G)) + "\n")
 
+# the triangle's unipotent2 system extended six times: the layer k over
+# rank r = k + 2 carries the 3r values ((5i + 3k) mod 7 - 3) / (k + 1)
+CHAIN_LAYERS = [[Fraction((5 * i + 3 * k) % 7 - 3, k + 1) for i in range(3 * (k + 2))]
+                for k in range(6)]
+TRIANGLE_CHAIN = (TRIANGLE + "SYSTEM\nunipotent2 1 2 4\n"
+                  + "".join("extend %s\n" % " ".join(map(str, layer))
+                            for layer in CHAIN_LAYERS))
+
+
+def _triangle_chain_json() -> str:
+    system = {"kind": "unipotent2", "params": ["1", "2", "4"]}
+    for layer in CHAIN_LAYERS:
+        system = {"kind": "extension", "params": list(map(str, layer)),
+                  "base": system}
+    return json.dumps({"vertices": ["I", "II", "III"],
+                       "edges": [{"from": "I", "to": "II"},
+                                 {"from": "II", "to": "III"},
+                                 {"from": "I", "to": "III"}],
+                       "system": system})
+
+
+TRIANGLE_CHAIN_DIGEST = "530cbc6ec91680025e75ce84093fbc54057aa26ecf2734d068e14d40b05bb5eb"
+
 PINNED = [
     ("defect", ONE_EDGE + "SYSTEM\ntrivial 40\n",
      "d2cb8f5339e6491cc6b4bb844b9099f87707c15e4898b058fe07f58f30c1acf6"),
@@ -43,6 +70,11 @@ PINNED = [
      "22f90adaa03e9909c018952e417e9509c8d92a0404d0dcc15167d0b89f599e00"),
     ("defect", CYCLE_64,
      "dd4edf0ae3fcffdf77cc920fa8d7e50564492f630b44429bfd6986638c9af860"),
+    # the longest chain the cap allows: 512 layers over one vertex, rank 513
+    ("cohomology", "VERTICES\na\nSYSTEM\ntrivial 1\n" + "extend\n" * 512,
+     "7f5044ae05aa53ff960dcb7b1e78b75ba5941ca066f7c8e64140b1ea9ac87087"),
+    ("defect", TRIANGLE_CHAIN, TRIANGLE_CHAIN_DIGEST),
+    ("defect", _triangle_chain_json(), TRIANGLE_CHAIN_DIGEST),
 ]
 
 
@@ -51,7 +83,10 @@ PINNED = [
                               "defect-triangle-trivial12",
                               "cohomology-triangle-trivial12",
                               "defect-4cycle-unipotent2-extend2",
-                              "defect-64cycle-unipotent2"])
+                              "defect-64cycle-unipotent2",
+                              "cohomology-vertex-extend512",
+                              "defect-triangle-chain6-text",
+                              "defect-triangle-chain6-json"])
 def test_stdout_digest(command, text, digest, capsys, tmp_path):
     path = tmp_path / "problem.txt"
     path.write_text(text, encoding="utf-8")

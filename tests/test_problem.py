@@ -50,9 +50,8 @@ class TestParse:
         text = ("VERTICES\na b\nEDGES\na b\na b\nSYSTEM\n"
                 "trivial 1\nextend 1 2\nextend 0 1 1/2 0\n")
         spec = parse_spec(text)
-        assert spec.system.kind == "extension"
-        assert spec.system.rank == 3
-        assert spec.system.base.rank == 2
+        assert spec.system == SystemSpec(
+            "trivial", 1, (), ((1, 2), (0, 1, Fraction(1, 2), 0)))
         sys = spec.local_system()
         assert sys.transitions == (
             Mat.from_rows([[1, 1, 0], [0, 1, 1], [0, 0, 1]]),
@@ -121,11 +120,9 @@ def random_spec(rng: random.Random) -> ProblemSpec:
     elif style == 1:
         system = SystemSpec("unipotent2", 2, tuple(q() for _ in range(m)))
     else:
-        system = SystemSpec("trivial", 1)
-        for _ in range(rng.randint(1, 2)):
-            system = SystemSpec("extension", system.rank + 1,
-                                tuple(q() for _ in range(m * system.rank)),
-                                base=system)
+        layers = tuple(tuple(q() for _ in range(m * r))
+                       for r in range(1, rng.randint(1, 2) + 1))
+        system = SystemSpec("trivial", 1, (), layers)
     return ProblemSpec(names, tuple(edges), system)
 
 
