@@ -15,7 +15,7 @@ from .cohomology import (CohomologyReport, coboundary_image,
 from .graph import (DisconnectedError, DualGraph, GraphError, LoopEdgeError,
                     cycle_graph, incidence_matrix, laplacian)
 from .linalg import (Mat, Subspace, colspace, det, nullspace, parse_rational,
-                     rank, rref, vec)
+                     rank, rowspace, rref, vec)
 from .localsystem import EdgeCochain, LocalSystem
 from .problem import ParseError, ProblemSpec, SystemSpec, load_problem, parse_spec, render
 from .tate import TateReport, build_tate, holonomy, tate_report
@@ -30,6 +30,6 @@ __all__ = [
     "colspace", "cycle_graph", "det", "h0", "h1_dim",
     "holonomy", "incidence_matrix", "invariant_cycles_report", "laplacian",
     "load_problem", "nullspace", "obstruction", "parse_rational", "parse_spec",
-    "rank", "render", "residue_constraint_matrix", "residue_kernel", "rref",
+    "rank", "render", "residue_constraint_matrix", "residue_kernel", "rowspace", "rref",
     "system_matrix", "tate_report", "vec",
 ]

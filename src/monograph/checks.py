@@ -57,18 +57,17 @@ class Check:
         return CheckResult(self.name, True, self.summary.format(self.instances))
 
 
-def random_rational(rng: random.Random, zero_weight: int = 1) -> Fraction:
-    """Small random rational; `zero_weight` raises the chance of zero."""
-    if rng.randrange(4 + zero_weight) < zero_weight:
+def random_rational(rng: random.Random) -> Fraction:
+    """Small random rational; zero about one time in four."""
+    if rng.randrange(5) == 0:
         return Fraction(0)
     return Fraction(rng.randint(-9, 9), rng.randint(1, 6))
 
 
 def random_connected_multigraph(rng: random.Random,
-                                max_vertices: int = 12,
-                                max_parallel: int = 3) -> DualGraph:
+                                max_vertices: int = 12) -> DualGraph:
     """Connected loop-free multigraph: a random spanning tree plus extras,
-    with at most `max_parallel` edges between any two vertices."""
+    with at most 3 edges between any two vertices."""
     n = rng.randint(2, max_vertices)
     edges: list[tuple[int, int]] = []
     multiplicity: dict[tuple[int, int], int] = {}
@@ -80,7 +79,7 @@ def random_connected_multigraph(rng: random.Random,
     for _ in range(extra):
         u, v = rng.sample(range(n), 2)
         key = (min(u, v), max(u, v))
-        if multiplicity.get(key, 0) >= max_parallel:
+        if multiplicity.get(key, 0) >= 3:
             continue
         multiplicity[key] = multiplicity.get(key, 0) + 1
         edges.append((u, v))
@@ -134,7 +133,7 @@ def _trivial_coefficients(rng: random.Random, instances: int) -> Iterator[str]:
             yield "rank != n-1 (instance %d)" % i
         if kernel != Subspace.from_vectors(g.n, [[1] * g.n]):
             yield "kernel is not the all-ones line (instance %d)" % i
-        if any(not _min_propagates(g, k) for k in kernel.basis.transpose().nonzero):
+        if any(not _min_propagates(g, k) for k in kernel.basis.nonzero):
             yield "minimum argument failed (instance %d)" % i
         if system_matrix(sys) != lap:
             yield "system matrix != laplacian (instance %d)" % i

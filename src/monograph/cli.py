@@ -10,8 +10,9 @@ Machine output (the default) is a single JSON document on stdout with a
 one-line summary on stderr; --pretty replaces it with a human-readable
 report.  Exit status: 0 on success, 2 on a parse or validation error
 (including a system chain longer than the layer limit), 3 on an internal
-invariant violation or shape mismatch (which indicates a bug) or a failed
-check.
+invariant violation, a shape mismatch or any other unexpected exception
+(each of which indicates a bug, and prints one line, never a traceback) or
+a failed check.
 """
 
 from __future__ import annotations
@@ -21,9 +22,8 @@ import functools
 import sys
 
 from .checks import run_all_checks
-from .graph import GraphError
 from .linalg import DimensionMismatch, parse_rational
-from .problem import ParseError, load_problem
+from .problem import load_problem
 from .report import (GRAPH_COMMANDS, InternalCheckError, render_pretty, run,
                      tate_document, to_json)
 
@@ -98,11 +98,14 @@ def main(argv: list[str] | None = None) -> int:
             _emit(tate_document(args.ord, gvals), args.pretty)
         else:
             return _run_check(args.seed, args.json)
-    except (ParseError, GraphError, ValueError, OSError) as exc:
+    except (ValueError, OSError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return EXIT_INPUT
     except (InternalCheckError, DimensionMismatch) as exc:
         print("internal error: %s" % exc, file=sys.stderr)
+        return EXIT_INTERNAL
+    except Exception as exc:  # MemoryError and RecursionError included
+        print("internal error: %s: %s" % (type(exc).__name__, exc), file=sys.stderr)
         return EXIT_INTERNAL
     return EXIT_OK
 

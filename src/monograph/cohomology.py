@@ -37,7 +37,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .linalg import Mat, Subspace, colspace, nullspace, rank
+from .linalg import Mat, Subspace, colspace, nullspace, rank, rowspace
 from .localsystem import LocalSystem
 
 
@@ -134,15 +134,15 @@ def obstruction(sys: LocalSystem) -> Subspace:
 def _kernel_route(sys: LocalSystem) -> tuple[Mat, Mat, Subspace, Mat, Subspace]:
     """Assemble delta and A, eliminate A once, and map ker A through delta.
 
-    Returns (delta, A, ker A, delta times its basis, the column span of
-    that product); the span is the obstruction, because delta(x) lies in
-    ker R exactly when A x = 0.  The product's columns are the images of
-    the kernel basis vectors, mapped in one matrix product.
+    Returns (delta, A, ker A, delta times the transposed basis, the
+    column span of that product); the span is the obstruction, because
+    delta(x) lies in ker R exactly when A x = 0.  Column j of the product
+    is the image of kernel basis vector j, all mapped in one product.
     """
     cob = coboundary_matrix(sys)
     a = system_matrix(sys)
     kernel = nullspace(a)
-    images = cob @ kernel.basis
+    images = cob @ kernel.basis.transpose()
     return cob, a, kernel, images, colspace(images)
 
 
@@ -186,7 +186,7 @@ def invariant_cycles_report(sys: LocalSystem) -> CohomologyReport:
     residue = residue_constraint_matrix(sys)
     # coefficient vectors c with sum c_i delta(k_i) = 0 give ker delta
     relations = nullspace(images)
-    sections = colspace(kernel.basis @ relations.basis)
+    sections = rowspace(relations.basis @ kernel.basis)
     image_dim = g.n * r - sections.dim
     return CohomologyReport(
         h0_dim=sections.dim,

@@ -109,7 +109,7 @@ def laplacian(g: DualGraph) -> Mat:
     return Mat.from_dicts(rows, g.n)
 
 
-def cycle_graph(m: int, labels: tuple[str, ...] | None = None) -> DualGraph:
+def cycle_graph(m: int) -> DualGraph:
     """Cycle on m >= 2 vertices.
 
     Edges run i -> i+1, and the closing edge is oriented 0 -> m-1, so the
@@ -119,4 +119,4 @@ def cycle_graph(m: int, labels: tuple[str, ...] | None = None) -> DualGraph:
     if m < 2:
         raise GraphError("cycle needs at least 2 vertices, got %d" % m)
     edges = tuple((i, i + 1) for i in range(m - 1)) + ((0, m - 1),)
-    return DualGraph(m, edges, labels)
+    return DualGraph(m, edges)

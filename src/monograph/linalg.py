@@ -16,12 +16,12 @@ touches only the rows below each pivot and only where either row is
 nonzero.  ``rank`` and ``det`` read the pivots of that pass and nothing
 more.  ``rref`` adds a back substitution with the same row operation, from
 the last pivot row upward, and builds canonical Fractions only at its
-output; ``nullspace``, ``colspace`` and ``Subspace`` are views of the
+output; ``rowspace``, ``nullspace`` and ``colspace`` are views of the
 reduced rows.
 
-Subspaces are kept in a canonical reduced column echelon form (pivots 1,
-pivot rows cleared, pivot rows strictly increasing left to right), which
-makes subspace equality plain value equality.
+A ``Subspace`` basis is the k x n matrix of the nonzero rows of the
+subspace's RREF, one row per basis vector.  That basis is unique, so
+subspace equality is plain value equality.
 """
 
 from __future__ import annotations
@@ -48,10 +48,14 @@ class DimensionMismatch(Exception):
 
 
 def rat(x: int | str | Fraction) -> Fraction:
-    """Coerce an exact value to Fraction; floats are rejected outright."""
-    if isinstance(x, float):
-        raise TypeError("refusing float %r: use an int or a 'p/q' string" % (x,))
-    return Fraction(x)
+    """Coerce an exact value to Fraction: an int, a Fraction, or a string
+    that ``parse_rational`` accepts.  Bools, floats and anything else are
+    refused, so the library reads rationals as the input files do."""
+    if isinstance(x, str):
+        return parse_rational(x)
+    if isinstance(x, (int, Fraction)) and not isinstance(x, bool):
+        return Fraction(x)
+    raise TypeError("bad rational literal %r: use an integer or 'p/q' string" % (x,))
 
 
 def parse_rational(text: str) -> Fraction:
@@ -131,25 +135,6 @@ class Mat:
     @classmethod
     def identity(cls, n: int) -> Mat:
         return cls(n, n, tuple(((i, _ONE),) for i in range(n)))
-
-    @classmethod
-    def block(cls, grid: Sequence[Sequence[Mat]]) -> Mat:
-        """Assemble from a conformable grid of blocks."""
-        if not grid or not grid[0]:
-            raise ValueError("empty block grid")
-        row_heights = [row[0].rows for row in grid]
-        col_widths = [b.cols for b in grid[0]]
-        for i, row in enumerate(grid):
-            if len(row) != len(col_widths):
-                raise DimensionMismatch("ragged block grid")
-            for j, b in enumerate(row):
-                if b.rows != row_heights[i] or b.cols != col_widths[j]:
-                    raise DimensionMismatch("block (%d,%d) has shape %dx%d"
-                                            % (i, j, b.rows, b.cols))
-        offsets = [sum(col_widths[:j]) for j in range(len(col_widths))]
-        out = [tuple((at + j, x) for b, at in zip(row, offsets) for j, x in b.nonzero[r])
-               for i, row in enumerate(grid) for r in range(row_heights[i])]
-        return cls(sum(row_heights), sum(col_widths), tuple(out))
 
     def transpose(self) -> Mat:
         out: list[list[tuple[int, Fraction]]] = [[] for _ in range(self.cols)]
@@ -288,65 +273,54 @@ def det(m: Mat) -> Fraction:
 
 @dataclass(frozen=True)
 class Subspace:
-    """A linear subspace of Q^ambient_dim with a canonical basis.
+    """A linear subspace of Q^n with a canonical basis.
 
-    The basis matrix has one column per dimension, in reduced column
-    echelon form, so two Subspace values are equal exactly when they are
-    the same subspace.
+    The basis matrix has one row per dimension: the nonzero rows of the
+    RREF of any spanning set, so two Subspace values are equal exactly when
+    they are the same subspace.
     """
 
-    ambient_dim: int
     basis: Mat
-
-    def __post_init__(self) -> None:
-        if self.basis.rows != self.ambient_dim:
-            raise DimensionMismatch("basis has %d rows in ambient dimension %d"
-                                    % (self.basis.rows, self.ambient_dim))
 
     @classmethod
     def zero(cls, ambient_dim: int) -> Subspace:
-        return cls(ambient_dim, Mat.zeros(ambient_dim, 0))
+        return cls(Mat.zeros(0, ambient_dim))
 
     @classmethod
     def from_vectors(cls, ambient_dim: int,
                      vectors: Iterable[Sequence[int | str | Fraction]]) -> Subspace:
         """Span of the given vectors, canonicalized."""
-        rows = [list(v) for v in vectors]
-        for r in rows:
-            if len(r) != ambient_dim:
-                raise DimensionMismatch("vector of length %d in ambient dimension %d"
-                                        % (len(r), ambient_dim))
-        return _row_span(Mat.from_rows(rows, cols=ambient_dim))
+        return rowspace(Mat.from_rows(list(vectors), cols=ambient_dim))
+
+    @property
+    def ambient_dim(self) -> int:
+        return self.basis.cols
 
     @property
     def dim(self) -> int:
-        return self.basis.cols
+        return self.basis.rows
 
     def intersect(self, other: Subspace) -> Subspace:
-        """Intersection, via the kernel of the concatenated bases.
+        """Intersection, via the kernel of the stacked bases' transpose.
 
-        A coefficient vector (x, y) with A x + B y = 0 means A x = -B y lies
-        in both spans; the A x parts of a kernel basis span the intersection.
+        For row bases A and B, a coefficient vector (x, y) with
+        x A + y B = 0 means x A = -y B lies in both spans; the x A parts of
+        a kernel basis span the intersection.
         """
         if self.ambient_dim != other.ambient_dim:
             raise DimensionMismatch("ambient dimensions %d and %d"
                                     % (self.ambient_dim, other.ambient_dim))
-        if self.dim == 0 or other.dim == 0:
-            return Subspace.zero(self.ambient_dim)
-        stacked = Mat.block([[self.basis, other.basis]])
-        coeffs = nullspace(stacked).basis
-        # the x parts are the first self.dim rows of the coefficient basis
-        x_parts = Mat(self.dim, coeffs.cols, coeffs.nonzero[:self.dim])
-        return colspace(self.basis @ x_parts)
+        stacked = self.basis.nonzero + other.basis.nonzero
+        coeffs = nullspace(Mat(len(stacked), self.ambient_dim, stacked).transpose()).basis
+        # the x part of each coefficient row is its first self.dim entries
+        x_parts = tuple(tuple(p for p in row if p[0] < self.dim) for row in coeffs.nonzero)
+        return rowspace(Mat(coeffs.rows, self.dim, x_parts) @ self.basis)
 
 
-def _row_span(m: Mat) -> Subspace:
+def rowspace(m: Mat) -> Subspace:
     """Canonical Subspace of Q^cols spanned by the rows of m."""
-    if m.rows == 0:
-        return Subspace.zero(m.cols)
     reduced, pivots = rref(m)
-    k = len(pivots)
-    return Subspace(m.cols, Mat(k, m.cols, reduced.nonzero[:k]).transpose())
+    return Subspace(Mat(len(pivots), m.cols, reduced.nonzero[:len(pivots)]))
 
 
 def nullspace(m: Mat) -> Subspace:
@@ -358,9 +332,9 @@ def nullspace(m: Mat) -> Subspace:
     for p, pairs in zip(pivots, reduced.nonzero):
         for f, x in pairs[1:]:
             vectors[f][p] = -x
-    return _row_span(Mat.from_dicts(list(vectors.values()), m.cols))
+    return rowspace(Mat.from_dicts(list(vectors.values()), m.cols))
 
 
 def colspace(m: Mat) -> Subspace:
     """Canonical basis of the column span."""
-    return _row_span(m.transpose())
+    return rowspace(m.transpose())

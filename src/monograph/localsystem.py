@@ -29,9 +29,10 @@ def _inverse(m: Mat) -> Mat:
     the inverse is (e_i - sum of m[i, k] row_k over k > i) / m[i, i], over
     the nonzeros of m.  Any other m is reduced as [m | I].
     """
-    n = m.rows
+    n, one = m.rows, Fraction(1)
     if any(pairs and pairs[0][0] < i for i, pairs in enumerate(m.nonzero)):
-        reduced, pivots = rref(Mat.block([[m, Mat.identity(n)]]))
+        reduced, pivots = rref(Mat(n, 2 * n, tuple(
+            pairs + ((n + i, one),) for i, pairs in enumerate(m.nonzero))))
         if pivots != tuple(range(n)):
             raise ValueError("matrix is singular")
         return Mat(n, n, tuple(tuple((j - n, x) for j, x in pairs if j >= n)
@@ -41,7 +42,7 @@ def _inverse(m: Mat) -> Mat:
         pairs = m.nonzero[i]
         if not pairs or pairs[0][0] != i:
             raise ValueError("matrix is singular")
-        row = {i: Fraction(1)}
+        row = {i: one}
         for k, a in pairs[1:]:
             for j, y in inverse[k].items():
                 row[j] = row[j] - a * y if j in row else -a * y
@@ -102,9 +103,10 @@ class LocalSystem:
         """
         if c.system != self:
             raise ValueError("cochain is valued in a different system")
-        bottom, one = Mat.zeros(1, self.rank), Mat.identity(1)
-        return LocalSystem(self.graph, self.rank + 1, tuple(
-            Mat.block([[u, Mat.from_rows([[x] for x in v], cols=1)], [bottom, one]])
+        r, bottom = self.rank, ((self.rank, Fraction(1)),)
+        return LocalSystem(self.graph, r + 1, tuple(
+            Mat(r + 1, r + 1, tuple(pairs + ((r, x),) if x else pairs
+                                    for pairs, x in zip(u.nonzero, v)) + (bottom,))
             for u, v in zip(self.transitions, c.values)))
 
     def reorient_edge(self, e: int) -> LocalSystem:

@@ -39,7 +39,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .graph import DualGraph
-from .linalg import parse_rational, vec
+from .linalg import parse_rational, rat, vec
 from .localsystem import EdgeCochain, LocalSystem
 
 BASE_KINDS = ("trivial", "unipotent2")
@@ -146,17 +146,10 @@ def _check_keys(doc: dict, known: tuple[str, ...], what: str) -> None:
 
 
 def _json_rational(x: object) -> Fraction:
-    if isinstance(x, bool) or isinstance(x, float):
-        raise ParseError("bad rational literal %r: use an integer or 'p/q' string"
-                         % (x,))
-    if isinstance(x, int):
-        return Fraction(x)
-    if isinstance(x, str):
-        try:
-            return parse_rational(x)
-        except ValueError as exc:
-            raise ParseError(str(exc)) from None
-    raise ParseError("bad rational literal %r" % (x,))
+    try:
+        return rat(x)  # type: ignore[arg-type]
+    except (TypeError, ValueError) as exc:
+        raise ParseError(str(exc)) from None
 
 
 @dataclass(frozen=True)

@@ -16,7 +16,7 @@ from typing import Sequence
 
 from . import cohomology, tate
 from .graph import incidence_matrix, laplacian
-from .linalg import Mat, Subspace
+from .linalg import Mat
 from .problem import ProblemSpec
 
 GRAPH_COMMANDS = ("laplacian", "cohomology", "defect")
@@ -35,11 +35,6 @@ def matrix_grid(m: Mat) -> list[list[str]]:
             row[j] = str(x)
         grid.append(row)
     return grid
-
-
-def basis_grid(s: Subspace) -> list[list[str]]:
-    """One row per basis vector."""
-    return matrix_grid(s.basis.transpose())
 
 
 def verdict_of(defect: int) -> str:
@@ -85,8 +80,8 @@ def run(problem: ProblemSpec, command: str) -> dict:
             "defect": report.defect,
         },
         "bases": {
-            "h0": basis_grid(report.h0_basis),
-            "obstruction": basis_grid(report.obstruction),
+            "h0": matrix_grid(report.h0_basis.basis),
+            "obstruction": matrix_grid(report.obstruction.basis),
         },
         "verdict": verdict_of(report.defect),
     }
@@ -102,7 +97,7 @@ def tate_document(m: int, gvals: Sequence[Fraction]) -> dict:
             "system": matrix_grid(r.system),
             "det": str(r.det),
             "rank": r.rank,
-            "kernel": basis_grid(r.kernel),
+            "kernel": matrix_grid(r.kernel.basis),
             "edge_images": matrix_grid(r.edge_images.transpose()),
             "holonomy": str(r.holonomy),
             "defect": r.defect,

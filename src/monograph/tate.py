@@ -41,8 +41,8 @@ def holonomy(gvals: Sequence[Fraction]) -> Fraction:
 class TateReport:
     """Everything the m-cycle example produces, exactly.
 
-    ``edge_images`` is the coboundary times the kernel basis: column j is
-    the edge-space image of kernel generator j.
+    ``edge_images`` is the coboundary times the transposed kernel basis:
+    column j is the edge-space image of kernel generator j.
     """
 
     m: int

@@ -396,6 +396,23 @@ class TestErrors:
         assert out == ""
         assert err == "internal error: multiply 2x3 by 2x3\n"
 
+    @pytest.mark.parametrize("error", [RecursionError, MemoryError])
+    @pytest.mark.parametrize("command", ["defect", "tate"])
+    def test_unexpected_exception_exit_3(self, capsys, tmp_path, monkeypatch,
+                                         error, command):
+        # any other exception is a bug as well: one line, never a traceback
+        def explode(doc):
+            raise error("forced for the exit-code contract")
+
+        monkeypatch.setattr("monograph.cli.to_json", explode)
+        argv = (["defect", "--input", write(tmp_path, "t.txt", TRIANGLE_TRIVIAL)]
+                if command == "defect" else ["tate", "--ord", "3", "--g", "1,1,1"])
+        code, out, err = run_cli(capsys, argv)
+        assert code == 3
+        assert out == ""
+        assert err == "internal error: %s: forced for the exit-code contract\n" \
+            % error.__name__
+
 
 class TestPackage:
     def test_star_import_binds_every_public_name(self):

@@ -24,7 +24,7 @@ from monograph.checks import random_unipotent_systems
 from monograph.cohomology import system_matrix
 from monograph.graph import cycle_graph
 from monograph.linalg import (Mat, Subspace, _eliminate, colspace, det, nullspace,
-                              rank, rref)
+                              rank, rowspace, rref)
 from monograph.localsystem import LocalSystem, _inverse
 
 F = Fraction
@@ -95,12 +95,10 @@ def oracle_det(m):
 
 
 def oracle_span(ambient, vectors):
-    """Canonical basis matrix (columns) of the span, via the oracle rref."""
-    vectors = [list(v) for v in vectors]
-    if not vectors:
-        return Mat.zeros(ambient, 0)
-    reduced, pivots = oracle_rref(Mat.from_rows(vectors, cols=ambient))
-    return Mat.from_rows(dense(reduced)[:len(pivots)], cols=ambient).transpose()
+    """Canonical basis matrix of the span, one row per basis vector: the
+    nonzero rows of the oracle rref."""
+    reduced, _ = oracle_rref(Mat.from_rows([list(v) for v in vectors], cols=ambient))
+    return Mat.from_rows([row for row in dense(reduced) if any(row)], cols=ambient)
 
 
 def oracle_nullspace(m, reduced_pivots=None):
@@ -120,7 +118,9 @@ def oracle_nullspace(m, reduced_pivots=None):
 
 def oracle_inverse(m):
     n = m.rows
-    reduced, _ = oracle_rref(Mat.block([[m, Mat.identity(n)]]))
+    augmented = [[*row, *(F(int(i == j)) for j in range(n))]
+                 for i, row in enumerate(dense(m))]
+    reduced, _ = oracle_rref(Mat.from_rows(augmented, cols=2 * n))
     return Mat.from_rows([row[n:] for row in dense(reduced)[:n]], cols=n)
 
 
@@ -230,6 +230,25 @@ def test_nullspace_colspace_span_match_oracles(seed):
         vectors = dense(m)
         assert Subspace.from_vectors(m.cols, vectors).basis == \
             oracle_span(m.cols, vectors)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_row_basis_contract(seed):
+    """A Subspace basis is the nonzero rows of the RREF, one row per basis
+    vector; the column span is the row span of the transpose; and a vector
+    of the wrong length is refused."""
+    for m in matrices(10 + seed, 100):
+        reduced, pivots = rref(m)
+        space = rowspace(m)
+        assert space.basis == Mat.from_rows(
+            [row for row in dense(reduced) if any(row)], cols=m.cols)
+        assert (space.dim, space.ambient_dim) == (len(pivots), m.cols)
+        assert colspace(m) == rowspace(m.transpose())
+        if m.rows:
+            with pytest.raises(ValueError):
+                Subspace.from_vectors(m.cols + 1, dense(m))
+        with pytest.raises(ValueError):
+            Subspace.from_vectors(m.cols, [*dense(m), [F(0)] * (m.cols + 1)])
 
 
 @pytest.mark.parametrize("seed", range(3))

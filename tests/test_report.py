@@ -7,10 +7,9 @@ import pytest
 from monograph.graph import DisconnectedError, LoopEdgeError
 from monograph.linalg import Subspace, colspace, nullspace
 from monograph.problem import ProblemSpec, SystemSpec, parse_spec
-from monograph.report import (basis_grid, matrix_grid, render_pretty, run,
-                              tate_document, to_json)
+from monograph.report import matrix_grid, render_pretty, run, tate_document, to_json
 
-from test_linalg_oracle import dense, matrices
+from test_linalg_oracle import dense, matrices, oracle_colspace, oracle_nullspace
 
 TRIANGLE = parse_spec("VERTICES\nI II III\nEDGES\nI II\nII III\nI III\n")
 
@@ -66,15 +65,17 @@ class TestGrids:
         for m in sample:
             assert matrix_grid(m) == [[str(x) for x in row] for row in dense(m)]
 
-    def test_basis_grid_has_one_row_per_basis_vector(self):
+    def test_basis_renders_one_row_per_basis_vector(self):
         for m in matrices(2, 100):
-            for space in (nullspace(m), colspace(m)):
-                assert basis_grid(space) == \
-                    [[str(x) for x in row] for row in dense(space.basis.transpose())]
+            for space, oracle in ((nullspace(m), oracle_nullspace(m)),
+                                  (colspace(m), oracle_colspace(m))):
+                grid = matrix_grid(space.basis)
+                assert len(grid) == space.dim
+                assert grid == [[str(x) for x in row] for row in dense(oracle)]
 
     @pytest.mark.parametrize("n", [0, 1, 4])
     def test_zero_subspace_has_no_rows(self, n):
-        assert basis_grid(Subspace.zero(n)) == []
+        assert matrix_grid(Subspace.zero(n).basis) == []
 
 
 class TestTateDocument:
