@@ -45,15 +45,16 @@ def _assemble(block_rows: int, block_cols: int, r: int,
               blocks: list[tuple[int, int, int, Mat]]) -> Mat:
     """Sum coefficient x block at each (block row, block column) given.
 
-    Every block is r x r; its nonzeros are added into one {column: entry}
-    dict per output row, so blocks at the same position add up.
+    Every block is r x r and every coefficient is 1 or -1; the block's
+    nonzeros are added into one {column: entry} dict per output row, so
+    blocks at the same position add up.
     """
     rows: list[dict[int, Fraction]] = [{} for _ in range(block_rows * r)]
     for bi, bj, coefficient, block in blocks:
         for i, pairs in enumerate(block.nonzero):
             row = rows[bi * r + i]
             for j, x in pairs:
-                k, y = bj * r + j, coefficient * x
+                k, y = bj * r + j, x if coefficient == 1 else -x
                 row[k] = row[k] + y if k in row else y
     return Mat.from_dicts(rows, block_cols * r)
 

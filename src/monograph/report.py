@@ -1,17 +1,21 @@
 """Report documents: one deterministic, JSON-serializable dict per run.
 
-Identical inputs produce byte-identical machine output: serialization sorts
-keys, every rational is rendered in lowest terms, and all content is a pure
-function of the problem.  Every run re-verifies that the system matrix
-factors through the residue-constraint and coboundary matrices; a failure
-raises InternalCheckError, which the command line maps to its own exit
-status because it can only mean a bug, never bad input.
+Identical inputs produce byte-identical machine output: every rational is
+rendered in lowest terms, all content is a pure function of the problem, and
+`to_json` writes exactly the bytes of ``json.dumps(doc, sort_keys=True,
+indent=2)`` plus a newline, emitted with an explicit stack and no recursion,
+so no document needs more free stack the deeper it nests.  Every run
+re-verifies that the system matrix factors through the residue-constraint
+and coboundary matrices; a failure raises InternalCheckError, which the
+command line maps to its own exit status because it can only mean a bug,
+never bad input.
 """
 
 from __future__ import annotations
 
-import json
 from fractions import Fraction
+from itertools import chain, repeat
+from json.encoder import encode_basestring_ascii as encode
 from typing import Sequence
 
 from . import cohomology, tate
@@ -108,7 +112,56 @@ def tate_document(m: int, gvals: Sequence[Fraction]) -> dict:
 
 
 def to_json(doc: dict) -> str:
-    return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+    """json.dumps(doc, sort_keys=True, indent=2) + "\n", byte for byte.
+
+    Values are dicts with str keys, lists, str, int, bool and None; any
+    other type (float and tuple included) raises TypeError.  Each open
+    container is one stack frame: an iterator of (prefix, value) pairs and
+    the text that closes it.  A list of strings is written in one join, with
+    no escaping when its text is printable ASCII without '"' or '\\'.
+    """
+    out: list[str] = []
+    stack = [(iter((("", doc),)), "")]
+    while stack:
+        for prefix, value in stack[-1][0]:
+            out.append(prefix)
+            if isinstance(value, str):
+                out.append(encode(value))
+            elif value is None or value is True or value is False:
+                out.append("null" if value is None else "true" if value else "false")
+            elif isinstance(value, int):
+                out.append(int.__repr__(value))
+            elif not isinstance(value, (dict, list)):
+                raise TypeError("Object of type %s is not JSON serializable"
+                                % type(value).__name__)
+            elif not value:
+                out.append("{}" if isinstance(value, dict) else "[]")
+            else:
+                nl = "\n" + "  " * len(stack)
+                close = nl[:-2] + ("}" if isinstance(value, dict) else "]")
+                seps = chain((nl,), repeat("," + nl))
+                if isinstance(value, dict):
+                    keys = sorted(value)
+                    heads = [sep + encode(k) + ": " for sep, k in zip(seps, keys)]
+                    stack.append((zip(heads, map(value.__getitem__, keys)), close))
+                    out.append("{")
+                    break
+                try:
+                    text = "".join(value)
+                except TypeError:  # an item that is not a str
+                    stack.append((zip(seps, value), close))
+                    out.append("[")
+                    break
+                sep = "," + nl
+                if text.isascii() and text.isprintable() and '"' not in text \
+                        and "\\" not in text:
+                    out.append("[" + nl + '"' + ('"' + sep + '"').join(value) + '"' + close)
+                else:
+                    out.append("[" + nl + sep.join(map(encode, value)) + close)
+        else:
+            out.append(stack.pop()[1])
+    out.append("\n")
+    return "".join(out)
 
 
 def _pretty_grid(title: str, grid: list[list[str]]) -> list[str]:

@@ -1,6 +1,7 @@
 """The monograph command line: outputs, determinism, exit codes."""
 
 import dataclasses
+import hashlib
 import io
 import json
 import os
@@ -330,6 +331,24 @@ class TestErrors:
         assert (code, out) == (2, "")
         assert err == "error: system has %d extension layers; the limit is %d\n" \
             % (MAX_LAYERS + 1, MAX_LAYERS)
+
+    def test_512_layers_from_900_frames_deep(self, capsys, monkeypatch):
+        # parsing, building and serializing keep no frame per layer, so the
+        # longest chain runs from 900 frames of caller at the default
+        # recursion limit; the JSON form is left out because json.loads
+        # recurses once per nesting level of its input
+        def deep_main(depth):
+            return main(["cohomology"]) if depth == 0 else deep_main(depth - 1)
+
+        assert sys.getrecursionlimit() == 1000
+        text = "VERTICES\na\nSYSTEM\ntrivial 1\n" + "extend\n" * MAX_LAYERS
+        monkeypatch.setattr("sys.stdin", io.StringIO(text))
+        code = deep_main(900)
+        out, err = capsys.readouterr()
+        assert (code, err) == (0, "verdict: exact\n")
+        # the pinned stdout of cohomology-vertex-extend512
+        assert hashlib.sha256(out.encode("utf-8")).hexdigest() == \
+            "7f5044ae05aa53ff960dcb7b1e78b75ba5941ca066f7c8e64140b1ea9ac87087"
 
     def test_disconnected_exit_2(self, capsys, tmp_path):
         path = write(tmp_path, "bad.txt", "VERTICES\na b c\nEDGES\na b\n")

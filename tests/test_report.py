@@ -4,12 +4,14 @@ import json
 
 import pytest
 
+from monograph.cli import main
 from monograph.graph import DisconnectedError, LoopEdgeError
 from monograph.linalg import Subspace, colspace, nullspace
-from monograph.problem import ProblemSpec, SystemSpec, parse_spec
+from monograph.problem import ProblemSpec, SystemSpec, load_problem, parse_spec
 from monograph.report import matrix_grid, render_pretty, run, tate_document, to_json
 
 from test_linalg_oracle import dense, matrices, oracle_colspace, oracle_nullspace
+from test_pinned_documents import CYCLE_64_G, PINNED
 
 TRIANGLE = parse_spec("VERTICES\nI II III\nEDGES\nI II\nII III\nI III\n")
 
@@ -52,6 +54,83 @@ class TestRun:
         doc = run(TRIANGLE, "cohomology")
         assert json.loads(to_json(doc)) == doc
         assert to_json(doc).endswith("\n")
+
+
+def dumps(value) -> str:
+    """The reference serializer that to_json reproduces."""
+    return json.dumps(value, sort_keys=True, indent=2) + "\n"
+
+
+def assert_same_text(got: str, want: str) -> None:
+    """Fail at the first differing offset: pytest's own diff of two
+    megabyte documents would take minutes."""
+    if got != want:
+        at = next((i for i, (a, b) in enumerate(zip(got, want)) if a != b),
+                  min(len(got), len(want)))
+        lo = max(at - 20, 0)
+        pytest.fail("to_json differs from json.dumps at offset %d: %r != %r"
+                    % (at, got[lo:at + 20], want[lo:at + 20]))
+
+
+class TestToJson:
+    """to_json writes the bytes of json.dumps(sort_keys=True, indent=2)."""
+
+    @pytest.mark.parametrize("command, text", [(c, t) for c, t, _ in PINNED])
+    def test_pinned_documents(self, command, text):
+        doc = run(load_problem(text), command)
+        assert_same_text(to_json(doc), dumps(doc))
+
+    def test_tate_64_cycle(self):
+        doc = tate_document(64, tuple(CYCLE_64_G))
+        assert_same_text(to_json(doc), dumps(doc))
+
+    def test_check_json(self, capsys):
+        assert main(["check", "--seed", "0", "--json"]) == 0
+        out = capsys.readouterr().out
+        assert_same_text(out, dumps(json.loads(out)))
+
+    @pytest.mark.parametrize("value", [
+        {}, [], [[]], {"a": {}}, "", 0, -7, 10 ** 40, True, None,
+        ["", "0", "-1/2"], ["a", 1], [1, "a"], [["a"], "b"],
+    ])
+    def test_edge_values(self, value):
+        assert to_json(value) == dumps(value)
+
+    # each character alone must take a string row off the unescaped path
+    @pytest.mark.parametrize("c", list('"\\\x00\n\x1f\x7f\u00e9\u2603\U0001f600'))
+    def test_escaped_character(self, c):
+        for value in (["a", c + "1"], {c: [c]}, [[c, "b"], {"k": "x" + c}]):
+            assert to_json(value) == dumps(value)
+
+    @pytest.mark.parametrize("value", [1.5, (1, 2), {"a": [0.0]}, [[(1,)]]])
+    def test_float_and_tuple_raise(self, value):
+        with pytest.raises(TypeError):
+            to_json(value)
+
+    def test_drawn_values(self):
+        pytest.importorskip("hypothesis")
+        from hypothesis import given, settings, strategies as st
+
+        # plain ASCII, or plain ASCII around one character that may need
+        # escaping: ASCII that does, non-ASCII, or any character at all
+        plain = st.text("a0 /-", max_size=3)
+        odd = st.sampled_from('"\\\x00\n\x1f\x7f\u00e9\u2603\U0001f600')
+        text = plain | st.builds("{}{}{}".format, plain, odd | st.characters(), plain)
+        values = st.recursive(
+            text | st.integers() | st.booleans() | st.none(),
+            lambda inner: st.lists(inner) | st.dictionaries(text, inner),
+            max_leaves=20)
+        # a row of strings, drawn on its own too: the one-join path
+        rows = st.lists(plain | st.builds("{}{}{}".format, plain, odd, plain),
+                        max_size=3)
+
+        @settings(deadline=None)
+        @given(values, rows)
+        def check(value, row):
+            assert to_json(value) == dumps(value)
+            assert to_json(row) == dumps(row)
+
+        check()
 
 
 class TestGrids:
