@@ -97,16 +97,16 @@ def incidence_matrix(g: DualGraph) -> Mat:
 
 def laplacian(g: DualGraph) -> Mat:
     """n x n matrix with vertex degrees on the diagonal and, off the
-    diagonal, minus the number of edges between the two vertices.  Its
-    kernel is the constant line, so its rank is n - 1: the graph is
-    connected."""
-    one = Fraction(1)
-    rows: list[dict[int, Fraction]] = [{} for _ in range(g.n)]
+    diagonal, minus the number of edges between the two vertices, counted
+    in ints.  Its kernel is the constant line, so its rank is n - 1: the
+    graph is connected."""
+    rows: list[dict[int, int]] = [{} for _ in range(g.n)]
     for s, t in g.edges:
         for u, w in ((s, t), (t, s)):
-            rows[u][u] = rows[u].get(u, 0) + one
-            rows[u][w] = rows[u].get(w, 0) - one
-    return Mat.from_dicts(rows, g.n)
+            rows[u][u] = rows[u].get(u, 0) + 1
+            rows[u][w] = rows[u].get(w, 0) - 1
+    return Mat(g.n, g.n, tuple(tuple((j, Fraction(row[j])) for j in sorted(row))
+                               for row in rows))
 
 
 def cycle_graph(m: int) -> DualGraph:

@@ -8,16 +8,25 @@ per row, so products, transposes and eliminations cost what the nonzeros
 cost.  No dense view exists: ``Mat.nonzero`` is the one way to read a
 matrix, and documents render from those stored pairs.
 
-All elimination runs through one routine, ``_eliminate``: a forward
-elimination over sparse rows of Python ints, each kept primitive (the gcd
-of its entries is 1).  It has one row operation, ``_combine``, which
-clears a column with p row - a prow and divides out the content, and it
-touches only the rows below each pivot and only where either row is
-nonzero.  ``rank`` and ``det`` read the pivots of that pass and nothing
-more.  ``rref`` adds a back substitution with the same row operation, from
-the last pivot row upward, and builds canonical Fractions only at its
-output; ``rowspace``, ``nullspace`` and ``colspace`` are views of the
-reduced rows.
+Inside the routines the working form is integer rows: a routine reads the
+Fractions of its operands once, works on sparse rows of Python ints, and
+builds one Fraction for each stored entry of the Mat it returns.  The
+product writes each row of the right operand over the lcm of that row's
+denominators and each left row over its own common denominator, and adds
+integer rows.
+
+All elimination runs through one forward pass, ``_forward``, over sparse
+integer rows, each kept primitive (the gcd of its entries is 1);
+``_eliminate`` is that pass on the primitive rows of a Mat.  It has one row
+operation, ``_combine``, which clears a column with p row - a prow and
+divides out the content, and it touches only the rows below each pivot and
+only where either row is nonzero.  ``rank`` and ``det`` read the pivots of
+that pass and nothing more.  ``rref`` adds a back substitution with the
+same row operation, from the last pivot row upward, and writes each entry
+over its row's pivot; ``rowspace`` and ``colspace`` are views of it.
+``nullspace`` reads each kernel vector off the reduced rows as a primitive
+integer row and canonicalizes those rows with the same forward pass and
+back substitution, so it builds no Fraction before its output.
 
 A ``Subspace`` basis is the k x n matrix of the nonzero rows of the
 subspace's RREF, one row per basis vector.  That basis is unique, so
@@ -37,6 +46,8 @@ Vector = tuple[Fraction, ...]
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
 _RATIONAL_LITERAL = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
+# the most decimal digits a numerator or denominator may have, read or written
+MAX_DIGITS = 4000
 
 
 class DimensionMismatch(Exception):
@@ -63,7 +74,8 @@ def parse_rational(text: str) -> Fraction:
 
     Decimal literals are rejected so that no inexact value can sneak in
     through an input file, and so are the digit separators ('1_000') that
-    Fraction itself would accept.
+    Fraction itself would accept.  A numerator or denominator of more than
+    MAX_DIGITS digits is refused too, with a message that names that limit.
     """
     text = text.strip()
     if "." in text or "e" in text.lower():
@@ -71,10 +83,28 @@ def parse_rational(text: str) -> Fraction:
                          "write an integer or p/q" % (text,))
     if not _RATIONAL_LITERAL.fullmatch(text):
         raise ValueError("bad rational literal %r: write an integer or p/q" % (text,))
+    digits = max(map(len, text.lstrip("+-").split("/")))
+    if digits > MAX_DIGITS:
+        raise ValueError("bad rational literal %r...: %d digits; the limit is %d"
+                         % (text[:12], digits, MAX_DIGITS))
     try:
         return Fraction(text)
     except ZeroDivisionError as exc:
         raise ValueError("bad rational literal %r: %s" % (text, exc)) from None
+
+
+def render_rational(x: Fraction) -> str:
+    """str(x), refused with ValueError when its numerator or denominator has
+    more than MAX_DIGITS digits, so no document carries a longer number."""
+    try:
+        text = str(x)
+    except ValueError:  # past the interpreter's own int-to-str limit
+        text = None
+    if text is None or len(text) > MAX_DIGITS and \
+            max(map(len, text.lstrip("-").split("/"))) > MAX_DIGITS:
+        raise ValueError("a number in the document has a numerator or denominator "
+                         "over the digit limit of %d" % MAX_DIGITS)
+    return text
 
 
 def vec(values: Iterable[int | str | Fraction]) -> Vector:
@@ -144,17 +174,32 @@ class Mat:
         return Mat(self.cols, self.rows, tuple(map(tuple, out)))
 
     def __matmul__(self, other: Mat) -> Mat:
+        """The product, accumulated over Python ints.
+
+        Row k of other is written over the lcm e_k of its denominators, and
+        row i of self over d_i, the lcm of q_ik e_k for its stored k (q_ik
+        the denominator of its entry in column k).  Each product row is then
+        a sum of integer rows with integer coefficients, and each stored
+        entry of the result is one Fraction(n, d_i).
+        """
         if self.cols != other.rows:
             raise DimensionMismatch("multiply %dx%d by %dx%d"
                                     % (self.rows, self.cols, other.rows, other.cols))
-        out: list[dict[int, Fraction]] = []
+        right = []
+        for pairs in other.nonzero:
+            e = lcm(*(y.denominator for _, y in pairs))
+            right.append((e, [(j, y.numerator * (e // y.denominator)) for j, y in pairs]))
+        out = []
         for pairs in self.nonzero:
-            acc = {}
+            d = lcm(*(x.denominator * right[k][0] for k, x in pairs))
+            acc: dict[int, int] = {}
             for k, x in pairs:
-                for j, y in other.nonzero[k]:
-                    acc[j] = acc[j] + x * y if j in acc else x * y
-            out.append(acc)
-        return Mat.from_dicts(out, other.cols)
+                e, row = right[k]
+                c = x.numerator * (d // (x.denominator * e))
+                for j, y in row:
+                    acc[j] = acc[j] + c * y if j in acc else c * y
+            out.append(tuple((j, Fraction(acc[j], d)) for j in sorted(acc) if acc[j]))
+        return Mat(self.rows, other.cols, tuple(out))
 
 
 def _combine(row: dict[int, int], prow: dict[int, int],
@@ -173,44 +218,57 @@ def _combine(row: dict[int, int], prow: dict[int, int],
     return {j: v // h for j, v in acc.items() if v}, h
 
 
-def _eliminate(m: Mat) -> tuple[list[dict[int, int]], list[int], Fraction]:
-    """Forward elimination of m over the integers, in primitive rows.
+def _primitive_rows(m: Mat) -> tuple[list[dict[int, int]], int, int]:
+    """The rows of m as primitive integer rows, with their scale for ``det``.
 
-    Returns the echelon rows, one per pivot, the pivot columns, and a value
-    that is det(m) when m is square of full rank.  Row i is stored sparsely,
-    as its nonzero {column: entry} pairs; it holds pivot i in column
-    pivots[i], is zero in every earlier column, and is primitive: the gcd of
-    its entries is 1.
-
-    Each input row is made primitive once, scaled by the lcm d of its
-    denominators and divided by the gcd g of the result.  At each pivot,
-    every lower row with a nonzero in the pivot column is replaced by its
-    ``_combine`` with the pivot row, over the union of the two rows'
-    nonzeros.  Up to sign, a primitive row is the one integer vector in the
-    span of the rows used so far that vanishes on the earlier pivot
-    columns, so its entries stay bounded by minors of the cleared matrix.
-    The determinant value is the product of the pivots, of g / d per row,
-    of h / p per update and of the sign of each row swap; it is reduced to
-    lowest terms at each pivot, which keeps it about the size of a minor.
-
-    No zero cell is visited: a row waits under the column of its first
-    nonzero, and the pivot is the waiting row first in the row order.
+    Row i is stored sparsely, as its nonzero {column: entry} pairs: scaled
+    by the lcm d of its denominators and divided by the gcd g of the
+    result.  The products of every g and of every d come back with the
+    rows, so that the determinant of m is the one of the integer rows times
+    the first over the second.
     """
     work: list[dict[int, int]] = []
-    waiting: dict[int, list[int]] = {}
     num = den = 1
-    for i, pairs in enumerate(m.nonzero):
+    for pairs in m.nonzero:
         d = lcm(*(x.denominator for _, x in pairs))
         row = {j: x.numerator * (d // x.denominator) for j, x in pairs}
         g = gcd(*row.values())
         num, den = num * g, den * d
         work.append({j: x // g for j, x in row.items()})
-        if pairs:
-            waiting.setdefault(pairs[0][0], []).append(i)
+    return work, num, den
+
+
+def _forward(work: list[dict[int, int]], cols: int, num: int = 1,
+             den: int = 1) -> tuple[list[dict[int, int]], list[int], Fraction]:
+    """Forward elimination of primitive integer rows, in place.
+
+    Returns the echelon rows, one per pivot, the pivot columns, and a value
+    that is num / den times the determinant of the rows when they are
+    square and of full rank.  Row i holds pivot i in column pivots[i], is
+    zero in every earlier column, and is primitive: the gcd of its entries
+    is 1.
+
+    At each pivot, every lower row with a nonzero in the pivot column is
+    replaced by its ``_combine`` with the pivot row, over the union of the
+    two rows' nonzeros.  Up to sign, a primitive row is the one integer
+    vector in the span of the rows used so far that vanishes on the earlier
+    pivot columns, so its entries stay bounded by minors of the cleared
+    matrix.  The determinant value is num / den times the product of the
+    pivots, of h / p per update and of the sign of each row swap; it is
+    reduced to lowest terms at each pivot, which keeps it about the size of
+    a minor.
+
+    No zero cell is visited: a row waits under the column of its first
+    nonzero, and the pivot is the waiting row first in the row order.
+    """
+    waiting: dict[int, list[int]] = {}
+    for i, row in enumerate(work):
+        if row:
+            waiting.setdefault(min(row), []).append(i)
     order = list(range(len(work)))  # the row at each position
     place = list(range(len(work)))  # the position of each row
     pivots: list[int] = []
-    for c in range(m.cols):
+    for c in range(cols):
         hits = waiting.pop(c, None)
         if hits is None:
             continue
@@ -236,25 +294,45 @@ def _eliminate(m: Mat) -> tuple[list[dict[int, int]], list[int], Fraction]:
     return [work[i] for i in order[:len(pivots)]], pivots, Fraction(num, den)
 
 
-def rref(m: Mat) -> tuple[Mat, tuple[int, ...]]:
-    """Reduced row echelon form and its pivot columns.
+def _eliminate(m: Mat) -> tuple[list[dict[int, int]], list[int], Fraction]:
+    """Forward elimination of m over the integers, in primitive rows: the
+    echelon rows, the pivot columns, and a value that is det(m) when m is
+    square of full rank."""
+    work, num, den = _primitive_rows(m)
+    return _forward(work, m.cols, num, den)
 
-    Forward elimination, then back substitution from the last pivot row
-    upward: each later pivot column in the row is cleared by ``_combine``
-    with that pivot's row, already reduced.  Fractions are built only at
-    the output, each entry over its row's pivot.  The result is the unique
-    RREF: pivots are 1, pivot columns are cleared above and below, pivot
-    columns strictly increase down the rows.
-    """
-    rows, pivots, _ = _eliminate(m)
+
+def _back_substitute(rows: list[dict[int, int]], pivots: list[int]) -> None:
+    """Reduce echelon rows in place, from the last pivot row upward: each
+    later pivot column in a row is cleared by ``_combine`` with that
+    pivot's row, already reduced.  Afterwards each row is zero in every
+    pivot column but its own, and still primitive."""
     pivot_row = {c: i for i, c in enumerate(pivots)}
     for i in range(len(pivots) - 1, -1, -1):
         for c in [c for c in rows[i] if c != pivots[i] and c in pivot_row]:
             rows[i], _ = _combine(rows[i], rows[pivot_row[c]], c)
-    out = [tuple((j, Fraction(row[j], row[c])) for j in sorted(row))
-           for row, c in zip(rows, pivots)]
-    out += [()] * (m.rows - len(out))
-    return Mat(m.rows, m.cols, tuple(out)), tuple(pivots)
+
+
+def _rref_rows(rows: list[dict[int, int]],
+               pivots: list[int]) -> tuple[tuple[tuple[int, Fraction], ...], ...]:
+    """Reduced integer rows as RREF rows: each entry over its row's pivot,
+    one Fraction per stored entry."""
+    return tuple(tuple((j, Fraction(row[j], row[c])) for j in sorted(row))
+                 for row, c in zip(rows, pivots))
+
+
+def rref(m: Mat) -> tuple[Mat, tuple[int, ...]]:
+    """Reduced row echelon form and its pivot columns.
+
+    Forward elimination and back substitution run on primitive integer
+    rows; Fractions are built only at the output, each entry over its row's
+    pivot.  The result is the unique RREF: pivots are 1, pivot columns are
+    cleared above and below, pivot columns strictly increase down the rows.
+    """
+    rows, pivots, _ = _eliminate(m)
+    _back_substitute(rows, pivots)
+    out = _rref_rows(rows, pivots) + ((),) * (m.rows - len(pivots))
+    return Mat(m.rows, m.cols, out), tuple(pivots)
 
 
 def rank(m: Mat) -> int:
@@ -324,15 +402,36 @@ def rowspace(m: Mat) -> Subspace:
 
 
 def nullspace(m: Mat) -> Subspace:
-    """Canonical basis of {x : m x = 0}: free column f gives 1 at f and
-    minus each reduced row's entry in column f at that row's pivot."""
-    reduced, pivots = rref(m)
+    """Canonical basis of {x : m x = 0}, with no Fraction before the output.
+
+    From the reduced integer rows of m, free column f gives the kernel
+    vector with 1 at f and, at each row's pivot p, minus that row's entry
+    in column f over its pivot entry.  Scaled by the lcm of the pivot
+    entries it touches, that vector is an integer row; divided by its gcd
+    it is primitive.  The rows of all free columns then go through the
+    same forward pass and back substitution, and only their RREF is
+    written as Fractions.
+    """
+    rows, pivots, _ = _eliminate(m)
+    _back_substitute(rows, pivots)
     pivot_set = set(pivots)
-    vectors = {f: {f: _ONE} for f in range(m.cols) if f not in pivot_set}
-    for p, pairs in zip(pivots, reduced.nonzero):
-        for f, x in pairs[1:]:
-            vectors[f][p] = -x
-    return rowspace(Mat.from_dicts(list(vectors.values()), m.cols))
+    touched: dict[int, list[tuple[int, int, int]]] = {
+        f: [] for f in range(m.cols) if f not in pivot_set}
+    for row, p in zip(rows, pivots):
+        q = row[p]
+        for f, x in row.items():
+            if f != p:
+                touched[f].append((p, x, q))
+    vectors = []
+    for f, entries in touched.items():
+        scale = lcm(*(q for _, _, q in entries))
+        v = {p: -x * (scale // q) for p, x, q in entries}
+        v[f] = scale
+        g = gcd(*v.values())
+        vectors.append({j: x // g for j, x in v.items()})
+    rows, pivots, _ = _forward(vectors, m.cols)
+    _back_substitute(rows, pivots)
+    return Subspace(Mat(len(pivots), m.cols, _rref_rows(rows, pivots)))
 
 
 def colspace(m: Mat) -> Subspace:

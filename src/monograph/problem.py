@@ -44,6 +44,8 @@ from .localsystem import EdgeCochain, LocalSystem
 
 BASE_KINDS = ("trivial", "unipotent2")
 MAX_LAYERS = 512
+# the most cells the matrices of one document may have, see ``check_cells``
+MAX_CELLS = 1 << 22
 
 
 class ParseError(ValueError):
@@ -53,6 +55,17 @@ class ParseError(ValueError):
         self.line = line
         prefix = "line %d: " % line if line is not None else ""
         super().__init__(prefix + message)
+
+
+def check_cells(n: int, m: int, r: int) -> None:
+    """Refuse a rank-r system on n vertices and m edges, before anything is
+    built, when its document's five matrices have more than MAX_CELLS cells:
+    incidence n x m, Laplacian n x n, coboundary mr x nr, residue nr x mr and
+    system nr x nr."""
+    cells = n * m + n * n + (2 * m + n) * n * r * r
+    if cells > MAX_CELLS:
+        raise ParseError("%d vertices, %d edges and rank %d make %d matrix cells; "
+                         "the limit is %d" % (n, m, r, cells, MAX_CELLS))
 
 
 @dataclass(frozen=True)
@@ -175,6 +188,8 @@ class ProblemSpec:
                 if name not in seen:
                     raise ParseError("unknown vertex %r in edge" % name)
         self.system.check_params(len(self.edges))
+        check_cells(len(self.vertices), len(self.edges),
+                    self.system.rank + len(self.system.layers))
 
     def graph(self) -> DualGraph:
         index = {name: i for i, name in enumerate(self.vertices)}
@@ -270,10 +285,11 @@ def _parse_system_lines(system_lines: list[tuple[int, list[str]]],
     lineno, tokens = system_lines[0]
     head, args = tokens[0], tokens[1:]
     if head == "trivial":
-        if len(args) != 1 or not (args[0].isascii() and args[0].isdigit()) \
-                or int(args[0]) < 1:
+        digits = args[0] if len(args) == 1 and args[0].isascii() and args[0].isdigit() \
+            else "0"
+        rank, params = _parse_values([digits], lineno)[0].numerator, ()
+        if rank < 1:
             raise ParseError("trivial takes one positive integer rank", lineno)
-        rank, params = int(args[0]), ()
     elif head == "unipotent2":
         params = _parse_values(args, lineno)
         if len(params) != n_edges:
@@ -309,7 +325,8 @@ def load_problem(text: str) -> ProblemSpec:
     if text.lstrip()[:1] not in ("{", "["):
         return parse_spec(text)
     try:
-        doc = json.loads(text)
+        # integers keep the digit limit of the rational literals
+        doc = json.loads(text, parse_int=lambda digits: parse_rational(digits).numerator)
     except json.JSONDecodeError as exc:
         raise ParseError("invalid JSON: %s" % exc) from None
     except RecursionError:

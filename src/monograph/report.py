@@ -20,7 +20,7 @@ from typing import Sequence
 
 from . import cohomology, tate
 from .graph import incidence_matrix, laplacian
-from .linalg import Mat
+from .linalg import MAX_DIGITS, Mat, render_rational
 from .problem import ProblemSpec
 
 GRAPH_COMMANDS = ("laplacian", "cohomology", "defect")
@@ -31,13 +31,20 @@ class InternalCheckError(RuntimeError):
 
 
 def matrix_grid(m: Mat) -> list[list[str]]:
-    """The rows of m as strings, rendered from its stored nonzeros."""
-    grid = []
-    for pairs in m.nonzero:
-        row = ["0"] * m.cols
-        for j, x in pairs:
-            row[j] = str(x)
-        grid.append(row)
+    """The rows of m as strings, rendered from its stored nonzeros.  A
+    number too long for ``render_rational`` refuses the document."""
+    grid, limit = [], MAX_DIGITS
+    try:
+        for pairs in m.nonzero:
+            row = ["0"] * m.cols
+            for j, x in pairs:
+                row[j] = text = str(x)
+                if len(text) > limit:
+                    render_rational(x)
+            grid.append(row)
+    except ValueError:  # str refused x, past the interpreter's own limit
+        render_rational(x)  # raises the error that names MAX_DIGITS
+        raise
     return grid
 
 
@@ -97,13 +104,13 @@ def tate_document(m: int, gvals: Sequence[Fraction]) -> dict:
         "command": "tate",
         "tate": {
             "m": r.m,
-            "g": list(map(str, r.gvals)),
+            "g": list(map(render_rational, r.gvals)),
             "system": matrix_grid(r.system),
-            "det": str(r.det),
+            "det": render_rational(r.det),
             "rank": r.rank,
             "kernel": matrix_grid(r.kernel.basis),
             "edge_images": matrix_grid(r.edge_images.transpose()),
-            "holonomy": str(r.holonomy),
+            "holonomy": render_rational(r.holonomy),
             "defect": r.defect,
             "quotient_dim": r.quotient_dim,
         },

@@ -17,6 +17,7 @@ from .cohomology import _kernel_route
 from .graph import DualGraph, cycle_graph
 from .linalg import Mat, Subspace, vec
 from .localsystem import LocalSystem
+from .problem import check_cells
 
 
 def build_tate(m: int, gvals: Sequence[int | str | Fraction]) -> tuple[DualGraph, LocalSystem]:
@@ -24,6 +25,7 @@ def build_tate(m: int, gvals: Sequence[int | str | Fraction]) -> tuple[DualGraph
     values = vec(gvals)
     if len(values) != m:
         raise ValueError("%d cocycle values for a %d-cycle" % (len(values), m))
+    check_cells(m, m, 2)  # the cap of the defect document on the same cycle
     g = cycle_graph(m)
     return g, LocalSystem.unipotent_rank2(g, values)
 

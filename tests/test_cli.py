@@ -13,10 +13,10 @@ from pathlib import Path
 import pytest
 
 import monograph
-from monograph import checks, cohomology, report
+from monograph import checks, cohomology, report, tate
 from monograph.cli import _build_parser, main
-from monograph.linalg import DimensionMismatch, Mat
-from monograph.problem import MAX_LAYERS, parse_spec
+from monograph.linalg import MAX_DIGITS, DimensionMismatch, Mat
+from monograph.problem import MAX_CELLS, MAX_LAYERS, parse_spec
 from monograph.report import InternalCheckError
 
 from test_linalg_oracle import dense
@@ -431,6 +431,73 @@ class TestErrors:
         assert out == ""
         assert err == "internal error: %s: forced for the exit-code contract\n" \
             % error.__name__
+
+
+class TestLimits:
+    """Inputs past the tool's own limits exit 2 with one line that names the
+    limit and never the interpreter's setting."""
+
+    @staticmethod
+    def assert_refused(code, out, err, limit):
+        assert (code, out) == (2, "")
+        assert err.count("\n") == 1 and err.endswith("\n")
+        assert str(limit) in err and "sys." not in err
+
+    def test_tate_holonomy_past_the_digit_limit(self, capsys):
+        # every value has at most MAX_DIGITS digits and the analysis runs,
+        # but the holonomy's numerator has about 8000
+        g = ",".join(("7" * 4000, "3" * 4000, "1/" + "9" * 4000))
+        code, out, err = run_cli(capsys, ["tate", "--ord", "3", "--g", g])
+        self.assert_refused(code, out, err, MAX_DIGITS)
+        assert "numerator or denominator" in err
+
+    def test_long_literal_in_g(self, capsys):
+        code, out, err = run_cli(capsys, ["tate", "--ord", "3", "--g", "1,2," + "5" * 5000])
+        self.assert_refused(code, out, err, MAX_DIGITS)
+        assert "5000 digits" in err
+
+    @pytest.mark.parametrize("name, text", [
+        ("long.txt", TRIANGLE_TRIVIAL + "SYSTEM\nunipotent2 1 2 %s\n" % ("5" * 5000)),
+        ("long-rank.txt", TRIANGLE_TRIVIAL + "SYSTEM\ntrivial %s\n" % ("5" * 5000)),
+        ("long.json", '{"vertices": ["a", "b"], "edges": [{"from": "a", "to": "b"}], '
+                      '"system": {"kind": "unipotent2", "params": ["1/%s"]}}' % ("5" * 5000)),
+        ("long-int.json", '{"vertices": ["a", "b"], "edges": [{"from": "a", "to": "b"}], '
+                          '"system": {"kind": "unipotent2", "params": [%s]}}' % ("5" * 5000)),
+    ])
+    def test_long_literal_in_problem_file(self, capsys, tmp_path, name, text):
+        path = write(tmp_path, name, text)
+        code, out, err = run_cli(capsys, ["defect", "--input", path])
+        self.assert_refused(code, out, err, MAX_DIGITS)
+        assert "5000 digits" in err
+
+    def test_huge_rank_refused_before_it_is_built(self):
+        # a cap that fails would build 10^8 identity rows: the address-space
+        # limit turns that into a quick MemoryError (exit 3), and the timeout
+        # stops anything slower, so the test fails instead of hanging
+        pytest.importorskip("resource")
+        doc = ('{"vertices": ["a", "b"], "edges": [{"from": "a", "to": "b"}], '
+               '"system": {"kind": "trivial", "rank": 100000000}}')
+        env = dict(os.environ,
+                   PYTHONPATH=str(Path(monograph.__file__).resolve().parents[1]))
+        limited = ("import resource, runpy; "
+                   "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30)); "
+                   "runpy.run_module('monograph.cli', run_name='__main__')")
+        proc = subprocess.run([sys.executable, "-c", limited, "defect"], input=doc,
+                              capture_output=True, text=True, env=env, timeout=60)
+        self.assert_refused(proc.returncode, proc.stdout, proc.stderr, MAX_CELLS)
+        assert "rank 100000000" in proc.stderr
+
+    def test_cell_cap_boundary(self):
+        # on one edge the five matrices have 6 + 8 r^2 cells: rank 724 is the
+        # largest under the cap; specs are checked before any matrix is built
+        edge = "VERTICES\na b\nEDGES\na b\nSYSTEM\ntrivial %d\n"
+        assert parse_spec(edge % 724).system.rank == 724
+        assert 6 + 8 * 724 ** 2 <= MAX_CELLS < 6 + 8 * 725 ** 2
+        with pytest.raises(ValueError, match="the limit is %d" % MAX_CELLS):
+            parse_spec(edge % 725)
+        # tate is capped like defect on its cycle: 14 m^2 cells, m = 547 at most
+        with pytest.raises(ValueError, match="the limit is %d" % MAX_CELLS):
+            tate.build_tate(548, [0] * 548)
 
 
 class TestPackage:
