@@ -78,14 +78,6 @@ class DualGraph:
     def vertex_name(self, v: int) -> str:
         return self.labels[v] if self.labels is not None else "v%d" % v
 
-    def reorient_edge(self, e: int) -> DualGraph:
-        """Same graph with edge e's canonical orientation swapped."""
-        if not (0 <= e < self.m):
-            raise GraphError("no edge %d" % e)
-        s, t = self.edges[e]
-        edges = self.edges[:e] + ((t, s),) + self.edges[e + 1:]
-        return DualGraph(self.n, edges, self.labels)
-
 
 def incidence_matrix(g: DualGraph) -> Mat:
     """n x m matrix: +1 at (source, e), -1 at (target, e)."""

@@ -15,18 +15,17 @@ product writes each row of the right operand over the lcm of that row's
 denominators and each left row over its own common denominator, and adds
 integer rows.
 
-All elimination runs through one forward pass, ``_forward``, over sparse
-integer rows, each kept primitive (the gcd of its entries is 1);
-``_eliminate`` is that pass on the primitive rows of a Mat.  It has one row
-operation, ``_combine``, which clears a column with p row - a prow and
-divides out the content, and it touches only the rows below each pivot and
-only where either row is nonzero.  ``rank`` and ``det`` read the pivots of
-that pass and nothing more.  ``rref`` adds a back substitution with the
-same row operation, from the last pivot row upward, and writes each entry
-over its row's pivot; ``rowspace`` and ``colspace`` are views of it.
-``nullspace`` reads each kernel vector off the reduced rows as a primitive
-integer row and canonicalizes those rows with the same forward pass and
-back substitution, so it builds no Fraction before its output.
+All elimination runs through one forward pass, ``_eliminate``, over the
+primitive integer rows of a Mat: sparse rows whose entries have gcd 1.  It
+has one row operation, ``_combine``, which clears a column with
+p row - a prow and divides out the content, and it touches only the rows
+below each pivot and only where either row is nonzero.  ``rank`` and
+``det`` read the pivots of that pass and nothing more.  ``rref`` adds a
+back substitution with the same row operation, from the last pivot row
+upward, and writes each entry over its row's pivot; ``rowspace`` and
+``colspace`` are views of it.  ``nullspace`` eliminates and
+back-substitutes m turned by 180 degrees, once, and reads the kernel's
+RREF straight off those reduced rows.
 
 A ``Subspace`` basis is the k x n matrix of the nonzero rows of the
 subspace's RREF, one row per basis vector.  That basis is unique, so
@@ -218,57 +217,44 @@ def _combine(row: dict[int, int], prow: dict[int, int],
     return {j: v // h for j, v in acc.items() if v}, h
 
 
-def _primitive_rows(m: Mat) -> tuple[list[dict[int, int]], int, int]:
-    """The rows of m as primitive integer rows, with their scale for ``det``.
+def _eliminate(m: Mat) -> tuple[list[dict[int, int]], list[int], Fraction]:
+    """Forward elimination of m over the integers, in primitive rows.
 
-    Row i is stored sparsely, as its nonzero {column: entry} pairs: scaled
-    by the lcm d of its denominators and divided by the gcd g of the
-    result.  The products of every g and of every d come back with the
-    rows, so that the determinant of m is the one of the integer rows times
-    the first over the second.
+    Returns the echelon rows, one per pivot, the pivot columns, and a value
+    that is det(m) when m is square and of full rank.  Row i holds pivot i
+    in column pivots[i], is zero in every earlier column, and is primitive:
+    the gcd of its entries is 1.
+
+    Row i of m is first stored sparsely, as its nonzero {column: entry}
+    pairs, scaled by the lcm d of its denominators and divided by the gcd
+    g of the result.  At each pivot, every lower row with a nonzero in the
+    pivot column is replaced by its ``_combine`` with the pivot row, over
+    the union of the two rows' nonzeros.  Up to sign, a primitive row is
+    the one integer vector in the span of the rows used so far that
+    vanishes on the earlier pivot columns, so its entries stay bounded by
+    minors of the cleared matrix.  The determinant value is the product of
+    every g over every d, of the pivots, of h / p per update and of the
+    sign of each row swap; it is reduced to lowest terms at each pivot,
+    which keeps it about the size of a minor.
+
+    No zero cell is visited: a row waits under the column of its first
+    nonzero, and the pivot is the waiting row first in the row order.
     """
     work: list[dict[int, int]] = []
     num = den = 1
-    for pairs in m.nonzero:
+    waiting: dict[int, list[int]] = {}
+    for i, pairs in enumerate(m.nonzero):
         d = lcm(*(x.denominator for _, x in pairs))
         row = {j: x.numerator * (d // x.denominator) for j, x in pairs}
         g = gcd(*row.values())
         num, den = num * g, den * d
         work.append({j: x // g for j, x in row.items()})
-    return work, num, den
-
-
-def _forward(work: list[dict[int, int]], cols: int, num: int = 1,
-             den: int = 1) -> tuple[list[dict[int, int]], list[int], Fraction]:
-    """Forward elimination of primitive integer rows, in place.
-
-    Returns the echelon rows, one per pivot, the pivot columns, and a value
-    that is num / den times the determinant of the rows when they are
-    square and of full rank.  Row i holds pivot i in column pivots[i], is
-    zero in every earlier column, and is primitive: the gcd of its entries
-    is 1.
-
-    At each pivot, every lower row with a nonzero in the pivot column is
-    replaced by its ``_combine`` with the pivot row, over the union of the
-    two rows' nonzeros.  Up to sign, a primitive row is the one integer
-    vector in the span of the rows used so far that vanishes on the earlier
-    pivot columns, so its entries stay bounded by minors of the cleared
-    matrix.  The determinant value is num / den times the product of the
-    pivots, of h / p per update and of the sign of each row swap; it is
-    reduced to lowest terms at each pivot, which keeps it about the size of
-    a minor.
-
-    No zero cell is visited: a row waits under the column of its first
-    nonzero, and the pivot is the waiting row first in the row order.
-    """
-    waiting: dict[int, list[int]] = {}
-    for i, row in enumerate(work):
-        if row:
-            waiting.setdefault(min(row), []).append(i)
-    order = list(range(len(work)))  # the row at each position
-    place = list(range(len(work)))  # the position of each row
+        if pairs:
+            waiting.setdefault(pairs[0][0], []).append(i)
+    order = list(range(m.rows))  # the row at each position
+    place = list(range(m.rows))  # the position of each row
     pivots: list[int] = []
-    for c in range(cols):
+    for c in range(m.cols):
         hits = waiting.pop(c, None)
         if hits is None:
             continue
@@ -294,14 +280,6 @@ def _forward(work: list[dict[int, int]], cols: int, num: int = 1,
     return [work[i] for i in order[:len(pivots)]], pivots, Fraction(num, den)
 
 
-def _eliminate(m: Mat) -> tuple[list[dict[int, int]], list[int], Fraction]:
-    """Forward elimination of m over the integers, in primitive rows: the
-    echelon rows, the pivot columns, and a value that is det(m) when m is
-    square of full rank."""
-    work, num, den = _primitive_rows(m)
-    return _forward(work, m.cols, num, den)
-
-
 def _back_substitute(rows: list[dict[int, int]], pivots: list[int]) -> None:
     """Reduce echelon rows in place, from the last pivot row upward: each
     later pivot column in a row is cleared by ``_combine`` with that
@@ -311,14 +289,6 @@ def _back_substitute(rows: list[dict[int, int]], pivots: list[int]) -> None:
     for i in range(len(pivots) - 1, -1, -1):
         for c in [c for c in rows[i] if c != pivots[i] and c in pivot_row]:
             rows[i], _ = _combine(rows[i], rows[pivot_row[c]], c)
-
-
-def _rref_rows(rows: list[dict[int, int]],
-               pivots: list[int]) -> tuple[tuple[tuple[int, Fraction], ...], ...]:
-    """Reduced integer rows as RREF rows: each entry over its row's pivot,
-    one Fraction per stored entry."""
-    return tuple(tuple((j, Fraction(row[j], row[c])) for j in sorted(row))
-                 for row, c in zip(rows, pivots))
 
 
 def rref(m: Mat) -> tuple[Mat, tuple[int, ...]]:
@@ -331,8 +301,9 @@ def rref(m: Mat) -> tuple[Mat, tuple[int, ...]]:
     """
     rows, pivots, _ = _eliminate(m)
     _back_substitute(rows, pivots)
-    out = _rref_rows(rows, pivots) + ((),) * (m.rows - len(pivots))
-    return Mat(m.rows, m.cols, out), tuple(pivots)
+    out = tuple(tuple((j, Fraction(row[j], row[c])) for j in sorted(row))
+                for row, c in zip(rows, pivots))
+    return Mat(m.rows, m.cols, out + ((),) * (m.rows - len(pivots))), tuple(pivots)
 
 
 def rank(m: Mat) -> int:
@@ -402,36 +373,32 @@ def rowspace(m: Mat) -> Subspace:
 
 
 def nullspace(m: Mat) -> Subspace:
-    """Canonical basis of {x : m x = 0}, with no Fraction before the output.
+    """Canonical basis of {x : m x = 0}, read off one elimination.
 
-    From the reduced integer rows of m, free column f gives the kernel
-    vector with 1 at f and, at each row's pivot p, minus that row's entry
-    in column f over its pivot entry.  Scaled by the lcm of the pivot
-    entries it touches, that vector is an integer row; divided by its gcd
-    it is primitive.  The rows of all free columns then go through the
-    same forward pass and back substitution, and only their RREF is
-    written as Fractions.
+    m is turned by 180 degrees, its rows and its columns both reversed,
+    then eliminated and back-substituted.  Turned back, each reduced row is
+    its pivot column p plus free columns left of p.  So free column f gives
+    the kernel vector with 1 at f and, at each pivot p right of f, minus
+    that row's entry in column f over its pivot entry.  That vector leads
+    with the 1 at f and is zero at every other free column, so the vectors
+    in the order of f are already the kernel's RREF.  The rows turn with
+    the columns because reversing the columns alone about doubles the
+    row-operation work on the banded system matrix of a cycle.
     """
-    rows, pivots, _ = _eliminate(m)
+    last = m.cols - 1
+    turned = Mat(m.rows, m.cols, tuple(tuple((last - j, x) for j, x in reversed(pairs))
+                                       for pairs in reversed(m.nonzero)))
+    rows, pivots, _ = _eliminate(turned)
     _back_substitute(rows, pivots)
-    pivot_set = set(pivots)
-    touched: dict[int, list[tuple[int, int, int]]] = {
-        f: [] for f in range(m.cols) if f not in pivot_set}
-    for row, p in zip(rows, pivots):
-        q = row[p]
-        for f, x in row.items():
-            if f != p:
-                touched[f].append((p, x, q))
-    vectors = []
-    for f, entries in touched.items():
-        scale = lcm(*(q for _, _, q in entries))
-        v = {p: -x * (scale // q) for p, x, q in entries}
-        v[f] = scale
-        g = gcd(*v.values())
-        vectors.append({j: x // g for j, x in v.items()})
-    rows, pivots, _ = _forward(vectors, m.cols)
-    _back_substitute(rows, pivots)
-    return Subspace(Mat(len(pivots), m.cols, _rref_rows(rows, pivots)))
+    pivot_set = {last - c for c in pivots}
+    vectors = {f: [(f, _ONE)] for f in range(m.cols) if f not in pivot_set}
+    # the turned rows from the last upward, so each vector grows in column order
+    for row, c in zip(reversed(rows), reversed(pivots)):
+        q = row[c]
+        for j, x in row.items():
+            if j != c:
+                vectors[last - j].append((last - c, Fraction(-x, q)))
+    return Subspace(Mat(len(vectors), m.cols, tuple(map(tuple, vectors.values()))))
 
 
 def colspace(m: Mat) -> Subspace:

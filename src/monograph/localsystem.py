@@ -109,13 +109,6 @@ class LocalSystem:
                                     for pairs, x in zip(u.nonzero, v)) + (bottom,))
             for u, v in zip(self.transitions, c.values)))
 
-    def reorient_edge(self, e: int) -> LocalSystem:
-        """Equivalent system with edge e's canonical orientation swapped;
-        the stored transition becomes its inverse."""
-        transitions = (self.transitions[:e] + (self.transition_inverse(e),)
-                       + self.transitions[e + 1:])
-        return LocalSystem(self.graph.reorient_edge(e), self.rank, transitions)
-
 
 @dataclass(frozen=True)
 class EdgeCochain:

@@ -43,6 +43,7 @@ from .linalg import parse_rational, rat, vec
 from .localsystem import EdgeCochain, LocalSystem
 
 BASE_KINDS = ("trivial", "unipotent2")
+SECTIONS = ("VERTICES", "EDGES", "SYSTEM")
 MAX_LAYERS = 512
 # the most cells the matrices of one document may have, see ``check_cells``
 MAX_CELLS = 1 << 22
@@ -234,7 +235,16 @@ class ProblemSpec:
 
 
 def render(spec: ProblemSpec) -> str:
-    """Text form; parse_spec(render(spec)) == spec."""
+    """Text form; parse_spec(render(spec)) == spec.
+
+    The JSON form admits vertex names the text form cannot hold: empty
+    names, names with whitespace or '#', and the section headers.  Such a
+    spec is refused with ValueError.
+    """
+    for name in spec.vertices:
+        if not name or name in SECTIONS or "#" in name or \
+                any(ch.isspace() for ch in name):
+            raise ValueError("vertex name %r has no text form" % name)
     lines = ["VERTICES"]
     lines.extend(spec.vertices)
     lines.append("EDGES")
@@ -259,7 +269,7 @@ def parse_spec(text: str) -> ProblemSpec:
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
-        if line in ("VERTICES", "EDGES", "SYSTEM"):
+        if line in SECTIONS:
             section = line
             continue
         tokens = line.split()

@@ -7,7 +7,8 @@ where it is installed.  Every comparison is exact.
 
 Besides random dense-ish matrices, the kernel is compared on the matrices
 its sparse forward pass is built for: the banded system matrices of
-unipotent m-cycles with their corner blocks, the system matrices of sampled
+unipotent m-cycles with their corner blocks, those of paths with many
+chords, whose cycles share their vertices, the system matrices of sampled
 unipotent systems, tall and wide matrices of low rank, matrices in which
 rows skip pivots or cancel to zero part way through, and empty and zero
 matrices.  On the same matrices every echelon row the forward pass returns
@@ -22,7 +23,7 @@ import pytest
 
 from monograph.checks import random_unipotent_systems
 from monograph.cohomology import system_matrix
-from monograph.graph import cycle_graph
+from monograph.graph import DualGraph, cycle_graph
 from monograph.linalg import (Mat, Subspace, _eliminate, colspace, det, nullspace,
                               rank, rowspace, rref)
 from monograph.localsystem import LocalSystem, _inverse
@@ -294,6 +295,25 @@ def cycle_system_matrix(m):
     return system_matrix(LocalSystem.unipotent_rank2(cycle_graph(m), gvals))
 
 
+def path_with_chords(n, m, seed):
+    """The edges of the path 0 - ... - (n-1) plus chords, which are
+    rng.sample(range(n), 2) pairs from random.Random(seed) until there are
+    m edges, and a unipotent2 cocycle of rng.randint(-5, 5) per edge from
+    the same rng."""
+    rng = random.Random(seed)
+    edges = [(i, i + 1) for i in range(n - 1)]
+    while len(edges) < m:
+        edges.append(tuple(rng.sample(range(n), 2)))
+    return tuple(edges), [rng.randint(-5, 5) for _ in edges]
+
+
+def chord_system_matrix(n, m):
+    """System matrix of unipotent2 on a path with chords, m - n + 1
+    independent cycles on n vertices."""
+    edges, gvals = path_with_chords(n, m, 1000 * n + m)
+    return system_matrix(LocalSystem.unipotent_rank2(DualGraph(n, edges), gvals))
+
+
 def low_rank_matrix(rng, rows, cols, k):
     """A rows x cols product through Q^k, so its rank is at most k."""
     return random_matrix(rng, rows, k) @ random_matrix(rng, k, cols)
@@ -344,11 +364,19 @@ def assert_kernel_matches_oracles(m):
         assert det(m) == oracle_det(m)
 
 
-@pytest.mark.parametrize("m", range(2, 41))
-def test_cycle_system_matrices_match_oracles(m):
-    a = cycle_system_matrix(m)
+# the m-cycles, and two graphs with many independent cycles: m - n + 1 of
+# them, where an m-cycle has one
+SYSTEM_MATRICES = (
+    [pytest.param(cycle_system_matrix, (m,), id=str(m)) for m in range(2, 41)]
+    + [pytest.param(chord_system_matrix, (n, m), id="chords-%d-%d" % (n, m))
+       for n, m in ((12, 24), (20, 40))])
+
+
+@pytest.mark.parametrize("build, size", SYSTEM_MATRICES)
+def test_cycle_system_matrices_match_oracles(build, size):
+    a = build(*size)
     assert_kernel_matches_oracles(a)
-    # shifted off the kernel, the banded matrix has a nonzero determinant
+    # shifted off the kernel, the system matrix has a nonzero determinant
     shifted = Mat.from_rows([[x + 1 if i == j else x for j, x in enumerate(row)]
                              for i, row in enumerate(dense(a))])
     assert det(shifted) == oracle_det(shifted) != 0

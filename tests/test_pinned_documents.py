@@ -1,9 +1,10 @@
-"""Pinned stdout of high-rank and long-cycle documents.
+"""Pinned stdout of high-rank, long-cycle and many-cycle documents.
 
 The benchmark workloads reach rank 3, the 32-cycle and two extension
 layers at most.  These documents have rank up to 40, where the kernel and
 H0 maps of the report work on many basis vectors at once, or live on the
-64-cycle, where the banded system matrix is 128 x 128, or carry a long
+64-cycle, where the banded system matrix is 128 x 128, or on a path with
+chords that has 41 independent cycles on 40 vertices, or carry a long
 extension chain: six layers over the triangle, in the text and the JSON
 form, and the 512 layers the chain cap allows.  Their stdout is pinned by
 sha256 so any change to the elimination, the products, those maps or the
@@ -17,6 +18,8 @@ from fractions import Fraction
 import pytest
 
 from monograph.cli import main
+
+from test_linalg_oracle import path_with_chords
 
 ONE_EDGE = "VERTICES\nA B\nEDGES\nA B\n"
 TRIANGLE = "VERTICES\nI II III\nEDGES\nI II\nII III\nI III\n"
@@ -33,6 +36,13 @@ CYCLE_64_G = [(7 * i) % 11 - 5 for i in range(64)]
 CYCLE_64 = ("VERTICES\n" + "".join("v%d\n" % i for i in range(64))
             + "EDGES\n" + "".join("v%d v%d\n" % (i, i + 1) for i in range(63))
             + "v0 v63\nSYSTEM\nunipotent2 " + " ".join(map(str, CYCLE_64_G)) + "\n")
+
+# 80 edges on 40 vertices: 41 independent cycles, where the pinned cycles
+# and the benchmark graphs have at most one per four vertices
+MANY_EDGES, MANY_G = path_with_chords(40, 80, 40080)
+MANY_CYCLES = ("VERTICES\n" + "".join("v%d\n" % i for i in range(40))
+               + "EDGES\n" + "".join("v%d v%d\n" % e for e in MANY_EDGES)
+               + "SYSTEM\nunipotent2 " + " ".join(map(str, MANY_G)) + "\n")
 
 # the triangle's unipotent2 system extended six times: the layer k over
 # rank r = k + 2 carries the 3r values ((5i + 3k) mod 7 - 3) / (k + 1)
@@ -70,6 +80,8 @@ PINNED = [
      "22f90adaa03e9909c018952e417e9509c8d92a0404d0dcc15167d0b89f599e00"),
     ("defect", CYCLE_64,
      "dd4edf0ae3fcffdf77cc920fa8d7e50564492f630b44429bfd6986638c9af860"),
+    ("defect", MANY_CYCLES,
+     "3e9391e7ff7f9c9c13f38bbfdcbf6b58639b2514fd46193ed2b3682f72ec0764"),
     # the longest chain the cap allows: 512 layers over one vertex, rank 513
     ("cohomology", "VERTICES\na\nSYSTEM\ntrivial 1\n" + "extend\n" * 512,
      "7f5044ae05aa53ff960dcb7b1e78b75ba5941ca066f7c8e64140b1ea9ac87087"),
@@ -84,6 +96,7 @@ PINNED = [
                               "cohomology-triangle-trivial12",
                               "defect-4cycle-unipotent2-extend2",
                               "defect-64cycle-unipotent2",
+                              "defect-path40-chords80-unipotent2",
                               "cohomology-vertex-extend512",
                               "defect-triangle-chain6-text",
                               "defect-triangle-chain6-json"])

@@ -139,6 +139,13 @@ class TestRoundTrip:
             spec = random_spec(rng)
             assert ProblemSpec.from_json_dict(spec.to_json_dict()) == spec
 
+    @pytest.mark.parametrize("name", ["a b", "a#x", "", "EDGES"])
+    def test_names_without_text_form(self, name):
+        spec = ProblemSpec(("c", name), (("c", name),))
+        assert ProblemSpec.from_json_dict(spec.to_json_dict()) == spec
+        with pytest.raises(ValueError, match="vertex name %r" % name):
+            render(spec)
+
     def test_rationals_rendered_in_lowest_terms(self):
         spec = ProblemSpec(("a", "b"), (("a", "b"),),
                            SystemSpec("unipotent2", 2, (Fraction(4, 6),)))
