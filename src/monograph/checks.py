@@ -125,7 +125,7 @@ def _trivial_coefficients(rng: random.Random, instances: int) -> Iterator[str]:
         lap = laplacian(g)
         kernel = nullspace(lap)
         sys = LocalSystem.trivial(g, 1)
-        if any(sum(x for _, x in column) != 0 for column in d.transpose().nonzero):
+        if any(sum(x for _, x in column) != 0 for column in d.transpose().entries):
             yield "incidence column sum nonzero (instance %d)" % i
         if lap != d @ d.transpose():
             yield "laplacian != D D^t (instance %d)" % i
@@ -133,7 +133,7 @@ def _trivial_coefficients(rng: random.Random, instances: int) -> Iterator[str]:
             yield "rank != n-1 (instance %d)" % i
         if kernel != Subspace.from_vectors(g.n, [[1] * g.n]):
             yield "kernel is not the all-ones line (instance %d)" % i
-        if any(not _min_propagates(g, k) for k in kernel.basis.nonzero):
+        if any(not _min_propagates(g, k) for k in kernel.basis.entries):
             yield "minimum argument failed (instance %d)" % i
         if system_matrix(sys) != lap:
             yield "system matrix != laplacian (instance %d)" % i

@@ -35,9 +35,9 @@ delta and R; they are the oracle the checks compare the report against.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
+from math import lcm
 
-from .linalg import Mat, Subspace, colspace, nullspace, rank, rowspace
+from .linalg import Mat, Row, Subspace, colspace, nullspace, rank, rowspace
 from .localsystem import LocalSystem
 
 
@@ -45,18 +45,27 @@ def _assemble(block_rows: int, block_cols: int, r: int,
               blocks: list[tuple[int, int, int, Mat]]) -> Mat:
     """Sum coefficient x block at each (block row, block column) given.
 
-    Every block is r x r and every coefficient is 1 or -1; the block's
-    nonzeros are added into one {column: entry} dict per output row, so
-    blocks at the same position add up.
+    Every block is r x r and every coefficient is 1 or -1.  Output row i
+    gathers the block rows that land in it; they are added as integer rows
+    over the lcm of their denominators, so blocks at the same position add
+    up, and the sum is put in lowest terms.
     """
-    rows: list[dict[int, Fraction]] = [{} for _ in range(block_rows * r)]
+    parts: list[list[tuple[int, int, Row, int]]] = [[] for _ in range(block_rows * r)]
     for bi, bj, coefficient, block in blocks:
-        for i, pairs in enumerate(block.nonzero):
-            row = rows[bi * r + i]
-            for j, x in pairs:
-                k, y = bj * r + j, x if coefficient == 1 else -x
-                row[k] = row[k] + y if k in row else y
-    return Mat.from_dicts(rows, block_cols * r)
+        for i, (pairs, d) in enumerate(zip(block.nums, block.dens)):
+            parts[bi * r + i].append((bj * r, coefficient, pairs, d))
+    rows, dens = [], []
+    for row_parts in parts:
+        e = lcm(*[d for _, _, _, d in row_parts])
+        row: dict[int, int] = {}
+        for offset, coefficient, pairs, d in row_parts:
+            c = coefficient * (e // d)
+            for j, n in pairs:
+                k = offset + j
+                row[k] = row[k] + c * n if k in row else c * n
+        rows.append(row)
+        dens.append(e)
+    return Mat.from_integer_rows(rows, dens, block_cols * r)
 
 
 def coboundary_matrix(sys: LocalSystem) -> Mat:

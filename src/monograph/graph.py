@@ -11,7 +11,6 @@ and disconnected graphs, so every ``DualGraph`` is a valid dual graph.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .linalg import Mat
 
@@ -40,7 +39,7 @@ class DualGraph:
     def __post_init__(self) -> None:
         if self.n < 1:
             raise GraphError("need at least one vertex")
-        object.__setattr__(self, "edges", tuple((int(s), int(t)) for s, t in self.edges))
+        object.__setattr__(self, "edges", tuple([(int(s), int(t)) for s, t in self.edges]))
         for s, t in self.edges:
             if not (0 <= s < self.n and 0 <= t < self.n):
                 raise GraphError("edge (%d,%d) out of range for %d vertices"
@@ -81,10 +80,10 @@ class DualGraph:
 
 def incidence_matrix(g: DualGraph) -> Mat:
     """n x m matrix: +1 at (source, e), -1 at (target, e)."""
-    rows: list[dict[int, Fraction]] = [{} for _ in range(g.n)]
+    rows: list[dict[int, int]] = [{} for _ in range(g.n)]
     for e, (s, t) in enumerate(g.edges):
-        rows[s][e], rows[t][e] = Fraction(1), Fraction(-1)
-    return Mat.from_dicts(rows, g.m)
+        rows[s][e], rows[t][e] = 1, -1
+    return Mat.from_integer_rows(rows, (1,) * g.n, g.m)
 
 
 def laplacian(g: DualGraph) -> Mat:
@@ -97,8 +96,7 @@ def laplacian(g: DualGraph) -> Mat:
         for u, w in ((s, t), (t, s)):
             rows[u][u] = rows[u].get(u, 0) + 1
             rows[u][w] = rows[u].get(w, 0) - 1
-    return Mat(g.n, g.n, tuple(tuple((j, Fraction(row[j])) for j in sorted(row))
-                               for row in rows))
+    return Mat.from_integer_rows(rows, (1,) * g.n, g.n)
 
 
 def cycle_graph(m: int) -> DualGraph:
@@ -110,5 +108,5 @@ def cycle_graph(m: int) -> DualGraph:
     """
     if m < 2:
         raise GraphError("cycle needs at least 2 vertices, got %d" % m)
-    edges = tuple((i, i + 1) for i in range(m - 1)) + ((0, m - 1),)
+    edges = tuple([(i, i + 1) for i in range(m - 1)] + [(0, m - 1)])
     return DualGraph(m, edges)

@@ -1,35 +1,46 @@
 """Exact linear algebra over the rationals.
 
-Every entry is a ``fractions.Fraction``, so nothing ever rounds: results are
-the mathematically exact values.  Matrices are immutable and store only
-their nonzero entries, row by row.  The matrices this package builds
+A matrix is stored as integer rows, each over one positive row denominator,
+so nothing ever rounds: results are the mathematically exact values.
+Matrices are immutable and store only their nonzero entries, row by row:
+row i is the tuple of its nonzero (column, numerator) pairs, in strictly
+increasing column order, over its denominator.  Each row is kept in lowest
+terms, the gcd of its denominator and its numerators being 1, and an empty
+row has denominator 1.  So two equal matrices have equal storage, and
+comparing them compares ints.  The matrices this package builds
 (coboundary, residue and system matrices) have only a few nonzero entries
 per row, so products, transposes and eliminations cost what the nonzeros
-cost.  No dense view exists: ``Mat.nonzero`` is the one way to read a
-matrix, and documents render from those stored pairs.
+cost.  No dense view exists.  ``Mat.entries`` is a read-only view of the
+stored entries as Fractions, for code at the edges; the routines here and
+the documents read the integer rows.  Fractions appear only at the
+boundary: ``rat``, ``vec`` and ``parse_rational`` read values in,
+``render_rational`` writes one out, and ``det`` returns one.
 
-Inside the routines the working form is integer rows: a routine reads the
-Fractions of its operands once, works on sparse rows of Python ints, and
-builds one Fraction for each stored entry of the Mat it returns.  The
-product writes each row of the right operand over the lcm of that row's
-denominators and each left row over its own common denominator, and adds
-integer rows.
+The product writes each row of the right operand over its denominator, so
+row i of the result is a sum of integer rows with integer coefficients over
+d_i times the lcm of the right denominators it meets.
 
 All elimination runs through one forward pass, ``_eliminate``, over the
-primitive integer rows of a Mat: sparse rows whose entries have gcd 1.  It
-has one row operation, ``_combine``, which clears a column with
+primitive integer rows of a Mat: its numerator rows divided by their gcd.
+It has one row operation, ``_combine``, which clears a column with
 p row - a prow and divides out the content, and it touches only the rows
 below each pivot and only where either row is nonzero.  ``rank`` and
 ``det`` read the pivots of that pass and nothing more.  ``rref`` adds a
 back substitution with the same row operation, from the last pivot row
-upward, and writes each entry over its row's pivot; ``rowspace`` and
-``colspace`` are views of it.  ``nullspace`` eliminates and
-back-substitutes m turned by 180 degrees, once, and reads the kernel's
-RREF straight off those reduced rows.
+upward, and writes each row over its pivot; ``rowspace`` and ``colspace``
+are views of it.  ``nullspace`` eliminates and back-substitutes m turned by
+180 degrees, once, and reads the kernel's RREF straight off those reduced
+rows.
 
 A ``Subspace`` basis is the k x n matrix of the nonzero rows of the
 subspace's RREF, one row per basis vector.  That basis is unique, so
 subspace equality is plain value equality.
+
+Stored tuples are built from lists, not generators.  CPython makes a tuple
+from a generator at one size and resizes it, so freeing it moves memory
+into the free list of another size; in a process that runs many documents
+those lists fill up, and with few Fractions allocated the cyclic collector
+that clears them rarely runs.
 """
 
 from __future__ import annotations
@@ -41,12 +52,15 @@ from math import gcd, lcm
 from typing import Iterable, Sequence
 
 Vector = tuple[Fraction, ...]
+# one stored row: its nonzero (column, numerator) pairs in column order
+Row = tuple[tuple[int, int], ...]
 
 _ZERO = Fraction(0)
-_ONE = Fraction(1)
 _RATIONAL_LITERAL = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
 # the most decimal digits a numerator or denominator may have, read or written
 MAX_DIGITS = 4000
+# the least int with more than MAX_DIGITS digits
+DIGIT_BOUND = 10 ** MAX_DIGITS
 
 
 class DimensionMismatch(Exception):
@@ -92,53 +106,97 @@ def parse_rational(text: str) -> Fraction:
         raise ValueError("bad rational literal %r: %s" % (text, exc)) from None
 
 
-def render_rational(x: Fraction) -> str:
-    """str(x), refused with ValueError when its numerator or denominator has
-    more than MAX_DIGITS digits, so no document carries a longer number."""
-    try:
-        text = str(x)
-    except ValueError:  # past the interpreter's own int-to-str limit
-        text = None
-    if text is None or len(text) > MAX_DIGITS and \
-            max(map(len, text.lstrip("-").split("/"))) > MAX_DIGITS:
+def render_ratio(n: int, d: int) -> str:
+    """str(Fraction(n, d)) for d > 0, from ints: n and d divided by their
+    gcd.  Refused with ValueError when the reduced numerator or denominator
+    has more than MAX_DIGITS digits, so no document carries a longer number.
+    The ints are compared with DIGIT_BOUND before any str, so the refusal
+    does not depend on the interpreter's own int-to-str limit."""
+    if d != 1:
+        g = gcd(n, d)
+        n, d = n // g, d // g
+    if not (-DIGIT_BOUND < n < DIGIT_BOUND and d < DIGIT_BOUND):
         raise ValueError("a number in the document has a numerator or denominator "
                          "over the digit limit of %d" % MAX_DIGITS)
-    return text
+    return str(n) if d == 1 else "%d/%d" % (n, d)
+
+
+def render_rational(x: Fraction) -> str:
+    """``render_ratio`` of a Fraction."""
+    return render_ratio(x.numerator, x.denominator)
 
 
 def vec(values: Iterable[int | str | Fraction]) -> Vector:
-    return tuple(rat(v) for v in values)
+    return tuple([rat(v) for v in values])
+
+
+def _lowest(pairs: Sequence[tuple[int, int]], d: int) -> tuple[Row, int]:
+    """The row pairs / d in lowest terms, for nonzero (column, numerator)
+    pairs in column order and d > 0: both divided by their gcd."""
+    if d == 1:
+        return tuple(pairs), 1
+    g = gcd(d, *[n for _, n in pairs])
+    if g == 1:
+        return tuple(pairs), d
+    return tuple([(j, n // g) for j, n in pairs]), d // g
+
+
+def _reduce(acc: dict[int, int], d: int) -> tuple[Row, int]:
+    """The row acc / d in lowest terms, for a {column: numerator} dict and
+    d > 0; zero numerators are dropped."""
+    return _lowest([(j, acc[j]) for j in sorted(acc) if acc[j]], d)
+
+
+def _over_lcm(entries: Sequence[tuple[int, int, int]]) -> tuple[Row, int]:
+    """The row of the entries n / d, given as (column, n, d) triples in
+    column order with n nonzero and d > 0, over the lcm of the d and in
+    lowest terms."""
+    e = lcm(*[d for _, _, d in entries])
+    return _lowest([(j, n * (e // d)) for j, n, d in entries], e)
+
+
+def _fraction_row(entries: Iterable[tuple[int, Fraction]]) -> tuple[Row, int]:
+    """The row of the given (column, Fraction) entries in column order;
+    zeros are dropped."""
+    return _over_lcm([(j, x.numerator, x.denominator) for j, x in entries if x])
 
 
 @dataclass(frozen=True)
 class Mat:
-    """Immutable sparse matrix of Fractions.
+    """Immutable sparse matrix over Q, stored as integer rows.
 
-    Row i is stored as the tuple of its nonzero (column, entry) pairs, in
-    strictly increasing column order; no zero is ever stored, so two equal
-    matrices have equal rows and comparing them compares nonzeros only.
+    Row i is nums[i], the tuple of its nonzero (column, numerator) pairs in
+    strictly increasing column order, over dens[i], its positive
+    denominator: entry (i, j) is n / dens[i].  Every row is in lowest terms
+    (an empty row is over 1), so two equal matrices have equal nums and
+    dens, and comparing them compares ints.
     """
 
     rows: int
     cols: int
-    nonzero: tuple[tuple[tuple[int, Fraction], ...], ...]
+    nums: tuple[Row, ...]
+    dens: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        if self.cols < 0 or len(self.nonzero) != self.rows:
-            raise ValueError("%d stored rows do not make a %dx%d matrix"
-                             % (len(self.nonzero), self.rows, self.cols))
-        for i, pairs in enumerate(self.nonzero):
+        if self.cols < 0 or len(self.nums) != self.rows or len(self.dens) != self.rows:
+            raise ValueError("%d stored rows over %d denominators do not make a %dx%d "
+                             "matrix" % (len(self.nums), len(self.dens), self.rows,
+                                         self.cols))
+        for i, (pairs, d) in enumerate(zip(self.nums, self.dens)):
             last = -1
-            for j, x in pairs:
-                if not (last < j < self.cols and x):
-                    raise ValueError("row %d: entry at column %r is zero, out of "
+            for j, n in pairs:
+                if not (last < j < self.cols and n):
+                    raise ValueError("row %d: numerator at column %r is zero, out of "
                                      "order or out of range" % (i, j))
                 last = j
+            if d != 1 and (d < 1 or gcd(d, *[n for _, n in pairs]) != 1):
+                raise ValueError("row %d: denominator %r is not positive or shares a "
+                                 "factor with the numerators" % (i, d))
 
     @classmethod
     def from_rows(cls, rows: Sequence[Sequence[int | str | Fraction]],
                   cols: int | None = None) -> Mat:
-        """Build from dense rows; `cols` disambiguates zero rows."""
+        """Build from dense rows of rationals; `cols` disambiguates zero rows."""
         rows = [list(r) for r in rows]
         if rows:
             ncols = len(rows[0])
@@ -148,57 +206,75 @@ class Mat:
             ncols = 0 if cols is None else cols
         if cols is not None and rows and ncols != cols:
             raise ValueError("rows have %d columns, expected %d" % (ncols, cols))
-        return cls(len(rows), ncols, tuple(
-            tuple((j, x) for j, x in enumerate(map(rat, r)) if x) for r in rows))
+        return _stack(ncols, [_fraction_row(enumerate(map(rat, r))) for r in rows])
 
     @classmethod
-    def from_dicts(cls, rows: Sequence[dict[int, Fraction]], cols: int) -> Mat:
-        """Build from one {column: Fraction} dict per row; zeros are dropped."""
-        return cls(len(rows), cols, tuple(tuple((j, row[j]) for j in sorted(row) if row[j])
-                                          for row in rows))
+    def from_dicts(cls, rows: Sequence[dict[int, int | str | Fraction]], cols: int) -> Mat:
+        """Build from one {column: rational} dict per row; zeros are dropped."""
+        return _stack(cols, [_fraction_row((j, rat(row[j])) for j in sorted(row))
+                             for row in rows])
+
+    @classmethod
+    def from_integer_rows(cls, rows: Sequence[dict[int, int]], dens: Sequence[int],
+                          cols: int) -> Mat:
+        """Build from one {column: numerator} dict per row over dens[i] > 0;
+        zeros are dropped and each row is put in lowest terms."""
+        return _stack(cols, list(map(_reduce, rows, dens)))
 
     @classmethod
     def zeros(cls, rows: int, cols: int) -> Mat:
-        return cls(rows, cols, ((),) * rows)
+        return cls(rows, cols, ((),) * rows, (1,) * rows)
 
     @classmethod
     def identity(cls, n: int) -> Mat:
-        return cls(n, n, tuple(((i, _ONE),) for i in range(n)))
+        return cls(n, n, tuple([((i, 1),) for i in range(n)]), (1,) * n)
+
+    @property
+    def entries(self) -> tuple[tuple[tuple[int, Fraction], ...], ...]:
+        """The stored entries as (column, Fraction) pairs, row by row: a
+        read-only view for code at the edges.  It builds one Fraction per
+        stored entry; the package's routines read nums and dens instead."""
+        return tuple(tuple((j, Fraction(n, d)) for j, n in pairs)
+                     for pairs, d in zip(self.nums, self.dens))
 
     def transpose(self) -> Mat:
-        out: list[list[tuple[int, Fraction]]] = [[] for _ in range(self.cols)]
-        for i, pairs in enumerate(self.nonzero):
-            for j, x in pairs:
-                out[j].append((i, x))
-        return Mat(self.cols, self.rows, tuple(map(tuple, out)))
+        """Row j of the transpose collects n / dens[i] from every row i that
+        stores column j, over the lcm of those denominators."""
+        out: list[list[tuple[int, int, int]]] = [[] for _ in range(self.cols)]
+        for i, (pairs, d) in enumerate(zip(self.nums, self.dens)):
+            for j, n in pairs:
+                out[j].append((i, n, d))
+        return _stack(self.rows, list(map(_over_lcm, out)))
 
     def __matmul__(self, other: Mat) -> Mat:
         """The product, accumulated over Python ints.
 
-        Row k of other is written over the lcm e_k of its denominators, and
-        row i of self over d_i, the lcm of q_ik e_k for its stored k (q_ik
-        the denominator of its entry in column k).  Each product row is then
-        a sum of integer rows with integer coefficients, and each stored
-        entry of the result is one Fraction(n, d_i).
+        Row i of self is x / d and row k of other is y_k / e_k.  Over the
+        lcm e of the e_k for the k that row i stores, product row i is
+        sum of x_k (e / e_k) y_k, an integer row, over d e; it is then put
+        in lowest terms.
         """
         if self.cols != other.rows:
             raise DimensionMismatch("multiply %dx%d by %dx%d"
                                     % (self.rows, self.cols, other.rows, other.cols))
-        right = []
-        for pairs in other.nonzero:
-            e = lcm(*(y.denominator for _, y in pairs))
-            right.append((e, [(j, y.numerator * (e // y.denominator)) for j, y in pairs]))
+        right, right_dens = other.nums, other.dens
         out = []
-        for pairs in self.nonzero:
-            d = lcm(*(x.denominator * right[k][0] for k, x in pairs))
+        for pairs, d in zip(self.nums, self.dens):
+            e = lcm(*[right_dens[k] for k, _ in pairs])
             acc: dict[int, int] = {}
             for k, x in pairs:
-                e, row = right[k]
-                c = x.numerator * (d // (x.denominator * e))
-                for j, y in row:
+                c = x * (e // right_dens[k]) if e != 1 else x
+                for j, y in right[k]:
                     acc[j] = acc[j] + c * y if j in acc else c * y
-            out.append(tuple((j, Fraction(acc[j], d)) for j in sorted(acc) if acc[j]))
-        return Mat(self.rows, other.cols, tuple(out))
+            out.append(_reduce(acc, d * e))
+        return _stack(other.cols, out)
+
+
+def _stack(cols: int, rows: Sequence[tuple[Row, int]]) -> Mat:
+    """The Mat whose row i is rows[i], a (pairs, denominator) row in lowest
+    terms."""
+    return Mat(len(rows), cols, tuple([pairs for pairs, _ in rows]),
+               tuple([d for _, d in rows]))
 
 
 def _combine(row: dict[int, int], prow: dict[int, int],
@@ -217,25 +293,24 @@ def _combine(row: dict[int, int], prow: dict[int, int],
     return {j: v // h for j, v in acc.items() if v}, h
 
 
-def _eliminate(m: Mat) -> tuple[list[dict[int, int]], list[int], Fraction]:
+def _eliminate(m: Mat) -> tuple[list[dict[int, int]], list[int], tuple[int, int]]:
     """Forward elimination of m over the integers, in primitive rows.
 
-    Returns the echelon rows, one per pivot, the pivot columns, and a value
-    that is det(m) when m is square and of full rank.  Row i holds pivot i
-    in column pivots[i], is zero in every earlier column, and is primitive:
-    the gcd of its entries is 1.
+    Returns the echelon rows, one per pivot, the pivot columns, and the
+    (numerator, denominator) of a value that is det(m) when m is square and
+    of full rank.  Row i holds pivot i in column pivots[i], is zero in every
+    earlier column, and is primitive: the gcd of its entries is 1.
 
-    Row i of m is first stored sparsely, as its nonzero {column: entry}
-    pairs, scaled by the lcm d of its denominators and divided by the gcd
-    g of the result.  At each pivot, every lower row with a nonzero in the
-    pivot column is replaced by its ``_combine`` with the pivot row, over
-    the union of the two rows' nonzeros.  Up to sign, a primitive row is
-    the one integer vector in the span of the rows used so far that
-    vanishes on the earlier pivot columns, so its entries stay bounded by
-    minors of the cleared matrix.  The determinant value is the product of
-    every g over every d, of the pivots, of h / p per update and of the
-    sign of each row swap; it is reduced to lowest terms at each pivot,
-    which keeps it about the size of a minor.
+    Row i of m is first read as a {column: numerator} dict, its stored
+    numerators divided by their gcd g.  At each pivot, every lower row with
+    a nonzero in the pivot column is replaced by its ``_combine`` with the
+    pivot row, over the union of the two rows' nonzeros.  Up to sign, a
+    primitive row is the one integer vector in the span of the rows used so
+    far that vanishes on the earlier pivot columns, so its entries stay
+    bounded by minors of the cleared matrix.  The determinant value is the
+    product of every g over its row's denominator d, of the pivots, of
+    h / p per update and of the sign of each row swap; it is reduced to
+    lowest terms at each pivot, which keeps it about the size of a minor.
 
     No zero cell is visited: a row waits under the column of its first
     nonzero, and the pivot is the waiting row first in the row order.
@@ -243,12 +318,10 @@ def _eliminate(m: Mat) -> tuple[list[dict[int, int]], list[int], Fraction]:
     work: list[dict[int, int]] = []
     num = den = 1
     waiting: dict[int, list[int]] = {}
-    for i, pairs in enumerate(m.nonzero):
-        d = lcm(*(x.denominator for _, x in pairs))
-        row = {j: x.numerator * (d // x.denominator) for j, x in pairs}
-        g = gcd(*row.values())
+    for i, (pairs, d) in enumerate(zip(m.nums, m.dens)):
+        g = gcd(*[n for _, n in pairs])
         num, den = num * g, den * d
-        work.append({j: x // g for j, x in row.items()})
+        work.append({j: n // g for j, n in pairs} if g > 1 else dict(pairs))
         if pairs:
             waiting.setdefault(pairs[0][0], []).append(i)
     order = list(range(m.rows))  # the row at each position
@@ -277,7 +350,7 @@ def _eliminate(m: Mat) -> tuple[list[dict[int, int]], list[int], Fraction]:
         g = gcd(num, den)
         num, den = num // g, den // g
         pivots.append(c)
-    return [work[i] for i in order[:len(pivots)]], pivots, Fraction(num, den)
+    return [work[i] for i in order[:len(pivots)]], pivots, (num, den)
 
 
 def _back_substitute(rows: list[dict[int, int]], pivots: list[int]) -> None:
@@ -295,15 +368,18 @@ def rref(m: Mat) -> tuple[Mat, tuple[int, ...]]:
     """Reduced row echelon form and its pivot columns.
 
     Forward elimination and back substitution run on primitive integer
-    rows; Fractions are built only at the output, each entry over its row's
-    pivot.  The result is the unique RREF: pivots are 1, pivot columns are
-    cleared above and below, pivot columns strictly increase down the rows.
+    rows; each reduced row is then stored over the absolute value of its
+    pivot, which is in lowest terms because the row is primitive.  The
+    result is the unique RREF: pivots are 1, pivot columns are cleared above
+    and below, pivot columns strictly increase down the rows.
     """
     rows, pivots, _ = _eliminate(m)
     _back_substitute(rows, pivots)
-    out = tuple(tuple((j, Fraction(row[j], row[c])) for j in sorted(row))
-                for row, c in zip(rows, pivots))
-    return Mat(m.rows, m.cols, out + ((),) * (m.rows - len(pivots))), tuple(pivots)
+    nums = tuple([tuple([(j, row[j] if row[c] > 0 else -row[j]) for j in sorted(row)])
+                  for row, c in zip(rows, pivots)])
+    dens = tuple([abs(row[c]) for row, c in zip(rows, pivots)])
+    pad = m.rows - len(pivots)
+    return Mat(m.rows, m.cols, nums + ((),) * pad, dens + (1,) * pad), tuple(pivots)
 
 
 def rank(m: Mat) -> int:
@@ -316,8 +392,8 @@ def det(m: Mat) -> Fraction:
     its pivots, row scalings and swaps, or 0 when m is rank-deficient."""
     if m.rows != m.cols:
         raise DimensionMismatch("determinant of %dx%d matrix" % (m.rows, m.cols))
-    _, pivots, value = _eliminate(m)
-    return value if len(pivots) == m.rows else _ZERO
+    _, pivots, (num, den) = _eliminate(m)
+    return Fraction(num, den) if len(pivots) == m.rows else _ZERO
 
 
 @dataclass(frozen=True)
@@ -359,17 +435,20 @@ class Subspace:
         if self.ambient_dim != other.ambient_dim:
             raise DimensionMismatch("ambient dimensions %d and %d"
                                     % (self.ambient_dim, other.ambient_dim))
-        stacked = self.basis.nonzero + other.basis.nonzero
-        coeffs = nullspace(Mat(len(stacked), self.ambient_dim, stacked).transpose()).basis
+        stacked = Mat(self.dim + other.dim, self.ambient_dim,
+                      self.basis.nums + other.basis.nums, self.basis.dens + other.basis.dens)
+        coeffs = nullspace(stacked.transpose()).basis
         # the x part of each coefficient row is its first self.dim entries
-        x_parts = tuple(tuple(p for p in row if p[0] < self.dim) for row in coeffs.nonzero)
-        return rowspace(Mat(coeffs.rows, self.dim, x_parts) @ self.basis)
+        x_parts = [_lowest([p for p in pairs if p[0] < self.dim], d)
+                   for pairs, d in zip(coeffs.nums, coeffs.dens)]
+        return rowspace(_stack(self.dim, x_parts) @ self.basis)
 
 
 def rowspace(m: Mat) -> Subspace:
     """Canonical Subspace of Q^cols spanned by the rows of m."""
     reduced, pivots = rref(m)
-    return Subspace(Mat(len(pivots), m.cols, reduced.nonzero[:len(pivots)]))
+    k = len(pivots)
+    return Subspace(Mat(k, m.cols, reduced.nums[:k], reduced.dens[:k]))
 
 
 def nullspace(m: Mat) -> Subspace:
@@ -379,26 +458,29 @@ def nullspace(m: Mat) -> Subspace:
     then eliminated and back-substituted.  Turned back, each reduced row is
     its pivot column p plus free columns left of p.  So free column f gives
     the kernel vector with 1 at f and, at each pivot p right of f, minus
-    that row's entry in column f over its pivot entry.  That vector leads
-    with the 1 at f and is zero at every other free column, so the vectors
-    in the order of f are already the kernel's RREF.  The rows turn with
+    that row's entry in column f over its pivot entry, all over the lcm of
+    those pivots and in lowest terms.  That vector leads with the 1 at f and
+    is zero at every other free column, so the vectors in the order of f are
+    already the kernel's RREF.  The rows turn with
     the columns because reversing the columns alone about doubles the
     row-operation work on the banded system matrix of a cycle.
     """
     last = m.cols - 1
-    turned = Mat(m.rows, m.cols, tuple(tuple((last - j, x) for j, x in reversed(pairs))
-                                       for pairs in reversed(m.nonzero)))
+    turned = Mat(m.rows, m.cols, tuple([tuple([(last - j, n) for j, n in reversed(pairs)])
+                                        for pairs in reversed(m.nums)]), m.dens[::-1])
     rows, pivots, _ = _eliminate(turned)
     _back_substitute(rows, pivots)
     pivot_set = {last - c for c in pivots}
-    vectors = {f: [(f, _ONE)] for f in range(m.cols) if f not in pivot_set}
+    # each vector as (column, numerator, denominator) entries
+    vectors = {f: [(f, 1, 1)] for f in range(m.cols) if f not in pivot_set}
     # the turned rows from the last upward, so each vector grows in column order
     for row, c in zip(reversed(rows), reversed(pivots)):
         q = row[c]
+        sign, q = (-1, q) if q > 0 else (1, -q)
         for j, x in row.items():
             if j != c:
-                vectors[last - j].append((last - c, Fraction(-x, q)))
-    return Subspace(Mat(len(vectors), m.cols, tuple(map(tuple, vectors.values()))))
+                vectors[last - j].append((last - c, sign * x, q))
+    return Subspace(_stack(m.cols, list(map(_over_lcm, vectors.values()))))
 
 
 def colspace(m: Mat) -> Subspace:

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Sequence
 
 from .graph import DualGraph
@@ -27,30 +28,38 @@ def _inverse(m: Mat) -> Mat:
     An upper-triangular m, which is every transition the constructors
     build, is inverted by back substitution from the last row up: row i of
     the inverse is (e_i - sum of m[i, k] row_k over k > i) / m[i, i], over
-    the nonzeros of m.  Any other m is reduced as [m | I].
+    the nonzeros of m.  With row i of m stored as a / d and each row_k as
+    an integer row over its denominator, that is an integer row over
+    a_i times the lcm of those denominators, divided by its gcd.  Any other
+    m is reduced as [m | I].
     """
-    n, one = m.rows, Fraction(1)
-    if any(pairs and pairs[0][0] < i for i, pairs in enumerate(m.nonzero)):
+    n = m.rows
+    if any(pairs and pairs[0][0] < i for i, pairs in enumerate(m.nums)):
         reduced, pivots = rref(Mat(n, 2 * n, tuple(
-            pairs + ((n + i, one),) for i, pairs in enumerate(m.nonzero))))
+            pairs + ((n + i, d),) for i, (pairs, d) in enumerate(zip(m.nums, m.dens))),
+            m.dens))
         if pivots != tuple(range(n)):
             raise ValueError("matrix is singular")
-        return Mat(n, n, tuple(tuple((j - n, x) for j, x in pairs if j >= n)
-                               for pairs in reduced.nonzero))
-    inverse: list[dict[int, Fraction]] = [{}] * n
+        # row i of reduced is e_i, numerator = its denominator, then the
+        # inverse row, so the right half alone is still in lowest terms
+        return Mat(n, n, tuple([tuple([(j - n, x) for j, x in pairs if j >= n])
+                                for pairs in reduced.nums]), reduced.dens)
+    rows: list[dict[int, int]] = [{}] * n
+    dens = [1] * n
     for i in reversed(range(n)):
-        pairs = m.nonzero[i]
+        pairs, d = m.nums[i], m.dens[i]
         if not pairs or pairs[0][0] != i:
             raise ValueError("matrix is singular")
-        row = {i: one}
+        e = lcm(*[dens[k] for k, _ in pairs[1:]])
+        row = {i: d * e}
         for k, a in pairs[1:]:
-            for j, y in inverse[k].items():
-                row[j] = row[j] - a * y if j in row else -a * y
-        pivot = pairs[0][1]
-        if pivot != 1:
-            row = {j: x / pivot for j, x in row.items()}
-        inverse[i] = row
-    return Mat.from_dicts(inverse, n)
+            c = a * (e // dens[k])
+            for j, y in rows[k].items():
+                row[j] = row[j] - c * y if j in row else -c * y
+        q = pairs[0][1] * e
+        g = gcd(q, *row.values()) if q > 0 else -gcd(q, *row.values())
+        rows[i], dens[i] = {j: x // g for j, x in row.items() if x}, q // g
+    return Mat.from_integer_rows(rows, dens, n)
 
 
 @dataclass(frozen=True)
@@ -73,7 +82,7 @@ class LocalSystem:
                 raise DimensionMismatch("transition %d has shape %dx%d, rank is %d"
                                         % (e, u.rows, u.cols, self.rank))
         object.__setattr__(self, "_inverses",
-                           tuple(_inverse(u) for u in self.transitions))
+                           tuple([_inverse(u) for u in self.transitions]))
 
     @classmethod
     def trivial(cls, g: DualGraph, r: int) -> LocalSystem:
@@ -87,10 +96,11 @@ class LocalSystem:
         values = vec(gvals)
         if len(values) != g.m:
             raise ValueError("%d cocycle values for %d edges" % (len(values), g.m))
-        one = Fraction(1)
-        # each [[1, g_e], [0, 1]] by its nonzero (column, entry) pairs
-        return cls(g, 2, tuple(Mat(2, 2, (((0, one), (1, ge)) if ge else ((0, one),),
-                                          ((1, one),))) for ge in values))
+        # each [[1, g_e], [0, 1]] by its integer rows, the first over g_e's
+        # denominator q: (q, p) / q for g_e = p / q
+        return cls(g, 2, tuple([
+            Mat(2, 2, (((0, ge.denominator), (1, ge.numerator)) if ge else ((0, 1),),
+                       ((1, 1),)), (ge.denominator, 1)) for ge in values]))
 
     def transition_inverse(self, e: int) -> Mat:
         return self._inverses[e]  # type: ignore[attr-defined]
@@ -103,11 +113,21 @@ class LocalSystem:
         """
         if c.system != self:
             raise ValueError("cochain is valued in a different system")
-        r, bottom = self.rank, ((self.rank, Fraction(1)),)
-        return LocalSystem(self.graph, r + 1, tuple(
-            Mat(r + 1, r + 1, tuple(pairs + ((r, x),) if x else pairs
-                                    for pairs, x in zip(u.nonzero, v)) + (bottom,))
-            for u, v in zip(self.transitions, c.values)))
+        r = self.rank
+
+        def extended(u: Mat, v: Vector) -> Mat:
+            # row i of u is a / d and v_i is p / q: the new row is over lcm(d, q)
+            rows, dens = [], []
+            for pairs, d, x in zip(u.nums, u.dens, v):
+                e = lcm(d, x.denominator)
+                row = {j: n * (e // d) for j, n in pairs}
+                row[r] = x.numerator * (e // x.denominator)
+                rows.append(row)
+                dens.append(e)
+            return Mat.from_integer_rows(rows + [{r: 1}], dens + [1], r + 1)
+
+        return LocalSystem(self.graph, r + 1, tuple([
+            extended(u, v) for u, v in zip(self.transitions, c.values)]))
 
 
 @dataclass(frozen=True)

@@ -20,7 +20,7 @@ from typing import Sequence
 
 from . import cohomology, tate
 from .graph import incidence_matrix, laplacian
-from .linalg import MAX_DIGITS, Mat, render_rational
+from .linalg import DIGIT_BOUND, Mat, render_ratio, render_rational
 from .problem import ProblemSpec
 
 GRAPH_COMMANDS = ("laplacian", "cohomology", "defect")
@@ -31,20 +31,20 @@ class InternalCheckError(RuntimeError):
 
 
 def matrix_grid(m: Mat) -> list[list[str]]:
-    """The rows of m as strings, rendered from its stored nonzeros.  A
-    number too long for ``render_rational`` refuses the document."""
-    grid, limit = [], MAX_DIGITS
-    try:
-        for pairs in m.nonzero:
-            row = ["0"] * m.cols
-            for j, x in pairs:
-                row[j] = text = str(x)
-                if len(text) > limit:
-                    render_rational(x)
-            grid.append(row)
-    except ValueError:  # str refused x, past the interpreter's own limit
-        render_rational(x)  # raises the error that names MAX_DIGITS
-        raise
+    """The rows of m as strings, rendered from its stored integer rows.  In
+    a row over 1 each entry is str of its numerator; any other entry is
+    reduced by one gcd in ``render_ratio``, so every cell reads as str of
+    its Fraction.  A number over the digit limit refuses the document."""
+    grid, bound = [], DIGIT_BOUND
+    for pairs, d in zip(m.nums, m.dens):
+        row = ["0"] * m.cols
+        if d == 1:
+            for j, n in pairs:
+                row[j] = str(n) if -bound < n < bound else render_ratio(n, 1)
+        else:
+            for j, n in pairs:
+                row[j] = render_ratio(n, d)
+        grid.append(row)
     return grid
 
 

@@ -379,8 +379,9 @@ class TestErrors:
         assert "internal error" in err
 
     @pytest.mark.parametrize("cell, value", [((0, 0), "plus one"), ((0, 0), 0),
-                                             ((0, 1), 1)],
-                             ids=["nonzero-changed", "nonzero-cleared", "zero-set"])
+                                             ((0, 1), 1), ((2, 4), "plus half")],
+                             ids=["nonzero-changed", "nonzero-cleared", "zero-set",
+                                  "off-by-half"])
     def test_factorization_mismatch_exit_3(self, capsys, tmp_path, monkeypatch,
                                            cell, value):
         # a system matrix wrong in one cell must fail the R.delta == A check
@@ -390,9 +391,27 @@ class TestErrors:
             a = real(sys)
             rows = [list(row) for row in dense(a)]
             i, j = cell
-            rows[i][j] = rows[i][j] + 1 if value == "plus one" else Fraction(value)
+            step = {"plus one": 1, "plus half": Fraction(1, 2)}.get(value)
+            rows[i][j] = rows[i][j] + step if step is not None else Fraction(value)
             return Mat.from_rows(rows)
 
+        self.assert_check_fails(capsys, tmp_path, monkeypatch, corrupted)
+
+    def test_factorization_mismatch_in_a_denominator_exit_3(self, capsys, tmp_path,
+                                                            monkeypatch):
+        # the same numerators over twice the denominator: a row of A that
+        # differs from R.delta only in its stored denominator
+        real = cohomology.system_matrix
+
+        def corrupted(sys):
+            a = real(sys)
+            assert a.dens[0] == 1 and a.nums[0][0] == (0, 2)
+            return Mat(a.rows, a.cols, a.nums, (2,) + a.dens[1:])
+
+        self.assert_check_fails(capsys, tmp_path, monkeypatch, corrupted)
+
+    @staticmethod
+    def assert_check_fails(capsys, tmp_path, monkeypatch, corrupted):
         monkeypatch.setattr(cohomology, "system_matrix", corrupted)
         with pytest.raises(InternalCheckError):
             report.run(parse_spec(TRIANGLE_124), "defect")

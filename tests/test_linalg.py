@@ -285,22 +285,32 @@ class TestMat:
         m = random_matrix(rng, 3, 4)
         assert m.transpose().transpose() == m
 
-    @pytest.mark.parametrize("row", [
-        ((0, F(0)),), ((0, F(1)), (0, F(2))), ((1, F(1)), (0, F(2))),
-        ((2, F(1)),), ((-1, F(1)),)],
+    @pytest.mark.parametrize("row, den", [
+        (((0, 0),), 1), (((0, 1), (0, 2)), 1), (((1, 1), (0, 2)), 1),
+        (((2, 1),), 1), (((-1, 1),), 1), (((0, 1),), 0), (((0, 1),), -1),
+        (((0, 2), (1, 4)), 6), ((), 2)],
         ids=["stored-zero", "repeated-column", "decreasing-column",
-             "column-past-end", "negative-column"])
-    def test_rejects_invalid_rows(self, row):
+             "column-past-end", "negative-column", "zero-denominator",
+             "negative-denominator", "common-factor", "empty-row-over-2"])
+    def test_rejects_invalid_rows(self, row, den):
         with pytest.raises(ValueError):
-            Mat(1, 2, (row,))
+            Mat(1, 2, (row,), (den,))
 
     def test_rejects_wrong_row_count(self):
         with pytest.raises(ValueError):
-            Mat(2, 2, (((0, F(1)),),))
+            Mat(2, 2, (((0, 1),),), (1,))
         with pytest.raises(ValueError):
-            Mat(1, 2, (F(1), F(0)))  # dense entries are not rows
+            Mat(1, 2, (1, 0), (1,))  # dense entries are not rows
+        with pytest.raises(ValueError):
+            Mat(1, 2, (((0, 1),),), (1, 1))  # one denominator per row
 
     def test_builders_store_nonzeros_only(self):
         m = Mat.from_rows([[0, 2, 0], [0, 0, 0]])
-        assert m.nonzero == (((1, F(2)),), ())
+        assert (m.nums, m.dens) == ((((1, 2),), ()), (1, 1))
+        assert m.entries == (((1, F(2)),), ())
         assert Mat.from_dicts([{2: F(0), 1: F(2)}, {0: F(0)}], 3) == m
+
+    def test_rows_are_stored_in_lowest_terms(self):
+        m = Mat.from_rows([["1/2", "2/3", 0], ["2/4", 0, "-4/2"]])
+        assert m.nums == (((0, 3), (1, 4)), ((0, 1), (2, -4)))
+        assert m.dens == (6, 2)

@@ -33,9 +33,10 @@ F = Fraction
 
 def dense(m):
     """The rows of m with their zeros, as Fraction tuples.  Mat has no
-    dense view; the oracles and the tests read cells through this."""
+    dense view; the oracles and the tests read cells through this, from
+    the Fraction view of the stored entries."""
     out = []
-    for pairs in m.nonzero:
+    for pairs in m.entries:
         row = [F(0)] * m.cols
         for j, x in pairs:
             row[j] = x

@@ -5,13 +5,19 @@ one read off the Fraction Gauss-Jordan elimination.  The drawn matrices have
 zero rows and columns, rows that are combinations of earlier rows (so the
 elimination cancels them to zero), products whose terms cancel exactly,
 negative pivots and denominators up to 10^6, mixed within one row.
+
+The storage itself is checked on drawn rational rows: every builder stores
+the same values the same way, documents render each cell as str of its
+Fraction, and the constructor refuses any row that is not in lowest terms.
 """
 
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
 from monograph.linalg import Mat, nullspace, rank
+from monograph.report import matrix_grid
 
 from test_linalg_oracle import dense, dense_matmul, first_pivot, oracle_nullspace
 
@@ -87,11 +93,11 @@ def cancelled_cells(a, b):
 def features(m):
     """The hard cases m exhibits, by name."""
     columns = list(zip(*dense(m)))
-    denominators = {x.denominator for pairs in m.nonzero for _, x in pairs}
+    denominators = {x.denominator for pairs in m.entries for _, x in pairs}
     return {name for name, present in [
-        ("zero row", any(not pairs for pairs in m.nonzero)),
+        ("zero row", any(not pairs for pairs in m.nums)),
         ("zero column", any(not any(column) for column in columns)),
-        ("row cancels", all(m.nonzero) and rank(m) < min(m.rows, m.cols)),
+        ("row cancels", all(m.nums) and rank(m) < min(m.rows, m.cols)),
         ("negative pivot", (first_pivot(m) or 0) < 0),
         ("mixed denominators", len(denominators) > 2 and max(denominators) > 10 ** 5),
     ] if present}
@@ -122,10 +128,119 @@ def test_nullspace_matches_oracle():
         basis = oracle_nullspace(m)
         assert nullspace(m).basis == basis
         order = data.draw(st.permutations(range(m.rows)))
-        assert nullspace(Mat(m.rows, m.cols, tuple(m.nonzero[i] for i in order))).basis \
-            == basis
+        permuted = Mat(m.rows, m.cols, tuple(m.nums[i] for i in order),
+                       tuple(m.dens[i] for i in order))
+        assert nullspace(permuted).basis == basis
         seen.update(features(m))
 
     check()
     assert seen == {"zero row", "zero column", "row cancels", "negative pivot",
                     "mixed denominators"}
+
+
+def unreduced(x, k):
+    """x as a 'p/q' string with numerator and denominator both times k."""
+    return "%d/%d" % (x.numerator * k, x.denominator * k)
+
+
+def test_builders_store_equal_values_equally():
+    """from_rows over ints and Fractions, over unreduced strings, and
+    from_dicts give one Mat: equal, with equal hashes, every row in lowest
+    terms, and with the drawn Fractions as its view."""
+    seen = set()
+
+    @fixed
+    @given(st.integers(0, 5).flatmap(lambda cols: st.tuples(
+        st.just(cols), st.lists(st.lists(entries, min_size=cols, max_size=cols),
+                                max_size=5))),
+           st.integers(1, 7))
+    def check(shape, k):
+        cols, grid = shape
+        built = [
+            Mat.from_rows(grid, cols=cols),
+            Mat.from_rows([[int(x) if x.denominator == 1 else x for x in row]
+                           for row in grid], cols=cols),
+            Mat.from_rows([[unreduced(x, k) for x in row] for row in grid], cols=cols),
+            Mat.from_dicts([{j: x for j, x in enumerate(row) if x} for row in grid], cols),
+        ]
+        assert all(m == built[0] and hash(m) == hash(built[0]) for m in built)
+        m = built[0]
+        for pairs, d in zip(m.nums, m.dens):
+            assert d > 0 and gcd(d, *[n for _, n in pairs]) == 1
+            assert all(n and type(n) is int for _, n in pairs)
+        assert dense(m) == [tuple(row) for row in grid]
+        seen.update(name for name, present in [
+            ("empty row", not all(m.nums)),
+            ("negative entry", any(x < 0 for row in grid for x in row)),
+            ("big denominator", any(d > 10 ** 5 for d in m.dens)),
+            ("unreduced string", k > 1 and any(x for row in grid for x in row)),
+        ] if present)
+
+    check()
+    assert seen == {"empty row", "negative entry", "big denominator", "unreduced string"}
+
+
+def test_matrix_grid_is_str_of_each_fraction():
+    """Rows over 1 render str of the numerator, other rows reduce each entry
+    by a gcd; both must read as str(Fraction) cell by cell."""
+
+    @fixed
+    @given(st.one_of(matrices(), products().map(lambda pair: pair[0] @ pair[1])))
+    def check(m):
+        assert matrix_grid(m) == [list(map(str, row)) for row in dense(m)]
+
+    check()
+
+
+CORRUPTIONS = ("zero denominator", "negative denominator", "common factor",
+               "zero numerator", "repeated column", "decreasing column",
+               "column past end", "negative column")
+
+
+@st.composite
+def corrupted_rows(draw):
+    """(cols, pairs, d, kind): a lowest-terms row of a drawn matrix, then
+    spoiled in the way `kind` names."""
+    cols = draw(st.integers(2, 6))
+    row = draw(st.lists(entries, min_size=cols, max_size=cols))
+    m = Mat.from_rows([row], cols=cols)
+    pairs, d = list(m.nums[0]), m.dens[0]
+    kind = draw(st.sampled_from(CORRUPTIONS))
+    if kind == "zero denominator":
+        d = 0
+    elif kind == "negative denominator":
+        d = -draw(st.integers(1, 10 ** 6))
+    elif kind == "common factor":
+        k = draw(st.integers(2, 9))
+        pairs, d = [(j, n * k) for j, n in pairs], d * k
+    elif kind == "zero numerator":
+        free = sorted(set(range(cols)) - {j for j, _ in pairs})
+        if free:
+            pairs = sorted(pairs + [(draw(st.sampled_from(free)), 0)])
+        else:
+            pairs[0] = (pairs[0][0], 0)
+    elif kind == "column past end":
+        pairs.append((cols + draw(st.integers(0, 3)), 1))
+    elif kind == "negative column":
+        pairs.insert(0, (-draw(st.integers(1, 3)), 1))
+    else:
+        if not pairs:
+            pairs = [(0, 1)]
+        j, n = pairs[-1]
+        pairs.append((j if kind == "repeated column" else j - 1, n))
+    return cols, tuple(pairs), d, kind
+
+
+def test_constructor_refuses_rows_not_in_lowest_terms():
+    seen = set()
+
+    @fixed
+    @given(corrupted_rows())
+    def check(case):
+        cols, pairs, d, kind = case
+        with pytest.raises(ValueError):
+            Mat(1, cols, (pairs,), (d,))
+        seen.add(kind)
+
+    check()
+    assert seen == set(CORRUPTIONS)

@@ -29,7 +29,8 @@ def test_library_example_values():
             continue
         assert eval(code, namespace) == value, line
         stated += 1
-    assert stated == 6
-    # "a 1x6 Mat of Fractions"
+    assert stated == 9
+    # "a 1x6 Mat over Q": its integer rows are ints, its view Fractions
+    assert all(type(n) is int for row in namespace["basis"].nums for _, n in row)
     assert all(isinstance(x, Fraction)
-               for row in namespace["basis"].nonzero for _, x in row)
+               for row in namespace["basis"].entries for _, x in row)
