@@ -21,11 +21,18 @@ verdict reports.
 
 ``invariant_cycles_report`` analyzes a system with one elimination of the
 system matrix A = R.delta (R the residue map, delta the coboundary), the
-connection Laplacian of the system.  Two identities make that enough:
+connection Laplacian of the system, and one elimination of a matrix with
+k = dim ker A rows.  Two identities make that enough:
 
 * obstruction = delta(ker A): delta(x) is residue-balanced exactly when
   A x = R delta(x) = 0;
 * ker delta lies inside ker A, so H0 is cut out of ker A by the images.
+
+For a kernel basis k_1, ..., k_k the k rows [delta(k_i) | k_i] are reduced
+once.  The reduced rows that pivot in the edge part span delta(ker A); cut
+to the edge part, they are its RREF.  The others are zero on the edge part,
+so they are the x in ker A with delta(x) = 0, and their vertex part is the
+RREF of H0.
 
 The free functions ``h0``, ``h1_dim``, ``coboundary_image``,
 ``residue_kernel`` and ``obstruction`` compute each space directly from
@@ -37,7 +44,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import lcm
 
-from .linalg import Mat, Row, Subspace, colspace, nullspace, rank, rowspace
+from .linalg import (Mat, Row, Subspace, _lowest, _over_lcm, _stack, colspace, nullspace,
+                     rank, rref)
 from .localsystem import LocalSystem
 
 
@@ -141,19 +149,38 @@ def obstruction(sys: LocalSystem) -> Subspace:
     return coboundary_image(sys).intersect(residue_kernel(sys))
 
 
-def _kernel_route(sys: LocalSystem) -> tuple[Mat, Mat, Subspace, Mat, Subspace]:
+def _kernel_route(sys: LocalSystem) -> tuple[Mat, Mat, Subspace, Mat, Subspace, Subspace]:
     """Assemble delta and A, eliminate A once, and map ker A through delta.
 
-    Returns (delta, A, ker A, delta times the transposed basis, the
-    column span of that product); the span is the obstruction, because
-    delta(x) lies in ker R exactly when A x = 0.  Column j of the product
-    is the image of kernel basis vector j, all mapped in one product.
+    Returns (delta, A, ker A, the images, the obstruction, H0).  Row i of
+    the images is delta(k_i) for kernel basis row k_i, each entry the dot
+    product of a stored row of delta with k_i.  The obstruction and H0 are
+    read off one rref of the rows [delta(k_i) | k_i], as the module
+    docstring explains.
     """
     cob = coboundary_matrix(sys)
     a = system_matrix(sys)
     kernel = nullspace(a)
-    images = cob @ kernel.basis.transpose()
-    return cob, a, kernel, images, colspace(images)
+    edges = cob.rows
+    images, stacked = [], []
+    for pairs, e in zip(kernel.basis.nums, kernel.basis.dens):
+        x = dict(pairs)
+        image = []
+        for p, (row, d) in enumerate(zip(cob.nums, cob.dens)):
+            s = sum([n * x[j] for j, n in row if j in x])
+            if s:
+                image.append((p, s, d * e))
+        image_pairs, f = _over_lcm(image)
+        images.append((image_pairs, f))
+        stacked.append(_over_lcm([(p, n, f) for p, n in image_pairs]
+                                 + [(edges + j, n, e) for j, n in pairs]))
+    reduced, pivots = rref(_stack(edges + cob.cols, stacked))
+    rows = list(zip(reduced.nums[:len(pivots)], reduced.dens))
+    split = sum(1 for c in pivots if c < edges)
+    blocked = [_lowest([q for q in pairs if q[0] < edges], d) for pairs, d in rows[:split]]
+    sections = [(tuple([(j - edges, n) for j, n in pairs]), d) for pairs, d in rows[split:]]
+    return (cob, a, kernel, _stack(edges, images), Subspace(_stack(edges, blocked)),
+            Subspace(_stack(cob.cols, sections)))
 
 
 @dataclass(frozen=True)
@@ -186,17 +213,17 @@ def invariant_cycles_report(sys: LocalSystem) -> CohomologyReport:
     eliminated once.  Its kernel K gives everything else: the obstruction
     is delta(K), because delta(x) lies in ker R exactly when A x = 0; and
     H0 = ker delta is the set of x in K with delta(x) = 0, because
-    ker delta lies inside ker A.  h1 then follows from the Euler
+    ker delta lies inside ker A.  One rref of the k rows
+    [delta(k_i) | k_i], for the k kernel basis rows k_i, gives both
+    bases (see the module docstring), so no matrix with a row per edge or
+    vertex is built after ker A.  h1 then follows from the Euler
     characteristic, and only the sparse residue matrix is eliminated
     besides.  The free functions h0, h1_dim, coboundary_image,
     residue_kernel and obstruction keep the direct route as an oracle.
     """
     g, r = sys.graph, sys.rank
-    cob, a, kernel, images, blocked = _kernel_route(sys)
+    cob, a, kernel, _, blocked, sections = _kernel_route(sys)
     residue = residue_constraint_matrix(sys)
-    # coefficient vectors c with sum c_i delta(k_i) = 0 give ker delta
-    relations = nullspace(images)
-    sections = rowspace(relations.basis @ kernel.basis)
     image_dim = g.n * r - sections.dim
     return CohomologyReport(
         h0_dim=sections.dim,

@@ -4,7 +4,10 @@ A rank-r system assigns each edge an invertible r x r transition matrix
 expressing the target-vertex frame in the source-vertex frame along the
 canonical orientation.  The transition along the reversed edge is the
 inverse; each inverse is derived once, when the system is built, so the
-one matrix per edge is the single source of truth.
+one matrix per edge is the single source of truth.  The ``trivial``,
+``unipotent_rank2`` and ``extend_by_trivial`` constructors know their
+inverses in closed form and hand them to the system; any other system
+inverts its transitions with ``_inverse``.
 
 Edge cochains hold one r-vector per edge, pinned to the source-vertex
 frame.  The value seen from the target side is minus the inverse-transported
@@ -13,7 +16,7 @@ vector.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass
 from fractions import Fraction
 from math import gcd, lcm
 from typing import Sequence
@@ -64,13 +67,19 @@ def _inverse(m: Mat) -> Mat:
 
 @dataclass(frozen=True)
 class LocalSystem:
-    """Per-edge invertible transitions over a dual graph."""
+    """Per-edge invertible transitions over a dual graph.
+
+    ``inverses``, when given, are the transitions' inverses and are
+    trusted: they are not fields, so they take no part in equality, hash
+    or repr.  A wrong one makes the report's R.delta = A check fail.
+    """
 
     graph: DualGraph
     rank: int
     transitions: tuple[Mat, ...]
+    inverses: InitVar[Sequence[Mat] | None] = None
 
-    def __post_init__(self) -> None:
+    def __post_init__(self, inverses: Sequence[Mat] | None) -> None:
         if self.rank < 1:
             raise ValueError("rank must be >= 1")
         object.__setattr__(self, "transitions", tuple(self.transitions))
@@ -81,26 +90,37 @@ class LocalSystem:
             if u.rows != self.rank or u.cols != self.rank:
                 raise DimensionMismatch("transition %d has shape %dx%d, rank is %d"
                                         % (e, u.rows, u.cols, self.rank))
-        object.__setattr__(self, "_inverses",
-                           tuple([_inverse(u) for u in self.transitions]))
+        object.__setattr__(self, "_inverses", tuple(
+            [_inverse(u) for u in self.transitions] if inverses is None else inverses))
 
     @classmethod
     def trivial(cls, g: DualGraph, r: int) -> LocalSystem:
         """All transitions identity."""
-        return cls(g, r, (Mat.identity(r),) * g.m)
+        one = (Mat.identity(r),) * g.m
+        return cls(g, r, one, one)
 
     @classmethod
     def unipotent_rank2(cls, g: DualGraph,
                         gvals: Sequence[int | str | Fraction]) -> LocalSystem:
         """Rank-2 system with transition [[1, g_e], [0, 1]] on each edge."""
-        values = vec(gvals)
+        return cls._unipotent_rank2(g, vec(gvals))
+
+    @classmethod
+    def _unipotent_rank2(cls, g: DualGraph, values: Vector) -> LocalSystem:
+        """``unipotent_rank2`` of values that ``vec`` has already read.
+
+        Each [[1, g_e], [0, 1]] is stored by its integer rows, the first
+        over g_e's denominator q: (q, p) / q for g_e = p / q.  Its inverse
+        is [[1, -g_e], [0, 1]], stored the same way.
+        """
         if len(values) != g.m:
             raise ValueError("%d cocycle values for %d edges" % (len(values), g.m))
-        # each [[1, g_e], [0, 1]] by its integer rows, the first over g_e's
-        # denominator q: (q, p) / q for g_e = p / q
+        second = ((1, 1),)
         return cls(g, 2, tuple([
             Mat(2, 2, (((0, ge.denominator), (1, ge.numerator)) if ge else ((0, 1),),
-                       ((1, 1),)), (ge.denominator, 1)) for ge in values]))
+                       second), (ge.denominator, 1)) for ge in values]), tuple([
+            Mat(2, 2, (((0, ge.denominator), (1, -ge.numerator)) if ge else ((0, 1),),
+                       second), (ge.denominator, 1)) for ge in values]))
 
     def transition_inverse(self, e: int) -> Mat:
         return self._inverses[e]  # type: ignore[attr-defined]
@@ -126,8 +146,24 @@ class LocalSystem:
                 dens.append(e)
             return Mat.from_integer_rows(rows + [{r: 1}], dens + [1], r + 1)
 
+        def extended_inverse(w: Mat, v: Vector) -> Mat:
+            # [[W, -W v], [0, 1]] for W the inverse of u: with v = y / q over
+            # q the lcm of its denominators, row i of W, a / d, gives the
+            # integer row (q a, -a . y) over d q
+            q = lcm(*[x.denominator for x in v])
+            y = [x.numerator * (q // x.denominator) for x in v]
+            rows, dens = [], []
+            for pairs, d in zip(w.nums, w.dens):
+                row = {j: n * q for j, n in pairs} if q != 1 else dict(pairs)
+                row[r] = -sum([n * y[j] for j, n in pairs])
+                rows.append(row)
+                dens.append(d * q)
+            return Mat.from_integer_rows(rows + [{r: 1}], dens + [1], r + 1)
+
         return LocalSystem(self.graph, r + 1, tuple([
-            extended(u, v) for u, v in zip(self.transitions, c.values)]))
+            extended(u, v) for u, v in zip(self.transitions, c.values)]), tuple([
+            extended_inverse(self.transition_inverse(e), v)
+            for e, v in enumerate(c.values)]))
 
 
 @dataclass(frozen=True)

@@ -109,13 +109,19 @@ def tate_document(m: int, gvals: Sequence[Fraction]) -> dict:
             "det": render_rational(r.det),
             "rank": r.rank,
             "kernel": matrix_grid(r.kernel.basis),
-            "edge_images": matrix_grid(r.edge_images.transpose()),
+            "edge_images": matrix_grid(r.edge_images),
             "holonomy": render_rational(r.holonomy),
             "defect": r.defect,
             "quotient_dim": r.quotient_dim,
         },
         "verdict": verdict_of(r.defect),
     }
+
+
+def _plain(text: str) -> bool:
+    """Whether json writes each str in text as itself between quotes:
+    printable ASCII with no '"' and no '\\'."""
+    return text.isascii() and text.isprintable() and '"' not in text and "\\" not in text
 
 
 def to_json(doc: dict) -> str:
@@ -125,7 +131,10 @@ def to_json(doc: dict) -> str:
     other type (float and tuple included) raises TypeError.  Each open
     container is one stack frame: an iterator of (prefix, value) pairs and
     the text that closes it.  A list of strings is written in one join, with
-    no escaping when its text is printable ASCII without '"' or '\\'.
+    no escaping when its text is printable ASCII without '"' or '\\'.  So is
+    a grid, a list whose items are all non-empty lists of such strings, as
+    every matrix of a document is; any other list of lists takes the
+    generic path.
     """
     out: list[str] = []
     stack = [(iter((("", doc),)), "")]
@@ -146,22 +155,33 @@ def to_json(doc: dict) -> str:
             else:
                 nl = "\n" + "  " * len(stack)
                 close = nl[:-2] + ("}" if isinstance(value, dict) else "]")
-                seps = chain((nl,), repeat("," + nl))
                 if isinstance(value, dict):
+                    seps = chain((nl,), repeat("," + nl))
                     keys = sorted(value)
                     heads = [sep + encode(k) + ": " for sep, k in zip(seps, keys)]
                     stack.append((zip(heads, map(value.__getitem__, keys)), close))
                     out.append("{")
                     break
+                sep = "," + nl
+                if type(value[0]) is list and set(map(type, value)) == {list} and all(value):
+                    try:
+                        text = "".join(map("".join, value))
+                    except TypeError:  # a cell that is not a str
+                        text = '"'
+                    if _plain(text):
+                        # each row is '[', its quoted cells one level deeper, ']'
+                        cell, start = '",' + nl + '  "', "[" + nl + '  "'
+                        end = '"' + nl + "]"
+                        out.append("[" + nl + start + (end + sep + start).join(
+                            [cell.join(row) for row in value]) + end + close)
+                        continue
                 try:
                     text = "".join(value)
                 except TypeError:  # an item that is not a str
-                    stack.append((zip(seps, value), close))
+                    stack.append((zip(chain((nl,), repeat(sep)), value), close))
                     out.append("[")
                     break
-                sep = "," + nl
-                if text.isascii() and text.isprintable() and '"' not in text \
-                        and "\\" not in text:
+                if _plain(text):
                     out.append("[" + nl + '"' + ('"' + sep + '"').join(value) + '"' + close)
                 else:
                     out.append("[" + nl + sep.join(map(encode, value)) + close)

@@ -15,19 +15,23 @@ from typing import Sequence
 
 from .cohomology import _kernel_route
 from .graph import DualGraph, cycle_graph
-from .linalg import Mat, Subspace, vec
+from .linalg import Mat, Subspace, Vector, vec
 from .localsystem import LocalSystem
 from .problem import check_cells
 
 
 def build_tate(m: int, gvals: Sequence[int | str | Fraction]) -> tuple[DualGraph, LocalSystem]:
     """Cycle graph on m >= 2 vertices with the rank-2 unipotent system."""
-    values = vec(gvals)
+    return _tate_system(m, vec(gvals))
+
+
+def _tate_system(m: int, values: Vector) -> tuple[DualGraph, LocalSystem]:
+    """``build_tate`` of a cocycle that ``vec`` has already read."""
     if len(values) != m:
         raise ValueError("%d cocycle values for a %d-cycle" % (len(values), m))
     check_cells(m, m, 2)  # the cap of the defect document on the same cycle
     g = cycle_graph(m)
-    return g, LocalSystem.unipotent_rank2(g, values)
+    return g, LocalSystem._unipotent_rank2(g, values)
 
 
 def holonomy(gvals: Sequence[Fraction]) -> Fraction:
@@ -43,8 +47,8 @@ def holonomy(gvals: Sequence[Fraction]) -> Fraction:
 class TateReport:
     """Everything the m-cycle example produces, exactly.
 
-    ``edge_images`` is the coboundary times the transposed kernel basis:
-    column j is the edge-space image of kernel generator j.
+    ``edge_images`` has one row per kernel generator: row j is the
+    edge-space image of kernel generator j, as the document prints it.
     """
 
     m: int
@@ -66,16 +70,18 @@ def tate_report(m: int, gvals: Sequence[int | str | Fraction]) -> TateReport:
     dichotomy (defect 1 exactly when the holonomy is nonzero) is a property
     of this family, checked in the test suite rather than assumed here.
     The obstruction is the span of the kernel's edge images, since the
-    system matrix factors through the coboundary (see ``cohomology``).
+    system matrix factors through the coboundary (see ``cohomology``); the
+    cocycle is read by ``vec`` once and passed on.
     The quotient dimension is that of the line a nonzero kernel image spans
     inside it, so 1 exactly when the obstruction is nonzero: the residue
     shadow of the one-dimensional quotient the example exhibits.  The rank
     is 2m minus the kernel dimension, so one elimination gives both.
     """
-    _, a, kernel, images, blocked = _kernel_route(build_tate(m, gvals)[1])
+    values = vec(gvals)
+    _, a, kernel, images, blocked, _ = _kernel_route(_tate_system(m, values)[1])
     return TateReport(
         m=m,
-        gvals=vec(gvals),
+        gvals=values,
         system=a,
         # (1, 0) at every vertex is a flat section, so the kernel is never
         # zero and the determinant always vanishes
@@ -83,7 +89,7 @@ def tate_report(m: int, gvals: Sequence[int | str | Fraction]) -> TateReport:
         rank=a.cols - kernel.dim,
         kernel=kernel,
         edge_images=images,
-        holonomy=holonomy(vec(gvals)),
+        holonomy=holonomy(values),
         defect=blocked.dim,
         quotient_dim=min(blocked.dim, 1),
     )

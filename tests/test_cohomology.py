@@ -3,15 +3,17 @@
 import random
 from fractions import Fraction
 
+import pytest
+
 from monograph.checks import (CYCLE_OBSTRUCTION_124, CYCLE_SYSTEM_124,
                               random_connected_multigraph, random_rational,
                               random_unipotent_system)
-from monograph.cohomology import (coboundary_image, coboundary_matrix, h0,
-                                  h1_dim, invariant_cycles_report, obstruction,
+from monograph.cohomology import (_kernel_route, coboundary_image, coboundary_matrix,
+                                  h0, h1_dim, invariant_cycles_report, obstruction,
                                   residue_constraint_matrix, residue_kernel,
                                   system_matrix)
 from monograph.graph import DualGraph, cycle_graph
-from monograph.linalg import Mat, Subspace, rank
+from monograph.linalg import Mat, Subspace, colspace, nullspace, rank, rowspace
 from monograph.localsystem import EdgeCochain, LocalSystem
 from monograph.tate import build_tate
 
@@ -305,3 +307,53 @@ class TestReportMatchesOracle:
         assert any(s.rank == 3 for s in systems)
         assert any(report_defect > 0 for report_defect in
                    (invariant_cycles_report(s).defect for s in systems))
+
+
+def test_kernel_route_matches_the_product_route():
+    """The one k-row elimination of [delta(k_i) | k_i] against the route it
+    replaced: delta times the transposed kernel basis, its column span for
+    the obstruction, and the rows of the kernel basis that its null
+    relations pick out for H0; both against the free functions too."""
+    pytest.importorskip("hypothesis")
+    from hypothesis import given, settings, strategies as st
+
+    values = st.one_of(st.just(Fraction(0)),
+                       st.builds(Fraction, st.integers(-6, 6), st.integers(1, 5)))
+
+    @st.composite
+    def systems(draw):
+        n = draw(st.integers(1, 6))
+        edges = []
+        for v in range(1, n):  # a spanning tree keeps the graph connected
+            u = draw(st.integers(0, v - 1))
+            edges.append((u, v) if draw(st.booleans()) else (v, u))
+        if n > 1:
+            for _ in range(draw(st.integers(0, 4))):
+                s, t = draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2,
+                                     unique=True))
+                edges.append((s, t))
+        g = DualGraph(n, tuple(edges))
+        if draw(st.booleans()):
+            sys = LocalSystem.trivial(g, draw(st.integers(1, 2)))
+        else:
+            sys = LocalSystem.unipotent_rank2(g, draw(st.lists(
+                values, min_size=g.m, max_size=g.m)))
+        for _ in range(draw(st.integers(0, 3 - sys.rank))):
+            sys = sys.extend_by_trivial(EdgeCochain(sys, tuple(
+                draw(st.lists(values, min_size=sys.rank, max_size=sys.rank))
+                for _ in range(g.m))))
+        return sys
+
+    @settings(max_examples=150, deadline=None)
+    @given(systems())
+    def check(sys):
+        cob, a, kernel, images, blocked, sections = _kernel_route(sys)
+        assert cob == coboundary_matrix(sys) and a == system_matrix(sys)
+        assert kernel == nullspace(a)
+        product = cob @ kernel.basis.transpose()
+        assert images == product.transpose()
+        assert blocked == colspace(product) == obstruction(sys)
+        relations = nullspace(product)
+        assert sections == rowspace(relations.basis @ kernel.basis) == h0(sys)
+
+    check()

@@ -5,8 +5,9 @@ import random
 import pytest
 
 from monograph import localsystem
-from monograph.checks import (random_connected_multigraph, random_unipotent_system,
-                              random_unipotent_systems)
+from monograph.checks import (random_connected_multigraph, random_rational,
+                              random_unipotent_system, random_unipotent_systems)
+from monograph.cli import main
 from monograph.cohomology import residue_constraint_matrix
 from monograph.graph import DualGraph, cycle_graph
 from monograph.linalg import DimensionMismatch, Mat, rref
@@ -277,3 +278,68 @@ class TestInverses:
         u = Mat.from_rows([[2, 1], [1, 1]])
         sys = LocalSystem(DualGraph(2, ((0, 1),)), 2, (u,))
         assert sys.transition_inverse(0) == Mat.from_rows([[1, -1], [-1, 2]])
+
+
+class TestHandedInverses:
+    """The trivial, unipotent2 and extension constructors hand the system
+    their inverses in closed form; _inverse, which every other system
+    uses, is the oracle."""
+
+    @staticmethod
+    def chains(rng, count):
+        """unipotent2 or trivial bases with up to two extension layers, on
+        random multigraphs, with rational values and zeros."""
+        for _ in range(count):
+            g = random_connected_multigraph(rng, max_vertices=6)
+            if rng.random() < 0.7:
+                sys = LocalSystem.unipotent_rank2(g, [random_rational(rng) for _ in range(g.m)])
+            else:
+                sys = LocalSystem.trivial(g, rng.randint(1, 2))
+            for _ in range(rng.randint(0, 2)):
+                sys = sys.extend_by_trivial(EdgeCochain(sys, tuple(
+                    [random_rational(rng) for _ in range(sys.rank)] for _ in range(g.m))))
+            yield sys
+
+    def test_match_the_general_inverse(self):
+        for sys in self.chains(random.Random(211), 60):
+            for e, u in enumerate(sys.transitions):
+                assert sys.transition_inverse(e) == _inverse(u)
+
+    def test_extension_of_a_general_system(self):
+        # the closed form [[W, -W c], [0, 1]] holds for any inverse W
+        u = Mat.from_rows([[2, 1], [1, "1/3"]])
+        base = LocalSystem(DualGraph(2, ((0, 1),)), 2, (u,))
+        extended = base.extend_by_trivial(EdgeCochain(base, [["1/2", -3]]))
+        assert extended.transition_inverse(0) == _inverse(extended.transitions[0])
+
+    def test_take_no_part_in_equality_hash_or_repr(self):
+        for sys in self.chains(random.Random(223), 20):
+            derived = LocalSystem(sys.graph, sys.rank, sys.transitions)
+            assert derived == sys and hash(derived) == hash(sys)
+            assert repr(derived) == repr(sys)
+            assert all(derived.transition_inverse(e) == sys.transition_inverse(e)
+                       for e in range(sys.graph.m))
+
+    @pytest.mark.parametrize("name, system", [
+        ("unipotent_rank2", "unipotent2 1 2 4"),
+        ("extend_by_trivial", "trivial 1\nextend 1 0 -1/2"),
+    ])
+    def test_wrong_one_fails_the_factorization_check(self, name, system, monkeypatch,
+                                                     capsys, tmp_path):
+        # the constructor hands the transitions as their own inverses: R.delta
+        # then holds U U in a diagonal block where A holds the identity
+        real = getattr(LocalSystem, name)
+
+        def wrong(*args):
+            sys = real(*args)
+            return LocalSystem(sys.graph, sys.rank, sys.transitions, sys.transitions)
+        monkeypatch.setattr(LocalSystem, name,
+                            staticmethod(wrong) if name == "unipotent_rank2" else wrong)
+        path = tmp_path / "t.txt"
+        path.write_text("VERTICES\nI II III\nEDGES\nI II\nII III\nI III\nSYSTEM\n"
+                        + system + "\n")
+        assert main(["defect", "--input", str(path)]) == 3
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == ("internal error: system matrix does not factor through the "
+                       "residue and coboundary matrices\n")

@@ -107,6 +107,42 @@ class TestToJson:
         with pytest.raises(TypeError):
             to_json(value)
 
+    # grids on and off the one-pass path, which takes a grid only when every
+    # row is a non-empty list of strings that need no escaping
+    @pytest.mark.parametrize("value", [
+        [["a", "b"], ["c"]], [["a"], []], [[], ["a"]], [["a"], "b"], [["a"], {"k": "v"}],
+        [["a", 1]], [["a"], [None]], [["\u00e9"]], [["a", '"']], [["\\"]], [["\n"]],
+        [["\x7f"]], [[["a"]]], [["a"], [["b"]]], [[""], ["", "0"]],
+        {"g": [["1", "-1/2"], ["0", "3"]]}, [[["1", "2"], ["3"]], "x", [["4"]]],
+    ])
+    def test_grid_values(self, value):
+        assert to_json(value) == dumps(value)
+
+    def test_drawn_grids(self):
+        pytest.importorskip("hypothesis")
+        from hypothesis import given, settings, strategies as st
+
+        plain = st.text("a0 /-", max_size=3)
+        odd = st.sampled_from('"\\\n\x7f\u00e9\u2603')
+        cells = (plain | st.builds("{}{}{}".format, plain, odd, plain)
+                 | st.integers(-3, 3) | st.none())
+        # mostly rows of plain strings; now and then an empty row, a row
+        # with an odd cell, a str or a dict in place of a row
+        rows = (st.lists(plain, min_size=1, max_size=4) | st.lists(cells, max_size=3)
+                | plain | st.dictionaries(plain, plain, max_size=1))
+        grids = st.lists(rows, min_size=1, max_size=5)
+        values = st.recursive(grids | cells,
+                              lambda inner: st.lists(inner, max_size=3)
+                              | st.dictionaries(plain, inner, max_size=3),
+                              max_leaves=8)
+
+        @settings(deadline=None, max_examples=300)
+        @given(values)
+        def check(value):
+            assert to_json(value) == dumps(value)
+
+        check()
+
     def test_drawn_values(self):
         pytest.importorskip("hypothesis")
         from hypothesis import given, settings, strategies as st

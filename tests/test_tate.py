@@ -75,7 +75,7 @@ class TestGoldenInstances:
         r = tate_report(3, (6, 3, 9))
         assert r.holonomy == 0
         assert r.defect == 0 and r.quotient_dim == 0
-        assert r.edge_images == Mat.zeros(6, 2)
+        assert r.edge_images.transpose() == Mat.zeros(6, 2)
 
     def test_111_defect_one(self):
         r = tate_report(3, (1, 1, 1))
@@ -116,13 +116,14 @@ class TestGoldenInstances:
 class TestEdgeImages:
     def test_constant_section_maps_to_zero(self):
         r = tate_report(3, (1, 2, 4))
-        # column 0 is the image of the constant section, the first generator
-        assert r.edge_images @ Mat.from_rows([[1], [0]]) == Mat.zeros(6, 1)
+        # row 0 is the image of the constant section, the first generator;
+        # the transpose makes it column 0
+        assert r.edge_images.transpose() @ Mat.from_rows([[1], [0]]) == Mat.zeros(6, 1)
 
     def test_second_image_spans_obstruction(self):
         r = tate_report(3, (1, 2, 4))
         _, sys = build_tate(3, (1, 2, 4))
-        span = colspace(r.edge_images @ Mat.from_rows([[0], [1]]))
+        span = colspace(r.edge_images.transpose() @ Mat.from_rows([[0], [1]]))
         assert span == obstruction(sys)
         assert span == Subspace.from_vectors(6, [obstruction_pattern(1, 2, 4)])
 
@@ -169,7 +170,7 @@ class TestDeterminant:
             gvals = tuple(random_rational(rng) for _ in range(m))
             r = tate_report(m, gvals)
             _, sys = build_tate(m, gvals)
-            span = colspace(r.edge_images)
+            span = colspace(r.edge_images.transpose())
             assert span == obstruction(sys)
             assert r.defect == span.dim
             assert r.quotient_dim == min(span.dim, 1)
