@@ -34,6 +34,12 @@ to the edge part, they are its RREF.  The others are zero on the edge part,
 so they are the x in ker A with delta(x) = 0, and their vertex part is the
 RREF of H0.
 
+R is not eliminated: with T_0 = I and T_s U_e = T_t along a spanning tree,
+x -> sum of T_v x_v is onto Q^r, its kernel is spanned by R's (n - 1) r
+independent tree columns, and it sends the block of a non-tree edge e to
+(T_s U_e - T_t) U_e^-1, T_t^-1 T_s U_e being e's monodromy.  So
+``residue_rank`` adds the rank of those r-row blocks side by side.
+
 The free functions ``h0``, ``h1_dim``, ``coboundary_image``,
 ``residue_kernel`` and ``obstruction`` compute each space directly from
 delta and R; they are the oracle the checks compare the report against.
@@ -42,52 +48,38 @@ delta and R; they are the oracle the checks compare the report against.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import lcm
+from math import gcd, lcm
 
-from .linalg import (Mat, Row, Subspace, _lowest, _over_lcm, _stack, colspace, nullspace,
+from .linalg import (Mat, Subspace, _lowest, _over_lcm, _stack, colspace, nullspace,
                      rank, rref)
 from .localsystem import LocalSystem
-
-
-def _assemble(block_rows: int, block_cols: int, r: int,
-              blocks: list[tuple[int, int, int, Mat]]) -> Mat:
-    """Sum coefficient x block at each (block row, block column) given.
-
-    Every block is r x r and every coefficient is 1 or -1.  Output row i
-    gathers the block rows that land in it; they are added as integer rows
-    over the lcm of their denominators, so blocks at the same position add
-    up, and the sum is put in lowest terms.
-    """
-    parts: list[list[tuple[int, int, Row, int]]] = [[] for _ in range(block_rows * r)]
-    for bi, bj, coefficient, block in blocks:
-        for i, (pairs, d) in enumerate(zip(block.nums, block.dens)):
-            parts[bi * r + i].append((bj * r, coefficient, pairs, d))
-    rows, dens = [], []
-    for row_parts in parts:
-        e = lcm(*[d for _, _, _, d in row_parts])
-        row: dict[int, int] = {}
-        for offset, coefficient, pairs, d in row_parts:
-            c = coefficient * (e // d)
-            for j, n in pairs:
-                k = offset + j
-                row[k] = row[k] + c * n if k in row else c * n
-        rows.append(row)
-        dens.append(e)
-    return Mat.from_integer_rows(rows, dens, block_cols * r)
 
 
 def coboundary_matrix(sys: LocalSystem) -> Mat:
     """The (m*r) x (n*r) matrix of the vertex-to-edge difference map.
 
     The block row of edge e = (s, t) reads +I at block column s and -U_e at
-    block column t, i.e. it computes a_s - U_e a_t in the s-frame.
+    block column t, i.e. it computes a_s - U_e a_t in the s-frame: row i of
+    U_e, pairs / d, gives (s*r + i, d) and each (t*r + j, -n) over d.
     """
     g, r = sys.graph, sys.rank
-    one = Mat.identity(r)
-    blocks = []
-    for e, (s, t) in enumerate(g.edges):
-        blocks += [(e, s, 1, one), (e, t, -1, sys.transitions[e])]
-    return _assemble(g.m, g.n, r, blocks)
+    nums, dens = [], []
+    for (s, t), u in zip(g.edges, sys.transitions):
+        for i, (pairs, d) in enumerate(zip(u.nums, u.dens)):
+            one, other = ((s * r + i, d),), tuple([(t * r + j, -n) for j, n in pairs])
+            nums.append(one + other if s < t else other + one)
+            dens.append(d)
+    return Mat(g.m * r, g.n * r, tuple(nums), tuple(dens))
+
+
+def _ends(sys: LocalSystem) -> list[list[tuple[int, int, Mat, bool]]]:
+    """Each vertex's edge ends, in edge order: (e, the far end v, the
+    transition from v's frame into this one, whether this is e's source)."""
+    ends: list[list[tuple[int, int, Mat, bool]]] = [[] for _ in range(sys.graph.n)]
+    for e, (s, t) in enumerate(sys.graph.edges):
+        ends[s].append((e, t, sys.transitions[e], True))
+        ends[t].append((e, s, sys.transition_inverse(e), False))
+    return ends
 
 
 def residue_constraint_matrix(sys: LocalSystem) -> Mat:
@@ -97,12 +89,19 @@ def residue_constraint_matrix(sys: LocalSystem) -> Mat:
     source u and -(U_e^-1 value) for each edge with canonical target u, so a
     kernel element has vanishing residue sum at every vertex.
     """
-    g, r = sys.graph, sys.rank
-    one = Mat.identity(r)
-    blocks = []
-    for e, (s, t) in enumerate(g.edges):
-        blocks += [(s, e, 1, one), (t, e, -1, sys.transition_inverse(e))]
-    return _assemble(g.n, g.m, r, blocks)
+    r, rows = sys.rank, []
+    for ends in _ends(sys):
+        for i in range(r):
+            d = lcm(*[w.dens[i] for _, _, w, source in ends if not source])
+            pairs = []
+            for e, _, w, source in ends:
+                if source:
+                    pairs.append((e * r + i, d))
+                else:
+                    c = d // w.dens[i]
+                    pairs += [(e * r + j, -c * n) for j, n in w.nums[i]]
+            rows.append(_lowest(pairs, d))
+    return _stack(sys.graph.m * r, rows)
 
 
 def system_matrix(sys: LocalSystem) -> Mat:
@@ -112,16 +111,66 @@ def system_matrix(sys: LocalSystem) -> Mat:
     between u and w the block (u, w) loses the transition that carries the
     w-frame into the u-frame.  Built directly from the edges so the
     factorization through the coboundary and residue matrices stays an
-    independent check.
+    independent check; parallel edges add up.
     """
-    g, r = sys.graph, sys.rank
-    one = Mat.identity(r)
-    blocks = []
+    r, rows, dens = sys.rank, [], []
+    for u, ends in enumerate(_ends(sys)):
+        for i in range(r):
+            d = lcm(*[w.dens[i] for _, _, w, _ in ends])
+            row = {u * r + i: len(ends) * d}
+            for _, v, w, _ in ends:
+                c = d // w.dens[i]
+                for j, n in w.nums[i]:
+                    k = v * r + j
+                    row[k] = row[k] - c * n if k in row else -c * n
+            rows.append(row)
+            dens.append(d)
+    return Mat.from_integer_rows(rows, dens, sys.graph.n * r)
+
+
+Transport = tuple[list[dict[int, int]], int]  # r x r, int rows over one denominator
+
+
+def _times(transport: Transport, u: Mat) -> Transport:
+    """The transport T.u, put in lowest terms by one gcd."""
+    rows, d = transport
+    e = lcm(*u.dens)
+    out = []
+    for row in rows:
+        acc: dict[int, int] = {}
+        for k, x in row.items():
+            c = x * (e // u.dens[k])
+            for j, y in u.nums[k]:
+                acc[j] = acc[j] + c * y if j in acc else c * y
+        out.append(acc)
+    h = gcd(d * e, *[x for acc in out for x in acc.values()])
+    return [{j: x // h for j, x in acc.items() if x} for acc in out], d * e // h
+
+
+def residue_rank(sys: LocalSystem) -> int:
+    """rank R, from transports along a breadth-first spanning tree (see
+    the module docstring): a tree edge e = (s, t) gives T_t = T_s U_e when
+    reached from s, T_s = T_t U_e^-1 from t.  Block column e of the r-row
+    matrix is T_s U_e - T_t, scaled to ints, for a non-tree edge, else 0."""
+    g, r, ends = sys.graph, sys.rank, _ends(sys)
+    transports: list[Transport | None] = [None] * g.n
+    transports[0] = ([{i: 1} for i in range(r)], 1)
+    tree, queue = [False] * g.m, [0]
+    for u in queue:
+        for e, v, w, _ in ends[u]:
+            if transports[v] is None:
+                transports[v], tree[e] = _times(transports[u], w), True
+                queue.append(v)
+    blocks: list[dict[int, int]] = [{} for _ in range(r)]
     for e, (s, t) in enumerate(g.edges):
-        blocks += [(s, s, 1, one), (t, t, 1, one),
-                   (s, t, -1, sys.transitions[e]),
-                   (t, s, -1, sys.transition_inverse(e))]
-    return _assemble(g.n, g.n, r, blocks)
+        if not tree[e]:
+            (a, da), (b, db) = _times(transports[s], sys.transitions[e]), transports[t]
+            d, offset = lcm(da, db), e * r
+            for row, x, y in zip(blocks, a, b):
+                row.update({offset + j: n * (d // da) for j, n in x.items()})
+                for j, n in y.items():
+                    row[offset + j] = row.get(offset + j, 0) - n * (d // db)
+    return (g.n - 1) * r + rank(Mat.from_integer_rows(blocks, [1] * r, g.m * r))
 
 
 def h0(sys: LocalSystem) -> Subspace:
@@ -217,8 +266,8 @@ def invariant_cycles_report(sys: LocalSystem) -> CohomologyReport:
     [delta(k_i) | k_i], for the k kernel basis rows k_i, gives both
     bases (see the module docstring), so no matrix with a row per edge or
     vertex is built after ker A.  h1 then follows from the Euler
-    characteristic, and only the sparse residue matrix is eliminated
-    besides.  The free functions h0, h1_dim, coboundary_image,
+    characteristic and dim ker R from ``residue_rank``, so nothing else is
+    eliminated.  The free functions h0, h1_dim, coboundary_image,
     residue_kernel and obstruction keep the direct route as an oracle.
     """
     g, r = sys.graph, sys.rank
@@ -235,7 +284,7 @@ def invariant_cycles_report(sys: LocalSystem) -> CohomologyReport:
         system=a,
         system_rank=g.n * r - kernel.dim,
         coboundary_image_dim=image_dim,
-        residue_kernel_dim=g.m * r - rank(residue),
+        residue_kernel_dim=g.m * r - residue_rank(sys),
         defect=blocked.dim,
         exact=blocked.dim == 0,
     )

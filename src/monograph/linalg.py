@@ -74,7 +74,10 @@ class DimensionMismatch(Exception):
 def rat(x: int | str | Fraction) -> Fraction:
     """Coerce an exact value to Fraction: an int, a Fraction, or a string
     that ``parse_rational`` accepts.  Bools, floats and anything else are
-    refused, so the library reads rationals as the input files do."""
+    refused, so the library reads rationals as the input files do.  A
+    Fraction is immutable, so one is returned as it is, not copied."""
+    if type(x) is Fraction:
+        return x
     if isinstance(x, str):
         return parse_rational(x)
     if isinstance(x, (int, Fraction)) and not isinstance(x, bool):

@@ -102,17 +102,13 @@ class LocalSystem:
     @classmethod
     def unipotent_rank2(cls, g: DualGraph,
                         gvals: Sequence[int | str | Fraction]) -> LocalSystem:
-        """Rank-2 system with transition [[1, g_e], [0, 1]] on each edge."""
-        return cls._unipotent_rank2(g, vec(gvals))
-
-    @classmethod
-    def _unipotent_rank2(cls, g: DualGraph, values: Vector) -> LocalSystem:
-        """``unipotent_rank2`` of values that ``vec`` has already read.
+        """Rank-2 system with transition [[1, g_e], [0, 1]] on each edge.
 
         Each [[1, g_e], [0, 1]] is stored by its integer rows, the first
         over g_e's denominator q: (q, p) / q for g_e = p / q.  Its inverse
         is [[1, -g_e], [0, 1]], stored the same way.
         """
+        values = vec(gvals)
         if len(values) != g.m:
             raise ValueError("%d cocycle values for %d edges" % (len(values), g.m))
         second = ((1, 1),)

@@ -30,12 +30,17 @@ class InternalCheckError(RuntimeError):
     """An internal consistency identity failed; this is a bug, not bad input."""
 
 
+class Grid(list):
+    """The rows ``matrix_grid`` builds, every cell str of an int or 'p/q':
+    ``to_json`` writes them with no scan for escapes."""
+
+
 def matrix_grid(m: Mat) -> list[list[str]]:
     """The rows of m as strings, rendered from its stored integer rows.  In
     a row over 1 each entry is str of its numerator; any other entry is
     reduced by one gcd in ``render_ratio``, so every cell reads as str of
     its Fraction.  A number over the digit limit refuses the document."""
-    grid, bound = [], DIGIT_BOUND
+    grid, bound = Grid(), DIGIT_BOUND
     for pairs, d in zip(m.nums, m.dens):
         row = ["0"] * m.cols
         if d == 1:
@@ -133,8 +138,9 @@ def to_json(doc: dict) -> str:
     the text that closes it.  A list of strings is written in one join, with
     no escaping when its text is printable ASCII without '"' or '\\'.  So is
     a grid, a list whose items are all non-empty lists of such strings, as
-    every matrix of a document is; any other list of lists takes the
-    generic path.
+    every matrix of a document is, unscanned for a ``Grid``; so is a list of
+    non-empty dicts of str, as the echo's edges are.  Any other list of
+    lists or dicts takes the generic path.
     """
     out: list[str] = []
     stack = [(iter((("", doc),)), "")]
@@ -164,8 +170,8 @@ def to_json(doc: dict) -> str:
                     break
                 sep = "," + nl
                 if type(value[0]) is list and set(map(type, value)) == {list} and all(value):
-                    try:
-                        text = "".join(map("".join, value))
+                    try:  # a Grid's cells are plain by construction
+                        text = "" if type(value) is Grid else "".join(map("".join, value))
                     except TypeError:  # a cell that is not a str
                         text = '"'
                     if _plain(text):
@@ -175,6 +181,16 @@ def to_json(doc: dict) -> str:
                         out.append("[" + nl + start + (end + sep + start).join(
                             [cell.join(row) for row in value]) + end + close)
                         continue
+                if type(value[0]) is dict and all([type(item) is dict and item
+                                                   for item in value]):
+                    inner = "," + nl + "  "
+                    try:  # each item is '{', its sorted "key": "value" lines, '}'
+                        out.append("[" + nl + sep.join(["{" + inner[1:] + inner.join(
+                            [encode(k) + ": " + encode(v) for k, v in sorted(item.items())])
+                            + nl + "}" for item in value]) + close)
+                        continue
+                    except TypeError:  # a key or value that is not a str
+                        pass
                 try:
                     text = "".join(value)
                 except TypeError:  # an item that is not a str

@@ -15,23 +15,19 @@ from typing import Sequence
 
 from .cohomology import _kernel_route
 from .graph import DualGraph, cycle_graph
-from .linalg import Mat, Subspace, Vector, vec
+from .linalg import Mat, Subspace, vec
 from .localsystem import LocalSystem
 from .problem import check_cells
 
 
 def build_tate(m: int, gvals: Sequence[int | str | Fraction]) -> tuple[DualGraph, LocalSystem]:
     """Cycle graph on m >= 2 vertices with the rank-2 unipotent system."""
-    return _tate_system(m, vec(gvals))
-
-
-def _tate_system(m: int, values: Vector) -> tuple[DualGraph, LocalSystem]:
-    """``build_tate`` of a cocycle that ``vec`` has already read."""
+    values = vec(gvals)
     if len(values) != m:
         raise ValueError("%d cocycle values for a %d-cycle" % (len(values), m))
     check_cells(m, m, 2)  # the cap of the defect document on the same cycle
     g = cycle_graph(m)
-    return g, LocalSystem._unipotent_rank2(g, values)
+    return g, LocalSystem.unipotent_rank2(g, values)
 
 
 def holonomy(gvals: Sequence[Fraction]) -> Fraction:
@@ -70,15 +66,14 @@ def tate_report(m: int, gvals: Sequence[int | str | Fraction]) -> TateReport:
     dichotomy (defect 1 exactly when the holonomy is nonzero) is a property
     of this family, checked in the test suite rather than assumed here.
     The obstruction is the span of the kernel's edge images, since the
-    system matrix factors through the coboundary (see ``cohomology``); the
-    cocycle is read by ``vec`` once and passed on.
+    system matrix factors through the coboundary (see ``cohomology``).
     The quotient dimension is that of the line a nonzero kernel image spans
     inside it, so 1 exactly when the obstruction is nonzero: the residue
     shadow of the one-dimensional quotient the example exhibits.  The rank
     is 2m minus the kernel dimension, so one elimination gives both.
     """
     values = vec(gvals)
-    _, a, kernel, images, blocked, _ = _kernel_route(_tate_system(m, values)[1])
+    _, a, kernel, images, blocked, _ = _kernel_route(build_tate(m, values)[1])
     return TateReport(
         m=m,
         gvals=values,

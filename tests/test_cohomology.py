@@ -2,22 +2,24 @@
 
 import random
 from fractions import Fraction
+from math import lcm
 
 import pytest
 
 from monograph.checks import (CYCLE_OBSTRUCTION_124, CYCLE_SYSTEM_124,
                               random_connected_multigraph, random_rational,
                               random_unipotent_system)
-from monograph.cohomology import (_kernel_route, coboundary_image, coboundary_matrix,
-                                  h0, h1_dim, invariant_cycles_report, obstruction,
-                                  residue_constraint_matrix, residue_kernel,
-                                  system_matrix)
+from monograph import linalg
+from monograph.cohomology import (_kernel_route, coboundary_image,
+                                  coboundary_matrix, h0, h1_dim, invariant_cycles_report,
+                                  obstruction, residue_constraint_matrix, residue_kernel,
+                                  residue_rank, system_matrix)
 from monograph.graph import DualGraph, cycle_graph
-from monograph.linalg import Mat, Subspace, colspace, nullspace, rank, rowspace
+from monograph.linalg import Mat, Subspace, colspace, det, nullspace, rank, rowspace
 from monograph.localsystem import EdgeCochain, LocalSystem
 from monograph.tate import build_tate
 
-from test_linalg_oracle import dense
+from test_linalg_oracle import dense, path_with_chords
 
 
 def trivial_triangle():
@@ -355,5 +357,177 @@ def test_kernel_route_matches_the_product_route():
         assert blocked == colspace(product) == obstruction(sys)
         relations = nullspace(product)
         assert sections == rowspace(relations.basis @ kernel.basis) == h0(sys)
+
+    check()
+
+
+def _assemble(block_rows, block_cols, r, blocks):
+    """Sum coefficient x block at each (block row, block column) given, each
+    block r x r and each coefficient 1 or -1: the block rows that land in
+    output row i are added as integer rows over the lcm of their
+    denominators, so blocks at the same position add up."""
+    parts = [[] for _ in range(block_rows * r)]
+    for bi, bj, coefficient, block in blocks:
+        for i, (pairs, d) in enumerate(zip(block.nums, block.dens)):
+            parts[bi * r + i].append((bj * r, coefficient, pairs, d))
+    rows, dens = [], []
+    for row_parts in parts:
+        e = lcm(*[d for _, _, _, d in row_parts])
+        row = {}
+        for offset, coefficient, pairs, d in row_parts:
+            for j, n in pairs:
+                row[offset + j] = row.get(offset + j, 0) + coefficient * (e // d) * n
+        rows.append(row)
+        dens.append(e)
+    return Mat.from_integer_rows(rows, dens, block_cols * r)
+
+
+def _assembled(sys):
+    """The coboundary, residue and system matrices gathered block by block
+    through _assemble, the route the direct writers replaced."""
+    g, r = sys.graph, sys.rank
+    one = Mat.identity(r)
+    cob, residue, system = [], [], []
+    for e, (s, t) in enumerate(g.edges):
+        u, w = sys.transitions[e], sys.transition_inverse(e)
+        cob += [(e, s, 1, one), (e, t, -1, u)]
+        residue += [(s, e, 1, one), (t, e, -1, w)]
+        system += [(s, s, 1, one), (t, t, 1, one), (s, t, -1, u), (t, s, -1, w)]
+    return (_assemble(g.m, g.n, r, cob), _assemble(g.n, g.m, r, residue),
+            _assemble(g.n, g.n, r, system))
+
+
+def _invertible(entries, r):
+    """The r x r matrix of the given entries plus k I for the least k >= 0
+    that makes it invertible: at most r values of k make it singular."""
+    base = Mat.from_rows([entries[i * r:(i + 1) * r] for i in range(r)])
+    for k in range(r + 1):
+        m = Mat.from_rows([[x + k * (i == j) for j, x in enumerate(row)]
+                           for i, row in enumerate(dense(base))])
+        if det(m) != 0:
+            return m
+    raise AssertionError("no shift of %r is invertible" % (entries,))
+
+
+def _general_systems(seed):
+    """Systems whose transitions are not triangular: the swap [[0, 1], [1, 0]]
+    and [[2, 1], [1, 1]] on cycles and parallel edges, then drawn rational
+    transitions of rank 1..3 on random multigraphs, inverted by _inverse."""
+    for u in ([[0, 1], [1, 0]], [[2, 1], [1, 1]]):
+        for g in (cycle_graph(3), cycle_graph(4), DualGraph(2, ((0, 1), (1, 0))),
+                  DualGraph(2, ((0, 1), (0, 1), (1, 0)))):
+            yield LocalSystem(g, 2, (Mat.from_rows(u),) * g.m)
+    rng = random.Random(seed)
+    for _ in range(40):
+        g = random_connected_multigraph(rng, max_vertices=7)
+        r = rng.randint(1, 3)
+        yield LocalSystem(g, r, tuple(
+            _invertible([Fraction(rng.randint(-3, 3), rng.randint(1, 3))
+                         for _ in range(r * r)], r) for _ in range(g.m)))
+
+
+def _chord_system():
+    """unipotent2 with p/q cocycle values on the 200-vertex path plus
+    chords: 101 independent cycles, whose transports along the path build
+    up denominators."""
+    edges, gvals = path_with_chords(200, 300, 200300)
+    rng = random.Random(300)
+    return LocalSystem.unipotent_rank2(DualGraph(200, edges), [
+        Fraction(x, rng.randint(1, 9)) for x in gvals])
+
+
+class TestResidueRank:
+    """The spanning-tree rank of R against the elimination of R itself."""
+
+    def test_matches_the_elimination(self):
+        systems = [*_oracle_systems(20261), *_general_systems(7919), _chord_system()]
+        for sys in systems:
+            assert residue_rank(sys) == rank(residue_constraint_matrix(sys))
+        assert any(s.graph.m == s.graph.n - 1 and s.graph.n > 1 for s in systems)
+        assert any(s.graph.m == 0 for s in systems)
+
+    def test_monodromy_of_a_swap(self):
+        # around the triangle the swap's monodromy is the swap itself, which
+        # fixes (1, 1): one invariant cycle, so rank R = 2 r + 2 - 1
+        sys = LocalSystem(cycle_graph(3), 2, (Mat.from_rows([[0, 1], [1, 0]]),) * 3)
+        assert residue_rank(sys) == 5
+
+    def test_the_report_eliminates_no_residue_sized_matrix(self, monkeypatch):
+        shapes = []
+        eliminate = linalg._eliminate
+
+        def recorded(m):
+            shapes.append((m.rows, m.cols))
+            return eliminate(m)
+        monkeypatch.setattr(linalg, "_eliminate", recorded)
+        # m != n, so no other matrix has the residue's shape
+        square = DualGraph(4, ((0, 1), (1, 2), (2, 3), (3, 0), (0, 2)))
+        for sys in (LocalSystem.unipotent_rank2(square, (1, "1/2", 0, -3, 2)),
+                    _chord_system()):
+            shapes.clear()
+            g, r = sys.graph, sys.rank
+            report = invariant_cycles_report(sys)
+            assert report.residue_kernel_dim == g.m * r - residue_rank(sys)
+            assert (g.n * r, g.m * r) not in shapes and shapes
+
+
+class TestDirectWriters:
+    """The coboundary, residue and system matrices, written from the
+    transition rows, against the _assemble block gather."""
+
+    def test_match_the_block_gather(self):
+        for sys in [*_oracle_systems(20261), *_general_systems(7919), _chord_system()]:
+            cob, residue, system = _assembled(sys)
+            assert coboundary_matrix(sys) == cob
+            assert residue_constraint_matrix(sys) == residue
+            assert system_matrix(sys) == system == residue @ cob
+
+    def test_parallel_edges_add_up(self):
+        # U and -U on two parallel edges cancel in the system matrix's
+        # off-diagonal block; U_e and U_e^-1 on a reversed pair add
+        u = Mat.from_rows([[1, "1/2"], [0, 1]])
+        minus = Mat.from_rows([[-1, "-1/2"], [0, -1]])
+        for g, transitions in ((DualGraph(2, ((0, 1), (0, 1))), (u, minus)),
+                               (DualGraph(2, ((0, 1), (1, 0))), (u, u))):
+            sys = LocalSystem(g, 2, transitions)
+            assert system_matrix(sys) == _assembled(sys)[2]
+        cancelled = LocalSystem(DualGraph(2, ((0, 1), (0, 1))), 2, (u, minus))
+        assert system_matrix(cancelled) == Mat.from_rows(
+            [[2, 0, 0, 0], [0, 2, 0, 0], [0, 0, 2, 0], [0, 0, 0, 2]])
+
+
+def test_tree_rank_and_writers_on_drawn_systems():
+    """Property: on drawn multigraphs with drawn invertible transitions of
+    rank 1..3, the tree rank is the rank of R, and the direct writers give
+    the block gather's matrices."""
+    pytest.importorskip("hypothesis")
+    from hypothesis import given, settings, strategies as st
+
+    values = st.builds(Fraction, st.integers(-4, 4), st.integers(1, 4))
+
+    @st.composite
+    def systems(draw):
+        n = draw(st.integers(1, 6))
+        edges = []
+        for v in range(1, n):
+            u = draw(st.integers(0, v - 1))
+            edges.append((u, v) if draw(st.booleans()) else (v, u))
+        if n > 1:
+            for _ in range(draw(st.integers(0, 5))):
+                edges.append(tuple(draw(st.lists(st.integers(0, n - 1), min_size=2,
+                                                 max_size=2, unique=True))))
+        g = DualGraph(n, tuple(edges))
+        r = draw(st.integers(1, 3))
+        return LocalSystem(g, r, tuple(
+            _invertible(draw(st.lists(values, min_size=r * r, max_size=r * r)), r)
+            for _ in edges))
+
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(systems())
+    def check(sys):
+        cob, residue, system = _assembled(sys)
+        assert (coboundary_matrix(sys), residue_constraint_matrix(sys),
+                system_matrix(sys)) == (cob, residue, system)
+        assert residue_rank(sys) == rank(residue)
 
     check()

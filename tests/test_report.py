@@ -6,9 +6,10 @@ import pytest
 
 from monograph.cli import main
 from monograph.graph import DisconnectedError, LoopEdgeError
-from monograph.linalg import Subspace, colspace, nullspace
+from monograph.linalg import Mat, Subspace, colspace, nullspace
 from monograph.problem import ProblemSpec, SystemSpec, load_problem, parse_spec
-from monograph.report import matrix_grid, render_pretty, run, tate_document, to_json
+from monograph.report import (Grid, matrix_grid, render_pretty, run, tate_document,
+                              to_json)
 
 from test_linalg_oracle import dense, matrices, oracle_colspace, oracle_nullspace
 from test_pinned_documents import CYCLE_64_G, PINNED
@@ -118,6 +119,28 @@ class TestToJson:
     def test_grid_values(self, value):
         assert to_json(value) == dumps(value)
 
+    # lists of flat str-valued dicts, the echo's edges, take one join; any
+    # other list of dicts takes the generic path
+    @pytest.mark.parametrize("value", [
+        [{"from": "a", "to": "b"}, {"from": "b", "to": "c"}],
+        [{"to": "b", "from": "a", "via": "c"}, {"k": "v"}],
+        [{"from": 'a"', "to": "\\"}, {"from": "\u00e9", "to": "\n"}],
+        [{"a": 1}], [{"a": None}], [{"a": ["b"]}], [{"a": {"b": "c"}}], [{}, {"a": "b"}],
+        [{"a": "b"}, {}], [{"a": "b"}, "c"], ["c", {"a": "b"}], {"k": [{"a": "b"}]},
+    ])
+    def test_dict_lists(self, value):
+        assert to_json(value) == dumps(value)
+
+    def test_echo_with_escaped_labels(self):
+        # JSON-form vertex names may hold what json escapes
+        names = ['q"uote', "back\\slash", "\u00e9t\u00e9", "plain"]
+        text = json.dumps({"vertices": names, "edges": [
+            {"from": a, "to": b} for a, b in zip(names, names[1:] + names[:1])]})
+        for command in ("laplacian", "defect"):
+            doc = run(load_problem(text), command)
+            assert doc["problem"]["edges"][0] == {"from": 'q"uote', "to": "back\\slash"}
+            assert_same_text(to_json(doc), dumps(doc))
+
     def test_drawn_grids(self):
         pytest.importorskip("hypothesis")
         from hypothesis import given, settings, strategies as st
@@ -187,6 +210,16 @@ class TestGrids:
                 grid = matrix_grid(space.basis)
                 assert len(grid) == space.dim
                 assert grid == [[str(x) for x in row] for row in dense(oracle)]
+
+    def test_marked_grids_serialize_as_lists(self):
+        # matrix_grid marks its result, so to_json skips the escape scan
+        for m in [Mat.from_rows([[1, "-1/2"], [0, "7/3"]]), Mat.zeros(2, 0),
+                  Mat.zeros(0, 3), *matrices(3, 40)]:
+            grid = matrix_grid(m)
+            assert type(grid) is Grid
+            assert grid == [[str(x) for x in row] for row in dense(m)]
+            for value in (grid, {"g": grid}, [grid, grid]):
+                assert to_json(value) == dumps(value)
 
     @pytest.mark.parametrize("n", [0, 1, 4])
     def test_zero_subspace_has_no_rows(self, n):
