@@ -21,7 +21,6 @@ import argparse
 import functools
 import sys
 
-from .checks import run_all_checks
 from .linalg import DimensionMismatch, parse_rational
 from .problem import load_problem
 from .report import (GRAPH_COMMANDS, InternalCheckError, render_pretty, run,
@@ -111,6 +110,8 @@ def main(argv: list[str] | None = None) -> int:
 
 
 def _run_check(seed: int, as_json: bool) -> int:
+    # imported here, so the other commands do not load the check suite
+    from .checks import run_all_checks
     results = run_all_checks(seed)
     ok = all(r.passed for r in results)
     if as_json:

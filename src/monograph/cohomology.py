@@ -28,11 +28,15 @@ k = dim ker A rows.  Two identities make that enough:
   A x = R delta(x) = 0;
 * ker delta lies inside ker A, so H0 is cut out of ker A by the images.
 
-For a kernel basis k_1, ..., k_k the k rows [delta(k_i) | k_i] are reduced
-once.  The reduced rows that pivot in the edge part span delta(ker A); cut
-to the edge part, they are its RREF.  The others are zero on the edge part,
-so they are the x in ker A with delta(x) = 0, and their vertex part is the
-RREF of H0.
+For a kernel basis k_1, ..., k_k the k rows [delta(k_i) | k_i] are
+written as primitive int rows, delta(k_i) from delta's stored rows over
+one denominator, and reduced once by the forward pass and back
+substitution of ``linalg``; no Mat is built for them.  The reduced rows
+that pivot in the edge part span delta(ker A); cut to the edge part and
+written over their pivots, they are its RREF.  The others are zero on the
+edge part, so they are the x in ker A with delta(x) = 0, and their vertex
+part is the RREF of H0.  Only those k rows are back-substituted: ker A
+itself is back-solved from A's forward rows.
 
 R is not eliminated: with T_0 = I and T_s U_e = T_t along a spanning tree,
 x -> sum of T_v x_v is onto Q^r, its kernel is spanned by R's (n - 1) r
@@ -50,8 +54,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import gcd, lcm
 
-from .linalg import (Mat, Subspace, _lowest, _over_lcm, _stack, colspace, nullspace,
-                     rank, rref)
+from .linalg import (Mat, Subspace, _back_substitute, _echelon, _lowest, _stack, colspace,
+                     nullspace, rank)
 from .localsystem import LocalSystem
 
 
@@ -202,32 +206,44 @@ def _kernel_route(sys: LocalSystem) -> tuple[Mat, Mat, Subspace, Mat, Subspace, 
     """Assemble delta and A, eliminate A once, and map ker A through delta.
 
     Returns (delta, A, ker A, the images, the obstruction, H0).  Row i of
-    the images is delta(k_i) for kernel basis row k_i, each entry the dot
-    product of a stored row of delta with k_i.  The obstruction and H0 are
-    read off one rref of the rows [delta(k_i) | k_i], as the module
-    docstring explains.
+    the images is delta(k_i) for kernel basis row k_i = K / e: entry p is
+    s_p / d_p over e, s_p the dot product of delta's stored row p, over
+    d_p, with K, so the row is the ints s_p (E / d_p) over E e, E the lcm
+    of delta's row denominators.  The obstruction and H0 are read off the
+    primitive int rows [delta(k_i) | k_i], eliminated and back-substituted
+    once, as the module docstring explains.
     """
     cob = coboundary_matrix(sys)
     a = system_matrix(sys)
     kernel = nullspace(a)
-    edges = cob.rows
-    images, stacked = [], []
+    edges, e_all = cob.rows, lcm(*cob.dens)
+    images, work = [], []
     for pairs, e in zip(kernel.basis.nums, kernel.basis.dens):
         x = dict(pairs)
-        image = []
+        stacked = {}
         for p, (row, d) in enumerate(zip(cob.nums, cob.dens)):
-            s = sum([n * x[j] for j, n in row if j in x])
+            s = 0
+            for j, n in row:
+                if j in x:
+                    s += n * x[j]
             if s:
-                image.append((p, s, d * e))
-        image_pairs, f = _over_lcm(image)
-        images.append((image_pairs, f))
-        stacked.append(_over_lcm([(p, n, f) for p, n in image_pairs]
-                                 + [(edges + j, n, e) for j, n in pairs]))
-    reduced, pivots = rref(_stack(edges + cob.cols, stacked))
-    rows = list(zip(reduced.nums[:len(pivots)], reduced.dens))
-    split = sum(1 for c in pivots if c < edges)
-    blocked = [_lowest([q for q in pairs if q[0] < edges], d) for pairs, d in rows[:split]]
-    sections = [(tuple([(j - edges, n) for j, n in pairs]), d) for pairs, d in rows[split:]]
+                stacked[p] = s * (e_all // d)
+        images.append(_lowest(list(stacked.items()), e_all * e))
+        # [delta(k_i) | k_i] times E e, then made primitive
+        for j, n in pairs:
+            stacked[edges + j] = e_all * n
+        g = gcd(*stacked.values())
+        work.append({j: n // g for j, n in stacked.items()} if g > 1 else stacked)
+    rows, pivots, _ = _echelon(work, edges + cob.cols)
+    _back_substitute(rows, pivots)
+    blocked, sections = [], []
+    for row, c in zip(rows, pivots):
+        q = row[c]
+        pairs = [(j, row[j] if q > 0 else -row[j]) for j in sorted(row)]
+        if c < edges:
+            blocked.append(_lowest([(j, n) for j, n in pairs if j < edges], abs(q)))
+        else:
+            sections.append((tuple([(j - edges, n) for j, n in pairs]), abs(q)))
     return (cob, a, kernel, _stack(edges, images), Subspace(_stack(edges, blocked)),
             Subspace(_stack(cob.cols, sections)))
 
@@ -262,7 +278,7 @@ def invariant_cycles_report(sys: LocalSystem) -> CohomologyReport:
     eliminated once.  Its kernel K gives everything else: the obstruction
     is delta(K), because delta(x) lies in ker R exactly when A x = 0; and
     H0 = ker delta is the set of x in K with delta(x) = 0, because
-    ker delta lies inside ker A.  One rref of the k rows
+    ker delta lies inside ker A.  One reduction of the k int rows
     [delta(k_i) | k_i], for the k kernel basis rows k_i, gives both
     bases (see the module docstring), so no matrix with a row per edge or
     vertex is built after ker A.  h1 then follows from the Euler

@@ -20,17 +20,21 @@ The product writes each row of the right operand over its denominator, so
 row i of the result is a sum of integer rows with integer coefficients over
 d_i times the lcm of the right denominators it meets.
 
-All elimination runs through one forward pass, ``_eliminate``, over the
-primitive integer rows of a Mat: its numerator rows divided by their gcd.
-It has one row operation, ``_combine``, which clears a column with
-p row - a prow and divides out the content, and it touches only the rows
-below each pivot and only where either row is nonzero.  ``rank`` and
-``det`` read the pivots of that pass and nothing more.  ``rref`` adds a
-back substitution with the same row operation, from the last pivot row
-upward, and writes each row over its pivot; ``rowspace`` and ``colspace``
-are views of it.  ``nullspace`` eliminates and back-substitutes m turned by
-180 degrees, once, and reads the kernel's RREF straight off those reduced
-rows.
+All elimination runs through one forward pass, ``_echelon``, over
+primitive integer rows: {column: numerator} dicts whose entries have gcd 1.
+``_eliminate`` feeds it a Mat's numerator rows divided by their gcd.  It
+has one row operation, ``_combine``, which clears a column with
+p row - a prow and divides out the content, in one dict, and it touches
+only the rows below each pivot and only where either row is nonzero.
+``rank`` and ``det`` read the pivots of that pass and nothing more.
+``rref`` adds a back substitution with the same row operation, from the
+last pivot row upward, and writes each row over its pivot; ``rowspace``
+and ``colspace`` are views of it.  ``nullspace`` runs only the forward
+pass, once, on m turned by 180 degrees, and back-solves one int vector
+per free column from the echelon rows: those vectors, turned back, are
+the kernel's RREF.  So an elimination does the row work its output needs:
+a kernel of dimension k costs the forward pass and k back-solves, not a
+back substitution of every pivot row.
 
 A ``Subspace`` basis is the k x n matrix of the nonzero rows of the
 subspace's RREF, one row per basis vector.  That basis is unique, so
@@ -46,6 +50,7 @@ that clears them rarely runs.
 from __future__ import annotations
 
 import re
+from bisect import bisect
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
@@ -56,7 +61,7 @@ Vector = tuple[Fraction, ...]
 Row = tuple[tuple[int, int], ...]
 
 _ZERO = Fraction(0)
-_RATIONAL_LITERAL = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
+_RATIONAL_LITERAL = re.compile(r"([+-]?[0-9]+)(?:/([0-9]+))?")
 # the most decimal digits a numerator or denominator may have, read or written
 MAX_DIGITS = 4000
 # the least int with more than MAX_DIGITS digits
@@ -92,19 +97,23 @@ def parse_rational(text: str) -> Fraction:
     through an input file, and so are the digit separators ('1_000') that
     Fraction itself would accept.  A numerator or denominator of more than
     MAX_DIGITS digits is refused too, with a message that names that limit.
+    The literal is matched once, and the Fraction is built from the ints
+    its two parts read as.
     """
     text = text.strip()
     if "." in text or "e" in text.lower():
         raise ValueError("bad rational literal %r: decimals are not accepted, "
                          "write an integer or p/q" % (text,))
-    if not _RATIONAL_LITERAL.fullmatch(text):
+    literal = _RATIONAL_LITERAL.fullmatch(text)
+    if not literal:
         raise ValueError("bad rational literal %r: write an integer or p/q" % (text,))
-    digits = max(map(len, text.lstrip("+-").split("/")))
+    p, q = literal.groups()
+    digits = max(len(p.lstrip("+-")), len(q or ""))
     if digits > MAX_DIGITS:
         raise ValueError("bad rational literal %r...: %d digits; the limit is %d"
                          % (text[:12], digits, MAX_DIGITS))
     try:
-        return Fraction(text)
+        return Fraction(int(p)) if q is None else Fraction(int(p), int(q))
     except ZeroDivisionError as exc:
         raise ValueError("bad rational literal %r: %s" % (text, exc)) from None
 
@@ -286,51 +295,68 @@ def _combine(row: dict[int, int], prow: dict[int, int],
 
     The result is zero in column c, the gcd of its entries is 1, and it is
     empty when the two rows are proportional.  The content h it was divided
-    by comes back with it, for ``det``.
+    by comes back with it, for ``det``.  One dict is built: row is copied,
+    not multiplied, when p = 1, a prow is subtracted from it in place and
+    column c is deleted; it is returned as it is when its content is 1 and
+    no entry cancelled, else divided by h without its zeros.
     """
     p, a = prow[c], row[c]
-    acc = {j: p * x for j, x in row.items()}
+    acc = dict(row) if p == 1 else {j: p * x for j, x in row.items()}
     for j, y in prow.items():
-        acc[j] = acc.get(j, 0) - a * y
+        acc[j] = acc[j] - a * y if j in acc else -a * y
+    del acc[c]
     h = gcd(*acc.values())
+    if h == 1 and 0 not in acc.values():
+        return acc, 1
     return {j: v // h for j, v in acc.items() if v}, h
 
 
 def _eliminate(m: Mat) -> tuple[list[dict[int, int]], list[int], tuple[int, int]]:
-    """Forward elimination of m over the integers, in primitive rows.
+    """``_echelon`` of the primitive rows of m: row i read as a
+    {column: numerator} dict, its stored numerators divided by their gcd g.
+    The determinant value starts as the product of every g over its row's
+    denominator d."""
+    work: list[dict[int, int]] = []
+    num = den = 1
+    for pairs, d in zip(m.nums, m.dens):
+        g = gcd(*[n for _, n in pairs])
+        num, den = num * g, den * d
+        work.append({j: n // g for j, n in pairs} if g > 1 else dict(pairs))
+    return _echelon(work, m.cols, num, den)
+
+
+def _echelon(work: list[dict[int, int]], cols: int, num: int = 1,
+             den: int = 1) -> tuple[list[dict[int, int]], list[int], tuple[int, int]]:
+    """Forward elimination over the integers of primitive rows, given as
+    {column: numerator} dicts with columns below cols; the dicts are
+    replaced, never changed.
 
     Returns the echelon rows, one per pivot, the pivot columns, and the
     (numerator, denominator) of a value that is det(m) when m is square and
-    of full rank.  Row i holds pivot i in column pivots[i], is zero in every
-    earlier column, and is primitive: the gcd of its entries is 1.
+    of full rank and num / den is the scale ``_eliminate`` read its rows
+    at.  Row i holds pivot i in column pivots[i], is zero in every earlier
+    column, and is primitive: the gcd of its entries is 1.
 
-    Row i of m is first read as a {column: numerator} dict, its stored
-    numerators divided by their gcd g.  At each pivot, every lower row with
-    a nonzero in the pivot column is replaced by its ``_combine`` with the
-    pivot row, over the union of the two rows' nonzeros.  Up to sign, a
-    primitive row is the one integer vector in the span of the rows used so
-    far that vanishes on the earlier pivot columns, so its entries stay
-    bounded by minors of the cleared matrix.  The determinant value is the
-    product of every g over its row's denominator d, of the pivots, of
-    h / p per update and of the sign of each row swap; it is reduced to
-    lowest terms at each pivot, which keeps it about the size of a minor.
+    At each pivot, every lower row with a nonzero in the pivot column is
+    replaced by its ``_combine`` with the pivot row, over the union of the
+    two rows' nonzeros.  Up to sign, a primitive row is the one integer
+    vector in the span of the rows used so far that vanishes on the earlier
+    pivot columns, so its entries stay bounded by minors of the cleared
+    matrix.  The determinant value is num / den times the pivots, h / p per
+    update and the sign of each row swap; it is reduced to lowest terms at
+    each pivot, which keeps it about the size of a minor.
 
     No zero cell is visited: a row waits under the column of its first
     nonzero, and the pivot is the waiting row first in the row order.
     """
-    work: list[dict[int, int]] = []
-    num = den = 1
     waiting: dict[int, list[int]] = {}
-    for i, (pairs, d) in enumerate(zip(m.nums, m.dens)):
-        g = gcd(*[n for _, n in pairs])
-        num, den = num * g, den * d
-        work.append({j: n // g for j, n in pairs} if g > 1 else dict(pairs))
-        if pairs:
-            waiting.setdefault(pairs[0][0], []).append(i)
-    order = list(range(m.rows))  # the row at each position
-    place = list(range(m.rows))  # the position of each row
+    for i, row in enumerate(work):
+        if row:
+            waiting.setdefault(min(row), []).append(i)
+    order = list(range(len(work)))  # the row at each position
+    place = list(range(len(work)))  # the position of each row
     pivots: list[int] = []
-    for c in range(m.cols):
+    for c in range(cols):
         hits = waiting.pop(c, None)
         if hits is None:
             continue
@@ -455,35 +481,51 @@ def rowspace(m: Mat) -> Subspace:
 
 
 def nullspace(m: Mat) -> Subspace:
-    """Canonical basis of {x : m x = 0}, read off one elimination.
+    """Canonical basis of {x : m x = 0}, back-solved from one forward pass.
 
-    m is turned by 180 degrees, its rows and its columns both reversed,
-    then eliminated and back-substituted.  Turned back, each reduced row is
-    its pivot column p plus free columns left of p.  So free column f gives
-    the kernel vector with 1 at f and, at each pivot p right of f, minus
-    that row's entry in column f over its pivot entry, all over the lcm of
-    those pivots and in lowest terms.  That vector leads with the 1 at f and
-    is zero at every other free column, so the vectors in the order of f are
-    already the kernel's RREF.  The rows turn with
+    m is turned by 180 degrees, its rows and its columns both reversed, and
+    only the forward elimination runs on it; the turned rows come from m's
+    stored rows, already checked, so no second Mat is built.  Each free
+    column f of the echelon rows gives one solution x: x_f = 1, every other
+    free column 0, and from the last pivot row upward x_c = -(row . x) /
+    row[c] at the row's pivot c.  x is kept as one int vector over one
+    denominator: when row[c] does not divide the sum s, the vector and its
+    denominator are first multiplied by |row[c]| / gcd(s, row[c]).  A
+    pivot right of f only sees columns right of it, so it solves to 0, and
+    only the rows that pivot left of f are visited.  Turned back, x leads
+    with the 1 at f and is zero at every other free column, so the vectors
+    in the order of f are already the kernel's RREF.  The rows turn with
     the columns because reversing the columns alone about doubles the
     row-operation work on the banded system matrix of a cycle.
     """
     last = m.cols - 1
-    turned = Mat(m.rows, m.cols, tuple([tuple([(last - j, n) for j, n in reversed(pairs)])
-                                        for pairs in reversed(m.nums)]), m.dens[::-1])
-    rows, pivots, _ = _eliminate(turned)
-    _back_substitute(rows, pivots)
-    pivot_set = {last - c for c in pivots}
-    # each vector as (column, numerator, denominator) entries
-    vectors = {f: [(f, 1, 1)] for f in range(m.cols) if f not in pivot_set}
-    # the turned rows from the last upward, so each vector grows in column order
-    for row, c in zip(reversed(rows), reversed(pivots)):
-        q = row[c]
-        sign, q = (-1, q) if q > 0 else (1, -q)
-        for j, x in row.items():
-            if j != c:
-                vectors[last - j].append((last - c, sign * x, q))
-    return Subspace(_stack(m.cols, list(map(_over_lcm, vectors.values()))))
+    work = []
+    for pairs in reversed(m.nums):
+        g = gcd(*[n for _, n in pairs])
+        work.append({last - j: n // g for j, n in reversed(pairs)})
+    rows, pivots, _ = _echelon(work, m.cols)
+    pivot_set = set(pivots)
+    vectors = []
+    for f in range(last, -1, -1):
+        if f in pivot_set:
+            continue
+        x, d = {f: 1}, 1
+        for i in range(bisect(pivots, f) - 1, -1, -1):
+            row, c = rows[i], pivots[i]
+            s = 0
+            for j, v in row.items():
+                if j in x:
+                    s += v * x[j]
+            if s:
+                p = row[c]
+                q = abs(p) // gcd(s, p)
+                if q != 1:
+                    x = {j: v * q for j, v in x.items()}
+                    d, s = d * q, s * q
+                x[c] = -s // p
+        # x holds f, then pivots leftward: turned back, in column order
+        vectors.append(_lowest([(last - j, v) for j, v in x.items()], d))
+    return Subspace(_stack(m.cols, vectors))
 
 
 def colspace(m: Mat) -> Subspace:

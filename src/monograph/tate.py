@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Sequence
 
 from .cohomology import _kernel_route
@@ -34,9 +35,12 @@ def holonomy(gvals: Sequence[Fraction]) -> Fraction:
     """Signed sum of the cocycle around the cycle.
 
     The closing edge is oriented 0 -> m-1, against the direction of travel,
-    so it enters with a minus sign: g_0 + ... + g_{m-2} - g_{m-1}.
+    so it enters with a minus sign: g_0 + ... + g_{m-2} - g_{m-1}.  The
+    numerators are summed over the lcm of the denominators, in ints.
     """
-    return sum(gvals[:-1], Fraction(0)) - gvals[-1]
+    d = lcm(*[x.denominator for x in gvals])
+    n = [x.numerator * (d // x.denominator) for x in gvals]
+    return Fraction(sum(n[:-1]) - n[-1], d)
 
 
 @dataclass(frozen=True)

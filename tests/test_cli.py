@@ -556,6 +556,17 @@ class TestCheck:
                    for r in doc["results"])
 
 
+def test_cli_import_leaves_the_check_suite_unloaded():
+    """Only ``check`` needs the check suite; the other commands do not pay
+    for compiling it on every fresh run."""
+    env = dict(os.environ,
+               PYTHONPATH=str(Path(monograph.__file__).resolve().parents[1]))
+    probe = "import sys, monograph.cli; print('monograph.checks' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                          env=env, timeout=60)
+    assert (proc.returncode, proc.stdout) == (0, "False\n")
+
+
 class TestInProcessReuse:
     """One parser serves every call of the process: consecutive calls give
     what fresh processes give, and no flag carries over."""

@@ -9,7 +9,7 @@ import pytest
 from monograph.checks import (CYCLE_OBSTRUCTION_124, CYCLE_SYSTEM_124,
                               random_connected_multigraph, random_rational,
                               random_unipotent_system)
-from monograph import linalg
+from monograph import cohomology, linalg
 from monograph.cohomology import (_kernel_route, coboundary_image,
                                   coboundary_matrix, h0, h1_dim, invariant_cycles_report,
                                   obstruction, residue_constraint_matrix, residue_kernel,
@@ -17,7 +17,7 @@ from monograph.cohomology import (_kernel_route, coboundary_image,
 from monograph.graph import DualGraph, cycle_graph
 from monograph.linalg import Mat, Subspace, colspace, det, nullspace, rank, rowspace
 from monograph.localsystem import EdgeCochain, LocalSystem
-from monograph.tate import build_tate
+from monograph.tate import build_tate, tate_report
 
 from test_linalg_oracle import dense, path_with_chords
 
@@ -453,13 +453,8 @@ class TestResidueRank:
         assert residue_rank(sys) == 5
 
     def test_the_report_eliminates_no_residue_sized_matrix(self, monkeypatch):
-        shapes = []
-        eliminate = linalg._eliminate
-
-        def recorded(m):
-            shapes.append((m.rows, m.cols))
-            return eliminate(m)
-        monkeypatch.setattr(linalg, "_eliminate", recorded)
+        shapes = _recorder(monkeypatch, "_echelon",
+                           lambda work, cols, *_: (len(work), cols))
         # m != n, so no other matrix has the residue's shape
         square = DualGraph(4, ((0, 1), (1, 2), (2, 3), (3, 0), (0, 2)))
         for sys in (LocalSystem.unipotent_rank2(square, (1, "1/2", 0, -3, 2)),
@@ -469,6 +464,36 @@ class TestResidueRank:
             report = invariant_cycles_report(sys)
             assert report.residue_kernel_dim == g.m * r - residue_rank(sys)
             assert (g.n * r, g.m * r) not in shapes and shapes
+
+
+def _recorder(monkeypatch, name, record):
+    """The list of record(*args) of every call of linalg's helper `name`,
+    from linalg or from cohomology, until the test ends."""
+    calls, helper = [], getattr(linalg, name)
+
+    def recorded(*args):
+        calls.append(record(*args))
+        return helper(*args)
+    monkeypatch.setattr(linalg, name, recorded)
+    monkeypatch.setattr(cohomology, name, recorded)
+    return calls
+
+
+def test_only_kernel_rows_are_back_substituted(monkeypatch):
+    """nullspace back-solves its kernel from the forward rows, so the one
+    row set the report and the tate report back-substitute is the k rows
+    [delta(k_i) | k_i]."""
+    sizes = _recorder(monkeypatch, "_back_substitute", lambda rows, _: len(rows))
+    square = DualGraph(4, ((0, 1), (1, 2), (2, 3), (3, 0), (0, 2)))
+    for sys in (LocalSystem.unipotent_rank2(square, (1, "1/2", 0, -3, 2)),
+                _chord_system(), *_oracle_systems(31)):
+        sizes.clear()
+        report = invariant_cycles_report(sys)
+        assert sizes == [sys.graph.n * sys.rank - report.system_rank]
+    for m, gvals in ((3, (1, 2, 4)), (24, range(-12, 12)), (9, (0,) * 9)):
+        sizes.clear()
+        report = tate_report(m, gvals)
+        assert sizes == [report.kernel.dim] == [2]
 
 
 class TestDirectWriters:

@@ -48,6 +48,20 @@ class TestRationals:
         with pytest.raises(ValueError):
             parse_rational(bad)
 
+    @pytest.mark.parametrize("text", ["0", "-0", "+3", "007", " -12/8 ", "+0/5", "-7/1",
+                                      "10/0004", "9" * 4000 + "/" + "7" * 4000])
+    def test_parse_reads_what_fraction_reads(self, text):
+        value = parse_rational(text)
+        assert type(value) is F and value == F(text)
+
+    @pytest.mark.parametrize("text, shown", [("1/0", "Fraction(1, 0)"),
+                                             ("-3/00", "Fraction(-3, 0)"),
+                                             ("+007/0", "Fraction(7, 0)")])
+    def test_zero_denominator_message(self, text, shown):
+        with pytest.raises(ValueError) as caught:
+            parse_rational(text)
+        assert str(caught.value) == "bad rational literal %r: %s" % (text, shown)
+
     def test_float_rejected(self):
         with pytest.raises(TypeError):
             rat(0.5)

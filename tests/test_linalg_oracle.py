@@ -12,7 +12,11 @@ chords, whose cycles share their vertices, the system matrices of sampled
 unipotent systems, tall and wide matrices of low rank, matrices in which
 rows skip pivots or cancel to zero part way through, and empty and zero
 matrices.  On the same matrices every echelon row the forward pass returns
-is checked to be nonzero and primitive.
+is checked to be nonzero and primitive, and the forward pass is checked to
+return the same rows, pivots and determinant value with the row operation
+it had before it built one dict per operation (``parent_combine``).  The
+back-solved kernel is checked on its edge cases: empty and zero matrices,
+free columns left of every pivot, and pivots that do not divide the sums.
 """
 
 from fractions import Fraction
@@ -24,6 +28,7 @@ import pytest
 from monograph.checks import random_unipotent_systems
 from monograph.cohomology import system_matrix
 from monograph.graph import DualGraph, cycle_graph
+from monograph import linalg
 from monograph.linalg import (Mat, Subspace, _eliminate, colspace, det, nullspace,
                               rank, rowspace, rref)
 from monograph.localsystem import LocalSystem, _inverse
@@ -452,3 +457,57 @@ def test_sympy_agrees_on_structured_matrices():
         if m.rows == m.cols:
             d = s.det()
             assert det(m) == F(int(d.p), int(d.q))
+
+
+def parent_combine(row, prow, c):
+    """The row operation as it was before it built one dict: p row - a prow
+    written into a fresh dict, then divided by its content into another."""
+    p, a = prow[c], row[c]
+    acc = {j: p * x for j, x in row.items()}
+    for j, y in prow.items():
+        acc[j] = acc.get(j, 0) - a * y
+    h = gcd(*acc.values())
+    return {j: v // h for j, v in acc.items() if v}, h
+
+
+def test_eliminate_matches_the_parent_combine(monkeypatch):
+    """The one-dict row operation changes no echelon row, pivot or
+    determinant value, on the random corpus, the structured matrices and
+    the cycle and many-cycle system matrices."""
+    sample = [*matrices(500, 150), *structured_matrices(),
+              *(cycle_system_matrix(m) for m in range(2, 41)),
+              chord_system_matrix(12, 24), chord_system_matrix(20, 40)]
+    ours = [_eliminate(m) for m in sample]
+    monkeypatch.setattr(linalg, "_combine", parent_combine)
+    assert [_eliminate(m) for m in sample] == ours
+    assert any(rows for rows, _, _ in ours)
+
+
+BIG = 10 ** 30 + 7  # pivots this large divide none of the sums the back-solve meets
+
+# name: a matrix whose back-solve takes that edge case
+BACK_SOLVE_CASES = {
+    "0x4": Mat.zeros(0, 4),
+    "4x0": Mat.zeros(4, 0),
+    "all zero": Mat.zeros(3, 5),
+    "full rank square": Mat.from_rows([[2, 1, 0], [1, 1, 1], [0, 3, 5]]),
+    "free column left of every pivot": Mat.from_rows([[0, 1, 2, 3], [0, 0, 4, 5]]),
+    "free column right of every pivot": Mat.from_rows([[1, 2, 3], [0, 4, 5]]),
+    "non-unit row denominators": Mat.from_rows([["1/3", "2/5", 0, "-7/2"],
+                                                ["4/9", 0, "5/7", "1/6"]]),
+    "pivots that divide no sum": Mat.from_rows([[BIG, 3, 5, 0, 1],
+                                                [0, BIG + 2, 0, 7, -1],
+                                                [2, 0, BIG * 3 + 1, 1, 0]]),
+}
+
+
+@pytest.mark.parametrize("name", BACK_SOLVE_CASES)
+def test_back_solve_edge_cases(name):
+    m = BACK_SOLVE_CASES[name]
+    kernel = nullspace(m).basis
+    assert kernel == oracle_nullspace(m)
+    assert kernel.rows == m.cols - rank(m)
+    assert m @ kernel.transpose() == Mat.zeros(m.rows, kernel.rows)
+    if name == "pivots that divide no sum":
+        # every kernel row is over a denominator the rescaling built
+        assert min(kernel.dens) > BIG

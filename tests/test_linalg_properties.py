@@ -16,7 +16,7 @@ from math import gcd
 
 import pytest
 
-from monograph.linalg import Mat, nullspace, rank
+from monograph.linalg import Mat, nullspace, rank, rref
 from monograph.report import matrix_grid
 
 from test_linalg_oracle import dense, dense_matmul, first_pivot, oracle_nullspace
@@ -119,7 +119,10 @@ def test_product_matches_dense_loop():
 
 def test_nullspace_matches_oracle():
     """Also on a row-permuted copy: nullspace reverses the row order before
-    it eliminates, and the kernel must not depend on that order."""
+    it eliminates, and the kernel must not depend on that order.  The
+    back-solve is seen to rescale its vector (a kernel row over a
+    denominator other than 1) and to solve a free column left of every
+    pivot."""
     seen = set()
 
     @fixed
@@ -132,10 +135,14 @@ def test_nullspace_matches_oracle():
                        tuple(m.dens[i] for i in order))
         assert nullspace(permuted).basis == basis
         seen.update(features(m))
+        if any(d > 1 for d in basis.dens):
+            seen.add("rescaled")
+        if basis.rows and rank(m) and basis.nums[0][0][0] < rref(m)[1][0]:
+            seen.add("free column left of every pivot")
 
     check()
     assert seen == {"zero row", "zero column", "row cancels", "negative pivot",
-                    "mixed denominators"}
+                    "mixed denominators", "rescaled", "free column left of every pivot"}
 
 
 def unreduced(x, k):

@@ -62,6 +62,12 @@ class TestHolonomy:
         assert holonomy(vec([5, 5])) == 0
         assert holonomy(vec([5, 3])) == 2
 
+    def test_matches_the_fraction_sum(self):
+        rng = random.Random(24)
+        for m in range(2, 40):
+            gvals = vec([random_rational(rng) for _ in range(m)])
+            assert holonomy(gvals) == sum(gvals[:-1], F(0)) - gvals[-1]
+
 
 class TestGoldenInstances:
     def test_kernel_at_639(self):
