@@ -19,7 +19,7 @@ The obstruction space is the intersection of the coboundary image with the
 residue-balanced space; its dimension (the defect) is what the exactness
 verdict reports.
 
-``invariant_cycles_report`` analyzes a system with one elimination of the
+``invariant_cycles_report`` analyzes a system from the kernel of the
 system matrix A = R.delta (R the residue map, delta the coboundary), the
 connection Laplacian of the system, and one elimination of a matrix with
 k = dim ker A rows.  Two identities make that enough:
@@ -35,8 +35,32 @@ substitution of ``linalg``; no Mat is built for them.  The reduced rows
 that pivot in the edge part span delta(ker A); cut to the edge part and
 written over their pivots, they are its RREF.  The others are zero on the
 edge part, so they are the x in ker A with delta(x) = 0, and their vertex
-part is the RREF of H0.  Only those k rows are back-substituted: ker A
-itself is back-solved from A's forward rows.
+part is the RREF of H0.
+
+ker A is solved one frame component at a time on the scalar Laplacian L.
+Unipotent coefficients are successive extensions of the trivial one, so
+every constructor (trivial, unipotent2, each extension layer) builds upper
+unitriangular transitions.  Then row (u, i) of A has no entry in a
+component before i, and its component-i entries are row u of L.  So, in
+component-major order, A is block upper triangular with L on the diagonal,
+and on a connected graph ker L is the constants.  x_{r-1} = 1 on every
+vertex starts the partial solutions.  At each earlier component i, with k
+partial solutions s over the later components, B's column s is
+b_s = sum over j > i of A_ij s_j, and each kernel vector (lambda, y) of
+the n x (k + n) matrix [B | L] gives the partial solution
+y + sum of lambda_s s.  Since the image of L is {v : 1^T v = 0}, a
+component adds one solution unless 1^T B != 0, so dim ker A is r minus
+the number of components with 1^T B != 0; at rank 2, 1^T A_01 1 = 0, as
+each edge puts -g_e and +g_e into that block, so dim ker A = 2.  The k
+final solutions are reduced to their RREF, the unique basis
+``nullspace(A)`` gives, so no output depends on the route.  On a graph
+with a cycle, eliminating all of A fills in along the cycles, and each
+coupled component keeps k down.  On a tree no component is coupled (H0
+has dimension r there), so the route carries r dense solutions through
+every component, while A, with no cycle to fill in, is no slower to
+eliminate whole.  So trees, and systems with any other transition, which
+only an explicit ``LocalSystem(...)`` builds, take ``nullspace(A)``,
+back-solved from one forward pass over all of A.
 
 R is not eliminated: with T_0 = I and T_s U_e = T_t along a spanning tree,
 x -> sum of T_v x_v is onto Q^r, its kernel is spanned by R's (n - 1) r
@@ -54,8 +78,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import gcd, lcm
 
-from .linalg import (Mat, Subspace, _back_substitute, _echelon, _lowest, _stack, colspace,
-                     nullspace, rank)
+from .linalg import (Mat, Subspace, _echelon, _lowest, _reduced, _stack, _turned_kernel,
+                     colspace, nullspace, rank)
 from .localsystem import LocalSystem
 
 
@@ -202,20 +226,81 @@ def obstruction(sys: LocalSystem) -> Subspace:
     return coboundary_image(sys).intersect(residue_kernel(sys))
 
 
-def _kernel_route(sys: LocalSystem) -> tuple[Mat, Mat, Subspace, Mat, Subspace, Subspace]:
-    """Assemble delta and A, eliminate A once, and map ker A through delta.
+def _layered(sys: LocalSystem) -> bool:
+    """Whether ker A takes ``_layered_kernel``: the graph has a cycle and
+    every transition is upper unitriangular, its stored row i starting
+    with (i, d) over d.  On a tree no component is coupled, so the route
+    would carry r dense partial solutions through all r components, about
+    n r^3 work, while A fills in little under ``nullspace``."""
+    return sys.graph.m >= sys.graph.n and all(
+        pairs[:1] == ((i, d),) for u in sys.transitions
+        for i, (pairs, d) in enumerate(zip(u.nums, u.dens)))
 
-    Returns (delta, A, ker A, the images, the obstruction, H0).  Row i of
-    the images is delta(k_i) for kernel basis row k_i = K / e: entry p is
-    s_p / d_p over e, s_p the dot product of delta's stored row p, over
-    d_p, with K, so the row is the ints s_p (E / d_p) over E e, E the lcm
-    of delta's row denominators.  The obstruction and H0 are read off the
-    primitive int rows [delta(k_i) | k_i], eliminated and back-substituted
-    once, as the module docstring explains.
+
+def _layered_kernel(a: Mat, n: int, r: int) -> Subspace:
+    """ker A for upper unitriangular transitions, one frame component at a
+    time on the scalar Laplacian (see the module docstring).
+
+    The partial solutions over components i + 1, ..., r - 1 are primitive
+    int dicts over A's columns, starting from 1 in component r - 1.  At
+    component i, row u of [B | L] is row (u, i) of A over its denominator:
+    its component-i numerators are row u of L, and its dot product with
+    solution s is B's entry (u, s).  The rows go to ``_turned_kernel``
+    already turned, vertex u at column n - 1 - u and s at n + k - 1 - s,
+    so the k coefficient columns are eliminated last.
+    """
+    solutions = [{v * r + r - 1: 1 for v in range(n)}]
+    last = n - 1
+    for i in range(r - 2, -1, -1):
+        k, work = len(solutions), []
+        for u in range(last, -1, -1):
+            row, rest = {}, []
+            for c, x in a.nums[u * r + i]:
+                if c % r == i:
+                    row[last - c // r] = x
+                else:
+                    rest.append((c, x))
+            for s, solution in enumerate(solutions if rest else ()):
+                b = sum([x * solution[c] for c, x in rest if c in solution])
+                if b:
+                    row[last + k - s] = b
+            g = gcd(*row.values())
+            work.append({j: x // g for j, x in row.items()} if g > 1 else row)
+        lifted = []
+        for pairs, _ in _turned_kernel(work, n + k):
+            # (lambda, y): y in component i plus the lambda_s solution_s
+            x: dict[int, int] = {}
+            for j, y in pairs:
+                if j < k:
+                    for c, z in solutions[j].items():
+                        x[c] = x[c] + y * z if c in x else y * z
+                else:
+                    x[(j - k) * r + i] = y
+            g = gcd(*x.values())
+            lifted.append({c: y // g for c, y in x.items() if y})
+        solutions = lifted
+    rows, pivots, _ = _echelon(solutions, n * r)
+    return Subspace(_stack(n * r, _reduced(rows, pivots)))
+
+
+def _kernel_route(sys: LocalSystem) -> tuple[Mat, Mat, Subspace, Mat, Subspace, Subspace]:
+    """Assemble delta and A, solve ker A, and map it through delta.
+
+    Returns (delta, A, ker A, the images, the obstruction, H0).  ker A is
+    ``_layered_kernel`` when ``_layered`` holds, on a graph with a cycle
+    and the upper unitriangular transitions every constructor builds, and
+    ``nullspace(A)`` for a tree or any other system; both give the
+    kernel's unique RREF basis.  Row i of the images
+    is delta(k_i) for kernel basis row k_i = K / e: entry p is s_p / d_p
+    over e, s_p the dot product of delta's stored row p, over d_p, with K,
+    so the row is the ints s_p (E / d_p) over E e, E the lcm of delta's
+    row denominators.  The obstruction and H0 are read off the primitive
+    int rows [delta(k_i) | k_i], eliminated and back-substituted once, as
+    the module docstring explains.
     """
     cob = coboundary_matrix(sys)
     a = system_matrix(sys)
-    kernel = nullspace(a)
+    kernel = _layered_kernel(a, sys.graph.n, sys.rank) if _layered(sys) else nullspace(a)
     edges, e_all = cob.rows, lcm(*cob.dens)
     images, work = [], []
     for pairs, e in zip(kernel.basis.nums, kernel.basis.dens):
@@ -235,15 +320,12 @@ def _kernel_route(sys: LocalSystem) -> tuple[Mat, Mat, Subspace, Mat, Subspace, 
         g = gcd(*stacked.values())
         work.append({j: n // g for j, n in stacked.items()} if g > 1 else stacked)
     rows, pivots, _ = _echelon(work, edges + cob.cols)
-    _back_substitute(rows, pivots)
     blocked, sections = [], []
-    for row, c in zip(rows, pivots):
-        q = row[c]
-        pairs = [(j, row[j] if q > 0 else -row[j]) for j in sorted(row)]
+    for (pairs, q), c in zip(_reduced(rows, pivots), pivots):
         if c < edges:
-            blocked.append(_lowest([(j, n) for j, n in pairs if j < edges], abs(q)))
+            blocked.append(_lowest([(j, n) for j, n in pairs if j < edges], q))
         else:
-            sections.append((tuple([(j - edges, n) for j, n in pairs]), abs(q)))
+            sections.append((tuple([(j - edges, n) for j, n in pairs]), q))
     return (cob, a, kernel, _stack(edges, images), Subspace(_stack(edges, blocked)),
             Subspace(_stack(cob.cols, sections)))
 
@@ -260,6 +342,7 @@ class CohomologyReport:
     coboundary: Mat
     residue: Mat
     system: Mat
+    system_kernel: Subspace
     system_rank: int
     coboundary_image_dim: int
     residue_kernel_dim: int
@@ -274,8 +357,9 @@ def invariant_cycles_report(sys: LocalSystem) -> CohomologyReport:
     residue-balanced edge family that comes from vertex data, which is
     exactly the defect the obstruction space measures.
 
-    Each matrix is assembled once and the system matrix A = R.delta is
-    eliminated once.  Its kernel K gives everything else: the obstruction
+    Each matrix is assembled once and the kernel K of the system matrix
+    A = R.delta is solved once (``_kernel_route``).  K gives everything
+    else, and is reported as ``system_kernel``: the obstruction
     is delta(K), because delta(x) lies in ker R exactly when A x = 0; and
     H0 = ker delta is the set of x in K with delta(x) = 0, because
     ker delta lies inside ker A.  One reduction of the k int rows
@@ -298,6 +382,7 @@ def invariant_cycles_report(sys: LocalSystem) -> CohomologyReport:
         coboundary=cob,
         residue=residue,
         system=a,
+        system_kernel=kernel,
         system_rank=g.n * r - kernel.dim,
         coboundary_image_dim=image_dim,
         residue_kernel_dim=g.m * r - residue_rank(sys),

@@ -28,13 +28,15 @@ p row - a prow and divides out the content, in one dict, and it touches
 only the rows below each pivot and only where either row is nonzero.
 ``rank`` and ``det`` read the pivots of that pass and nothing more.
 ``rref`` adds a back substitution with the same row operation, from the
-last pivot row upward, and writes each row over its pivot; ``rowspace``
-and ``colspace`` are views of it.  ``nullspace`` runs only the forward
-pass, once, on m turned by 180 degrees, and back-solves one int vector
-per free column from the echelon rows: those vectors, turned back, are
-the kernel's RREF.  So an elimination does the row work its output needs:
-a kernel of dimension k costs the forward pass and k back-solves, not a
-back substitution of every pivot row.
+last pivot row upward, and writes each row over its pivot (``_reduced``);
+``rowspace`` and ``colspace`` are views of it.  ``nullspace`` runs only
+the forward pass, once, on m turned by 180 degrees, and back-solves one
+int vector per free column from the echelon rows (``_turned_kernel``,
+which ``cohomology`` also calls on the rows it writes already turned):
+those vectors, turned back, are the kernel's RREF.  So an elimination
+does the row work its output needs: a kernel of dimension k costs the
+forward pass and k back-solves, not a back substitution of every pivot
+row.
 
 A ``Subspace`` basis is the k x n matrix of the nonzero rows of the
 subspace's RREF, one row per basis vector.  That basis is unique, so
@@ -403,12 +405,20 @@ def rref(m: Mat) -> tuple[Mat, tuple[int, ...]]:
     and below, pivot columns strictly increase down the rows.
     """
     rows, pivots, _ = _eliminate(m)
+    pad = [((), 1)] * (m.rows - len(pivots))
+    return _stack(m.cols, _reduced(rows, pivots) + pad), tuple(pivots)
+
+
+def _reduced(rows: list[dict[int, int]], pivots: list[int]) -> list[tuple[Row, int]]:
+    """The nonzero RREF rows of the echelon rows: back-substituted, then
+    each written over the absolute value of its pivot, which is in lowest
+    terms because the row is primitive."""
     _back_substitute(rows, pivots)
-    nums = tuple([tuple([(j, row[j] if row[c] > 0 else -row[j]) for j in sorted(row)])
-                  for row, c in zip(rows, pivots)])
-    dens = tuple([abs(row[c]) for row, c in zip(rows, pivots)])
-    pad = m.rows - len(pivots)
-    return Mat(m.rows, m.cols, nums + ((),) * pad, dens + (1,) * pad), tuple(pivots)
+    out = []
+    for row, c in zip(rows, pivots):
+        q = row[c]
+        out.append((tuple([(j, row[j] if q > 0 else -row[j]) for j in sorted(row)]), abs(q)))
+    return out
 
 
 def rank(m: Mat) -> int:
@@ -484,18 +494,9 @@ def nullspace(m: Mat) -> Subspace:
     """Canonical basis of {x : m x = 0}, back-solved from one forward pass.
 
     m is turned by 180 degrees, its rows and its columns both reversed, and
-    only the forward elimination runs on it; the turned rows come from m's
-    stored rows, already checked, so no second Mat is built.  Each free
-    column f of the echelon rows gives one solution x: x_f = 1, every other
-    free column 0, and from the last pivot row upward x_c = -(row . x) /
-    row[c] at the row's pivot c.  x is kept as one int vector over one
-    denominator: when row[c] does not divide the sum s, the vector and its
-    denominator are first multiplied by |row[c]| / gcd(s, row[c]).  A
-    pivot right of f only sees columns right of it, so it solves to 0, and
-    only the rows that pivot left of f are visited.  Turned back, x leads
-    with the 1 at f and is zero at every other free column, so the vectors
-    in the order of f are already the kernel's RREF.  The rows turn with
-    the columns because reversing the columns alone about doubles the
+    its primitive turned rows go to ``_turned_kernel``; they come from m's
+    stored rows, already checked, so no second Mat is built.  The rows turn
+    with the columns because reversing the columns alone about doubles the
     row-operation work on the banded system matrix of a cycle.
     """
     last = m.cols - 1
@@ -503,7 +504,27 @@ def nullspace(m: Mat) -> Subspace:
     for pairs in reversed(m.nums):
         g = gcd(*[n for _, n in pairs])
         work.append({last - j: n // g for j, n in reversed(pairs)})
-    rows, pivots, _ = _echelon(work, m.cols)
+    return Subspace(_stack(m.cols, _turned_kernel(work, m.cols)))
+
+
+def _turned_kernel(work: list[dict[int, int]], cols: int) -> list[tuple[Row, int]]:
+    """The RREF rows of the kernel of the matrix m whose rows, turned by
+    180 degrees, are the primitive rows work: column j of work is column
+    cols - 1 - j of m.
+
+    Only the forward elimination runs on work.  Each free column f of the
+    echelon rows gives one solution x: x_f = 1, every other free column 0,
+    and from the last pivot row upward x_c = -(row . x) / row[c] at the
+    row's pivot c.  x is kept as one int vector over one denominator: when
+    row[c] does not divide the sum s, the vector and its denominator are
+    first multiplied by |row[c]| / gcd(s, row[c]).  A pivot right of f only
+    sees columns right of it, so it solves to 0, and only the rows that
+    pivot left of f are visited.  Turned back, x leads with the 1 at f and
+    is zero at every other free column, so the vectors in the order of f
+    are already the RREF.
+    """
+    last = cols - 1
+    rows, pivots, _ = _echelon(work, cols)
     pivot_set = set(pivots)
     vectors = []
     for f in range(last, -1, -1):
@@ -525,7 +546,7 @@ def nullspace(m: Mat) -> Subspace:
                 x[c] = -s // p
         # x holds f, then pivots leftward: turned back, in column order
         vectors.append(_lowest([(last - j, v) for j, v in x.items()], d))
-    return Subspace(_stack(m.cols, vectors))
+    return vectors
 
 
 def colspace(m: Mat) -> Subspace:

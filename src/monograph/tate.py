@@ -74,7 +74,7 @@ def tate_report(m: int, gvals: Sequence[int | str | Fraction]) -> TateReport:
     The quotient dimension is that of the line a nonzero kernel image spans
     inside it, so 1 exactly when the obstruction is nonzero: the residue
     shadow of the one-dimensional quotient the example exhibits.  The rank
-    is 2m minus the kernel dimension, so one elimination gives both.
+    is 2m minus the kernel dimension, so one kernel solve gives both.
     """
     values = vec(gvals)
     _, a, kernel, images, blocked, _ = _kernel_route(build_tate(m, values)[1])

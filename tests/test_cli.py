@@ -15,7 +15,7 @@ import pytest
 import monograph
 from monograph import checks, cohomology, report, tate
 from monograph.cli import _build_parser, main
-from monograph.linalg import MAX_DIGITS, DimensionMismatch, Mat
+from monograph.linalg import MAX_DIGITS, DimensionMismatch, Mat, Subspace
 from monograph.problem import MAX_CELLS, MAX_LAYERS, parse_spec
 from monograph.report import InternalCheckError
 
@@ -409,6 +409,31 @@ class TestErrors:
             return Mat(a.rows, a.cols, a.nums, (2,) + a.dens[1:])
 
         self.assert_check_fails(capsys, tmp_path, monkeypatch, corrupted)
+
+    @pytest.mark.parametrize("command", ["defect", "tate"])
+    def test_wrong_kernel_vector_exit_3(self, capsys, tmp_path, monkeypatch, command):
+        # a layered route that returns a vector outside ker A must fail the
+        # A K^T = 0 check before anything is printed
+        real = cohomology._layered_kernel
+
+        def wrong(a, n, r):
+            rows = [list(row) for row in dense(real(a, n, r).basis)]
+            rows[0][-1] += 1
+            return Subspace.from_vectors(a.cols, rows)
+
+        monkeypatch.setattr(cohomology, "_layered_kernel", wrong)
+        if command == "defect":
+            with pytest.raises(InternalCheckError, match="kernel"):
+                report.run(parse_spec(TRIANGLE_124), "defect")
+            argv = ["defect", "--input", write(tmp_path, "t.txt", TRIANGLE_124)]
+        else:
+            with pytest.raises(InternalCheckError, match="kernel"):
+                report.tate_document(3, (Fraction(1),) * 3)
+            argv = ["tate", "--ord", "3", "--g", "1,1,1"]
+        code, out, err = run_cli(capsys, argv)
+        assert code == 3
+        assert out == ""
+        assert err.startswith("internal error: ") and err.count("\n") == 1
 
     @staticmethod
     def assert_check_fails(capsys, tmp_path, monkeypatch, corrupted):

@@ -1,5 +1,6 @@
 """The coboundary map, residue constraints, system matrix and obstruction."""
 
+import hashlib
 import random
 from fractions import Fraction
 from math import lcm
@@ -9,7 +10,7 @@ import pytest
 from monograph.checks import (CYCLE_OBSTRUCTION_124, CYCLE_SYSTEM_124,
                               random_connected_multigraph, random_rational,
                               random_unipotent_system)
-from monograph import cohomology, linalg
+from monograph import cohomology, linalg, report
 from monograph.cohomology import (_kernel_route, coboundary_image,
                                   coboundary_matrix, h0, h1_dim, invariant_cycles_report,
                                   obstruction, residue_constraint_matrix, residue_kernel,
@@ -17,9 +18,10 @@ from monograph.cohomology import (_kernel_route, coboundary_image,
 from monograph.graph import DualGraph, cycle_graph
 from monograph.linalg import Mat, Subspace, colspace, det, nullspace, rank, rowspace
 from monograph.localsystem import EdgeCochain, LocalSystem
+from monograph.problem import ProblemSpec, SystemSpec, parse_spec
 from monograph.tate import build_tate, tate_report
 
-from test_linalg_oracle import dense, path_with_chords
+from test_linalg_oracle import dense, oracle_nullspace, path_with_chords
 
 
 def trivial_triangle():
@@ -475,25 +477,32 @@ def _recorder(monkeypatch, name, record):
         calls.append(record(*args))
         return helper(*args)
     monkeypatch.setattr(linalg, name, recorded)
-    monkeypatch.setattr(cohomology, name, recorded)
+    if hasattr(cohomology, name):
+        monkeypatch.setattr(cohomology, name, recorded)
     return calls
 
 
 def test_only_kernel_rows_are_back_substituted(monkeypatch):
-    """nullspace back-solves its kernel from the forward rows, so the one
-    row set the report and the tate report back-substitute is the k rows
-    [delta(k_i) | k_i]."""
+    """Every kernel is back-solved from forward rows, so the only row sets
+    the report and the tate report back-substitute have k = dim ker A
+    rows: on the layered route the k solutions it reduces to their RREF,
+    then the k rows [delta(k_i) | k_i]; off it, on trees and other
+    transitions, only the latter."""
     sizes = _recorder(monkeypatch, "_back_substitute", lambda rows, _: len(rows))
     square = DualGraph(4, ((0, 1), (1, 2), (2, 3), (3, 0), (0, 2)))
+    seen = set()
     for sys in (LocalSystem.unipotent_rank2(square, (1, "1/2", 0, -3, 2)),
-                _chord_system(), *_oracle_systems(31)):
+                _chord_system(), *_oracle_systems(31), *_general_systems(31)):
         sizes.clear()
         report = invariant_cycles_report(sys)
-        assert sizes == [sys.graph.n * sys.rank - report.system_rank]
+        layered = cohomology._layered(sys)
+        seen.add(layered)
+        assert sizes == [sys.graph.n * sys.rank - report.system_rank] * (1 + layered)
+    assert seen == {False, True}
     for m, gvals in ((3, (1, 2, 4)), (24, range(-12, 12)), (9, (0,) * 9)):
         sizes.clear()
         report = tate_report(m, gvals)
-        assert sizes == [report.kernel.dim] == [2]
+        assert sizes == [report.kernel.dim] * 2 == [2, 2]
 
 
 class TestDirectWriters:
@@ -521,6 +530,21 @@ class TestDirectWriters:
             [[2, 0, 0, 0], [0, 2, 0, 0], [0, 0, 2, 0], [0, 0, 0, 2]])
 
 
+def _draw_multigraph(draw, st):
+    """A drawn connected multigraph on 1..6 vertices: a random spanning tree
+    plus up to 5 more edges, parallel ones included."""
+    n = draw(st.integers(1, 6))
+    edges = []
+    for v in range(1, n):
+        u = draw(st.integers(0, v - 1))
+        edges.append((u, v) if draw(st.booleans()) else (v, u))
+    if n > 1:
+        for _ in range(draw(st.integers(0, 5))):
+            edges.append(tuple(draw(st.lists(st.integers(0, n - 1), min_size=2,
+                                             max_size=2, unique=True))))
+    return DualGraph(n, tuple(edges))
+
+
 def test_tree_rank_and_writers_on_drawn_systems():
     """Property: on drawn multigraphs with drawn invertible transitions of
     rank 1..3, the tree rank is the rank of R, and the direct writers give
@@ -532,20 +556,11 @@ def test_tree_rank_and_writers_on_drawn_systems():
 
     @st.composite
     def systems(draw):
-        n = draw(st.integers(1, 6))
-        edges = []
-        for v in range(1, n):
-            u = draw(st.integers(0, v - 1))
-            edges.append((u, v) if draw(st.booleans()) else (v, u))
-        if n > 1:
-            for _ in range(draw(st.integers(0, 5))):
-                edges.append(tuple(draw(st.lists(st.integers(0, n - 1), min_size=2,
-                                                 max_size=2, unique=True))))
-        g = DualGraph(n, tuple(edges))
+        g = _draw_multigraph(draw, st)
         r = draw(st.integers(1, 3))
         return LocalSystem(g, r, tuple(
             _invertible(draw(st.lists(values, min_size=r * r, max_size=r * r)), r)
-            for _ in edges))
+            for _ in g.edges))
 
     @settings(max_examples=150, deadline=None, derandomize=True, database=None)
     @given(systems())
@@ -556,3 +571,172 @@ def test_tree_rank_and_writers_on_drawn_systems():
         assert residue_rank(sys) == rank(residue)
 
     check()
+
+
+def coupled_layers(sys):
+    """The number of components i < r - 1 at which the right-hand sides
+    b_s = sum over j > i of A_ij s_j do not all sum to zero over the
+    vertices (1^T B != 0), the partial solutions s taken from the oracle
+    kernel of each [B | L], in Fractions."""
+    n, r = sys.graph.n, sys.rank
+    a = dense(system_matrix(sys))
+    solutions = [[Fraction(c % r == r - 1) for c in range(n * r)]]
+    coupled = 0
+    for i in range(r - 2, -1, -1):
+        k = len(solutions)
+        rows = [[sum(a[u * r + i][c] * s[c] for c in range(n * r) if c % r > i)
+                 for s in solutions] + [a[u * r + i][v * r + i] for v in range(n)]
+                for u in range(n)]
+        coupled += any(sum(row[s] for row in rows) for s in range(k))
+        kernel = dense(oracle_nullspace(Mat.from_rows(rows, cols=k + n)))
+        solutions = [[sum(x[s] * solutions[s][c] for s in range(k))
+                      + (x[k + c // r] if c % r == i else 0) for c in range(n * r)]
+                     for x in kernel]
+    return coupled
+
+
+def _cycle_defect_family():
+    """unipotent2 m-cycles, m = 8..32, cocycle values in [-5, 5], the
+    holonomy made 0 on alternate draws by the closing edge."""
+    rng = random.Random(832)
+    for m in range(8, 33, 3):
+        for closed in (False, True):
+            gvals = [rng.randint(-5, 5) for _ in range(m)]
+            if closed:
+                gvals[-1] = sum(gvals[:-1])
+            yield cycle_system(gvals)
+
+
+class TestLayeredKernel:
+    """ker A one frame component at a time, against nullspace(A)."""
+
+    def test_matches_nullspace(self):
+        systems = [*_oracle_systems(20261), *_cycle_defect_family(), _chord_system()]
+        for sys in systems:
+            a = system_matrix(sys)
+            kernel = nullspace(a)
+            assert cohomology._layered(sys) == (sys.graph.m >= sys.graph.n)
+            assert cohomology._layered_kernel(a, sys.graph.n, sys.rank) == kernel
+            assert _kernel_route(sys)[2] == kernel
+
+    def test_kernel_dimension_counts_coupled_layers(self):
+        """dim ker A = r minus the layers with 1^T B != 0; at rank 2 no
+        layer is coupled, so system_rank = 2n - 2 on every connected graph."""
+        seen = set()
+        for sys in _oracle_systems(4099):
+            n, r = sys.graph.n, sys.rank
+            coupled = coupled_layers(sys)
+            seen.add((r, coupled))
+            assert invariant_cycles_report(sys).system_rank == n * r - (r - coupled)
+        assert {(2, 0), (3, 0), (3, 1)} <= seen
+        for sys in [*_cycle_defect_family(), _chord_system()]:
+            assert invariant_cycles_report(sys).system_rank == 2 * sys.graph.n - 2
+        for m in (4, 9, 14, 19, 24):
+            for gvals in (range(-(m // 2), m - m // 2), (1,) * (m - 1) + (m - 1,)):
+                assert tate_report(m, gvals).rank == 2 * m - 2
+
+    def test_trees_keep_nullspace_and_cycles_take_the_route(self, monkeypatch):
+        """Both sides of ``_layered`` on trivial 1 plus 30 integer extend
+        layers: on one edge, a tree, ker A is nullspace(A); on two parallel
+        edges, one cycle, it is the layered route.  Both give nullspace(A)."""
+        rng = random.Random(30)
+        real = cohomology._layered_kernel
+        for edges, route in ((((0, 1),), "nullspace"), (((0, 1), (1, 0)), "layered")):
+            g = DualGraph(2, edges)
+            layers = [[rng.randint(-5, 5) for _ in range(g.m * k)] for k in range(1, 31)]
+            sys = SystemSpec("trivial", 1, (), layers).build(g)
+            expected = nullspace(system_matrix(sys))
+            calls = _recorder(monkeypatch, "nullspace", lambda m: "nullspace")
+            monkeypatch.setattr(cohomology, "_layered_kernel",
+                                lambda *args: calls.append("layered") or real(*args))
+            assert _kernel_route(sys)[2] == expected
+            assert calls == [route]
+            # r solutions on the tree; coupled components drop some on the cycle
+            assert (expected.dim == 31) == (route == "nullspace")
+            monkeypatch.undo()
+
+    # sha256 of the defect document of each explicit system, as the
+    # nullspace(A) route wrote it before the layered route existed
+    OFF_ROUTE_DIGESTS = {
+        ("swap", "triangle"):
+            "0a88868e3625b7ccf290523b337e7dad68fc25d26e7a78a69a16d98b448510ed",
+        ("swap", "parallel"):
+            "11ed495cd06bd2d08bf2c97e60367122499f83635fc91a0d434ef2395df183bb",
+        ("swap", "square"):
+            "0ab5277c712e2cba6f23d8e7abe64c225d22406b700b100c7696340c793261d3",
+        ("scaled", "triangle"):
+            "4d18574a08a1946a8ee1ad40a9f2430e4cf7f439bb77be253aa38728428601e7",
+        ("scaled", "parallel"):
+            "9ce8c466bfc370e7242e5f9056d3b6edb8a798fa28e51f4a294a51761dfc18d8",
+        ("scaled", "square"):
+            "f6a6fcb26ddd4580e3c214339ec7814045d7866f1639538a862715a84261d841",
+    }
+
+    def test_other_transitions_keep_nullspace(self, monkeypatch):
+        """The swap and a unit-upper-triangular matrix with a 2 on its
+        diagonal are not unitriangular: their system matrices go to
+        nullspace(A), once, and their documents keep their bytes."""
+        graphs = {"triangle": "VERTICES\na b c\nEDGES\na b\nb c\nc a\n",
+                  "parallel": "VERTICES\na b\nEDGES\na b\nb a\na b\n",
+                  "square": "VERTICES\na b c d\nEDGES\na b\nb c\nc d\nd a\na c\n"}
+        kernels = _recorder(monkeypatch, "nullspace", lambda m: m)
+        layered = []
+        monkeypatch.setattr(cohomology, "_layered_kernel",
+                            lambda *args: layered.append(args))
+        for name, u in (("swap", [[0, 1], [1, 0]]), ("scaled", [[2, 1], [0, 1]])):
+            monkeypatch.setattr(ProblemSpec, "local_system", lambda self, u=u: LocalSystem(
+                self.graph(), 2, (Mat.from_rows(u),) * len(self.edges)))
+            for graph, text in graphs.items():
+                kernels.clear()
+                spec = parse_spec(text)
+                doc = report.to_json(report.run(spec, "defect"))
+                assert kernels == [system_matrix(spec.local_system())]
+                assert (hashlib.sha256(doc.encode()).hexdigest()
+                        == self.OFF_ROUTE_DIGESTS[name, graph])
+        assert layered == []
+
+
+def test_layered_kernel_on_drawn_chains():
+    """Property: on drawn unipotent2 or trivial bases with trivial
+    extensions up to rank 4, on multigraphs with a single vertex and
+    parallel edges, the layered route gives nullspace(A), and dim ker A is
+    r minus the coupled layers."""
+    pytest.importorskip("hypothesis")
+    from hypothesis import given, settings, strategies as st
+
+    values = st.one_of(st.just(0), st.integers(-3, 3),
+                       st.builds(Fraction, st.integers(-9, 9), st.integers(1, 5)))
+
+    @st.composite
+    def chains(draw):
+        g = _draw_multigraph(draw, st)
+        r = draw(st.integers(1, 4))
+        if r >= 2 and draw(st.booleans()):
+            base = SystemSpec("unipotent2", 2, draw(st.lists(
+                values, min_size=g.m, max_size=g.m)))
+        else:
+            base = SystemSpec("trivial", draw(st.integers(1, r)))
+        layers = [draw(st.lists(values, min_size=g.m * k, max_size=g.m * k))
+                  for k in range(base.rank, r)]
+        return SystemSpec(base.kind, base.rank, base.params, layers).build(g)
+
+    seen = set()
+
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(chains())
+    def check(sys):
+        n, r = sys.graph.n, sys.rank
+        a = system_matrix(sys)
+        assert cohomology._layered(sys) == (sys.graph.m >= n)
+        kernel = cohomology._layered_kernel(a, n, r)
+        assert kernel == nullspace(a)
+        coupled = coupled_layers(sys)
+        assert kernel.dim == r - coupled
+        seen.update({r, "coupled" if coupled else "uncoupled",
+                     "single vertex" if n == 1 else "edges"})
+        if len(set(sys.graph.edges)) < sys.graph.m:
+            seen.add("parallel")
+
+    check()
+    assert seen == {1, 2, 3, 4, "coupled", "uncoupled", "single vertex", "edges",
+                    "parallel"}
