@@ -29,7 +29,7 @@ k = dim ker A rows.  Two identities make that enough:
 * ker delta lies inside ker A, so H0 is cut out of ker A by the images.
 
 For a kernel basis k_1, ..., k_k the k rows [delta(k_i) | k_i] are
-written as primitive int rows, delta(k_i) from delta's stored rows over
+written as int rows, delta(k_i) from delta's stored rows over
 one denominator, and reduced once by the forward pass and back
 substitution of ``linalg``; no Mat is built for them.  The reduced rows
 that pivot in the edge part span delta(ker A); cut to the edge part and
@@ -264,8 +264,7 @@ def _layered_kernel(a: Mat, n: int, r: int) -> Subspace:
                 b = sum([x * solution[c] for c, x in rest if c in solution])
                 if b:
                     row[last + k - s] = b
-            g = gcd(*row.values())
-            work.append({j: x // g for j, x in row.items()} if g > 1 else row)
+            work.append(row)
         lifted = []
         for pairs, _ in _turned_kernel(work, n + k):
             # (lambda, y): y in component i plus the lambda_s solution_s
@@ -279,7 +278,7 @@ def _layered_kernel(a: Mat, n: int, r: int) -> Subspace:
             g = gcd(*x.values())
             lifted.append({c: y // g for c, y in x.items() if y})
         solutions = lifted
-    rows, pivots, _ = _echelon(solutions, n * r)
+    rows, pivots = _echelon(solutions, n * r)
     return Subspace(_stack(n * r, _reduced(rows, pivots)))
 
 
@@ -294,7 +293,7 @@ def _kernel_route(sys: LocalSystem) -> tuple[Mat, Mat, Subspace, Mat, Subspace, 
     is delta(k_i) for kernel basis row k_i = K / e: entry p is s_p / d_p
     over e, s_p the dot product of delta's stored row p, over d_p, with K,
     so the row is the ints s_p (E / d_p) over E e, E the lcm of delta's
-    row denominators.  The obstruction and H0 are read off the primitive
+    row denominators.  The obstruction and H0 are read off the
     int rows [delta(k_i) | k_i], eliminated and back-substituted once, as
     the module docstring explains.
     """
@@ -314,12 +313,11 @@ def _kernel_route(sys: LocalSystem) -> tuple[Mat, Mat, Subspace, Mat, Subspace, 
             if s:
                 stacked[p] = s * (e_all // d)
         images.append(_lowest(list(stacked.items()), e_all * e))
-        # [delta(k_i) | k_i] times E e, then made primitive
+        # [delta(k_i) | k_i] times E e
         for j, n in pairs:
             stacked[edges + j] = e_all * n
-        g = gcd(*stacked.values())
-        work.append({j: n // g for j, n in stacked.items()} if g > 1 else stacked)
-    rows, pivots, _ = _echelon(work, edges + cob.cols)
+        work.append(stacked)
+    rows, pivots = _echelon(work, edges + cob.cols)
     blocked, sections = [], []
     for (pairs, q), c in zip(_reduced(rows, pivots), pivots):
         if c < edges:

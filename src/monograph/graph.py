@@ -29,20 +29,22 @@ class DisconnectedError(GraphError):
 
 @dataclass(frozen=True)
 class DualGraph:
-    """A connected loop-free multigraph; vertices are 0..n-1, edges
-    canonical (source, target)."""
+    """A connected loop-free multigraph; vertices are the ints 0..n-1,
+    edges canonical (source, target)."""
 
     n: int
     edges: tuple[tuple[int, int], ...]
     labels: tuple[str, ...] | None = None
 
     def __post_init__(self) -> None:
-        if self.n < 1:
-            raise GraphError("need at least one vertex")
-        object.__setattr__(self, "edges", tuple([(int(s), int(t)) for s, t in self.edges]))
+        # exact ints only: a float or bool endpoint is refused, not truncated
+        if type(self.n) is not int or self.n < 1:
+            raise GraphError("need at least one vertex, counted by an int, not %r"
+                             % (self.n,))
+        object.__setattr__(self, "edges", tuple([(s, t) for s, t in self.edges]))
         for s, t in self.edges:
-            if not (0 <= s < self.n and 0 <= t < self.n):
-                raise GraphError("edge (%d,%d) out of range for %d vertices"
+            if not (type(s) is type(t) is int and 0 <= s < self.n and 0 <= t < self.n):
+                raise GraphError("edge (%r, %r) is not a pair of int vertices below %d"
                                  % (s, t, self.n))
         if self.labels is not None:
             object.__setattr__(self, "labels", tuple(self.labels))

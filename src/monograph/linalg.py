@@ -20,15 +20,18 @@ The product writes each row of the right operand over its denominator, so
 row i of the result is a sum of integer rows with integer coefficients over
 d_i times the lcm of the right denominators it meets.
 
-All elimination runs through one forward pass, ``_echelon``, over
-primitive integer rows: {column: numerator} dicts whose entries have gcd 1.
-``_eliminate`` feeds it a Mat's numerator rows divided by their gcd.  It
-has one row operation, ``_combine``, which clears a column with
+All elimination runs through one forward pass, ``_echelon``, over integer
+rows: {column: numerator} dicts, which it first divides by their gcd.
+``_eliminate`` feeds it a Mat's numerator rows, each a positive multiple
+of the Mat's row.  Its one row operation, ``_combine``, clears a column with
 p row - a prow and divides out the content, in one dict, and it touches
-only the rows below each pivot and only where either row is nonzero.
-``rank`` and ``det`` read the pivots of that pass and nothing more.
-``rref`` adds a back substitution with the same row operation, from the
-last pivot row upward, and writes each row over its pivot (``_reduced``);
+only the rows that wait under each pivot and only where either row is
+nonzero.  The pivot is the shortest waiting row.  The pass returns the
+echelon rows and their pivot columns and keeps no other state.  ``rank``
+counts the pivots.  ``det`` runs the pass on [N | I], N the numerators,
+and reads its value off the two halves of the echelon rows.  ``rref``
+adds a back substitution with the same row operation, from the last
+pivot row upward, and writes each row over its pivot (``_reduced``);
 ``rowspace`` and ``colspace`` are views of it.  ``nullspace`` runs only
 the forward pass, once, on m turned by 180 degrees, and back-solves one
 int vector per free column from the echelon rows (``_turned_kernel``,
@@ -36,7 +39,8 @@ which ``cohomology`` also calls on the rows it writes already turned):
 those vectors, turned back, are the kernel's RREF.  So an elimination
 does the row work its output needs: a kernel of dimension k costs the
 forward pass and k back-solves, not a back substitution of every pivot
-row.
+row.  Every result is unique (a rank, an RREF, a kernel's RREF, a
+determinant), so none depends on the pivot order.
 
 A ``Subspace`` basis is the k x n matrix of the nonzero rows of the
 subspace's RREF, one row per basis vector.  That basis is unique, so
@@ -55,7 +59,7 @@ import re
 from bisect import bisect
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd, lcm, prod
 from typing import Iterable, Sequence
 
 Vector = tuple[Fraction, ...]
@@ -291,16 +295,15 @@ def _stack(cols: int, rows: Sequence[tuple[Row, int]]) -> Mat:
                tuple([d for _, d in rows]))
 
 
-def _combine(row: dict[int, int], prow: dict[int, int],
-             c: int) -> tuple[dict[int, int], int]:
+def _combine(row: dict[int, int], prow: dict[int, int], c: int) -> dict[int, int]:
     """The primitive part of p row - a prow, with p = prow[c] and a = row[c].
 
     The result is zero in column c, the gcd of its entries is 1, and it is
-    empty when the two rows are proportional.  The content h it was divided
-    by comes back with it, for ``det``.  One dict is built: row is copied,
-    not multiplied, when p = 1, a prow is subtracted from it in place and
-    column c is deleted; it is returned as it is when its content is 1 and
-    no entry cancelled, else divided by h without its zeros.
+    empty when the two rows are proportional.  One dict is built: row is
+    copied, not multiplied, when p = 1, a prow is subtracted from it in
+    place and column c is deleted; it is returned as it is when its content
+    is 1 and no entry cancelled, else divided by its content without its
+    zeros.
     """
     p, a = prow[c], row[c]
     acc = dict(row) if p == 1 else {j: p * x for j, x in row.items()}
@@ -309,79 +312,59 @@ def _combine(row: dict[int, int], prow: dict[int, int],
     del acc[c]
     h = gcd(*acc.values())
     if h == 1 and 0 not in acc.values():
-        return acc, 1
-    return {j: v // h for j, v in acc.items() if v}, h
+        return acc
+    return {j: v // h for j, v in acc.items() if v}
 
 
-def _eliminate(m: Mat) -> tuple[list[dict[int, int]], list[int], tuple[int, int]]:
-    """``_echelon`` of the primitive rows of m: row i read as a
-    {column: numerator} dict, its stored numerators divided by their gcd g.
-    The determinant value starts as the product of every g over its row's
-    denominator d."""
-    work: list[dict[int, int]] = []
-    num = den = 1
-    for pairs, d in zip(m.nums, m.dens):
-        g = gcd(*[n for _, n in pairs])
-        num, den = num * g, den * d
-        work.append({j: n // g for j, n in pairs} if g > 1 else dict(pairs))
-    return _echelon(work, m.cols, num, den)
+def _eliminate(m: Mat) -> tuple[list[dict[int, int]], list[int]]:
+    """``_echelon`` of m's numerator rows, each read as a dict."""
+    return _echelon(list(map(dict, m.nums)), m.cols)
 
 
-def _echelon(work: list[dict[int, int]], cols: int, num: int = 1,
-             den: int = 1) -> tuple[list[dict[int, int]], list[int], tuple[int, int]]:
-    """Forward elimination over the integers of primitive rows, given as
-    {column: numerator} dicts with columns below cols; the dicts are
-    replaced, never changed.
+def _echelon(rows: list[dict[int, int]],
+             cols: int) -> tuple[list[dict[int, int]], list[int]]:
+    """Forward elimination over the integers of rows given as
+    {column: nonzero int} dicts with columns below cols; the dicts are not
+    changed.
 
-    Returns the echelon rows, one per pivot, the pivot columns, and the
-    (numerator, denominator) of a value that is det(m) when m is square and
-    of full rank and num / den is the scale ``_eliminate`` read its rows
-    at.  Row i holds pivot i in column pivots[i], is zero in every earlier
-    column, and is primitive: the gcd of its entries is 1.
-
-    At each pivot, every lower row with a nonzero in the pivot column is
-    replaced by its ``_combine`` with the pivot row, over the union of the
-    two rows' nonzeros.  Up to sign, a primitive row is the one integer
-    vector in the span of the rows used so far that vanishes on the earlier
-    pivot columns, so its entries stay bounded by minors of the cleared
-    matrix.  The determinant value is num / den times the pivots, h / p per
-    update and the sign of each row swap; it is reduced to lowest terms at
-    each pivot, which keeps it about the size of a minor.
+    Returns the echelon rows, one per pivot, and the pivot columns.  Row i
+    holds pivot i in column pivots[i], is zero in every earlier column, and
+    is primitive: the gcd of its entries is 1.  Each input row is first
+    divided by its gcd.  At each pivot, every other row with a nonzero in
+    the pivot column is replaced by its ``_combine`` with the pivot row,
+    over the union of the two rows' nonzeros.  Up to sign, a primitive row
+    is the one integer vector in the span of the rows used so far that
+    vanishes on the earlier pivot columns, so its entries stay bounded by
+    minors of the cleared matrix (the fraction-free pass of Bareiss).
 
     No zero cell is visited: a row waits under the column of its first
-    nonzero, and the pivot is the waiting row first in the row order.
+    nonzero.  The pivot is the shortest waiting row, the lower index
+    breaking ties: a cleared row gains at most len(pivot row) - 1 new
+    nonzeros, so this is Markowitz's rule within one column.
     """
+    work = []
     waiting: dict[int, list[int]] = {}
-    for i, row in enumerate(work):
+    for i, row in enumerate(rows):
+        g = gcd(*row.values())
+        work.append({j: x // g for j, x in row.items()} if g > 1 else row)
         if row:
             waiting.setdefault(min(row), []).append(i)
-    order = list(range(len(work)))  # the row at each position
-    place = list(range(len(work)))  # the position of each row
+    echelon: list[dict[int, int]] = []
     pivots: list[int] = []
     for c in range(cols):
         hits = waiting.pop(c, None)
         if hits is None:
             continue
-        r = len(pivots)
-        found = min(hits, key=place.__getitem__)
-        if place[found] != r:
-            moved = order[r]
-            order[r], order[place[found]] = found, moved
-            place[found], place[moved] = r, place[found]
-            num = -num
+        found = min(hits, key=lambda i: (len(work[i]), i))
         prow = work[found]
-        p = prow[c]
-        num *= p
         for i in hits:
             if i != found:
-                work[i], h = _combine(work[i], prow, c)
-                num, den = num * h, den * p
+                work[i] = _combine(work[i], prow, c)
                 if work[i]:
                     waiting.setdefault(min(work[i]), []).append(i)
-        g = gcd(num, den)
-        num, den = num // g, den // g
+        echelon.append(prow)
         pivots.append(c)
-    return [work[i] for i in order[:len(pivots)]], pivots, (num, den)
+    return echelon, pivots
 
 
 def _back_substitute(rows: list[dict[int, int]], pivots: list[int]) -> None:
@@ -392,7 +375,7 @@ def _back_substitute(rows: list[dict[int, int]], pivots: list[int]) -> None:
     pivot_row = {c: i for i, c in enumerate(pivots)}
     for i in range(len(pivots) - 1, -1, -1):
         for c in [c for c in rows[i] if c != pivots[i] and c in pivot_row]:
-            rows[i], _ = _combine(rows[i], rows[pivot_row[c]], c)
+            rows[i] = _combine(rows[i], rows[pivot_row[c]], c)
 
 
 def rref(m: Mat) -> tuple[Mat, tuple[int, ...]]:
@@ -404,7 +387,7 @@ def rref(m: Mat) -> tuple[Mat, tuple[int, ...]]:
     result is the unique RREF: pivots are 1, pivot columns are cleared above
     and below, pivot columns strictly increase down the rows.
     """
-    rows, pivots, _ = _eliminate(m)
+    rows, pivots = _eliminate(m)
     pad = [((), 1)] * (m.rows - len(pivots))
     return _stack(m.cols, _reduced(rows, pivots) + pad), tuple(pivots)
 
@@ -427,12 +410,39 @@ def rank(m: Mat) -> int:
 
 
 def det(m: Mat) -> Fraction:
-    """Exact determinant: the value the forward elimination collects from
-    its pivots, row scalings and swaps, or 0 when m is rank-deficient."""
-    if m.rows != m.cols:
+    """Exact determinant, from one forward pass over [N | I], N the integer
+    matrix of m's numerators: det m is det N over the product of m's row
+    denominators.
+
+    [N | I] has rank n, so the pass finds n pivots, and N is singular
+    exactly when the last of them falls in the right half.  Each echelon
+    row is a combination of the input rows: its right half is row i of a
+    matrix G, and its left half is row i of E = G N.  The row that becomes
+    pivot row i is a multiple of its own input row s(i) plus earlier pivot
+    rows, so echelon row i has one identity column, n + s(i), that no
+    earlier echelon row has.  So G with its columns put in the order s is
+    lower triangular with the G[i, s(i)] on its diagonal, E is upper
+    triangular, and det N = sign(s) prod E_ii / prod G[i, s(i)].
+    """
+    n = m.rows
+    if n != m.cols:
         raise DimensionMismatch("determinant of %dx%d matrix" % (m.rows, m.cols))
-    _, pivots, (num, den) = _eliminate(m)
-    return Fraction(num, den) if len(pivots) == m.rows else _ZERO
+    rows, pivots = _echelon([dict((*pairs, (n + i, 1))) for i, pairs in enumerate(m.nums)],
+                            2 * n)
+    if pivots and pivots[-1] >= n:
+        return _ZERO
+    num, den, order, taken = 1, prod(m.dens), [], set()
+    for i, row in enumerate(rows):
+        k = next(j for j in row if j >= n and j not in taken)
+        taken.add(k)
+        order.append(k - n)
+        num, den = num * row[i], den * row[k]
+    for i in range(n):  # the sign of s, one transposition at a time
+        while order[i] != i:
+            j = order[i]
+            order[i], order[j] = order[j], j
+            num = -num
+    return Fraction(num, den)
 
 
 @dataclass(frozen=True)
@@ -494,22 +504,19 @@ def nullspace(m: Mat) -> Subspace:
     """Canonical basis of {x : m x = 0}, back-solved from one forward pass.
 
     m is turned by 180 degrees, its rows and its columns both reversed, and
-    its primitive turned rows go to ``_turned_kernel``; they come from m's
+    its turned numerator rows go to ``_turned_kernel``; they come from m's
     stored rows, already checked, so no second Mat is built.  The rows turn
     with the columns because reversing the columns alone about doubles the
     row-operation work on the banded system matrix of a cycle.
     """
     last = m.cols - 1
-    work = []
-    for pairs in reversed(m.nums):
-        g = gcd(*[n for _, n in pairs])
-        work.append({last - j: n // g for j, n in reversed(pairs)})
+    work = [{last - j: n for j, n in reversed(pairs)} for pairs in reversed(m.nums)]
     return Subspace(_stack(m.cols, _turned_kernel(work, m.cols)))
 
 
 def _turned_kernel(work: list[dict[int, int]], cols: int) -> list[tuple[Row, int]]:
     """The RREF rows of the kernel of the matrix m whose rows, turned by
-    180 degrees, are the primitive rows work: column j of work is column
+    180 degrees, are the integer rows work: column j of work is column
     cols - 1 - j of m.
 
     Only the forward elimination runs on work.  Each free column f of the
@@ -524,7 +531,7 @@ def _turned_kernel(work: list[dict[int, int]], cols: int) -> list[tuple[Row, int
     are already the RREF.
     """
     last = cols - 1
-    rows, pivots, _ = _echelon(work, cols)
+    rows, pivots = _echelon(work, cols)
     pivot_set = set(pivots)
     vectors = []
     for f in range(last, -1, -1):

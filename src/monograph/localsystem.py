@@ -6,8 +6,9 @@ canonical orientation.  The transition along the reversed edge is the
 inverse; each inverse is derived once, when the system is built, so the
 one matrix per edge is the single source of truth.  The ``trivial``,
 ``unipotent_rank2`` and ``extend_by_trivial`` constructors know their
-inverses in closed form and hand them to the system; any other system
-inverts its transitions with ``_inverse``.
+inverses in closed form and hand them to the system, so only a system
+built directly as ``LocalSystem(...)`` inverts its transitions, each by
+``_inverse``, the RREF of [U | I].
 
 Edge cochains hold one r-vector per edge, pinned to the source-vertex
 frame.  The value seen from the target side is minus the inverse-transported
@@ -18,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import InitVar, dataclass
 from fractions import Fraction
-from math import gcd, lcm
+from math import lcm
 from typing import Sequence
 
 from .graph import DualGraph
@@ -26,43 +27,17 @@ from .linalg import DimensionMismatch, Mat, Vector, rref, vec
 
 
 def _inverse(m: Mat) -> Mat:
-    """The inverse of a square matrix; raises ValueError if it is singular.
-
-    An upper-triangular m, which is every transition the constructors
-    build, is inverted by back substitution from the last row up: row i of
-    the inverse is (e_i - sum of m[i, k] row_k over k > i) / m[i, i], over
-    the nonzeros of m.  With row i of m stored as a / d and each row_k as
-    an integer row over its denominator, that is an integer row over
-    a_i times the lcm of those denominators, divided by its gcd.  Any other
-    m is reduced as [m | I].
-    """
+    """The inverse of a square matrix, the right half of the RREF of
+    [m | I]; raises ValueError if m is singular."""
     n = m.rows
-    if any(pairs and pairs[0][0] < i for i, pairs in enumerate(m.nums)):
-        reduced, pivots = rref(Mat(n, 2 * n, tuple(
-            pairs + ((n + i, d),) for i, (pairs, d) in enumerate(zip(m.nums, m.dens))),
-            m.dens))
-        if pivots != tuple(range(n)):
-            raise ValueError("matrix is singular")
-        # row i of reduced is e_i, numerator = its denominator, then the
-        # inverse row, so the right half alone is still in lowest terms
-        return Mat(n, n, tuple([tuple([(j - n, x) for j, x in pairs if j >= n])
-                                for pairs in reduced.nums]), reduced.dens)
-    rows: list[dict[int, int]] = [{}] * n
-    dens = [1] * n
-    for i in reversed(range(n)):
-        pairs, d = m.nums[i], m.dens[i]
-        if not pairs or pairs[0][0] != i:
-            raise ValueError("matrix is singular")
-        e = lcm(*[dens[k] for k, _ in pairs[1:]])
-        row = {i: d * e}
-        for k, a in pairs[1:]:
-            c = a * (e // dens[k])
-            for j, y in rows[k].items():
-                row[j] = row[j] - c * y if j in row else -c * y
-        q = pairs[0][1] * e
-        g = gcd(q, *row.values()) if q > 0 else -gcd(q, *row.values())
-        rows[i], dens[i] = {j: x // g for j, x in row.items() if x}, q // g
-    return Mat.from_integer_rows(rows, dens, n)
+    reduced, pivots = rref(Mat(n, 2 * n, tuple(
+        pairs + ((n + i, d),) for i, (pairs, d) in enumerate(zip(m.nums, m.dens))), m.dens))
+    if pivots != tuple(range(n)):
+        raise ValueError("matrix is singular")
+    # row i of reduced is e_i, numerator = its denominator, then the
+    # inverse row, so the right half alone is still in lowest terms
+    return Mat(n, n, tuple([tuple([(j - n, x) for j, x in pairs if j >= n])
+                            for pairs in reduced.nums]), reduced.dens)
 
 
 @dataclass(frozen=True)

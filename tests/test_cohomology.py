@@ -696,6 +696,60 @@ class TestLayeredKernel:
         assert layered == []
 
 
+def _is_coboundary(g, gvals):
+    """Whether g_e = f(s) - f(t) for some vertex function f: f is read off
+    a breadth-first spanning tree from vertex 0, then every edge is
+    checked against it."""
+    f, queue = {0: Fraction(0)}, [0]
+    for u in queue:
+        for (s, t), x in zip(g.edges, gvals):
+            if s == u and t not in f:
+                f[t] = f[s] - x
+                queue.append(t)
+            elif t == u and s not in f:
+                f[s] = f[t] + x
+                queue.append(s)
+    return all(f[s] - f[t] == x for (s, t), x in zip(g.edges, gvals))
+
+
+class TestRankTwoClosedForm:
+    """With transitions [[1, g_e], [0, 1]] on any connected multigraph, the
+    defect is 0 exactly when g is a coboundary, h0 = 2 - defect and
+    system_rank = 2n - 2."""
+
+    @staticmethod
+    def assert_closed_form(g, gvals):
+        r = invariant_cycles_report(LocalSystem.unipotent_rank2(g, gvals))
+        coboundary = _is_coboundary(g, gvals)
+        assert r.defect == (0 if coboundary else 1)
+        assert r.h0_dim == 2 - r.defect
+        assert r.system_rank == 2 * g.n - 2
+        return coboundary
+
+    def test_drawn_multigraphs(self):
+        rng = random.Random(2718)
+        seen = set()
+        for _ in range(150):
+            g = random_connected_multigraph(rng, max_vertices=8)
+            if rng.random() < 0.4:
+                f = [random_rational(rng) for _ in range(g.n)]
+                gvals = [f[s] - f[t] for s, t in g.edges]
+            else:
+                gvals = [random_rational(rng) for _ in range(g.m)]
+            seen.add((self.assert_closed_form(g, gvals), g.m >= g.n))
+        assert seen == {(False, True), (True, True), (True, False)}
+
+    def test_path_with_chords(self):
+        """401 independent cycles on 200 vertices, with the path-plus-chords
+        cocycle and with the coboundary of a drawn vertex function."""
+        edges, gvals = path_with_chords(200, 600, 200600)
+        g = DualGraph(200, edges)
+        assert not self.assert_closed_form(g, gvals)
+        rng = random.Random(600)
+        f = [rng.randint(-5, 5) for _ in range(g.n)]
+        assert self.assert_closed_form(g, [f[s] - f[t] for s, t in edges])
+
+
 def test_layered_kernel_on_drawn_chains():
     """Property: on drawn unipotent2 or trivial bases with trivial
     extensions up to rank 4, on multigraphs with a single vertex and

@@ -44,6 +44,19 @@ class TestValidate:
         with pytest.raises(GraphError):
             DualGraph(2, ((0, 5),))
 
+    @pytest.mark.parametrize("n, edges", [
+        (3, ((0, 1.7), (1, 2))),
+        (3, ((0, 1), (True, 2))),
+        (3, ((0, 1), (1, 2.0))),
+        (3, ((0, "1"), (1, 2))),
+        (2.0, ((0, 1),)),
+        (True, ()),
+    ])
+    def test_non_int_vertices_refused(self, n, edges):
+        # refused, not read through int(), which would truncate 1.7 and True
+        with pytest.raises(GraphError, match="int"):
+            DualGraph(n, edges)
+
     def test_messages_name_vertices_by_label(self):
         with pytest.raises(LoopEdgeError, match="edge 1 is a loop at vertex b$"):
             DualGraph(2, ((0, 1), (1, 1)), labels=("a", "b"))

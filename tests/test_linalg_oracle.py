@@ -11,15 +11,17 @@ unipotent m-cycles with their corner blocks, those of paths with many
 chords, whose cycles share their vertices, the system matrices of sampled
 unipotent systems, tall and wide matrices of low rank, matrices in which
 rows skip pivots or cancel to zero part way through, and empty and zero
-matrices.  On the same matrices every echelon row the forward pass returns
-is checked to be nonzero and primitive, and the forward pass is checked to
-return the same rows, pivots and determinant value with the row operation
-it had before it built one dict per operation (``parent_combine``).  The
-back-solved kernel is checked on its edge cases: empty and zero matrices,
+matrices, the 24 permutation matrices of order 4, whose determinants take
+their sign from the pivot order alone, and a singular matrix with permuted
+rows.  On the same matrices every echelon row the forward pass returns is
+checked to be nonzero and primitive, and the forward pass is checked to
+return the same rows and pivots with the row operation it had before it
+built one dict per operation (``parent_combine``).  The back-solved kernel is checked on its edge cases: empty and zero matrices,
 free columns left of every pivot, and pivots that do not divide the sums.
 """
 
 from fractions import Fraction
+from itertools import permutations
 from math import gcd, lcm
 import random
 
@@ -331,9 +333,9 @@ def sparse_integer_matrix(rng, rows, cols):
                            for _ in range(cols)] for _ in range(rows)], cols=cols)
 
 
-# Row 1 is zero in columns 0 and 1: it skips two pivots, is swapped down,
-# and becomes the pivot row of column 2 as it was read; row 3 is zero in
-# column 0 and is first combined at pivot 1.
+# Row 1 is zero in columns 0 and 1: it skips two pivots and becomes the
+# pivot row of column 2 as it was read; row 3 is zero in column 0 and is
+# first combined at pivot 1.
 SKIPS_PIVOTS = Mat.from_rows([[2, 1, 0, 1],
                               [0, 0, 3, 1],
                               [4, 5, 1, 0],
@@ -344,6 +346,18 @@ SKIPS_PIVOTS = Mat.from_rows([[2, 1, 0, 1],
 CANCELS = Mat.from_rows([[1, 2, 0],
                          [0, 3, 1],
                          [1, 5, 1]])
+
+
+# Row 1 is row 0 plus rows 2 and 3, and the rows are out of pivot order.
+PERMUTED_SINGULAR = Mat.from_rows([[0, 0, 1, 2],
+                                   [1, 3, 5, 7],
+                                   [0, 1, 1, 1],
+                                   [1, 2, 3, 4]])
+
+
+def permutation_matrix(order):
+    """The matrix with a 1 at (i, order[i]) for each row i."""
+    return Mat.from_rows([[int(j == k) for j in range(len(order))] for k in order])
 
 
 def structured_matrices():
@@ -357,6 +371,8 @@ def structured_matrices():
         yield sparse_integer_matrix(rng, rng.randint(2, 9), rng.randint(2, 9))
     yield SKIPS_PIVOTS
     yield CANCELS
+    yield from map(permutation_matrix, permutations(range(4)))
+    yield PERMUTED_SINGULAR
     yield from (Mat.zeros(r, c) for r, c in [(1, 1), (3, 5), (5, 3), (0, 0),
                                              (0, 6), (6, 0)])
 
@@ -402,15 +418,25 @@ def test_skipped_rows_catch_up():
     assert det(SKIPS_PIVOTS) == oracle_det(SKIPS_PIVOTS) == -176
 
 
+def test_pivot_is_the_shortest_waiting_row():
+    """Column 0 waits on all three rows.  Rows 1 and 2 have two nonzeros
+    to row 0's four, and of the two the lower index, row 1, pivots,
+    divided by its gcd."""
+    m = Mat.from_rows([[1, 1, 1, 1], [2, 0, 0, 4], [1, 0, 3, 0]])
+    rows, pivots = _eliminate(m)
+    assert pivots == [0, 1, 2]
+    assert rows == [{0: 1, 3: 2}, {1: 1, 2: 1, 3: -1}, {2: 3, 3: -2}]
+
+
 def test_row_cancelling_to_zero():
-    rows, pivots, _ = _eliminate(CANCELS)
+    rows, pivots = _eliminate(CANCELS)
     assert pivots == [0, 1] and rows == [{0: 1, 1: 2}, {1: 3, 2: 1}]
     assert rank(CANCELS) == len(oracle_rref(CANCELS)[1]) == 2
     assert det(CANCELS) == oracle_det(CANCELS) == 0
 
 
 def assert_rows_primitive(m):
-    rows, pivots, _ = _eliminate(m)
+    rows, pivots = _eliminate(m)
     assert len(rows) == len(pivots)
     for row, c in zip(rows, pivots):
         assert row and min(row) == c
@@ -467,20 +493,20 @@ def parent_combine(row, prow, c):
     for j, y in prow.items():
         acc[j] = acc.get(j, 0) - a * y
     h = gcd(*acc.values())
-    return {j: v // h for j, v in acc.items() if v}, h
+    return {j: v // h for j, v in acc.items() if v}
 
 
 def test_eliminate_matches_the_parent_combine(monkeypatch):
-    """The one-dict row operation changes no echelon row, pivot or
-    determinant value, on the random corpus, the structured matrices and
-    the cycle and many-cycle system matrices."""
+    """The one-dict row operation changes no echelon row or pivot, on
+    the random corpus, the structured matrices and the cycle and
+    many-cycle system matrices."""
     sample = [*matrices(500, 150), *structured_matrices(),
               *(cycle_system_matrix(m) for m in range(2, 41)),
               chord_system_matrix(12, 24), chord_system_matrix(20, 40)]
     ours = [_eliminate(m) for m in sample]
     monkeypatch.setattr(linalg, "_combine", parent_combine)
     assert [_eliminate(m) for m in sample] == ours
-    assert any(rows for rows, _, _ in ours)
+    assert any(rows for rows, _ in ours)
 
 
 BIG = 10 ** 30 + 7  # pivots this large divide none of the sums the back-solve meets
