@@ -78,8 +78,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import gcd, lcm
 
-from .linalg import (Mat, Subspace, _echelon, _lowest, _reduced, _stack, _turned_kernel,
-                     colspace, nullspace, rank)
+from .linalg import (Mat, Subspace, _echelon, _integer_rows, _lowest, _mat, _reduced, _stack,
+                     _turned_kernel, colspace, nullspace, rank)
 from .localsystem import LocalSystem
 
 
@@ -97,7 +97,7 @@ def coboundary_matrix(sys: LocalSystem) -> Mat:
             one, other = ((s * r + i, d),), tuple([(t * r + j, -n) for j, n in pairs])
             nums.append(one + other if s < t else other + one)
             dens.append(d)
-    return Mat(g.m * r, g.n * r, tuple(nums), tuple(dens))
+    return _mat(g.m * r, g.n * r, tuple(nums), tuple(dens))
 
 
 def _ends(sys: LocalSystem) -> list[list[tuple[int, int, Mat, bool]]]:
@@ -153,7 +153,7 @@ def system_matrix(sys: LocalSystem) -> Mat:
                     row[k] = row[k] - c * n if k in row else -c * n
             rows.append(row)
             dens.append(d)
-    return Mat.from_integer_rows(rows, dens, sys.graph.n * r)
+    return _integer_rows(rows, dens, sys.graph.n * r)
 
 
 Transport = tuple[list[dict[int, int]], int]  # r x r, int rows over one denominator
@@ -198,7 +198,7 @@ def residue_rank(sys: LocalSystem) -> int:
                 row.update({offset + j: n * (d // da) for j, n in x.items()})
                 for j, n in y.items():
                     row[offset + j] = row.get(offset + j, 0) - n * (d // db)
-    return (g.n - 1) * r + rank(Mat.from_integer_rows(blocks, [1] * r, g.m * r))
+    return (g.n - 1) * r + rank(_integer_rows(blocks, [1] * r, g.m * r))
 
 
 def h0(sys: LocalSystem) -> Subspace:

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .linalg import Mat
+from .linalg import Mat, _integer_rows
 
 
 class GraphError(ValueError):
@@ -85,7 +85,7 @@ def incidence_matrix(g: DualGraph) -> Mat:
     rows: list[dict[int, int]] = [{} for _ in range(g.n)]
     for e, (s, t) in enumerate(g.edges):
         rows[s][e], rows[t][e] = 1, -1
-    return Mat.from_integer_rows(rows, (1,) * g.n, g.m)
+    return _integer_rows(rows, (1,) * g.n, g.m)
 
 
 def laplacian(g: DualGraph) -> Mat:
@@ -98,7 +98,7 @@ def laplacian(g: DualGraph) -> Mat:
         for u, w in ((s, t), (t, s)):
             rows[u][u] = rows[u].get(u, 0) + 1
             rows[u][w] = rows[u].get(w, 0) - 1
-    return Mat.from_integer_rows(rows, (1,) * g.n, g.n)
+    return _integer_rows(rows, (1,) * g.n, g.n)
 
 
 def cycle_graph(m: int) -> DualGraph:

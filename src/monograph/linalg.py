@@ -46,6 +46,18 @@ A ``Subspace`` basis is the k x n matrix of the nonzero rows of the
 subspace's RREF, one row per basis vector.  That basis is unique, so
 subspace equality is plain value equality.
 
+The stored form is checked once, where rows come from outside the
+package: ``Mat(...)``, ``Mat.from_rows``, ``Mat.from_dicts``,
+``Mat.identity`` and ``Mat.zeros`` run ``_checked`` and refuse anything
+else with ValueError.  The package's own writers (the product, the
+transpose, the eliminations, the assemblers in ``cohomology`` and the
+transitions in ``localsystem``) build through ``_mat``, which skips both
+the check and the dataclass ``__init__``: each writes its rows in column
+order with zeros dropped and puts them in lowest terms with ``_lowest``,
+or copies rows already stored, so checking them again would only repeat
+the work that made them.  A test wraps ``_mat`` with ``_checked`` over the
+whole path, so a writer that breaks the form still fails.
+
 Stored tuples are built from lists, not generators.  CPython makes a tuple
 from a generator at one size and resizes it, so freeing it moves memory
 into the free list of another size; in a process that runs many documents
@@ -196,20 +208,7 @@ class Mat:
     dens: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        if self.cols < 0 or len(self.nums) != self.rows or len(self.dens) != self.rows:
-            raise ValueError("%d stored rows over %d denominators do not make a %dx%d "
-                             "matrix" % (len(self.nums), len(self.dens), self.rows,
-                                         self.cols))
-        for i, (pairs, d) in enumerate(zip(self.nums, self.dens)):
-            last = -1
-            for j, n in pairs:
-                if not (last < j < self.cols and n):
-                    raise ValueError("row %d: numerator at column %r is zero, out of "
-                                     "order or out of range" % (i, j))
-                last = j
-            if d != 1 and (d < 1 or gcd(d, *[n for _, n in pairs]) != 1):
-                raise ValueError("row %d: denominator %r is not positive or shares a "
-                                 "factor with the numerators" % (i, d))
+        _checked(self)
 
     @classmethod
     def from_rows(cls, rows: Sequence[Sequence[int | str | Fraction]],
@@ -224,20 +223,13 @@ class Mat:
             ncols = 0 if cols is None else cols
         if cols is not None and rows and ncols != cols:
             raise ValueError("rows have %d columns, expected %d" % (ncols, cols))
-        return _stack(ncols, [_fraction_row(enumerate(map(rat, r))) for r in rows])
+        return _checked(_stack(ncols, [_fraction_row(enumerate(map(rat, r))) for r in rows]))
 
     @classmethod
     def from_dicts(cls, rows: Sequence[dict[int, int | str | Fraction]], cols: int) -> Mat:
         """Build from one {column: rational} dict per row; zeros are dropped."""
-        return _stack(cols, [_fraction_row((j, rat(row[j])) for j in sorted(row))
-                             for row in rows])
-
-    @classmethod
-    def from_integer_rows(cls, rows: Sequence[dict[int, int]], dens: Sequence[int],
-                          cols: int) -> Mat:
-        """Build from one {column: numerator} dict per row over dens[i] > 0;
-        zeros are dropped and each row is put in lowest terms."""
-        return _stack(cols, list(map(_reduce, rows, dens)))
+        return _checked(_stack(cols, [_fraction_row((j, rat(row[j])) for j in sorted(row))
+                                      for row in rows]))
 
     @classmethod
     def zeros(cls, rows: int, cols: int) -> Mat:
@@ -288,11 +280,50 @@ class Mat:
         return _stack(other.cols, out)
 
 
+def _checked(m: Mat) -> Mat:
+    """m, once its storage is checked against the form the class docstring
+    states; raises ValueError otherwise."""
+    if m.cols < 0 or len(m.nums) != m.rows or len(m.dens) != m.rows:
+        raise ValueError("%d stored rows over %d denominators do not make a %dx%d "
+                         "matrix" % (len(m.nums), len(m.dens), m.rows, m.cols))
+    for i, (pairs, d) in enumerate(zip(m.nums, m.dens)):
+        last = -1
+        for j, n in pairs:
+            if not (last < j < m.cols and n):
+                raise ValueError("row %d: numerator at column %r is zero, out of "
+                                 "order or out of range" % (i, j))
+            last = j
+        if d != 1 and (d < 1 or gcd(d, *[n for _, n in pairs]) != 1):
+            raise ValueError("row %d: denominator %r is not positive or shares a "
+                             "factor with the numerators" % (i, d))
+    return m
+
+
+_new = object.__new__
+_setattr = object.__setattr__
+
+
+def _mat(rows: int, cols: int, nums: tuple[Row, ...], dens: tuple[int, ...]) -> Mat:
+    """The Mat with these fields, unchecked and without ``Mat.__init__``:
+    the trusted constructor of the package's own writers, whose rows are
+    already in the stored form."""
+    m = _new(Mat)
+    _setattr(m, "__dict__", {"rows": rows, "cols": cols, "nums": nums, "dens": dens})
+    return m
+
+
 def _stack(cols: int, rows: Sequence[tuple[Row, int]]) -> Mat:
     """The Mat whose row i is rows[i], a (pairs, denominator) row in lowest
     terms."""
-    return Mat(len(rows), cols, tuple([pairs for pairs, _ in rows]),
-               tuple([d for _, d in rows]))
+    return _mat(len(rows), cols, tuple([pairs for pairs, _ in rows]),
+                tuple([d for _, d in rows]))
+
+
+def _integer_rows(rows: Sequence[dict[int, int]], dens: Sequence[int], cols: int) -> Mat:
+    """The Mat of one {column: numerator} dict per row, with columns below
+    cols, over dens[i] > 0; zeros are dropped and each row is put in lowest
+    terms."""
+    return _stack(cols, list(map(_reduce, rows, dens)))
 
 
 def _combine(row: dict[int, int], prow: dict[int, int], c: int) -> dict[int, int]:
@@ -484,8 +515,8 @@ class Subspace:
         if self.ambient_dim != other.ambient_dim:
             raise DimensionMismatch("ambient dimensions %d and %d"
                                     % (self.ambient_dim, other.ambient_dim))
-        stacked = Mat(self.dim + other.dim, self.ambient_dim,
-                      self.basis.nums + other.basis.nums, self.basis.dens + other.basis.dens)
+        stacked = _mat(self.dim + other.dim, self.ambient_dim,
+                       self.basis.nums + other.basis.nums, self.basis.dens + other.basis.dens)
         coeffs = nullspace(stacked.transpose()).basis
         # the x part of each coefficient row is its first self.dim entries
         x_parts = [_lowest([p for p in pairs if p[0] < self.dim], d)
@@ -497,7 +528,7 @@ def rowspace(m: Mat) -> Subspace:
     """Canonical Subspace of Q^cols spanned by the rows of m."""
     reduced, pivots = rref(m)
     k = len(pivots)
-    return Subspace(Mat(k, m.cols, reduced.nums[:k], reduced.dens[:k]))
+    return Subspace(_mat(k, m.cols, reduced.nums[:k], reduced.dens[:k]))
 
 
 def nullspace(m: Mat) -> Subspace:
@@ -505,7 +536,7 @@ def nullspace(m: Mat) -> Subspace:
 
     m is turned by 180 degrees, its rows and its columns both reversed, and
     its turned numerator rows go to ``_turned_kernel``; they come from m's
-    stored rows, already checked, so no second Mat is built.  The rows turn
+    stored rows, already in stored form, so no second Mat is built.  The rows turn
     with the columns because reversing the columns alone about doubles the
     row-operation work on the banded system matrix of a cycle.
     """

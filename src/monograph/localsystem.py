@@ -23,21 +23,21 @@ from math import lcm
 from typing import Sequence
 
 from .graph import DualGraph
-from .linalg import DimensionMismatch, Mat, Vector, rref, vec
+from .linalg import DimensionMismatch, Mat, Vector, _lowest, _mat, _stack, rref, vec
 
 
 def _inverse(m: Mat) -> Mat:
     """The inverse of a square matrix, the right half of the RREF of
     [m | I]; raises ValueError if m is singular."""
     n = m.rows
-    reduced, pivots = rref(Mat(n, 2 * n, tuple(
+    reduced, pivots = rref(_mat(n, 2 * n, tuple(
         pairs + ((n + i, d),) for i, (pairs, d) in enumerate(zip(m.nums, m.dens))), m.dens))
     if pivots != tuple(range(n)):
         raise ValueError("matrix is singular")
     # row i of reduced is e_i, numerator = its denominator, then the
     # inverse row, so the right half alone is still in lowest terms
-    return Mat(n, n, tuple([tuple([(j - n, x) for j, x in pairs if j >= n])
-                            for pairs in reduced.nums]), reduced.dens)
+    return _mat(n, n, tuple([tuple([(j - n, x) for j, x in pairs if j >= n])
+                             for pairs in reduced.nums]), reduced.dens)
 
 
 @dataclass(frozen=True)
@@ -88,10 +88,10 @@ class LocalSystem:
             raise ValueError("%d cocycle values for %d edges" % (len(values), g.m))
         second = ((1, 1),)
         return cls(g, 2, tuple([
-            Mat(2, 2, (((0, ge.denominator), (1, ge.numerator)) if ge else ((0, 1),),
-                       second), (ge.denominator, 1)) for ge in values]), tuple([
-            Mat(2, 2, (((0, ge.denominator), (1, -ge.numerator)) if ge else ((0, 1),),
-                       second), (ge.denominator, 1)) for ge in values]))
+            _mat(2, 2, (((0, ge.denominator), (1, ge.numerator)) if ge else ((0, 1),),
+                        second), (ge.denominator, 1)) for ge in values]), tuple([
+            _mat(2, 2, (((0, ge.denominator), (1, -ge.numerator)) if ge else ((0, 1),),
+                        second), (ge.denominator, 1)) for ge in values]))
 
     def transition_inverse(self, e: int) -> Mat:
         return self._inverses[e]  # type: ignore[attr-defined]
@@ -105,17 +105,18 @@ class LocalSystem:
         if c.system != self:
             raise ValueError("cochain is valued in a different system")
         r = self.rank
+        last = (((r, 1),), 1)
 
         def extended(u: Mat, v: Vector) -> Mat:
             # row i of u is a / d and v_i is p / q: the new row is over lcm(d, q)
-            rows, dens = [], []
+            rows = []
             for pairs, d, x in zip(u.nums, u.dens, v):
                 e = lcm(d, x.denominator)
-                row = {j: n * (e // d) for j, n in pairs}
-                row[r] = x.numerator * (e // x.denominator)
-                rows.append(row)
-                dens.append(e)
-            return Mat.from_integer_rows(rows + [{r: 1}], dens + [1], r + 1)
+                row = [(j, n * (e // d)) for j, n in pairs]
+                if x:
+                    row.append((r, x.numerator * (e // x.denominator)))
+                rows.append(_lowest(row, e))
+            return _stack(r + 1, rows + [last])
 
         def extended_inverse(w: Mat, v: Vector) -> Mat:
             # [[W, -W v], [0, 1]] for W the inverse of u: with v = y / q over
@@ -123,13 +124,14 @@ class LocalSystem:
             # integer row (q a, -a . y) over d q
             q = lcm(*[x.denominator for x in v])
             y = [x.numerator * (q // x.denominator) for x in v]
-            rows, dens = [], []
+            rows = []
             for pairs, d in zip(w.nums, w.dens):
-                row = {j: n * q for j, n in pairs} if q != 1 else dict(pairs)
-                row[r] = -sum([n * y[j] for j, n in pairs])
-                rows.append(row)
-                dens.append(d * q)
-            return Mat.from_integer_rows(rows + [{r: 1}], dens + [1], r + 1)
+                row = [(j, n * q) for j, n in pairs] if q != 1 else list(pairs)
+                s = -sum([n * y[j] for j, n in pairs])
+                if s:
+                    row.append((r, s))
+                rows.append(_lowest(row, d * q))
+            return _stack(r + 1, rows + [last])
 
         return LocalSystem(self.graph, r + 1, tuple([
             extended(u, v) for u, v in zip(self.transitions, c.values)]), tuple([

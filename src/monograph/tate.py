@@ -36,8 +36,11 @@ def holonomy(gvals: Sequence[Fraction]) -> Fraction:
 
     The closing edge is oriented 0 -> m-1, against the direction of travel,
     so it enters with a minus sign: g_0 + ... + g_{m-2} - g_{m-1}.  The
-    numerators are summed over the lcm of the denominators, in ints.
+    numerators are summed over the lcm of the denominators, in ints.  An
+    empty cocycle is refused with ValueError.
     """
+    if not gvals:
+        raise ValueError("a cocycle of length 0 has no holonomy: a cycle has at least 2 edges")
     d = lcm(*[x.denominator for x in gvals])
     n = [x.numerator * (d // x.denominator) for x in gvals]
     return Fraction(sum(n[:-1]) - n[-1], d)

@@ -381,7 +381,7 @@ def _assemble(block_rows, block_cols, r, blocks):
                 row[offset + j] = row.get(offset + j, 0) + coefficient * (e // d) * n
         rows.append(row)
         dens.append(e)
-    return Mat.from_integer_rows(rows, dens, block_cols * r)
+    return linalg._integer_rows(rows, dens, block_cols * r)
 
 
 def _assembled(sys):
@@ -712,10 +712,49 @@ def _is_coboundary(g, gvals):
     return all(f[s] - f[t] == x for (s, t), x in zip(g.edges, gvals))
 
 
+def assert_obstruction_certificate(g, gvals, rows):
+    """The O(m) certificate of the rank-2 obstruction, for transitions
+    [[1, g_e], [0, 1]]: rows, the obstruction basis as rows of 2m values,
+    is at most one row (y_e, 0) per edge; div y = 0; g - lambda y is a
+    coboundary for one lambda; and y vanishes exactly when g is a
+    coboundary.  The coboundary check takes potentials of g and of y along
+    a breadth-first spanning tree from vertex 0, then compares the two
+    residuals of each non-tree edge.  Returns whether g is a coboundary."""
+    gvals = [Fraction(x) for x in gvals]
+    assert len(rows) <= 1
+    row = [Fraction(x) for x in rows[0]] if rows else [Fraction(0)] * (2 * g.m)
+    y = row[0::2]
+    assert not any(row[1::2])
+    div = [Fraction(0)] * g.n
+    for (s, t), x in zip(g.edges, y):
+        div[s] += x
+        div[t] -= x
+    assert not any(div)
+    ends = [[] for _ in range(g.n)]
+    for e, (s, t) in enumerate(g.edges):
+        ends[s].append((e, t, 1))
+        ends[t].append((e, s, -1))
+    f, fy, tree, queue = {0: 0}, {0: 0}, set(), [0]
+    for u in queue:
+        for e, v, sign in ends[u]:
+            if v not in f:
+                f[v], fy[v] = f[u] - sign * gvals[e], fy[u] - sign * y[e]
+                tree.add(e)
+                queue.append(v)
+    residuals = [(gvals[e] - f[s] + f[t], y[e] - fy[s] + fy[t])
+                 for e, (s, t) in enumerate(g.edges) if e not in tree]
+    lam = next((rg / ry for rg, ry in residuals if ry), 0)
+    assert all(rg == lam * ry for rg, ry in residuals)
+    coboundary = not any(rg for rg, _ in residuals)
+    assert coboundary == (not any(y))
+    return coboundary
+
+
 class TestRankTwoClosedForm:
     """With transitions [[1, g_e], [0, 1]] on any connected multigraph, the
-    defect is 0 exactly when g is a coboundary, h0 = 2 - defect and
-    system_rank = 2n - 2."""
+    defect is 0 exactly when g is a coboundary, h0 = 2 - defect,
+    system_rank = 2n - 2, and the obstruction is spanned by (y_e, 0), y
+    the divergence-free edge function cohomologous to g up to scale."""
 
     @staticmethod
     def assert_closed_form(g, gvals):
@@ -724,6 +763,7 @@ class TestRankTwoClosedForm:
         assert r.defect == (0 if coboundary else 1)
         assert r.h0_dim == 2 - r.defect
         assert r.system_rank == 2 * g.n - 2
+        assert assert_obstruction_certificate(g, gvals, dense(r.obstruction.basis)) == coboundary
         return coboundary
 
     def test_drawn_multigraphs(self):
@@ -748,6 +788,19 @@ class TestRankTwoClosedForm:
         rng = random.Random(600)
         f = [rng.randint(-5, 5) for _ in range(g.n)]
         assert self.assert_closed_form(g, [f[s] - f[t] for s, t in edges])
+
+    def test_tate_five_cycle_image_row(self):
+        """Holonomy 5 on the 5-cycle: the image row is minus the signed
+        cycle indicator in component 0, and the obstruction row is its
+        multiple (1, 1, 1, 1, -1)."""
+        gvals = (1, 1, 1, 1, -1)
+        r = tate_report(5, gvals)
+        assert r.holonomy == 5
+        assert [row[0::2] for row in dense(r.edge_images)] == [(0,) * 5, (-1, -1, -1, -1, 1)]
+        assert not any(x for row in dense(r.edge_images) for x in row[1::2])
+        basis = dense(invariant_cycles_report(build_tate(5, gvals)[1]).obstruction.basis)
+        assert basis == [(1, 0, 1, 0, 1, 0, 1, 0, -1, 0)]
+        assert not assert_obstruction_certificate(cycle_graph(5), gvals, basis)
 
 
 def test_layered_kernel_on_drawn_chains():

@@ -299,16 +299,23 @@ class TestMat:
         m = random_matrix(rng, 3, 4)
         assert m.transpose().transpose() == m
 
-    @pytest.mark.parametrize("row, den", [
-        (((0, 0),), 1), (((0, 1), (0, 2)), 1), (((1, 1), (0, 2)), 1),
-        (((2, 1),), 1), (((-1, 1),), 1), (((0, 1),), 0), (((0, 1),), -1),
-        (((0, 2), (1, 4)), 6), ((), 2)],
+    @pytest.mark.parametrize("build, args", [
+        (Mat, (1, 2, (row,), (den,))) for row, den in [
+            (((0, 0),), 1), (((0, 1), (0, 2)), 1), (((1, 1), (0, 2)), 1),
+            (((2, 1),), 1), (((-1, 1),), 1), (((0, 1),), 0), (((0, 1),), -1),
+            (((0, 2), (1, 4)), 6), ((), 2)]] + [
+        (Mat.from_dicts, ([{5: 1}], 3)), (Mat.from_dicts, ([{-1: 1}], 3)),
+        (Mat.from_rows, ([[1, 2], [3]],)), (Mat.from_rows, ([[1, 2]], 3)),
+        (Mat.identity, (-1,)), (Mat.zeros, (-1, 3))],
         ids=["stored-zero", "repeated-column", "decreasing-column",
              "column-past-end", "negative-column", "zero-denominator",
-             "negative-denominator", "common-factor", "empty-row-over-2"])
-    def test_rejects_invalid_rows(self, row, den):
+             "negative-denominator", "common-factor", "empty-row-over-2",
+             "from-dicts-past-end", "from-dicts-negative-column", "from-rows-ragged",
+             "from-rows-mis-sized", "identity-negative", "zeros-negative"])
+    def test_rejects_invalid_rows(self, build, args):
+        """Every public builder refuses rows that are not in stored form."""
         with pytest.raises(ValueError):
-            Mat(1, 2, (row,), (den,))
+            build(*args)
 
     def test_rejects_wrong_row_count(self):
         with pytest.raises(ValueError):

@@ -62,6 +62,10 @@ class TestHolonomy:
         assert holonomy(vec([5, 5])) == 0
         assert holonomy(vec([5, 3])) == 2
 
+    def test_empty_cocycle_refused(self):
+        with pytest.raises(ValueError, match="length 0"):
+            holonomy(())
+
     def test_matches_the_fraction_sum(self):
         rng = random.Random(24)
         for m in range(2, 40):
