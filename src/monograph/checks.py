@@ -150,9 +150,9 @@ def _factorization(rng: random.Random, instances: int) -> Iterator[str]:
 
 def _obstruction_route(rng: random.Random, instances: int) -> Iterator[str]:
     """The report's obstruction, defect, image and residue-kernel dims and
-    system rank, from one elimination of the system matrix, agree with the
-    direct route: colspace(coboundary) meet nullspace(residue); and the
-    defect is nullity(system) - h0."""
+    system rank, read off ker A solved once, agree with the direct route:
+    colspace(coboundary) meet nullspace(residue); and the defect is
+    nullity(system) - h0."""
     for i, sys in enumerate(random_unipotent_systems(rng, instances)):
         report = invariant_cycles_report(sys)
         blocked = obstruction(sys)

@@ -30,8 +30,8 @@ k = dim ker A rows.  Two identities make that enough:
 
 For a kernel basis k_1, ..., k_k the k rows [delta(k_i) | k_i] are
 written as int rows, delta(k_i) from delta's stored rows over
-one denominator, and reduced once by the forward pass and back
-substitution of ``linalg``; no Mat is built for them.  The reduced rows
+one denominator, and reduced once by ``linalg._reduced``, the forward
+pass and back substitution; no Mat is built for them.  The reduced rows
 that pivot in the edge part span delta(ker A); cut to the edge part and
 written over their pivots, they are its RREF.  The others are zero on the
 edge part, so they are the x in ker A with delta(x) = 0, and their vertex
@@ -52,10 +52,10 @@ y + sum of lambda_s s.  Since the image of L is {v : 1^T v = 0}, a
 component adds one solution unless 1^T B != 0, so dim ker A is r minus
 the number of components with 1^T B != 0; at rank 2, 1^T A_01 1 = 0, as
 each edge puts -g_e and +g_e into that block, so dim ker A = 2.  The k
-final solutions are reduced to their RREF, the unique basis
-``nullspace(A)`` gives, so no output depends on the route.  On a graph
-with a cycle, eliminating all of A fills in along the cycles, and each
-coupled component keeps k down.  On a tree no component is coupled (H0
+final solutions are reduced by ``_reduced`` to their RREF, the unique
+basis ``nullspace(A)`` gives, so no output depends on the route.  On a
+graph with a cycle, eliminating all of A fills in along the cycles, and
+each coupled component keeps k down.  On a tree no component is coupled (H0
 has dimension r there), so the route carries r dense solutions through
 every component, while A, with no cycle to fill in, is no slower to
 eliminate whole.  So trees, and systems with any other transition, which
@@ -198,7 +198,10 @@ def residue_rank(sys: LocalSystem) -> int:
                 row.update({offset + j: n * (d // da) for j, n in x.items()})
                 for j, n in y.items():
                     row[offset + j] = row.get(offset + j, 0) - n * (d // db)
-    return (g.n - 1) * r + rank(_integer_rows(blocks, [1] * r, g.m * r))
+    # a closed non-tree edge cancels to stored zeros, which _echelon
+    # would take as pivots
+    nonzero = [{j: n for j, n in row.items() if n} for row in blocks]
+    return (g.n - 1) * r + len(_echelon(nonzero, g.m * r)[1])
 
 
 def h0(sys: LocalSystem) -> Subspace:
@@ -278,8 +281,7 @@ def _layered_kernel(a: Mat, n: int, r: int) -> Subspace:
             g = gcd(*x.values())
             lifted.append({c: y // g for c, y in x.items() if y})
         solutions = lifted
-    rows, pivots = _echelon(solutions, n * r)
-    return Subspace(_stack(n * r, _reduced(rows, pivots)))
+    return Subspace(_stack(n * r, _reduced(solutions, n * r)[0]))
 
 
 def _kernel_route(sys: LocalSystem) -> tuple[Mat, Mat, Subspace, Mat, Subspace, Subspace]:
@@ -317,9 +319,8 @@ def _kernel_route(sys: LocalSystem) -> tuple[Mat, Mat, Subspace, Mat, Subspace, 
         for j, n in pairs:
             stacked[edges + j] = e_all * n
         work.append(stacked)
-    rows, pivots = _echelon(work, edges + cob.cols)
     blocked, sections = [], []
-    for (pairs, q), c in zip(_reduced(rows, pivots), pivots):
+    for (pairs, q), c in zip(*_reduced(work, edges + cob.cols)):
         if c < edges:
             blocked.append(_lowest([(j, n) for j, n in pairs if j < edges], q))
         else:

@@ -21,26 +21,29 @@ row i of the result is a sum of integer rows with integer coefficients over
 d_i times the lcm of the right denominators it meets.
 
 All elimination runs through one forward pass, ``_echelon``, over integer
-rows: {column: numerator} dicts, which it first divides by their gcd.
-``_eliminate`` feeds it a Mat's numerator rows, each a positive multiple
-of the Mat's row.  Its one row operation, ``_combine``, clears a column with
-p row - a prow and divides out the content, in one dict, and it touches
-only the rows that wait under each pivot and only where either row is
-nonzero.  The pivot is the shortest waiting row.  The pass returns the
-echelon rows and their pivot columns and keeps no other state.  ``rank``
-counts the pivots.  ``det`` runs the pass on [N | I], N the numerators,
-and reads its value off the two halves of the echelon rows.  ``rref``
-adds a back substitution with the same row operation, from the last
-pivot row upward, and writes each row over its pivot (``_reduced``);
-``rowspace`` and ``colspace`` are views of it.  ``nullspace`` runs only
-the forward pass, once, on m turned by 180 degrees, and back-solves one
-int vector per free column from the echelon rows (``_turned_kernel``,
-which ``cohomology`` also calls on the rows it writes already turned):
-those vectors, turned back, are the kernel's RREF.  So an elimination
-does the row work its output needs: a kernel of dimension k costs the
-forward pass and k back-solves, not a back substitution of every pivot
-row.  Every result is unique (a rank, an RREF, a kernel's RREF, a
-determinant), so none depends on the pivot order.
+rows: {column: nonzero numerator} dicts, which it first divides by their
+gcd.  A Mat's numerator rows, each a positive multiple of the Mat's row,
+go in as they are stored; the package's other callers hand over the int
+rows they write.  Its one row operation, ``_combine``, clears a column
+with p row - a prow and divides out the content, in one dict, and it
+touches only the rows that wait under each pivot and only where either
+row is nonzero.  The pivot is the shortest waiting row.  The pass returns
+the echelon rows and their pivot columns and keeps no other state.
+``rank`` counts the pivots.  ``det`` runs the pass on [N | I], N the
+numerators, and reads its value off the two halves of the echelon rows.
+``_reduced`` is the one RREF: the pass, then a back substitution with the
+same row operation, from the last pivot row upward, and each row written
+over its pivot.  ``rref`` pads it to a Mat; ``rowspace`` and ``colspace``
+stack its rows, and so do the inverse in ``localsystem`` and the kernel
+splits in ``cohomology``.  ``nullspace`` runs only the forward pass, once,
+on m turned by 180 degrees, and back-solves one int vector per free
+column from the echelon rows (``_turned_kernel``, which ``cohomology``
+also calls on the rows it writes already turned): those vectors, turned
+back, are the kernel's RREF.  So an elimination does the row work its
+output needs: a kernel of dimension k costs the forward pass and k
+back-solves, not a back substitution of every pivot row.  Every result
+is unique (a rank, an RREF, a kernel's RREF, a determinant), so none
+depends on the pivot order.
 
 A ``Subspace`` basis is the k x n matrix of the nonzero rows of the
 subspace's RREF, one row per basis vector.  That basis is unique, so
@@ -347,11 +350,6 @@ def _combine(row: dict[int, int], prow: dict[int, int], c: int) -> dict[int, int
     return {j: v // h for j, v in acc.items() if v}
 
 
-def _eliminate(m: Mat) -> tuple[list[dict[int, int]], list[int]]:
-    """``_echelon`` of m's numerator rows, each read as a dict."""
-    return _echelon(list(map(dict, m.nums)), m.cols)
-
-
 def _echelon(rows: list[dict[int, int]],
              cols: int) -> tuple[list[dict[int, int]], list[int]]:
     """Forward elimination over the integers of rows given as
@@ -398,46 +396,45 @@ def _echelon(rows: list[dict[int, int]],
     return echelon, pivots
 
 
-def _back_substitute(rows: list[dict[int, int]], pivots: list[int]) -> None:
-    """Reduce echelon rows in place, from the last pivot row upward: each
-    later pivot column in a row is cleared by ``_combine`` with that
-    pivot's row, already reduced.  Afterwards each row is zero in every
-    pivot column but its own, and still primitive."""
+def rref(m: Mat) -> tuple[Mat, tuple[int, ...]]:
+    """Reduced row echelon form and its pivot columns: ``_reduced`` of m's
+    numerator rows, each a positive multiple of m's row, padded with zero
+    rows.  The result is the unique RREF: pivots are 1, pivot columns are
+    cleared above and below, pivot columns strictly increase down the
+    rows.
+    """
+    reduced, pivots = _reduced(list(map(dict, m.nums)), m.cols)
+    pad = [((), 1)] * (m.rows - len(pivots))
+    return _stack(m.cols, reduced + pad), tuple(pivots)
+
+
+def _reduced(rows: list[dict[int, int]],
+             cols: int) -> tuple[list[tuple[Row, int]], list[int]]:
+    """The nonzero RREF rows of the int rows, {column: nonzero int} dicts
+    with columns below cols, and their pivot columns.
+
+    ``_echelon`` runs, then the echelon rows are reduced from the last
+    pivot row upward: each later pivot column in a row is cleared by
+    ``_combine`` with that pivot's row, already reduced, so each row ends
+    zero in every pivot column but its own, and still primitive.  Each is
+    then written over the absolute value of its pivot, which is in lowest
+    terms because the row is primitive.  The dicts given are not changed.
+    """
+    rows, pivots = _echelon(rows, cols)
     pivot_row = {c: i for i, c in enumerate(pivots)}
     for i in range(len(pivots) - 1, -1, -1):
         for c in [c for c in rows[i] if c != pivots[i] and c in pivot_row]:
             rows[i] = _combine(rows[i], rows[pivot_row[c]], c)
-
-
-def rref(m: Mat) -> tuple[Mat, tuple[int, ...]]:
-    """Reduced row echelon form and its pivot columns.
-
-    Forward elimination and back substitution run on primitive integer
-    rows; each reduced row is then stored over the absolute value of its
-    pivot, which is in lowest terms because the row is primitive.  The
-    result is the unique RREF: pivots are 1, pivot columns are cleared above
-    and below, pivot columns strictly increase down the rows.
-    """
-    rows, pivots = _eliminate(m)
-    pad = [((), 1)] * (m.rows - len(pivots))
-    return _stack(m.cols, _reduced(rows, pivots) + pad), tuple(pivots)
-
-
-def _reduced(rows: list[dict[int, int]], pivots: list[int]) -> list[tuple[Row, int]]:
-    """The nonzero RREF rows of the echelon rows: back-substituted, then
-    each written over the absolute value of its pivot, which is in lowest
-    terms because the row is primitive."""
-    _back_substitute(rows, pivots)
     out = []
     for row, c in zip(rows, pivots):
         q = row[c]
         out.append((tuple([(j, row[j] if q > 0 else -row[j]) for j in sorted(row)]), abs(q)))
-    return out
+    return out, pivots
 
 
 def rank(m: Mat) -> int:
     """The number of pivots of the forward elimination."""
-    return len(_eliminate(m)[1])
+    return len(_echelon(list(map(dict, m.nums)), m.cols)[1])
 
 
 def det(m: Mat) -> Fraction:
@@ -526,9 +523,7 @@ class Subspace:
 
 def rowspace(m: Mat) -> Subspace:
     """Canonical Subspace of Q^cols spanned by the rows of m."""
-    reduced, pivots = rref(m)
-    k = len(pivots)
-    return Subspace(_mat(k, m.cols, reduced.nums[:k], reduced.dens[:k]))
+    return Subspace(_stack(m.cols, _reduced(list(map(dict, m.nums)), m.cols)[0]))
 
 
 def nullspace(m: Mat) -> Subspace:

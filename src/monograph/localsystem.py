@@ -23,21 +23,22 @@ from math import lcm
 from typing import Sequence
 
 from .graph import DualGraph
-from .linalg import DimensionMismatch, Mat, Vector, _lowest, _mat, _stack, rref, vec
+from .linalg import DimensionMismatch, Mat, Vector, _lowest, _mat, _reduced, _stack, vec
 
 
 def _inverse(m: Mat) -> Mat:
     """The inverse of a square matrix, the right half of the RREF of
-    [m | I]; raises ValueError if m is singular."""
+    [m | I]; raises ValueError if m is singular.  Row i goes in as d_i
+    times itself, m's stored numerators and then d_i at column n + i."""
     n = m.rows
-    reduced, pivots = rref(_mat(n, 2 * n, tuple(
-        pairs + ((n + i, d),) for i, (pairs, d) in enumerate(zip(m.nums, m.dens))), m.dens))
-    if pivots != tuple(range(n)):
+    reduced, pivots = _reduced([dict(pairs + ((n + i, d),)) for i, (pairs, d)
+                                in enumerate(zip(m.nums, m.dens))], 2 * n)
+    if pivots != list(range(n)):
         raise ValueError("matrix is singular")
     # row i of reduced is e_i, numerator = its denominator, then the
     # inverse row, so the right half alone is still in lowest terms
-    return _mat(n, n, tuple([tuple([(j - n, x) for j, x in pairs if j >= n])
-                             for pairs in reduced.nums]), reduced.dens)
+    return _stack(n, [(tuple([(j - n, x) for j, x in pairs if j >= n]), q)
+                      for pairs, q in reduced])
 
 
 @dataclass(frozen=True)

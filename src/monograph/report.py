@@ -159,10 +159,9 @@ def to_json(doc: dict) -> str:
     container is one stack frame: an iterator of (prefix, value) pairs and
     the text that closes it.  A list of strings is written in one join, with
     no escaping when its text is printable ASCII without '"' or '\\'.  So is
-    a grid, a list whose items are all non-empty lists of such strings, as
-    every matrix of a document is, unscanned for a ``Grid``; so is a list of
-    non-empty dicts of str, as the echo's edges are.  Any other list of
-    lists or dicts takes the generic path.
+    a ``Grid`` with no empty row, unscanned, as every matrix of a document
+    is; so is a list of non-empty dicts of str, as the echo's edges are.
+    Any other list of lists or dicts takes the generic path.
     """
     out: list[str] = []
     stack = [(iter((("", doc),)), "")]
@@ -191,18 +190,13 @@ def to_json(doc: dict) -> str:
                     out.append("{")
                     break
                 sep = "," + nl
-                if type(value[0]) is list and set(map(type, value)) == {list} and all(value):
-                    try:  # a Grid's cells are plain by construction
-                        text = "" if type(value) is Grid else "".join(map("".join, value))
-                    except TypeError:  # a cell that is not a str
-                        text = '"'
-                    if _plain(text):
-                        # each row is '[', its quoted cells one level deeper, ']'
-                        cell, start = '",' + nl + '  "', "[" + nl + '  "'
-                        end = '"' + nl + "]"
-                        out.append("[" + nl + start + (end + sep + start).join(
-                            [cell.join(row) for row in value]) + end + close)
-                        continue
+                if type(value) is Grid and all(value):  # its cells are plain
+                    # each row is '[', its quoted cells one level deeper, ']'
+                    cell, start = '",' + nl + '  "', "[" + nl + '  "'
+                    end = '"' + nl + "]"
+                    out.append("[" + nl + start + (end + sep + start).join(
+                        [cell.join(row) for row in value]) + end + close)
+                    continue
                 if type(value[0]) is dict and all([type(item) is dict and item
                                                    for item in value]):
                     inner = "," + nl + "  "

@@ -11,17 +11,19 @@ from monograph.checks import (CYCLE_OBSTRUCTION_124, CYCLE_SYSTEM_124,
                               random_connected_multigraph, random_rational,
                               random_unipotent_system)
 from monograph import cohomology, linalg, report
+from monograph.cli import main
 from monograph.cohomology import (_kernel_route, coboundary_image,
                                   coboundary_matrix, h0, h1_dim, invariant_cycles_report,
                                   obstruction, residue_constraint_matrix, residue_kernel,
                                   residue_rank, system_matrix)
 from monograph.graph import DualGraph, cycle_graph
-from monograph.linalg import Mat, Subspace, colspace, det, nullspace, rank, rowspace
-from monograph.localsystem import EdgeCochain, LocalSystem
+from monograph.linalg import Mat, Subspace, colspace, det, nullspace, rank, rowspace, rref
+from monograph.localsystem import EdgeCochain, LocalSystem, _inverse
 from monograph.problem import ProblemSpec, SystemSpec, parse_spec
-from monograph.tate import build_tate, tate_report
+from monograph.tate import build_tate, holonomy, tate_report
 
-from test_linalg_oracle import dense, oracle_nullspace, path_with_chords
+from test_linalg_oracle import (cycle_system_matrix, dense, matrices, oracle_nullspace,
+                                path_with_chords, structured_matrices)
 
 
 def trivial_triangle():
@@ -484,11 +486,11 @@ def _recorder(monkeypatch, name, record):
 
 def test_only_kernel_rows_are_back_substituted(monkeypatch):
     """Every kernel is back-solved from forward rows, so the only row sets
-    the report and the tate report back-substitute have k = dim ker A
-    rows: on the layered route the k solutions it reduces to their RREF,
-    then the k rows [delta(k_i) | k_i]; off it, on trees and other
-    transitions, only the latter."""
-    sizes = _recorder(monkeypatch, "_back_substitute", lambda rows, _: len(rows))
+    the report and the tate report reduce to an RREF (``_reduced``) have
+    k = dim ker A rows: on the layered route the k solutions, then the k
+    rows [delta(k_i) | k_i]; off it, on trees and other transitions, only
+    the latter."""
+    sizes = _recorder(monkeypatch, "_reduced", lambda rows, _: len(rows))
     square = DualGraph(4, ((0, 1), (1, 2), (2, 3), (3, 0), (0, 2)))
     seen = set()
     for sys in (LocalSystem.unipotent_rank2(square, (1, "1/2", 0, -3, 2)),
@@ -503,6 +505,38 @@ def test_only_kernel_rows_are_back_substituted(monkeypatch):
         sizes.clear()
         report = tate_report(m, gvals)
         assert sizes == [report.kernel.dim] * 2 == [2, 2]
+
+
+def test_forward_pass_input_rows(monkeypatch, capsys):
+    """Every caller hands _echelon rows in its input contract: dicts of
+    nonzero ints at columns 0 <= j < cols.  A stored zero would be taken as
+    a pivot.  Run over the oracle corpus, the report on the oracle and
+    general systems, trivial systems on graphs with a cycle (whose residue
+    blocks cancel to zero), a tree chain, the one-vertex 512-layer chain
+    and check --seed 0."""
+    def broken(rows, cols):
+        return [row for row in rows if type(row) is not dict or not all(
+            type(j) is int and 0 <= j < cols and type(x) is int and x
+            for j, x in row.items())]
+    calls = _recorder(monkeypatch, "_echelon", broken)
+    for m in [*matrices(77, 60), *structured_matrices(),
+              *(cycle_system_matrix(m) for m in range(2, 9))]:
+        rref(m), rank(m), rowspace(m), colspace(m), nullspace(m)
+        if m.rows == m.cols and det(m):
+            _inverse(m)
+    rng = random.Random(5)
+    tree = _random_tree(rng, 6)
+    layers = [[random_rational(rng) for _ in range(tree.m * r)] for r in range(2, 8)]
+    cyclic = (cycle_graph(3), DualGraph(2, ((0, 1), (1, 0))),
+              DualGraph(200, path_with_chords(200, 300, 200300)[0]))
+    trivial = [LocalSystem.trivial(g, r) for g in cyclic for r in (1, 2, 3)]
+    for sys in [*_oracle_systems(31), *_general_systems(31), *trivial,
+                SystemSpec("unipotent2", 2, [1, "1/2", 0, -3, 2], layers).build(tree)]:
+        invariant_cycles_report(sys)
+    report.run(parse_spec("VERTICES\na\nSYSTEM\ntrivial 1\n" + "extend\n" * 512), "cohomology")
+    assert main(["check", "--seed", "0"]) == 0
+    capsys.readouterr()
+    assert len(calls) > 3000 and not any(calls)
 
 
 class TestDirectWriters:
@@ -758,13 +792,16 @@ class TestRankTwoClosedForm:
 
     @staticmethod
     def assert_closed_form(g, gvals):
+        """The closed form and the certificate on one cocycle; returns the
+        obstruction rows, none exactly when g is a coboundary."""
         r = invariant_cycles_report(LocalSystem.unipotent_rank2(g, gvals))
         coboundary = _is_coboundary(g, gvals)
         assert r.defect == (0 if coboundary else 1)
         assert r.h0_dim == 2 - r.defect
         assert r.system_rank == 2 * g.n - 2
-        assert assert_obstruction_certificate(g, gvals, dense(r.obstruction.basis)) == coboundary
-        return coboundary
+        rows = dense(r.obstruction.basis)
+        assert assert_obstruction_certificate(g, gvals, rows) == coboundary
+        return rows
 
     def test_drawn_multigraphs(self):
         rng = random.Random(2718)
@@ -776,7 +813,7 @@ class TestRankTwoClosedForm:
                 gvals = [f[s] - f[t] for s, t in g.edges]
             else:
                 gvals = [random_rational(rng) for _ in range(g.m)]
-            seen.add((self.assert_closed_form(g, gvals), g.m >= g.n))
+            seen.add((not self.assert_closed_form(g, gvals), g.m >= g.n))
         assert seen == {(False, True), (True, True), (True, False)}
 
     def test_path_with_chords(self):
@@ -784,10 +821,32 @@ class TestRankTwoClosedForm:
         cocycle and with the coboundary of a drawn vertex function."""
         edges, gvals = path_with_chords(200, 600, 200600)
         g = DualGraph(200, edges)
-        assert not self.assert_closed_form(g, gvals)
+        assert self.assert_closed_form(g, gvals)
         rng = random.Random(600)
         f = [rng.randint(-5, 5) for _ in range(g.n)]
-        assert self.assert_closed_form(g, [f[s] - f[t] for s, t in edges])
+        assert not self.assert_closed_form(g, [f[s] - f[t] for s, t in edges])
+
+    def test_cycle_dichotomy(self):
+        """The dichotomy `check` sweeps on cycles is the certificate's
+        m-cycle case.  On cocycles drawn as checks._defect_dichotomy draws
+        them at seed 0, m = 2..8 with every third one closed, y is zero
+        exactly when the holonomy is, and otherwise a nonzero multiple of
+        the signed cycle indicator: +1 on each edge i -> i+1, -1 on the
+        closing edge 0 -> m-1."""
+        rng = random.Random(4)  # check --seed 0 runs the dichotomy at 0 + 4
+        seen = set()
+        for i in range(56):
+            m = 2 + i % 7
+            gvals = tuple(random_rational(rng) for _ in range(m))
+            if i % 3 == 2:
+                gvals = gvals[:-1] + (sum(gvals[:-1], Fraction(0)),)
+            rows = self.assert_closed_form(cycle_graph(m), gvals)
+            assert (not rows) == (holonomy(gvals) == 0)
+            if rows:
+                y = rows[0][0::2]
+                assert y[0] and y == tuple(y[0] * s for s in (1,) * (m - 1) + (-1,))
+            seen.add((m, not rows))
+        assert seen == {(m, closed) for m in range(2, 9) for closed in (False, True)}
 
     def test_tate_five_cycle_image_row(self):
         """Holonomy 5 on the 5-cycle: the image row is minus the signed

@@ -10,7 +10,7 @@ from monograph.checks import (random_connected_multigraph, random_rational,
 from monograph.cli import main
 from monograph.cohomology import residue_constraint_matrix
 from monograph.graph import DualGraph, cycle_graph
-from monograph.linalg import DimensionMismatch, Mat, rref
+from monograph.linalg import DimensionMismatch, Mat
 from monograph.localsystem import EdgeCochain, LocalSystem, _inverse
 
 from test_graph import reorient_edge
@@ -197,7 +197,8 @@ class TestReorientEdge:
 class TestInverses:
     """Every cached inverse, and every inverse _inverse returns, against
     the two-sided product and the Gauss-Jordan inverse of the oracle
-    tests.  _inverse takes the rref of [u | I], once per matrix."""
+    tests.  _inverse takes the RREF of [u | I] through one _reduced call
+    per matrix."""
 
     def assert_inverse(self, u, inv):
         n = u.rows
@@ -209,13 +210,13 @@ class TestInverses:
         for e, u in enumerate(sys.transitions):
             self.assert_inverse(u, sys.transition_inverse(e))
 
-    def rref_calls(self, monkeypatch):
-        calls = []
+    def reduced_calls(self, monkeypatch):
+        calls, reduced = [], localsystem._reduced
 
-        def counted(m):
-            calls.append(m)
-            return rref(m)
-        monkeypatch.setattr(localsystem, "rref", counted)
+        def counted(rows, cols):
+            calls.append(rows)
+            return reduced(rows, cols)
+        monkeypatch.setattr(localsystem, "_reduced", counted)
         return calls
 
     def test_sampled_systems_and_reorientations(self):
@@ -251,7 +252,7 @@ class TestInverses:
     ])
     def test_other_matrices_take_rref(self, rows, monkeypatch):
         u = Mat.from_rows(rows)
-        calls = self.rref_calls(monkeypatch)
+        calls = self.reduced_calls(monkeypatch)
         self.assert_inverse(u, _inverse(u))
         assert len(calls) == 1
 

@@ -108,8 +108,8 @@ class TestToJson:
         with pytest.raises(TypeError):
             to_json(value)
 
-    # grids on and off the one-pass path, which takes a grid only when every
-    # row is a non-empty list of strings that need no escaping
+    # lists of lists, which take the generic path: only a Grid with no
+    # empty row, as matrix_grid builds, is written in one join
     @pytest.mark.parametrize("value", [
         [["a", "b"], ["c"]], [["a"], []], [[], ["a"]], [["a"], "b"], [["a"], {"k": "v"}],
         [["a", 1]], [["a"], [None]], [["\u00e9"]], [["a", '"']], [["\\"]], [["\n"]],
