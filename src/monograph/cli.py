@@ -21,10 +21,10 @@ import argparse
 import functools
 import sys
 
+from .cohomology import InternalCheckError
 from .linalg import DimensionMismatch, parse_rational
 from .problem import load_problem
-from .report import (GRAPH_COMMANDS, InternalCheckError, render_pretty, run,
-                     tate_document, to_json)
+from .report import GRAPH_COMMANDS, render_pretty, run, tate_document, to_json
 
 EXIT_OK = 0
 EXIT_INPUT = 2

@@ -71,6 +71,16 @@ independent tree columns, and it sends the block of a non-tree edge e to
 The free functions ``h0``, ``h1_dim``, ``coboundary_image``,
 ``residue_kernel`` and ``obstruction`` compute each space directly from
 delta and R; they are the oracle the checks compare the report against.
+
+Every result is checked where it is computed, so library callers, the
+documents and ``monograph check`` get the same guard.  ``_kernel_route``,
+which serves ``invariant_cycles_report`` and the tate workbench, checks
+A K^T = 0 for the kernel basis K it solved, and
+``invariant_cycles_report`` checks the factorization R.delta = A.  A
+failure raises InternalCheckError: it can only mean a bug, never bad
+input, and the command line gives it its own exit status.  A K^T = 0
+shows that K lies inside ker A, not that K is all of ker A; the tests
+compare K with ``nullspace(A)`` for that.
 """
 
 from __future__ import annotations
@@ -81,6 +91,10 @@ from math import gcd, lcm
 from .linalg import (Mat, Subspace, _echelon, _integer_rows, _lowest, _mat, _reduced, _stack,
                      _turned_kernel, colspace, nullspace, rank)
 from .localsystem import LocalSystem
+
+
+class InternalCheckError(RuntimeError):
+    """An internal consistency identity failed; this is a bug, not bad input."""
 
 
 def coboundary_matrix(sys: LocalSystem) -> Mat:
@@ -298,6 +312,12 @@ def _kernel_route(sys: LocalSystem) -> tuple[Mat, Mat, Subspace, Mat, Subspace, 
     row denominators.  The obstruction and H0 are read off the
     int rows [delta(k_i) | k_i], eliminated and back-substituted once, as
     the module docstring explains.
+
+    Each kernel basis row is checked first, A k_i = 0 or
+    InternalCheckError, by dot products with A's stored rows over the one
+    dense copy of k_i that delta's rows read next.  ``a @
+    kernel.basis.transpose()`` would build the transpose and reduce every
+    product row, about ten times the cost when dim ker A is 1 or 2.
     """
     cob = coboundary_matrix(sys)
     a = system_matrix(sys)
@@ -305,13 +325,21 @@ def _kernel_route(sys: LocalSystem) -> tuple[Mat, Mat, Subspace, Mat, Subspace, 
     edges, e_all = cob.rows, lcm(*cob.dens)
     images, work = [], []
     for pairs, e in zip(kernel.basis.nums, kernel.basis.dens):
-        x = dict(pairs)
+        x = [0] * a.cols
+        for j, n in pairs:
+            x[j] = n
+        for row in a.nums:
+            s = 0
+            for j, n in row:
+                s += n * x[j]
+            if s:
+                raise InternalCheckError("a kernel basis vector of the system matrix is "
+                                         "not in its kernel")
         stacked = {}
         for p, (row, d) in enumerate(zip(cob.nums, cob.dens)):
             s = 0
             for j, n in row:
-                if j in x:
-                    s += n * x[j]
+                s += n * x[j]
             if s:
                 stacked[p] = s * (e_all // d)
         images.append(_lowest(list(stacked.items()), e_all * e))
@@ -341,7 +369,6 @@ class CohomologyReport:
     coboundary: Mat
     residue: Mat
     system: Mat
-    system_kernel: Subspace
     system_rank: int
     coboundary_image_dim: int
     residue_kernel_dim: int
@@ -358,20 +385,29 @@ def invariant_cycles_report(sys: LocalSystem) -> CohomologyReport:
 
     Each matrix is assembled once and the kernel K of the system matrix
     A = R.delta is solved once (``_kernel_route``).  K gives everything
-    else, and is reported as ``system_kernel``: the obstruction
-    is delta(K), because delta(x) lies in ker R exactly when A x = 0; and
-    H0 = ker delta is the set of x in K with delta(x) = 0, because
-    ker delta lies inside ker A.  One reduction of the k int rows
+    else: the obstruction is delta(K), because delta(x) lies in ker R
+    exactly when A x = 0; and H0 = ker delta is the set of x in K with
+    delta(x) = 0, because ker delta lies inside ker A.  One reduction of
+    the k int rows
     [delta(k_i) | k_i], for the k kernel basis rows k_i, gives both
     bases (see the module docstring), so no matrix with a row per edge or
     vertex is built after ker A.  h1 then follows from the Euler
     characteristic and dim ker R from ``residue_rank``, so nothing else is
     eliminated.  The free functions h0, h1_dim, coboundary_image,
     residue_kernel and obstruction keep the direct route as an oracle.
+
+    Two identities are checked on every call, and a failure raises
+    InternalCheckError: A K^T = 0 in ``_kernel_route``, and R.delta = A
+    here, one product compared with the A that ``system_matrix`` builds
+    straight from the edges.  A K^T = 0 shows only that K lies inside
+    ker A, not that it spans all of it.
     """
     g, r = sys.graph, sys.rank
     cob, a, kernel, _, blocked, sections = _kernel_route(sys)
     residue = residue_constraint_matrix(sys)
+    if residue @ cob != a:
+        raise InternalCheckError("system matrix does not factor through the residue and "
+                                 "coboundary matrices")
     image_dim = g.n * r - sections.dim
     return CohomologyReport(
         h0_dim=sections.dim,
@@ -381,7 +417,6 @@ def invariant_cycles_report(sys: LocalSystem) -> CohomologyReport:
         coboundary=cob,
         residue=residue,
         system=a,
-        system_kernel=kernel,
         system_rank=g.n * r - kernel.dim,
         coboundary_image_dim=image_dim,
         residue_kernel_dim=g.m * r - residue_rank(sys),

@@ -50,10 +50,10 @@ subspace's RREF, one row per basis vector.  That basis is unique, so
 subspace equality is plain value equality.
 
 The stored form is checked once, where rows come from outside the
-package: ``Mat(...)``, ``Mat.from_rows``, ``Mat.from_dicts``,
-``Mat.identity`` and ``Mat.zeros`` run ``_checked`` and refuse anything
-else with ValueError.  The package's own writers (the product, the
-transpose, the eliminations, the assemblers in ``cohomology`` and the
+package: ``Mat(...)``, ``Mat.from_rows``, ``Mat.identity`` and
+``Mat.zeros`` run ``_checked`` and refuse anything else with
+ValueError.  The package's own writers (the product, the transpose, the
+eliminations, the assemblers in ``cohomology`` and the
 transitions in ``localsystem``) build through ``_mat``, which skips both
 the check and the dataclass ``__init__``: each writes its rows in column
 order with zeros dropped and puts them in lowest terms with ``_lowest``,
@@ -188,12 +188,6 @@ def _over_lcm(entries: Sequence[tuple[int, int, int]]) -> tuple[Row, int]:
     return _lowest([(j, n * (e // d)) for j, n, d in entries], e)
 
 
-def _fraction_row(entries: Iterable[tuple[int, Fraction]]) -> tuple[Row, int]:
-    """The row of the given (column, Fraction) entries in column order;
-    zeros are dropped."""
-    return _over_lcm([(j, x.numerator, x.denominator) for j, x in entries if x])
-
-
 @dataclass(frozen=True)
 class Mat:
     """Immutable sparse matrix over Q, stored as integer rows.
@@ -226,13 +220,9 @@ class Mat:
             ncols = 0 if cols is None else cols
         if cols is not None and rows and ncols != cols:
             raise ValueError("rows have %d columns, expected %d" % (ncols, cols))
-        return _checked(_stack(ncols, [_fraction_row(enumerate(map(rat, r))) for r in rows]))
-
-    @classmethod
-    def from_dicts(cls, rows: Sequence[dict[int, int | str | Fraction]], cols: int) -> Mat:
-        """Build from one {column: rational} dict per row; zeros are dropped."""
-        return _checked(_stack(cols, [_fraction_row((j, rat(row[j])) for j in sorted(row))
-                                      for row in rows]))
+        return _checked(_stack(ncols, [_over_lcm([
+            (j, x.numerator, x.denominator) for j, x in enumerate(map(rat, r)) if x])
+            for r in rows]))
 
     @classmethod
     def zeros(cls, rows: int, cols: int) -> Mat:

@@ -331,7 +331,11 @@ def _parse_values(tokens: list[str], lineno: int) -> tuple[Fraction, ...]:
 
 
 def load_problem(text: str) -> ProblemSpec:
-    """Accept either format: JSON if the first character is '{' or '['."""
+    """Accept either format: JSON if the first character is '{' or '['.
+    One leading byte order mark (U+FEFF), which some editors write at the
+    start of a UTF-8 file, is dropped first; any other U+FEFF is read as
+    text."""
+    text = text.removeprefix("\ufeff")
     if text.lstrip()[:1] not in ("{", "["):
         return parse_spec(text)
     try:

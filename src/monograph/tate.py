@@ -77,7 +77,9 @@ def tate_report(m: int, gvals: Sequence[int | str | Fraction]) -> TateReport:
     The quotient dimension is that of the line a nonzero kernel image spans
     inside it, so 1 exactly when the obstruction is nonzero: the residue
     shadow of the one-dimensional quotient the example exhibits.  The rank
-    is 2m minus the kernel dimension, so one kernel solve gives both.
+    is 2m minus the kernel dimension, so one kernel solve gives both, and
+    ``_kernel_route`` checks that solve: a kernel basis vector outside
+    ker A raises InternalCheckError.
     """
     values = vec(gvals)
     _, a, kernel, images, blocked, _ = _kernel_route(build_tate(m, values)[1])

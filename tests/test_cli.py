@@ -15,14 +15,19 @@ import pytest
 import monograph
 from monograph import checks, cohomology, report, tate
 from monograph.cli import _build_parser, main
+from monograph.cohomology import InternalCheckError
 from monograph.linalg import MAX_DIGITS, DimensionMismatch, Mat, Subspace
 from monograph.problem import MAX_CELLS, MAX_LAYERS, parse_spec
-from monograph.report import InternalCheckError
 
 from test_linalg_oracle import dense
 
 TRIANGLE_TRIVIAL = "VERTICES\nI II III\nEDGES\nI II\nII III\nI III\n"
 TRIANGLE_124 = TRIANGLE_TRIVIAL + "SYSTEM\nunipotent2 1 2 4\n"
+TRIANGLE_124_JSON = json.dumps({
+    "vertices": ["I", "II", "III"],
+    "edges": [{"from": "I", "to": "II"}, {"from": "II", "to": "III"},
+              {"from": "I", "to": "III"}],
+    "system": {"kind": "unipotent2", "params": ["1", "2", "4"]}})
 
 
 def run_cli(capsys, argv):
@@ -57,6 +62,21 @@ class TestDefect:
         doc = json.loads(out)
         assert doc["verdict"] == "defect 1"
         assert doc["bases"]["obstruction"] == [["1", "0", "1", "0", "-1", "0"]]
+
+    @pytest.mark.parametrize("source", ["file", "stdin"])
+    @pytest.mark.parametrize("text", [TRIANGLE_124, TRIANGLE_124_JSON], ids=["text", "json"])
+    def test_byte_order_mark(self, capsys, tmp_path, monkeypatch, source, text):
+        # a problem saved as UTF-8 with a BOM prints the bytes of the plain one
+        plain = run_cli(capsys, ["defect", "--input", write(tmp_path, "plain", text)])
+        assert plain[0] == 0
+        if source == "file":
+            path = write(tmp_path, "bom", "\ufeff" + text)
+            assert Path(path).read_bytes().startswith(b"\xef\xbb\xbf")
+            argv = ["defect", "--input", path]
+        else:
+            monkeypatch.setattr("sys.stdin", io.StringIO("\ufeff" + text))
+            argv = ["defect"]
+        assert run_cli(capsys, argv) == plain
 
 
 class TestCohomology:
@@ -413,7 +433,8 @@ class TestErrors:
     @pytest.mark.parametrize("command", ["defect", "tate"])
     def test_wrong_kernel_vector_exit_3(self, capsys, tmp_path, monkeypatch, command):
         # a layered route that returns a vector outside ker A must fail the
-        # A K^T = 0 check before anything is printed
+        # A K^T = 0 check before anything is printed, in the library call
+        # as well as in the document
         real = cohomology._layered_kernel
 
         def wrong(a, n, r):
@@ -424,9 +445,13 @@ class TestErrors:
         monkeypatch.setattr(cohomology, "_layered_kernel", wrong)
         if command == "defect":
             with pytest.raises(InternalCheckError, match="kernel"):
+                cohomology.invariant_cycles_report(parse_spec(TRIANGLE_124).local_system())
+            with pytest.raises(InternalCheckError, match="kernel"):
                 report.run(parse_spec(TRIANGLE_124), "defect")
             argv = ["defect", "--input", write(tmp_path, "t.txt", TRIANGLE_124)]
         else:
+            with pytest.raises(InternalCheckError, match="kernel"):
+                tate.tate_report(3, (1, 1, 1))
             with pytest.raises(InternalCheckError, match="kernel"):
                 report.tate_document(3, (Fraction(1),) * 3)
             argv = ["tate", "--ord", "3", "--g", "1,1,1"]
@@ -438,6 +463,8 @@ class TestErrors:
     @staticmethod
     def assert_check_fails(capsys, tmp_path, monkeypatch, corrupted):
         monkeypatch.setattr(cohomology, "system_matrix", corrupted)
+        with pytest.raises(InternalCheckError):
+            cohomology.invariant_cycles_report(parse_spec(TRIANGLE_124).local_system())
         with pytest.raises(InternalCheckError):
             report.run(parse_spec(TRIANGLE_124), "defect")
         path = write(tmp_path, "t.txt", TRIANGLE_124)

@@ -12,7 +12,7 @@ from monograph.checks import (CYCLE_OBSTRUCTION_124, CYCLE_SYSTEM_124,
                               random_unipotent_system)
 from monograph import cohomology, linalg, report
 from monograph.cli import main
-from monograph.cohomology import (_kernel_route, coboundary_image,
+from monograph.cohomology import (InternalCheckError, _kernel_route, coboundary_image,
                                   coboundary_matrix, h0, h1_dim, invariant_cycles_report,
                                   obstruction, residue_constraint_matrix, residue_kernel,
                                   residue_rank, system_matrix)
@@ -187,6 +187,24 @@ class TestInvariantCyclesReport:
         report = invariant_cycles_report(sys)
         assert report.h0_dim == 2 and report.h1_dim == 0
         assert report.exact
+
+    def test_nullspace_route_is_checked(self, monkeypatch):
+        # the other side of _layered: the swap on a 3-cycle takes
+        # nullspace(A), and a vector outside ker A must fail the A K^T = 0
+        # check there as it does on the layered route
+        sys = next(_general_systems(0))
+        assert not cohomology._layered(sys)
+        real = cohomology.nullspace
+
+        def wrong(a):
+            rows = [list(row) for row in dense(real(a).basis)]
+            rows[0][-1] += 1
+            return Subspace.from_vectors(a.cols, rows)
+
+        invariant_cycles_report(sys)
+        monkeypatch.setattr(cohomology, "nullspace", wrong)
+        with pytest.raises(InternalCheckError, match="kernel"):
+            invariant_cycles_report(sys)
 
 
 def _block_assembly(sys):

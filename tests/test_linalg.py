@@ -304,13 +304,11 @@ class TestMat:
             (((0, 0),), 1), (((0, 1), (0, 2)), 1), (((1, 1), (0, 2)), 1),
             (((2, 1),), 1), (((-1, 1),), 1), (((0, 1),), 0), (((0, 1),), -1),
             (((0, 2), (1, 4)), 6), ((), 2)]] + [
-        (Mat.from_dicts, ([{5: 1}], 3)), (Mat.from_dicts, ([{-1: 1}], 3)),
         (Mat.from_rows, ([[1, 2], [3]],)), (Mat.from_rows, ([[1, 2]], 3)),
         (Mat.identity, (-1,)), (Mat.zeros, (-1, 3))],
         ids=["stored-zero", "repeated-column", "decreasing-column",
              "column-past-end", "negative-column", "zero-denominator",
-             "negative-denominator", "common-factor", "empty-row-over-2",
-             "from-dicts-past-end", "from-dicts-negative-column", "from-rows-ragged",
+             "negative-denominator", "common-factor", "empty-row-over-2", "from-rows-ragged",
              "from-rows-mis-sized", "identity-negative", "zeros-negative"])
     def test_rejects_invalid_rows(self, build, args):
         """Every public builder refuses rows that are not in stored form."""
@@ -329,7 +327,7 @@ class TestMat:
         m = Mat.from_rows([[0, 2, 0], [0, 0, 0]])
         assert (m.nums, m.dens) == ((((1, 2),), ()), (1, 1))
         assert m.entries == (((1, F(2)),), ())
-        assert Mat.from_dicts([{2: F(0), 1: F(2)}, {0: F(0)}], 3) == m
+        assert Mat.from_rows([[F(0), F(2), F(0)], [F(0), F(0), F(0)]]) == m
 
     def test_rows_are_stored_in_lowest_terms(self):
         m = Mat.from_rows([["1/2", "2/3", 0], ["2/4", 0, "-4/2"]])

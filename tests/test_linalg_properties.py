@@ -12,7 +12,7 @@ Fraction, and the constructor refuses any row that is not in lowest terms.
 """
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 import pytest
 
@@ -150,10 +150,22 @@ def unreduced(x, k):
     return "%d/%d" % (x.numerator * k, x.denominator * k)
 
 
+def fraction_oracle(grid, cols):
+    """The Mat of a grid of Fractions, built by ``Mat(...)``: each row's
+    nonzero entries times the lcm of its denominators, over that lcm."""
+    nums, dens = [], []
+    for row in grid:
+        d = lcm(*[x.denominator for x in row])
+        nums.append(tuple((j, int(x * d)) for j, x in enumerate(row) if x))
+        dens.append(d)
+    return Mat(len(grid), cols, tuple(nums), tuple(dens))
+
+
 def test_builders_store_equal_values_equally():
-    """from_rows over ints and Fractions, over unreduced strings, and
-    from_dicts give one Mat: equal, with equal hashes, every row in lowest
-    terms, and with the drawn Fractions as its view."""
+    """from_rows over ints and Fractions and over unreduced strings, and
+    ``Mat(...)`` over the Fraction oracle's rows give one Mat: equal, with
+    equal hashes, every row in lowest terms, and with the drawn Fractions
+    as its view."""
     seen = set()
 
     @fixed
@@ -168,7 +180,7 @@ def test_builders_store_equal_values_equally():
             Mat.from_rows([[int(x) if x.denominator == 1 else x for x in row]
                            for row in grid], cols=cols),
             Mat.from_rows([[unreduced(x, k) for x in row] for row in grid], cols=cols),
-            Mat.from_dicts([{j: x for j, x in enumerate(row) if x} for row in grid], cols),
+            fraction_oracle(grid, cols),
         ]
         assert all(m == built[0] and hash(m) == hash(built[0]) for m in built)
         m = built[0]

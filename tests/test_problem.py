@@ -153,7 +153,32 @@ class TestRoundTrip:
         assert spec.to_json_dict()["system"]["params"] == ["2/3"]
 
 
+TRIANGLE_JSON = ('{"vertices": ["I", "II", "III"], "edges": [{"from": "I", "to": "II"}, '
+                 '{"from": "II", "to": "III"}, {"from": "I", "to": "III"}], '
+                 '"system": {"kind": "unipotent2", "params": ["1", "1", "1"]}}')
+NO_HEADER = "line %d: expected a VERTICES, EDGES or SYSTEM header"
+
+
 class TestLoadProblem:
+    @pytest.mark.parametrize("text", [TRIANGLE_TEXT, TRIANGLE_JSON], ids=["text", "json"])
+    def test_leading_byte_order_mark_is_dropped(self, text):
+        # editors that save UTF-8 with a BOM start the file with U+FEFF
+        assert load_problem(TRIANGLE_JSON) == load_problem(TRIANGLE_TEXT)
+        assert load_problem("\ufeff" + text) == load_problem(text)
+
+    @pytest.mark.parametrize("text, message", [
+        ("\ufeff\ufeff" + TRIANGLE_TEXT, NO_HEADER % 1),
+        ("\ufeff\ufeff" + TRIANGLE_JSON, NO_HEADER % 1),
+        (" \ufeff" + TRIANGLE_JSON, NO_HEADER % 1),
+        ("\n\ufeff" + TRIANGLE_TEXT, NO_HEADER % 2),
+        (TRIANGLE_TEXT.replace("I II\n", "I \ufeffII\n"), "unknown vertex"),
+        (TRIANGLE_JSON + "\ufeff", "invalid JSON: Extra data"),
+    ], ids=["doubled-text", "doubled-json", "after-a-space", "on-line-2", "in-a-name",
+            "after-the-json"])
+    def test_any_other_byte_order_mark_is_read_as_text(self, text, message):
+        with pytest.raises(ParseError, match=message):
+            load_problem(text)
+
     def test_sniffs_json(self):
         doc = ('{"vertices": ["a", "b"], '
                '"edges": [{"from": "a", "to": "b"}], '

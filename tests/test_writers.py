@@ -13,14 +13,13 @@ import ast
 import inspect
 import random
 import sys
-from fractions import Fraction
 
 from monograph import cohomology, graph, linalg, localsystem, report
 from monograph.checks import (random_connected_multigraph, random_rational,
                               random_unipotent_system)
 from monograph.cohomology import (coboundary_image, h0, h1_dim, invariant_cycles_report,
                                   obstruction, residue_kernel)
-from monograph.linalg import Mat, colspace, det, nullspace, rank, rowspace, rref
+from monograph.linalg import colspace, det, nullspace, rank, rowspace, rref
 from monograph.localsystem import LocalSystem
 from monograph.problem import ProblemSpec, SystemSpec
 from monograph.tate import tate_report
@@ -127,7 +126,6 @@ def test_every_writer_builds_checked_rows(monkeypatch):
             monkeypatch.setattr(module, "_mat", checked)
     for m in list(matrices(0, 40)) + list(structured_matrices()):
         run_matrix_path(m)
-    Mat.from_dicts([{2: Fraction(1, 2), 0: 3}, {}], 3)
     for system in corpus_systems():
         if isinstance(system, ProblemSpec):
             report.to_json(report.run(system, "defect"))
