@@ -11,37 +11,28 @@ seed, so a run is reproducible and the aggregated table is deterministic.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterator
+from typing import Iterator
 
 from .cohomology import (coboundary_image, coboundary_matrix, h0, h1_dim,
                          invariant_cycles_report, obstruction,
                          residue_constraint_matrix, residue_kernel, system_matrix)
 from .graph import DualGraph, incidence_matrix, laplacian
-from .linalg import Mat, Subspace, nullspace, rank
+from .linalg import Mat, Subspace, Value, nullspace, rank
 from .localsystem import LocalSystem
 from .problem import SystemSpec
 from .tate import build_tate, holonomy, tate_report
 
 
-@dataclass(frozen=True)
-class CheckResult:
-    name: str
-    passed: bool
-    detail: str
+class CheckResult(Value):
+    _fields = ("name", "passed", "detail")
 
 
-@dataclass(frozen=True)
-class Check:
+class Check(Value):
     """One invariant: `body(rng, instances)` yields a detail line per
     failure; `summary`, formatted with the instance count, describes a pass."""
 
-    name: str
-    seed_offset: int
-    instances: int
-    summary: str
-    body: Callable[[random.Random, int], Iterator[str]]
+    _fields = ("name", "seed_offset", "instances", "summary", "body")
 
     def failures(self, seed: int, instances: int | None = None) -> Iterator[str]:
         """Failure details of a run seeded with `seed` itself."""

@@ -85,11 +85,10 @@ compare K with ``nullspace(A)`` for that.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import gcd, lcm
 
-from .linalg import (Mat, Subspace, _echelon, _integer_rows, _lowest, _mat, _reduced, _stack,
-                     _turned_kernel, colspace, nullspace, rank)
+from .linalg import (Mat, Subspace, Value, _echelon, _integer_rows, _lowest, _mat, _reduced,
+                     _stack, _turned_kernel, colspace, nullspace, rank)
 from .localsystem import LocalSystem
 
 
@@ -357,23 +356,13 @@ def _kernel_route(sys: LocalSystem) -> tuple[Mat, Mat, Subspace, Mat, Subspace, 
             Subspace(_stack(cob.cols, sections)))
 
 
-@dataclass(frozen=True)
-class CohomologyReport:
+class CohomologyReport(Value):
     """Dimensions, subspaces, assembled matrices and verdict for one
     coefficient system."""
 
-    h0_dim: int
-    h1_dim: int
-    h0_basis: Subspace
-    obstruction: Subspace
-    coboundary: Mat
-    residue: Mat
-    system: Mat
-    system_rank: int
-    coboundary_image_dim: int
-    residue_kernel_dim: int
-    defect: int
-    exact: bool
+    _fields = ("h0_dim", "h1_dim", "h0_basis", "obstruction", "coboundary", "residue",
+               "system", "system_rank", "coboundary_image_dim", "residue_kernel_dim",
+               "defect", "exact")
 
 
 def invariant_cycles_report(sys: LocalSystem) -> CohomologyReport:

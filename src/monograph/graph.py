@@ -10,9 +10,9 @@ and disconnected graphs, so every ``DualGraph`` is a valid dual graph.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import Iterable
 
-from .linalg import Mat, _integer_rows
+from .linalg import Mat, Value, _integer_rows
 
 
 class GraphError(ValueError):
@@ -27,16 +27,15 @@ class DisconnectedError(GraphError):
     """The graph is not connected."""
 
 
-@dataclass(frozen=True)
-class DualGraph:
+class DualGraph(Value):
     """A connected loop-free multigraph; vertices are the ints 0..n-1,
     edges canonical (source, target)."""
 
-    n: int
-    edges: tuple[tuple[int, int], ...]
-    labels: tuple[str, ...] | None = None
+    _fields = ("n", "edges", "labels")
 
-    def __post_init__(self) -> None:
+    def __init__(self, n: int, edges: Iterable[tuple[int, int]],
+                 labels: Iterable[str] | None = None) -> None:
+        super().__init__(n, edges, labels)
         # exact ints only: a float or bool endpoint is refused, not truncated
         if type(self.n) is not int or self.n < 1:
             raise GraphError("need at least one vertex, counted by an int, not %r"

@@ -55,7 +55,8 @@ package: ``Mat(...)``, ``Mat.from_rows``, ``Mat.identity`` and
 ValueError.  The package's own writers (the product, the transpose, the
 eliminations, the assemblers in ``cohomology`` and the
 transitions in ``localsystem``) build through ``_mat``, which skips both
-the check and the dataclass ``__init__``: each writes its rows in column
+the check and the ``__init__`` of ``Value``, the base of the package's
+immutable value classes: each writes its rows in column
 order with zeros dropped and puts them in lowest terms with ``_lowest``,
 or copies rows already stored, so checking them again would only repeat
 the work that made them.  A test wraps ``_mat`` with ``_checked`` over the
@@ -72,7 +73,6 @@ from __future__ import annotations
 
 import re
 from bisect import bisect
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm, prod
 from typing import Iterable, Sequence
@@ -188,8 +188,59 @@ def _over_lcm(entries: Sequence[tuple[int, int, int]]) -> tuple[Row, int]:
     return _lowest([(j, n * (e // d)) for j, n, d in entries], e)
 
 
-@dataclass(frozen=True)
-class Mat:
+class Value:
+    """Base of the package's immutable value classes.
+
+    A subclass names its fields once, in ``_fields``, and each instance
+    keeps them in its ``__dict__``.  The constructor takes the fields in
+    that order, by position or by keyword; a class that checks or
+    normalizes its arguments defines its own ``__init__`` and calls this
+    one first.  Two values are equal when they are of the same class with
+    equal fields, a value hashes as its field tuple, its repr is
+    ``Name(field=value, ...)`` in field order, and assigning or deleting
+    an attribute raises AttributeError.
+    """
+
+    _fields: tuple[str, ...] = ()
+
+    def __init__(self, *args: object, **kwargs: object) -> None:
+        names = self._fields
+        if len(args) + len(kwargs) != len(names) or (
+                kwargs and kwargs.keys() != set(names[len(args):])):
+            raise TypeError("%s() takes the arguments %s, each once"
+                            % (type(self).__name__, ", ".join(names)))
+        for name, value in zip(names, args):
+            _setattr(self, name, value)
+        for name, value in kwargs.items():
+            _setattr(self, name, value)
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, name) for name in self._fields])
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()  # type: ignore[attr-defined]
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        return "%s(%s)" % (type(self).__qualname__, ", ".join(
+            ["%s=%r" % (name, getattr(self, name)) for name in self._fields]))
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError("cannot assign to field %r" % (name,))
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError("cannot delete field %r" % (name,))
+
+
+_new = object.__new__
+_setattr = object.__setattr__
+
+
+class Mat(Value):
     """Immutable sparse matrix over Q, stored as integer rows.
 
     Row i is nums[i], the tuple of its nonzero (column, numerator) pairs in
@@ -199,12 +250,11 @@ class Mat:
     dens, and comparing them compares ints.
     """
 
-    rows: int
-    cols: int
-    nums: tuple[Row, ...]
-    dens: tuple[int, ...]
+    _fields = ("rows", "cols", "nums", "dens")
 
-    def __post_init__(self) -> None:
+    def __init__(self, rows: int, cols: int, nums: tuple[Row, ...],
+                 dens: tuple[int, ...]) -> None:
+        super().__init__(rows, cols, nums, dens)
         _checked(self)
 
     @classmethod
@@ -292,14 +342,10 @@ def _checked(m: Mat) -> Mat:
     return m
 
 
-_new = object.__new__
-_setattr = object.__setattr__
-
-
 def _mat(rows: int, cols: int, nums: tuple[Row, ...], dens: tuple[int, ...]) -> Mat:
-    """The Mat with these fields, unchecked and without ``Mat.__init__``:
-    the trusted constructor of the package's own writers, whose rows are
-    already in the stored form."""
+    """The Mat with these fields, unchecked and without the ``__init__`` of
+    ``Mat`` or of its base ``Value``: the trusted constructor of the
+    package's own writers, whose rows are already in the stored form."""
     m = _new(Mat)
     _setattr(m, "__dict__", {"rows": rows, "cols": cols, "nums": nums, "dens": dens})
     return m
@@ -463,8 +509,7 @@ def det(m: Mat) -> Fraction:
     return Fraction(num, den)
 
 
-@dataclass(frozen=True)
-class Subspace:
+class Subspace(Value):
     """A linear subspace of Q^n with a canonical basis.
 
     The basis matrix has one row per dimension: the nonzero rows of the
@@ -472,7 +517,7 @@ class Subspace:
     they are the same subspace.
     """
 
-    basis: Mat
+    _fields = ("basis",)
 
     @classmethod
     def zero(cls, ambient_dim: int) -> Subspace:

@@ -17,13 +17,12 @@ vector.
 
 from __future__ import annotations
 
-from dataclasses import InitVar, dataclass
 from fractions import Fraction
 from math import lcm
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from .graph import DualGraph
-from .linalg import DimensionMismatch, Mat, Vector, _lowest, _mat, _reduced, _stack, vec
+from .linalg import DimensionMismatch, Mat, Value, Vector, _lowest, _mat, _reduced, _stack, vec
 
 
 def _inverse(m: Mat) -> Mat:
@@ -41,8 +40,7 @@ def _inverse(m: Mat) -> Mat:
                       for pairs, q in reduced])
 
 
-@dataclass(frozen=True)
-class LocalSystem:
+class LocalSystem(Value):
     """Per-edge invertible transitions over a dual graph.
 
     ``inverses``, when given, are the transitions' inverses and are
@@ -50,12 +48,11 @@ class LocalSystem:
     or repr.  A wrong one makes the report's R.delta = A check fail.
     """
 
-    graph: DualGraph
-    rank: int
-    transitions: tuple[Mat, ...]
-    inverses: InitVar[Sequence[Mat] | None] = None
+    _fields = ("graph", "rank", "transitions")
 
-    def __post_init__(self, inverses: Sequence[Mat] | None) -> None:
+    def __init__(self, graph: DualGraph, rank: int, transitions: Sequence[Mat],
+                 inverses: Sequence[Mat] | None = None) -> None:
+        super().__init__(graph, rank, transitions)
         if self.rank < 1:
             raise ValueError("rank must be >= 1")
         object.__setattr__(self, "transitions", tuple(self.transitions))
@@ -140,14 +137,14 @@ class LocalSystem:
             for e, v in enumerate(c.values)]))
 
 
-@dataclass(frozen=True)
-class EdgeCochain:
+class EdgeCochain(Value):
     """One r-vector per edge, in the source-vertex frame."""
 
-    system: LocalSystem
-    values: tuple[Vector, ...]
+    _fields = ("system", "values")
 
-    def __post_init__(self) -> None:
+    def __init__(self, system: LocalSystem,
+                 values: Iterable[Iterable[int | str | Fraction]]) -> None:
+        super().__init__(system, values)
         object.__setattr__(self, "values", tuple(vec(v) for v in self.values))
         if len(self.values) != self.system.graph.m:
             raise ValueError("%d edge values for %d edges"

@@ -35,11 +35,11 @@ so no inexact value can enter.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
 from fractions import Fraction
+from typing import Iterable
 
 from .graph import DualGraph
-from .linalg import parse_rational, rat, vec
+from .linalg import Value, parse_rational, rat, vec
 from .localsystem import EdgeCochain, LocalSystem
 
 BASE_KINDS = ("trivial", "unipotent2")
@@ -69,18 +69,16 @@ def check_cells(n: int, m: int, r: int) -> None:
                          "the limit is %d" % (n, m, r, cells, MAX_CELLS))
 
 
-@dataclass(frozen=True)
-class SystemSpec:
+class SystemSpec(Value):
     """Recipe for a coefficient system on a yet-unbuilt graph: a base of
     rank ``rank``, then one trivial extension per entry of ``layers``; the
     layer over rank r holds r values per edge, edge-major."""
 
-    kind: str
-    rank: int
-    params: tuple[Fraction, ...] = ()
-    layers: tuple[tuple[Fraction, ...], ...] = ()
+    _fields = ("kind", "rank", "params", "layers")
 
-    def __post_init__(self) -> None:
+    def __init__(self, kind: str, rank: int, params: Iterable[int | str | Fraction] = (),
+                 layers: Iterable[Iterable[int | str | Fraction]] = ()) -> None:
+        super().__init__(kind, rank, params, layers)
         if self.kind not in BASE_KINDS:
             raise ParseError("unknown system kind %r" % (self.kind,))
         object.__setattr__(self, "params", vec(self.params))
@@ -166,15 +164,14 @@ def _json_rational(x: object) -> Fraction:
         raise ParseError(str(exc)) from None
 
 
-@dataclass(frozen=True)
-class ProblemSpec:
+class ProblemSpec(Value):
     """Named vertices, named edges, and a system recipe."""
 
-    vertices: tuple[str, ...]
-    edges: tuple[tuple[str, str], ...]
-    system: SystemSpec = field(default_factory=lambda: SystemSpec("trivial", 1))
+    _fields = ("vertices", "edges", "system")
 
-    def __post_init__(self) -> None:
+    def __init__(self, vertices: Iterable[str], edges: Iterable[tuple[str, str]],
+                 system: SystemSpec = SystemSpec("trivial", 1)) -> None:
+        super().__init__(vertices, edges, system)
         object.__setattr__(self, "vertices", tuple(self.vertices))
         object.__setattr__(self, "edges", tuple((a, b) for a, b in self.edges))
         if not self.vertices:

@@ -9,14 +9,13 @@ holonomy of the cocycle around the cycle, and the exactness defect.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 from typing import Sequence
 
 from .cohomology import _kernel_route
 from .graph import DualGraph, cycle_graph
-from .linalg import Mat, Subspace, vec
+from .linalg import Value, vec
 from .localsystem import LocalSystem
 from .problem import check_cells
 
@@ -46,24 +45,15 @@ def holonomy(gvals: Sequence[Fraction]) -> Fraction:
     return Fraction(sum(n[:-1]) - n[-1], d)
 
 
-@dataclass(frozen=True)
-class TateReport:
+class TateReport(Value):
     """Everything the m-cycle example produces, exactly.
 
     ``edge_images`` has one row per kernel generator: row j is the
     edge-space image of kernel generator j, as the document prints it.
     """
 
-    m: int
-    gvals: tuple[Fraction, ...]
-    system: Mat
-    det: Fraction
-    rank: int
-    kernel: Subspace
-    edge_images: Mat
-    holonomy: Fraction
-    defect: int
-    quotient_dim: int
+    _fields = ("m", "gvals", "system", "det", "rank", "kernel", "edge_images", "holonomy",
+               "defect", "quotient_dim")
 
 
 def tate_report(m: int, gvals: Sequence[int | str | Fraction]) -> TateReport:

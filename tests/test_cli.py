@@ -1,6 +1,5 @@
 """The monograph command line: outputs, determinism, exit codes."""
 
-import dataclasses
 import hashlib
 import io
 import json
@@ -585,7 +584,7 @@ class TestCheck:
     @pytest.fixture(autouse=True)
     def small_registry(self, monkeypatch):
         monkeypatch.setattr(checks, "CHECKS", tuple(
-            dataclasses.replace(c, instances=min(c.instances, 2))
+            checks.Check(**dict(vars(c), instances=min(c.instances, 2)))
             for c in checks.CHECKS))
 
     def test_table_all_pass(self, capsys):
@@ -617,6 +616,33 @@ def test_cli_import_leaves_the_check_suite_unloaded():
     proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
                           env=env, timeout=60)
     assert (proc.returncode, proc.stdout) == (0, "False\n")
+
+
+def test_fresh_run_loads_no_introspection_modules():
+    """A fresh ``python -m monograph.cli`` run loads none of the modules
+    that ``dataclasses`` pulls in, unless the stdlib modules the package
+    imports load one already: no command needs them, and importing them
+    is start-up time."""
+    heavy = ("dataclasses", "inspect", "ast", "dis", "tokenize")
+    report = "print('loaded:', *sorted(set(%r) & set(sys.modules)))" % (heavy,)
+    stdlib = ("import argparse, bisect, fractions, functools, itertools, json, math, "
+              "random, re, sys, typing\n" + report)
+    cli = ("import runpy, sys\nimport monograph\n"
+           "sys.argv = ['monograph', 'tate', '--ord', '3', '--g', '1,1,1']\n"
+           "try:\n    runpy.run_module('monograph.cli', run_name='__main__', alter_sys=True)\n"
+           "finally:\n    " + report)
+    env = dict(os.environ,
+               PYTHONPATH=str(Path(monograph.__file__).resolve().parents[1]))
+    loaded = []
+    for probe in (stdlib, cli):
+        proc = subprocess.run([sys.executable, "-c", probe], capture_output=True,
+                              text=True, env=env, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        label, *names = proc.stdout.splitlines()[-1].split()
+        assert label == "loaded:"
+        loaded.append(set(names))
+    assert '"verdict": "defect 1"' in proc.stdout
+    assert loaded[1] <= loaded[0]
 
 
 class TestInProcessReuse:

@@ -1,6 +1,5 @@
 """The cycle workbench: golden values and the defect dichotomy."""
 
-import dataclasses
 import random
 from fractions import Fraction
 
@@ -11,7 +10,7 @@ from monograph.checks import random_rational
 from monograph.cohomology import obstruction
 from monograph.graph import GraphError
 from monograph.linalg import Mat, Subspace, colspace, det, rat, vec
-from monograph.tate import build_tate, holonomy, tate_report
+from monograph.tate import TateReport, build_tate, holonomy, tate_report
 
 from test_linalg import in_span
 
@@ -153,7 +152,7 @@ class TestDichotomy:
         # a report that always claims a quotient line is caught only on a
         # closed cocycle, so the sweep at the acceptance seed must draw one
         def forced(m, gvals):
-            return dataclasses.replace(tate_report(m, gvals), quotient_dim=1)
+            return TateReport(**dict(vars(tate_report(m, gvals)), quotient_dim=1))
 
         monkeypatch.setattr(checks, "tate_report", forced)
         entry = next(c for c in checks.CHECKS if c.name == "cycle defect dichotomy")
