@@ -76,19 +76,21 @@ Every result is checked where it is computed, so library callers, the
 documents and ``monograph check`` get the same guard.  ``_kernel_route``,
 which serves ``invariant_cycles_report`` and the tate workbench, checks
 A K^T = 0 for the kernel basis K it solved, and
-``invariant_cycles_report`` checks the factorization R.delta = A.  A
-failure raises InternalCheckError: it can only mean a bug, never bad
-input, and the command line gives it its own exit status.  A K^T = 0
-shows that K lies inside ker A, not that K is all of ker A; the tests
-compare K with ``nullspace(A)`` for that.
+``invariant_cycles_report`` checks the factorization R.delta = A with
+``_factors``, which accumulates each row of R.delta from R's stored row
+and compares it with A's row entry by entry, so no product Mat is
+built.  A failure raises InternalCheckError: it can only mean a bug,
+never bad input, and the command line gives it its own exit status.
+A K^T = 0 shows that K lies inside ker A, not that K is all of ker A;
+the tests compare K with ``nullspace(A)`` for that.
 """
 
 from __future__ import annotations
 
 from math import gcd, lcm
 
-from .linalg import (Mat, Subspace, Value, _echelon, _integer_rows, _lowest, _mat, _reduced,
-                     _stack, _turned_kernel, colspace, nullspace, rank)
+from .linalg import (DimensionMismatch, Mat, Subspace, Value, _echelon, _integer_rows, _lowest,
+                     _mat, _reduced, _stack, _turned_kernel, colspace, nullspace, rank)
 from .localsystem import LocalSystem
 
 
@@ -173,7 +175,9 @@ Transport = tuple[list[dict[int, int]], int]  # r x r, int rows over one denomin
 
 
 def _times(transport: Transport, u: Mat) -> Transport:
-    """The transport T.u, put in lowest terms by one gcd."""
+    """The transport T.u, put in lowest terms by one gcd; the accumulated
+    rows are returned as they are when the gcd is 1 and no entry
+    cancelled, as ``linalg._combine`` does."""
     rows, d = transport
     e = lcm(*u.dens)
     out = []
@@ -184,7 +188,10 @@ def _times(transport: Transport, u: Mat) -> Transport:
             for j, y in u.nums[k]:
                 acc[j] = acc[j] + c * y if j in acc else c * y
         out.append(acc)
-    h = gcd(d * e, *[x for acc in out for x in acc.values()])
+    values = [x for acc in out for x in acc.values()]
+    h = gcd(d * e, *values)
+    if h == 1 and 0 not in values:
+        return out, d * e
     return [{j: x // h for j, x in acc.items() if x} for acc in out], d * e // h
 
 
@@ -356,6 +363,38 @@ def _kernel_route(sys: LocalSystem) -> tuple[Mat, Mat, Subspace, Mat, Subspace, 
             Subspace(_stack(cob.cols, sections)))
 
 
+def _factors(residue: Mat, cob: Mat, a: Mat) -> bool:
+    """Whether residue @ cob == a, row by row, with no product built.
+
+    Row i of R is x / d, row k of delta y_k / e_k: as in ``Mat.__matmul__``,
+    acc = sum of x_k (e / e_k) y_k over the lcm e of the e_k that row i
+    stores, so product row i is acc / (d e).  Each entry n / d_A that A's
+    row i stores must satisfy acc[j] d_A = n d e, and every other entry of
+    acc must be zero.  R.cols != delta.rows raises DimensionMismatch, as
+    the product would; any other shape mismatch is a failed check.
+    """
+    if residue.cols != cob.rows:
+        raise DimensionMismatch("multiply %dx%d by %dx%d"
+                                % (residue.rows, residue.cols, cob.rows, cob.cols))
+    if residue.rows != a.rows or cob.cols != a.cols:
+        return False
+    right, right_dens = cob.nums, cob.dens
+    for pairs, d, a_pairs, d_a in zip(residue.nums, residue.dens, a.nums, a.dens):
+        e = lcm(*[right_dens[k] for k, _ in pairs])
+        acc: dict[int, int] = {}
+        for k, x in pairs:
+            c = x * (e // right_dens[k]) if e != 1 else x
+            for j, y in right[k]:
+                acc[j] = acc[j] + c * y if j in acc else c * y
+        scale = d * e
+        for j, n in a_pairs:
+            if acc.pop(j, 0) * d_a != n * scale:
+                return False
+        if any(acc.values()):
+            return False
+    return True
+
+
 class CohomologyReport(Value):
     """Dimensions, subspaces, assembled matrices and verdict for one
     coefficient system."""
@@ -387,14 +426,15 @@ def invariant_cycles_report(sys: LocalSystem) -> CohomologyReport:
 
     Two identities are checked on every call, and a failure raises
     InternalCheckError: A K^T = 0 in ``_kernel_route``, and R.delta = A
-    here, one product compared with the A that ``system_matrix`` builds
-    straight from the edges.  A K^T = 0 shows only that K lies inside
+    here, each row of R.delta compared by ``_factors`` with the row of
+    the A that ``system_matrix`` builds straight from the edges, with no
+    product built.  A K^T = 0 shows only that K lies inside
     ker A, not that it spans all of it.
     """
     g, r = sys.graph, sys.rank
     cob, a, kernel, _, blocked, sections = _kernel_route(sys)
     residue = residue_constraint_matrix(sys)
-    if residue @ cob != a:
+    if not _factors(residue, cob, a):
         raise InternalCheckError("system matrix does not factor through the residue and "
                                  "coboundary matrices")
     image_dim = g.n * r - sections.dim

@@ -205,6 +205,10 @@ class Value:
 
     def __init__(self, *args: object, **kwargs: object) -> None:
         names = self._fields
+        if not kwargs and len(args) == len(names):
+            for name, value in zip(names, args):
+                _setattr(self, name, value)
+            return
         if len(args) + len(kwargs) != len(names) or (
                 kwargs and kwargs.keys() != set(names[len(args):])):
             raise TypeError("%s() takes the arguments %s, each once"

@@ -924,3 +924,106 @@ def test_layered_kernel_on_drawn_chains():
     check()
     assert seen == {1, 2, 3, 4, "coupled", "uncoupled", "single vertex", "edges",
                     "parallel"}
+
+
+RATIONAL_EXTENSION = ("VERTICES\na b c d\nEDGES\na b\nb c\nc d\nd a\na c\nSYSTEM\n"
+                      "unipotent2 1/2 -3 0 7/4 2\nextend 1 -1/3 0 2 5/6 1 -2 0 1/5 3\n")
+
+
+def _with_row(a, i, pairs, d):
+    """A with row i replaced by pairs / d, put in stored form."""
+    row, d = linalg._lowest(sorted([(j, n) for j, n in pairs if n]), d)
+    return Mat(a.rows, a.cols, a.nums[:i] + (row,) + a.nums[i + 1:],
+               a.dens[:i] + (d,) + a.dens[i + 1:])
+
+
+def _mutants(a, rng):
+    """A with one changed entry, one dropped entry, one added entry and one
+    changed denominator, each in a drawn nonzero row and in stored form."""
+    i = rng.choice([i for i in range(a.rows) if a.nums[i]])
+    pairs, d = list(a.nums[i]), a.dens[i]
+    k = rng.randrange(len(pairs))
+    j, n = pairs[k]
+    free = [c for c in range(a.cols) if c not in dict(pairs)]
+    yield "changed", _with_row(a, i, pairs[:k] + [(j, n + rng.choice((-2, -1, 1, 2)))]
+                               + pairs[k + 1:], d)
+    yield "dropped", _with_row(a, i, pairs[:k] + pairs[k + 1:], d)
+    if free:
+        yield "added", _with_row(a, i, pairs + [(rng.choice(free), rng.randint(1, 5))], d)
+    yield "denominator", _with_row(a, i, pairs, d * rng.choice((2, 3, 5)))
+
+
+def _factor_corpus():
+    yield from _oracle_systems(401)
+    yield from _general_systems(409)
+    yield from _cycle_defect_family()
+    yield parse_spec(RATIONAL_EXTENSION).local_system()
+
+
+class TestFactorsCheck:
+    """cohomology._factors, the row-by-row R.delta = A check, against the
+    product residue @ cob == a."""
+
+    def test_matches_the_product_on_the_corpus_and_its_mutants(self):
+        rng, kinds, fractional = random.Random(419), set(), False
+        for sys in _factor_corpus():
+            residue, cob = residue_constraint_matrix(sys), coboundary_matrix(sys)
+            a = system_matrix(sys)
+            # both verdicts, which must agree, on A and on each mutant
+            assert residue @ cob == a
+            assert cohomology._factors(residue, cob, a)
+            fractional |= max(a.dens + cob.dens + residue.dens) > 1
+            if not any(a.nums):
+                continue
+            for kind, mutant in _mutants(a, rng):
+                assert mutant != a, kind
+                assert residue @ cob != mutant, kind
+                assert not cohomology._factors(residue, cob, mutant), kind
+                kinds.add(kind)
+        assert fractional
+        assert kinds == {"changed", "dropped", "added", "denominator"}
+
+    def test_shape_mismatches(self):
+        residue, cob = Mat.from_rows([[1, 2, 0], [0, 1, -1]]), Mat.from_rows([[1, 0], [0, 1]])
+        with pytest.raises(linalg.DimensionMismatch):
+            residue @ cob
+        with pytest.raises(linalg.DimensionMismatch):
+            cohomology._factors(residue, cob, Mat.zeros(2, 2))
+        cob = Mat.from_rows([[1, 0], [0, 1], [1, 1]])
+        a = residue @ cob
+        assert cohomology._factors(residue, cob, a)
+        # a zero row or a zero column more, which zip alone would not see, and
+        # a row fewer
+        for wrong in (Mat(3, 2, a.nums + ((),), a.dens + (1,)),
+                      Mat(2, 3, a.nums, a.dens), Mat(1, 2, a.nums[:1], a.dens[:1])):
+            assert residue @ cob != wrong
+            assert not cohomology._factors(residue, cob, wrong)
+
+    def test_report_keeps_its_exceptions(self, monkeypatch):
+        sys = cycle_system((1, 2, 4))
+        real_a, real_r = cohomology.system_matrix, cohomology.residue_constraint_matrix
+
+        def extra_row(sys):
+            a = real_a(sys)
+            return linalg._mat(a.rows + 1, a.cols, a.nums + ((),), a.dens + (1,))
+
+        def extra_column(sys):
+            r = real_r(sys)
+            return linalg._mat(r.rows, r.cols + 1, r.nums, r.dens)
+
+        monkeypatch.setattr(cohomology, "system_matrix", extra_row)
+        with pytest.raises(InternalCheckError, match="^system matrix does not factor "
+                           "through the residue and coboundary matrices$"):
+            invariant_cycles_report(sys)
+        monkeypatch.setattr(cohomology, "system_matrix", real_a)
+        monkeypatch.setattr(cohomology, "residue_constraint_matrix", extra_column)
+        with pytest.raises(linalg.DimensionMismatch):
+            invariant_cycles_report(sys)
+
+    def test_the_report_builds_no_product(self, monkeypatch):
+        def refuse(self, other):
+            raise AssertionError("a product was built")
+
+        monkeypatch.setattr(Mat, "__matmul__", refuse)
+        for sys in (cycle_system((1, 2, 4)), parse_spec(RATIONAL_EXTENSION).local_system()):
+            invariant_cycles_report(sys)
