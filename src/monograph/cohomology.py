@@ -55,14 +55,21 @@ each edge puts -g_e and +g_e into that block, so dim ker A = 2.  The k
 final solutions are reduced by ``_reduced`` to their RREF, the unique
 basis ``nullspace(A)`` gives, so no output depends on the route.  On a
 graph with a cycle, eliminating all of A fills in along the cycles, and
-each coupled component keeps k down.  On a tree no component is coupled (H0
-has dimension r there), so the route carries r dense solutions through
-every component, while A, with no cycle to fill in, is no slower to
-eliminate whole.  So trees, and systems with any other transition, which
-only an explicit ``LocalSystem(...)`` builds, take ``nullspace(A)``,
-back-solved from one forward pass over all of A.
+each coupled component keeps k down.  With one independent cycle (m = n,
+as on the m-cycle, the dual graph of a Tate curve's special fiber),
+L y = -B lambda needs no elimination at all: as Kirchhoff solved it,
+y_v - y_parent along ``_spanning_tree`` is the sum of -B lambda over v's
+subtree, corrected by the flow on the one non-tree edge, and going round
+the cycle gives that flow by one division (``_cycle_kernel``).  With more
+cycles, [B | L] goes to ``_turned_kernel``.  On a tree no component is
+coupled (H0 has dimension r there), so the route carries r dense
+solutions through every component, while A, with no cycle to fill in, is
+no slower to eliminate whole.  So trees, and systems with any other
+transition, which only an explicit ``LocalSystem(...)`` builds, take
+``nullspace(A)``, back-solved from one forward pass over all of A.
 
-R is not eliminated: with T_0 = I and T_s U_e = T_t along a spanning tree,
+R is not eliminated: with T_0 = I and T_s U_e = T_t along ``_spanning_tree``,
+the breadth-first tree the one-cycle kernel route also walks,
 x -> sum of T_v x_v is onto Q^r, its kernel is spanned by R's (n - 1) r
 independent tree columns, and it sends the block of a non-tree edge e to
 (T_s U_e - T_t) U_e^-1, T_t^-1 T_s U_e being e's monodromy.  So
@@ -195,20 +202,36 @@ def _times(transport: Transport, u: Mat) -> Transport:
     return [{j: x // h for j, x in acc.items() if x} for acc in out], d * e // h
 
 
+def _spanning_tree(n: int, edges: tuple[tuple[int, int], ...]) -> list[tuple[int, int, int]]:
+    """The breadth-first spanning tree from vertex 0, each vertex's edges
+    taken in edge order: (e, u, v) for every other vertex v, in the order
+    the walk reaches it, along edge e from u."""
+    ends: list[list[tuple[int, int]]] = [[] for _ in range(n)]
+    for e, (s, t) in enumerate(edges):
+        ends[s].append((e, t))
+        ends[t].append((e, s))
+    seen, queue, tree = [True] + [False] * (n - 1), [0], []
+    for u in queue:
+        for e, v in ends[u]:
+            if not seen[v]:
+                seen[v] = True
+                tree.append((e, u, v))
+                queue.append(v)
+    return tree
+
+
 def residue_rank(sys: LocalSystem) -> int:
-    """rank R, from transports along a breadth-first spanning tree (see
-    the module docstring): a tree edge e = (s, t) gives T_t = T_s U_e when
-    reached from s, T_s = T_t U_e^-1 from t.  Block column e of the r-row
+    """rank R, from transports along ``_spanning_tree`` (see the module
+    docstring): a tree edge e = (s, t) gives T_t = T_s U_e when reached
+    from s, T_s = T_t U_e^-1 from t.  Block column e of the r-row
     matrix is T_s U_e - T_t, scaled to ints, for a non-tree edge, else 0."""
-    g, r, ends = sys.graph, sys.rank, _ends(sys)
+    g, r = sys.graph, sys.rank
     transports: list[Transport | None] = [None] * g.n
     transports[0] = ([{i: 1} for i in range(r)], 1)
-    tree, queue = [False] * g.m, [0]
-    for u in queue:
-        for e, v, w, _ in ends[u]:
-            if transports[v] is None:
-                transports[v], tree[e] = _times(transports[u], w), True
-                queue.append(v)
+    tree = [False] * g.m
+    for e, u, v in _spanning_tree(g.n, g.edges):
+        w = sys.transitions[e] if g.edges[e][0] == u else sys.transition_inverse(e)
+        transports[v], tree[e] = _times(transports[u], w), True
     blocks: list[dict[int, int]] = [{} for _ in range(r)]
     for e, (s, t) in enumerate(g.edges):
         if not tree[e]:
@@ -260,7 +283,8 @@ def _layered(sys: LocalSystem) -> bool:
         for i, (pairs, d) in enumerate(zip(u.nums, u.dens)))
 
 
-def _layered_kernel(a: Mat, n: int, r: int) -> Subspace:
+def _layered_kernel(a: Mat, n: int, r: int,
+                    edges: tuple[tuple[int, int], ...] | None = None) -> Subspace:
     """ker A for upper unitriangular transitions, one frame component at a
     time on the scalar Laplacian (see the module docstring).
 
@@ -268,28 +292,35 @@ def _layered_kernel(a: Mat, n: int, r: int) -> Subspace:
     int dicts over A's columns, starting from 1 in component r - 1.  At
     component i, row u of [B | L] is row (u, i) of A over its denominator:
     its component-i numerators are row u of L, and its dot product with
-    solution s is B's entry (u, s).  The rows go to ``_turned_kernel``
+    solution s is B's entry (u, s).  Given ``edges``, those of a graph with
+    one independent cycle, ``_cycle_kernel`` solves each component along
+    ``_spanning_tree``.  Otherwise the rows go to ``_turned_kernel``
     already turned, vertex u at column n - 1 - u and s at n + k - 1 - s,
     so the k coefficient columns are eliminated last.
     """
     solutions = [{v * r + r - 1: 1 for v in range(n)}]
     last = n - 1
     for i in range(r - 2, -1, -1):
-        k, work = len(solutions), []
-        for u in range(last, -1, -1):
-            row, rest = {}, []
-            for c, x in a.nums[u * r + i]:
-                if c % r == i:
-                    row[last - c // r] = x
-                else:
-                    rest.append((c, x))
-            for s, solution in enumerate(solutions if rest else ()):
-                b = sum([x * solution[c] for c, x in rest if c in solution])
-                if b:
-                    row[last + k - s] = b
-            work.append(row)
+        k = len(solutions)
+        if edges is not None:
+            kernel = _cycle_kernel(a, n, r, i, solutions, edges)
+        else:
+            work = []
+            for u in range(last, -1, -1):
+                row, rest = {}, []
+                for c, x in a.nums[u * r + i]:
+                    if c % r == i:
+                        row[last - c // r] = x
+                    else:
+                        rest.append((c, x))
+                for s, solution in enumerate(solutions if rest else ()):
+                    b = sum([x * solution[c] for c, x in rest if c in solution])
+                    if b:
+                        row[last + k - s] = b
+                work.append(row)
+            kernel = [pairs for pairs, _ in _turned_kernel(work, n + k)]
         lifted = []
-        for pairs, _ in _turned_kernel(work, n + k):
+        for pairs in kernel:
             # (lambda, y): y in component i plus the lambda_s solution_s
             x: dict[int, int] = {}
             for j, y in pairs:
@@ -304,13 +335,68 @@ def _layered_kernel(a: Mat, n: int, r: int) -> Subspace:
     return Subspace(_stack(n * r, _reduced(solutions, n * r)[0]))
 
 
+def _cycle_kernel(a: Mat, n: int, r: int, i: int, solutions: list[dict[int, int]],
+                  edges: tuple[tuple[int, int], ...]) -> list[list[tuple[int, int]]]:
+    """ker [B | L] at component i on a graph with one independent cycle, in
+    the column pairs ``_turned_kernel`` gives, lambda_s at s and y_v at
+    k + v; no L row is built and A's component-i entries are not read.
+
+    Column s of B is beta_s / D: row (u, i) of A dotted with solution s,
+    which holds no component-i entry, over the row's denominator, all put
+    over their lcm D.  For each lambda with 1^T B lambda = 0 (every e_s
+    when P = 1^T B is 0, else P_p e_s - P_s e_p for the first p with
+    P_p != 0), L y = B lambda is solved as Kirchhoff did, and (-lambda, y)
+    is a kernel vector.  With f the flow y_s - y_t on the non-tree edge
+    (s, t), y_v - y_parent along ``_spanning_tree`` is the sum S(v) of
+    B lambda over v's subtree, minus side[v] f: side[v] is 1 when the
+    subtree holds s but not t, -1 when it holds t but not s, and then the
+    tree edge above v is on the cycle.  Going round the cycle,
+    y_s - y_t = f forces f = sum of side[v] S(v) over the cycle's length.
+    With y_0 = 0 and all of it scaled to ints by q D, q the denominator of
+    f, the kernel vector is (-q D lambda, y).  The constants in component
+    i are the last one.
+    """
+    tree = _spanning_tree(n, edges)
+    (s, t), = [edges[e] for e in set(range(n)) - {e for e, _, _ in tree}]
+    side = [0] * n
+    side[s], side[t] = 1, -1
+    for _, u, v in reversed(tree):
+        side[u] += side[v]
+    k, rows, length = len(solutions), range(i, n * r, r), 1 + sum(map(abs, side))
+    big = lcm(*[a.dens[row] for row in rows])
+    beta = [[big // a.dens[row]
+             * sum([x * solution[c] for c, x in a.nums[row] if c in solution])
+             for row in rows] for solution in solutions]
+    totals = [sum(b) for b in beta]
+    p = next((s for s, total in enumerate(totals) if total), None)
+    if p is None:
+        columns = [(((s, 1),), b) for s, b in enumerate(beta)]
+    else:
+        columns = [(((s, totals[p]), (p, -totals[s])),
+                    [totals[p] * x - totals[s] * y for x, y in zip(beta[s], beta[p])])
+                   for s in range(k) if s != p]
+    kernel = []
+    for lam, sums in columns:
+        # each column is used once, so its entries become the subtree sums
+        for _, u, v in reversed(tree):
+            sums[u] += sums[v]
+        c = sum([z * x for z, x in zip(side, sums) if z])
+        h = gcd(c, length)
+        q, f, y = length // h, c // h, [0] * n
+        for _, u, v in tree:
+            y[v] = y[u] + q * sums[v] - side[v] * f
+        kernel.append([(s, -x * q * big) for s, x in lam] + list(enumerate(y, k)))
+    return kernel + [[(k + v, 1) for v in range(n)]]
+
+
 def _kernel_route(sys: LocalSystem) -> tuple[Mat, Mat, Subspace, Mat, Subspace, Subspace]:
     """Assemble delta and A, solve ker A, and map it through delta.
 
     Returns (delta, A, ker A, the images, the obstruction, H0).  ker A is
     ``_layered_kernel`` when ``_layered`` holds, on a graph with a cycle
-    and the upper unitriangular transitions every constructor builds, and
-    ``nullspace(A)`` for a tree or any other system; both give the
+    and the upper unitriangular transitions every constructor builds,
+    given the edges, for its spanning-tree route, exactly when m = n; and
+    ``nullspace(A)`` for a tree or any other system.  All give the
     kernel's unique RREF basis.  Row i of the images
     is delta(k_i) for kernel basis row k_i = K / e: entry p is s_p / d_p
     over e, s_p the dot product of delta's stored row p, over d_p, with K,
@@ -327,7 +413,9 @@ def _kernel_route(sys: LocalSystem) -> tuple[Mat, Mat, Subspace, Mat, Subspace, 
     """
     cob = coboundary_matrix(sys)
     a = system_matrix(sys)
-    kernel = _layered_kernel(a, sys.graph.n, sys.rank) if _layered(sys) else nullspace(a)
+    g = sys.graph
+    kernel = (_layered_kernel(a, g.n, sys.rank, g.edges if g.m == g.n else None)
+              if _layered(sys) else nullspace(a))
     edges, e_all = cob.rows, lcm(*cob.dens)
     images, work = [], []
     for pairs, e in zip(kernel.basis.nums, kernel.basis.dens):

@@ -397,24 +397,52 @@ class TestErrors:
         assert code == 3
         assert "internal error" in err
 
-    @pytest.mark.parametrize("cell, value", [((0, 0), "plus one"), ((0, 0), 0),
-                                             ((0, 1), 1), ((2, 4), "plus half")],
-                             ids=["nonzero-changed", "nonzero-cleared", "zero-set",
-                                  "off-by-half"])
-    def test_factorization_mismatch_exit_3(self, capsys, tmp_path, monkeypatch,
-                                           cell, value):
-        # a system matrix wrong in one cell must fail the R.delta == A check
+    # each corruption of the system matrix: one cell changed, cleared, set
+    # or moved by a half, or a whole row scaled
+    MISMATCHES = pytest.mark.parametrize(
+        "cell, value", [((0, 0), "plus one"), ((0, 0), 0), ((0, 1), 1),
+                        ((2, 4), "plus half"), (3, "times three")],
+        ids=["nonzero-changed", "nonzero-cleared", "zero-set", "off-by-half", "row-scaled"])
+
+    @staticmethod
+    def corrupter(cell, value):
         real = cohomology.system_matrix
 
         def corrupted(sys):
-            a = real(sys)
-            rows = [list(row) for row in dense(a)]
-            i, j = cell
-            step = {"plus one": 1, "plus half": Fraction(1, 2)}.get(value)
-            rows[i][j] = rows[i][j] + step if step is not None else Fraction(value)
+            rows = [list(row) for row in dense(real(sys))]
+            if value == "times three":
+                rows[cell] = [3 * x for x in rows[cell]]
+            else:
+                i, j = cell
+                step = {"plus one": 1, "plus half": Fraction(1, 2)}.get(value)
+                rows[i][j] = rows[i][j] + step if step is not None else Fraction(value)
             return Mat.from_rows(rows)
+        return corrupted
 
-        self.assert_check_fails(capsys, tmp_path, monkeypatch, corrupted)
+    @MISMATCHES
+    def test_factorization_mismatch_exit_3(self, capsys, tmp_path, monkeypatch,
+                                           cell, value):
+        # a system matrix wrong in one cell or one row must fail the
+        # R.delta == A check, or the A K^T = 0 check before it
+        self.assert_check_fails(capsys, tmp_path, monkeypatch, self.corrupter(cell, value))
+
+    # a 4-cycle II III IV V that misses vertex I, with the pendant trees
+    # I - II and IV - VI - VII, at rank 3 with p/q values
+    UNICYCLIC = ("VERTICES\nI II III IV V VI VII\nEDGES\nII III\nIII IV\nIV V\nV II\n"
+                 "I II\nIV VI\nVI VII\nSYSTEM\nunipotent2 1/2 -3 0 7/4 2 1 -1\n"
+                 "extend 1 -1/3 0 2 5/6 1 -2 0 1/5 3 1 1 4 -2\n")
+
+    @MISMATCHES
+    def test_unicyclic_mismatch_exit_3(self, capsys, tmp_path, monkeypatch, cell, value):
+        # the spanning-tree route reads A only off component i and never
+        # its diagonal, so a corrupted A solves without a KeyError or a
+        # ZeroDivisionError, and one of the two checks fails instead
+        real, solves = cohomology._cycle_kernel, []
+        monkeypatch.setattr(cohomology, "_cycle_kernel",
+                            lambda *args: solves.append(args[3]) or real(*args))
+        self.assert_check_fails(capsys, tmp_path, monkeypatch, self.corrupter(cell, value),
+                                self.UNICYCLIC)
+        assert solves == [1, 0] * 3
 
     def test_factorization_mismatch_in_a_denominator_exit_3(self, capsys, tmp_path,
                                                             monkeypatch):
@@ -436,8 +464,8 @@ class TestErrors:
         # as well as in the document
         real = cohomology._layered_kernel
 
-        def wrong(a, n, r):
-            rows = [list(row) for row in dense(real(a, n, r).basis)]
+        def wrong(a, n, r, edges):
+            rows = [list(row) for row in dense(real(a, n, r, edges).basis)]
             rows[0][-1] += 1
             return Subspace.from_vectors(a.cols, rows)
 
@@ -460,17 +488,17 @@ class TestErrors:
         assert err.startswith("internal error: ") and err.count("\n") == 1
 
     @staticmethod
-    def assert_check_fails(capsys, tmp_path, monkeypatch, corrupted):
+    def assert_check_fails(capsys, tmp_path, monkeypatch, corrupted, problem=TRIANGLE_124):
         monkeypatch.setattr(cohomology, "system_matrix", corrupted)
+        with pytest.raises(InternalCheckError) as info:
+            cohomology.invariant_cycles_report(parse_spec(problem).local_system())
         with pytest.raises(InternalCheckError):
-            cohomology.invariant_cycles_report(parse_spec(TRIANGLE_124).local_system())
-        with pytest.raises(InternalCheckError):
-            report.run(parse_spec(TRIANGLE_124), "defect")
-        path = write(tmp_path, "t.txt", TRIANGLE_124)
+            report.run(parse_spec(problem), "defect")
+        path = write(tmp_path, "t.txt", problem)
         code, out, err = run_cli(capsys, ["defect", "--input", path])
         assert code == 3
         assert out == ""
-        assert err.startswith("internal error: ") and err.count("\n") == 1
+        assert err == "internal error: %s\n" % info.value
 
     def test_dimension_mismatch_exit_3(self, capsys, tmp_path, monkeypatch):
         # inputs are validated before any matrix is built, so a shape

@@ -660,7 +660,8 @@ def _cycle_defect_family():
 
 
 class TestLayeredKernel:
-    """ker A one frame component at a time, against nullspace(A)."""
+    """ker A one frame component at a time, against nullspace(A), through
+    ``_turned_kernel`` and, with one independent cycle, along the tree."""
 
     def test_matches_nullspace(self):
         systems = [*_oracle_systems(20261), *_cycle_defect_family(), _chord_system()]
@@ -669,6 +670,9 @@ class TestLayeredKernel:
             kernel = nullspace(a)
             assert cohomology._layered(sys) == (sys.graph.m >= sys.graph.n)
             assert cohomology._layered_kernel(a, sys.graph.n, sys.rank) == kernel
+            if sys.graph.m == sys.graph.n:
+                assert cohomology._layered_kernel(a, sys.graph.n, sys.rank,
+                                                  sys.graph.edges) == kernel
             assert _kernel_route(sys)[2] == kernel
 
     def test_kernel_dimension_counts_coupled_layers(self):
@@ -880,6 +884,21 @@ class TestRankTwoClosedForm:
         assert not assert_obstruction_certificate(cycle_graph(5), gvals, basis)
 
 
+def _draw_chain(draw, st, g):
+    """A drawn unipotent2 or trivial base on g with trivial extensions up
+    to rank 4, each value 0, an int or p/q."""
+    values = st.one_of(st.just(0), st.integers(-3, 3),
+                       st.builds(Fraction, st.integers(-9, 9), st.integers(1, 5)))
+    r = draw(st.integers(1, 4))
+    if r >= 2 and draw(st.booleans()):
+        base = SystemSpec("unipotent2", 2, draw(st.lists(values, min_size=g.m, max_size=g.m)))
+    else:
+        base = SystemSpec("trivial", draw(st.integers(1, r)))
+    layers = [draw(st.lists(values, min_size=g.m * k, max_size=g.m * k))
+              for k in range(base.rank, r)]
+    return SystemSpec(base.kind, base.rank, base.params, layers).build(g)
+
+
 def test_layered_kernel_on_drawn_chains():
     """Property: on drawn unipotent2 or trivial bases with trivial
     extensions up to rank 4, on multigraphs with a single vertex and
@@ -888,21 +907,9 @@ def test_layered_kernel_on_drawn_chains():
     pytest.importorskip("hypothesis")
     from hypothesis import given, settings, strategies as st
 
-    values = st.one_of(st.just(0), st.integers(-3, 3),
-                       st.builds(Fraction, st.integers(-9, 9), st.integers(1, 5)))
-
     @st.composite
     def chains(draw):
-        g = _draw_multigraph(draw, st)
-        r = draw(st.integers(1, 4))
-        if r >= 2 and draw(st.booleans()):
-            base = SystemSpec("unipotent2", 2, draw(st.lists(
-                values, min_size=g.m, max_size=g.m)))
-        else:
-            base = SystemSpec("trivial", draw(st.integers(1, r)))
-        layers = [draw(st.lists(values, min_size=g.m * k, max_size=g.m * k))
-                  for k in range(base.rank, r)]
-        return SystemSpec(base.kind, base.rank, base.params, layers).build(g)
+        return _draw_chain(draw, st, _draw_multigraph(draw, st))
 
     seen = set()
 
@@ -924,6 +931,58 @@ def test_layered_kernel_on_drawn_chains():
     check()
     assert seen == {1, 2, 3, 4, "coupled", "uncoupled", "single vertex", "edges",
                     "parallel"}
+
+
+def test_cycle_route_on_drawn_unicyclic_graphs(monkeypatch):
+    """Property: on drawn graphs with one independent cycle, of length 2
+    (a parallel pair) to 5, with up to 4 pendant vertices hanging off it
+    in trees, vertices and edges shuffled so that the cycle may miss vertex
+    0, and drawn chains up to rank 4 with p/q values, the spanning-tree
+    route of ``_layered_kernel`` gives what the forced ``_turned_kernel``
+    route gives, which is nullspace(A), and ``_kernel_route`` takes it once
+    per component i < r - 1."""
+    pytest.importorskip("hypothesis")
+    from hypothesis import given, settings, strategies as st
+
+    @st.composite
+    def unicyclic(draw):
+        length = draw(st.integers(2, 5))
+        n = length + draw(st.integers(0, 4))
+        edges = [(j, (j + 1) % length) for j in range(length)]
+        edges += [(draw(st.integers(0, v - 1)), v) for v in range(length, n)]
+        label = draw(st.permutations(range(n)))
+        edges = [(label[s], label[t]) if draw(st.booleans()) else (label[t], label[s])
+                 for s, t in draw(st.permutations(edges))]
+        return _draw_chain(draw, st, DualGraph(n, tuple(edges))), 0 in label[length:]
+
+    solves = []
+    real = cohomology._cycle_kernel
+    monkeypatch.setattr(cohomology, "_cycle_kernel",
+                        lambda *args: solves.append(args[3]) or real(*args))
+    seen = set()
+
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(unicyclic())
+    def check(drawn):
+        sys, misses_0 = drawn
+        g, r = sys.graph, sys.rank
+        a = system_matrix(sys)
+        kernel = nullspace(a)
+        assert cohomology._layered_kernel(a, g.n, r) == kernel
+        solves.clear()
+        assert cohomology._layered_kernel(a, g.n, r, g.edges) == kernel
+        assert _kernel_route(sys)[2] == kernel
+        assert solves == [*range(r - 2, -1, -1)] * 2
+        seen.update({r, "coupled" if coupled_layers(sys) else "uncoupled"})
+        seen.update({"parallel pair"} if len(set(map(frozenset, g.edges))) < g.m else ())
+        seen.update({"misses 0"} if misses_0 else ())
+        seen.update({"pendant"} if any(deg == 1 for deg in map(
+            [v for e in g.edges for v in e].count, range(g.n))) else ())
+        seen.update({"p/q"} if any(d > 1 for u in sys.transitions for d in u.dens) else ())
+
+    check()
+    assert seen == {1, 2, 3, 4, "coupled", "uncoupled", "parallel pair", "misses 0",
+                    "pendant", "p/q"}
 
 
 RATIONAL_EXTENSION = ("VERTICES\na b c d\nEDGES\na b\nb c\nc d\nd a\na c\nSYSTEM\n"
