@@ -58,7 +58,8 @@ graph with a cycle, eliminating all of A fills in along the cycles, and
 each coupled component keeps k down.  With one independent cycle (m = n,
 as on the m-cycle, the dual graph of a Tate curve's special fiber),
 L y = -B lambda needs no elimination at all: as Kirchhoff solved it,
-y_v - y_parent along ``_spanning_tree`` is the sum of -B lambda over v's
+y_v - y_parent along the breadth-first spanning tree the graph keeps from
+its one walk (``DualGraph.tree``) is the sum of -B lambda over v's
 subtree, corrected by the flow on the one non-tree edge, and going round
 the cycle gives that flow by one division (``_cycle_kernel``).  With more
 cycles, [B | L] goes to ``_turned_kernel``.  On a tree no component is
@@ -68,8 +69,8 @@ no slower to eliminate whole.  So trees, and systems with any other
 transition, which only an explicit ``LocalSystem(...)`` builds, take
 ``nullspace(A)``, back-solved from one forward pass over all of A.
 
-R is not eliminated: with T_0 = I and T_s U_e = T_t along ``_spanning_tree``,
-the breadth-first tree the one-cycle kernel route also walks,
+R is not eliminated: with T_0 = I and T_s U_e = T_t along the same stored
+tree, which the graph walked once when it was built,
 x -> sum of T_v x_v is onto Q^r, its kernel is spanned by R's (n - 1) r
 independent tree columns, and it sends the block of a non-tree edge e to
 (T_s U_e - T_t) U_e^-1, T_t^-1 T_s U_e being e's monodromy.  So
@@ -96,6 +97,7 @@ from __future__ import annotations
 
 from math import gcd, lcm
 
+from .graph import DualGraph
 from .linalg import (DimensionMismatch, Mat, Subspace, Value, _echelon, _integer_rows, _lowest,
                      _mat, _reduced, _stack, _turned_kernel, colspace, nullspace, rank)
 from .localsystem import LocalSystem
@@ -123,13 +125,12 @@ def coboundary_matrix(sys: LocalSystem) -> Mat:
 
 
 def _ends(sys: LocalSystem) -> list[list[tuple[int, int, Mat, bool]]]:
-    """Each vertex's edge ends, in edge order: (e, the far end v, the
-    transition from v's frame into this one, whether this is e's source)."""
-    ends: list[list[tuple[int, int, Mat, bool]]] = [[] for _ in range(sys.graph.n)]
-    for e, (s, t) in enumerate(sys.graph.edges):
-        ends[s].append((e, t, sys.transitions[e], True))
-        ends[t].append((e, s, sys.transition_inverse(e), False))
-    return ends
+    """The graph's stored edge ends, each vertex's in edge order, with the
+    transition attached: (e, the far end v, the transition from v's frame
+    into this one, whether this is e's source)."""
+    u, inverse = sys.transitions, sys.transition_inverse
+    return [[(e, v, u[e] if source else inverse(e), source) for e, v, source in ends]
+            for ends in sys.graph.ends]
 
 
 def residue_constraint_matrix(sys: LocalSystem) -> Mat:
@@ -202,34 +203,17 @@ def _times(transport: Transport, u: Mat) -> Transport:
     return [{j: x // h for j, x in acc.items() if x} for acc in out], d * e // h
 
 
-def _spanning_tree(n: int, edges: tuple[tuple[int, int], ...]) -> list[tuple[int, int, int]]:
-    """The breadth-first spanning tree from vertex 0, each vertex's edges
-    taken in edge order: (e, u, v) for every other vertex v, in the order
-    the walk reaches it, along edge e from u."""
-    ends: list[list[tuple[int, int]]] = [[] for _ in range(n)]
-    for e, (s, t) in enumerate(edges):
-        ends[s].append((e, t))
-        ends[t].append((e, s))
-    seen, queue, tree = [True] + [False] * (n - 1), [0], []
-    for u in queue:
-        for e, v in ends[u]:
-            if not seen[v]:
-                seen[v] = True
-                tree.append((e, u, v))
-                queue.append(v)
-    return tree
-
-
 def residue_rank(sys: LocalSystem) -> int:
-    """rank R, from transports along ``_spanning_tree`` (see the module
-    docstring): a tree edge e = (s, t) gives T_t = T_s U_e when reached
-    from s, T_s = T_t U_e^-1 from t.  Block column e of the r-row
-    matrix is T_s U_e - T_t, scaled to ints, for a non-tree edge, else 0."""
+    """rank R, from transports along the graph's stored breadth-first
+    tree (see the module docstring): a tree edge e = (s, t) gives
+    T_t = T_s U_e when reached from s, T_s = T_t U_e^-1 from t.  Block
+    column e of the r-row matrix is T_s U_e - T_t, scaled to ints, for a
+    non-tree edge, else 0."""
     g, r = sys.graph, sys.rank
     transports: list[Transport | None] = [None] * g.n
     transports[0] = ([{i: 1} for i in range(r)], 1)
     tree = [False] * g.m
-    for e, u, v in _spanning_tree(g.n, g.edges):
+    for e, u, v in g.tree:
         w = sys.transitions[e] if g.edges[e][0] == u else sys.transition_inverse(e)
         transports[v], tree[e] = _times(transports[u], w), True
     blocks: list[dict[int, int]] = [{} for _ in range(r)]
@@ -283,8 +267,7 @@ def _layered(sys: LocalSystem) -> bool:
         for i, (pairs, d) in enumerate(zip(u.nums, u.dens)))
 
 
-def _layered_kernel(a: Mat, n: int, r: int,
-                    edges: tuple[tuple[int, int], ...] | None = None) -> Subspace:
+def _layered_kernel(a: Mat, n: int, r: int, graph: DualGraph | None = None) -> Subspace:
     """ker A for upper unitriangular transitions, one frame component at a
     time on the scalar Laplacian (see the module docstring).
 
@@ -292,18 +275,29 @@ def _layered_kernel(a: Mat, n: int, r: int,
     int dicts over A's columns, starting from 1 in component r - 1.  At
     component i, row u of [B | L] is row (u, i) of A over its denominator:
     its component-i numerators are row u of L, and its dot product with
-    solution s is B's entry (u, s).  Given ``edges``, those of a graph with
-    one independent cycle, ``_cycle_kernel`` solves each component along
-    ``_spanning_tree``.  Otherwise the rows go to ``_turned_kernel``
-    already turned, vertex u at column n - 1 - u and s at n + k - 1 - s,
-    so the k coefficient columns are eliminated last.
+    solution s is B's entry (u, s).  Given the ``graph``, one with one
+    independent cycle, ``_cycle_kernel`` solves each component along the
+    graph's stored breadth-first tree; the cycle it needs, the one non-tree
+    edge (s, t), ``side`` and the cycle's length, is worked out here, once.
+    side[v] is 1 when v's subtree holds s but not t, -1 when it holds t
+    but not s, and then the tree edge above v is on the cycle.  Without
+    the graph the rows go to ``_turned_kernel`` already turned, vertex u
+    at column n - 1 - u and s at n + k - 1 - s, so the k coefficient
+    columns are eliminated last.
     """
+    if graph is not None:
+        (s, t), = [graph.edges[e] for e in set(range(n)) - {e for e, _, _ in graph.tree}]
+        side = [0] * n
+        side[s], side[t] = 1, -1
+        for _, u, v in reversed(graph.tree):
+            side[u] += side[v]
+        length = 1 + sum(map(abs, side))
     solutions = [{v * r + r - 1: 1 for v in range(n)}]
     last = n - 1
     for i in range(r - 2, -1, -1):
         k = len(solutions)
-        if edges is not None:
-            kernel = _cycle_kernel(a, n, r, i, solutions, edges)
+        if graph is not None:
+            kernel = _cycle_kernel(a, graph, r, i, solutions, side, length)
         else:
             work = []
             for u in range(last, -1, -1):
@@ -335,8 +329,8 @@ def _layered_kernel(a: Mat, n: int, r: int,
     return Subspace(_stack(n * r, _reduced(solutions, n * r)[0]))
 
 
-def _cycle_kernel(a: Mat, n: int, r: int, i: int, solutions: list[dict[int, int]],
-                  edges: tuple[tuple[int, int], ...]) -> list[list[tuple[int, int]]]:
+def _cycle_kernel(a: Mat, g: DualGraph, r: int, i: int, solutions: list[dict[int, int]],
+                  side: list[int], length: int) -> list[list[tuple[int, int]]]:
     """ker [B | L] at component i on a graph with one independent cycle, in
     the column pairs ``_turned_kernel`` gives, lambda_s at s and y_v at
     k + v; no L row is built and A's component-i entries are not read.
@@ -347,22 +341,16 @@ def _cycle_kernel(a: Mat, n: int, r: int, i: int, solutions: list[dict[int, int]
     when P = 1^T B is 0, else P_p e_s - P_s e_p for the first p with
     P_p != 0), L y = B lambda is solved as Kirchhoff did, and (-lambda, y)
     is a kernel vector.  With f the flow y_s - y_t on the non-tree edge
-    (s, t), y_v - y_parent along ``_spanning_tree`` is the sum S(v) of
-    B lambda over v's subtree, minus side[v] f: side[v] is 1 when the
-    subtree holds s but not t, -1 when it holds t but not s, and then the
-    tree edge above v is on the cycle.  Going round the cycle,
-    y_s - y_t = f forces f = sum of side[v] S(v) over the cycle's length.
+    (s, t), y_v - y_parent along the graph's stored tree is the sum S(v)
+    of B lambda over v's subtree, minus side[v] f, with ``side`` and the
+    cycle's ``length`` as ``_layered_kernel`` worked them out.  Going round
+    the cycle, y_s - y_t = f forces f = sum of side[v] S(v) over the length.
     With y_0 = 0 and all of it scaled to ints by q D, q the denominator of
     f, the kernel vector is (-q D lambda, y).  The constants in component
     i are the last one.
     """
-    tree = _spanning_tree(n, edges)
-    (s, t), = [edges[e] for e in set(range(n)) - {e for e, _, _ in tree}]
-    side = [0] * n
-    side[s], side[t] = 1, -1
-    for _, u, v in reversed(tree):
-        side[u] += side[v]
-    k, rows, length = len(solutions), range(i, n * r, r), 1 + sum(map(abs, side))
+    n, tree = g.n, g.tree
+    k, rows = len(solutions), range(i, n * r, r)
     big = lcm(*[a.dens[row] for row in rows])
     beta = [[big // a.dens[row]
              * sum([x * solution[c] for c, x in a.nums[row] if c in solution])
@@ -395,7 +383,7 @@ def _kernel_route(sys: LocalSystem) -> tuple[Mat, Mat, Subspace, Mat, Subspace, 
     Returns (delta, A, ker A, the images, the obstruction, H0).  ker A is
     ``_layered_kernel`` when ``_layered`` holds, on a graph with a cycle
     and the upper unitriangular transitions every constructor builds,
-    given the edges, for its spanning-tree route, exactly when m = n; and
+    given the graph, for its spanning-tree route, exactly when m = n; and
     ``nullspace(A)`` for a tree or any other system.  All give the
     kernel's unique RREF basis.  Row i of the images
     is delta(k_i) for kernel basis row k_i = K / e: entry p is s_p / d_p
@@ -414,7 +402,7 @@ def _kernel_route(sys: LocalSystem) -> tuple[Mat, Mat, Subspace, Mat, Subspace, 
     cob = coboundary_matrix(sys)
     a = system_matrix(sys)
     g = sys.graph
-    kernel = (_layered_kernel(a, g.n, sys.rank, g.edges if g.m == g.n else None)
+    kernel = (_layered_kernel(a, g.n, sys.rank, g if g.m == g.n else None)
               if _layered(sys) else nullspace(a))
     edges, e_all = cob.rows, lcm(*cob.dens)
     images, work = [], []

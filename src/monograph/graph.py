@@ -6,6 +6,12 @@ construction.  Parallel edges are allowed, loops are not: loops would break
 the column-sum invariant of the incidence matrix, and the curve
 configurations this models never produce them.  Construction rejects loops
 and disconnected graphs, so every ``DualGraph`` is a valid dual graph.
+
+The connectivity check is the package's one walk of a graph: a
+breadth-first search from vertex 0 that takes each vertex's edges in edge
+order.  The graph keeps what it found, each vertex's edge ends and the
+spanning tree, and ``cohomology`` carries R's transports and solves the
+one-cycle kernel along that tree instead of walking the graph again.
 """
 
 from __future__ import annotations
@@ -29,7 +35,15 @@ class DisconnectedError(GraphError):
 
 class DualGraph(Value):
     """A connected loop-free multigraph; vertices are the ints 0..n-1,
-    edges canonical (source, target)."""
+    edges canonical (source, target).
+
+    Besides its fields it keeps what its walk found: ``ends[u]``, u's edge
+    ends in edge order as (e, the far vertex, whether u is e's source), and
+    ``tree``, the breadth-first spanning tree as (e, u, v) for every other
+    vertex v, in the order the walk reaches it, along edge e from u.
+    Neither is a field, so equality, hash and repr see only n, edges and
+    labels.
+    """
 
     _fields = ("n", "edges", "labels")
 
@@ -51,25 +65,25 @@ class DualGraph(Value):
                 raise GraphError("%d labels for %d vertices"
                                  % (len(self.labels), self.n))
         # after the label check, so the messages name vertices by label
+        ends: list[list[tuple[int, int, bool]]] = [[] for _ in range(self.n)]
         for e, (s, t) in enumerate(self.edges):
             if s == t:
                 raise LoopEdgeError("edge %d is a loop at vertex %s"
                                     % (e, self.vertex_name(s)))
-        adjacency: list[list[int]] = [[] for _ in range(self.n)]
-        for s, t in self.edges:
-            adjacency[s].append(t)
-            adjacency[t].append(s)
-        seen = [False] * self.n
-        seen[0] = True
-        stack = [0]
-        while stack:
-            for w in adjacency[stack.pop()]:
-                if not seen[w]:
-                    seen[w] = True
-                    stack.append(w)
-        if not all(seen):
+            ends[s].append((e, t, True))
+            ends[t].append((e, s, False))
+        seen, queue, tree = [True] + [False] * (self.n - 1), [0], []
+        for u in queue:
+            for e, v, _ in ends[u]:
+                if not seen[v]:
+                    seen[v] = True
+                    tree.append((e, u, v))
+                    queue.append(v)
+        if len(queue) < self.n:
             missing = [self.vertex_name(v) for v, ok in enumerate(seen) if not ok]
             raise DisconnectedError("unreachable vertices: %s" % ", ".join(missing))
+        object.__setattr__(self, "ends", tuple(map(tuple, ends)))
+        object.__setattr__(self, "tree", tuple(tree))
 
     @property
     def m(self) -> int:

@@ -23,9 +23,10 @@ from .problem import check_cells
 def build_tate(m: int, gvals: Sequence[int | str | Fraction]) -> tuple[DualGraph, LocalSystem]:
     """Cycle graph on m >= 2 vertices with the rank-2 unipotent system."""
     values = vec(gvals)
-    if len(values) != m:
-        raise ValueError("%d cocycle values for a %d-cycle" % (len(values), m))
-    check_cells(m, m, 2)  # the cap of the defect document on the same cycle
+    if m >= 2:  # else cycle_graph refuses the cycle itself
+        if len(values) != m:
+            raise ValueError("%d cocycle values for a %d-cycle" % (len(values), m))
+        check_cells(m, m, 2)  # the cap of the defect document on the same cycle
     g = cycle_graph(m)
     return g, LocalSystem.unipotent_rank2(g, values)
 

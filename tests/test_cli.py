@@ -135,6 +135,13 @@ class TestTate:
         assert code == 2
         assert "error" in err
 
+    @pytest.mark.parametrize("m", ["0", "-1", "1"])
+    def test_short_cycle_refused_before_the_cocycle_count(self, capsys, m):
+        # the cycle's own message, not "1 cocycle values for a 0-cycle"
+        code, out, err = run_cli(capsys, ["tate", "--ord=" + m, "--g", "1,2"])
+        assert (code, out) == (2, "")
+        assert err == "error: cycle needs at least 2 vertices, got %s\n" % m
+
     def test_decimal_rejected(self, capsys):
         code, _, err = run_cli(capsys, ["tate", "--ord", "3", "--g", "1,0.5,1"])
         assert code == 2
@@ -464,8 +471,8 @@ class TestErrors:
         # as well as in the document
         real = cohomology._layered_kernel
 
-        def wrong(a, n, r, edges):
-            rows = [list(row) for row in dense(real(a, n, r, edges).basis)]
+        def wrong(a, n, r, graph):
+            rows = [list(row) for row in dense(real(a, n, r, graph).basis)]
             rows[0][-1] += 1
             return Subspace.from_vectors(a.cols, rows)
 

@@ -672,7 +672,7 @@ class TestLayeredKernel:
             assert cohomology._layered_kernel(a, sys.graph.n, sys.rank) == kernel
             if sys.graph.m == sys.graph.n:
                 assert cohomology._layered_kernel(a, sys.graph.n, sys.rank,
-                                                  sys.graph.edges) == kernel
+                                                  sys.graph) == kernel
             assert _kernel_route(sys)[2] == kernel
 
     def test_kernel_dimension_counts_coupled_layers(self):
@@ -970,7 +970,7 @@ def test_cycle_route_on_drawn_unicyclic_graphs(monkeypatch):
         kernel = nullspace(a)
         assert cohomology._layered_kernel(a, g.n, r) == kernel
         solves.clear()
-        assert cohomology._layered_kernel(a, g.n, r, g.edges) == kernel
+        assert cohomology._layered_kernel(a, g.n, r, g) == kernel
         assert _kernel_route(sys)[2] == kernel
         assert solves == [*range(r - 2, -1, -1)] * 2
         seen.update({r, "coupled" if coupled_layers(sys) else "uncoupled"})

@@ -24,6 +24,48 @@ def triangle():
     return cycle_graph(3)
 
 
+def spanning_tree(n, edges):
+    """The breadth-first spanning tree from vertex 0, each vertex's edges
+    taken in edge order: (e, u, v) for every other vertex v, in the order
+    the walk reaches it, along edge e from u."""
+    ends = [[] for _ in range(n)]
+    for e, (s, t) in enumerate(edges):
+        ends[s].append((e, t))
+        ends[t].append((e, s))
+    seen, queue, tree = [True] + [False] * (n - 1), [0], []
+    for u in queue:
+        for e, v in ends[u]:
+            if not seen[v]:
+                seen[v] = True
+                tree.append((e, u, v))
+                queue.append(v)
+    return tree
+
+
+def edge_ends(n, edges):
+    """Each vertex's edge ends in edge order, read off the edge list one
+    vertex at a time: (e, the far vertex, whether the vertex is e's source)."""
+    return [[(e, t if s == u else s, s == u) for e, (s, t) in enumerate(edges) if u in (s, t)]
+            for u in range(n)]
+
+
+def reachable(n, edges):
+    """The vertices joined to vertex 0, by growing the set to a fixed point."""
+    found, grown = {0}, True
+    while grown:
+        grown = False
+        for s, t in edges:
+            if (s in found) != (t in found):
+                found |= {s, t}
+                grown = True
+    return found
+
+
+def assert_walk(g):
+    assert [list(ends) for ends in g.ends] == edge_ends(g.n, g.edges)
+    assert list(g.tree) == spanning_tree(g.n, g.edges)
+
+
 class TestValidate:
     # construction is the validation: no DualGraph is a loop or disconnected
     def test_triangle_ok(self):
@@ -63,9 +105,81 @@ class TestValidate:
         with pytest.raises(DisconnectedError, match="unreachable vertices: c, d$"):
             DualGraph(4, ((0, 1),), labels=("a", "b", "c", "d"))
 
+    def test_every_missing_component_named_in_vertex_order(self):
+        # {0, 3} is reached; {1, 4} and {2, 5} are not, and the walk would
+        # never list them as 1, 2, 4, 5
+        edges = ((0, 3), (4, 1), (2, 5))
+        with pytest.raises(DisconnectedError, match="unreachable vertices: v1, v2, v4, v5$"):
+            DualGraph(6, edges)
+        with pytest.raises(DisconnectedError, match="unreachable vertices: b, c, e, f$"):
+            DualGraph(6, edges, labels="abcdef")
+        with pytest.raises(DisconnectedError, match="unreachable vertices: II, III, IV$"):
+            DualGraph(4, (), labels=("I", "II", "III", "IV"))
+
     def test_label_count_checked_before_loops(self):
         with pytest.raises(GraphError, match="1 labels for 2 vertices"):
             DualGraph(2, ((0, 0),), labels=("a",))
+
+
+class TestWalk:
+    """The walk construction keeps, against the oracles above: each
+    vertex's edge ends and the breadth-first spanning tree from vertex 0."""
+
+    @pytest.mark.parametrize("g", [
+        DualGraph(1, ()),
+        cycle_graph(2),
+        triangle(),
+        # vertex 0 a leaf, a parallel pair, and edges against the walk
+        DualGraph(5, ((1, 0), (2, 1), (1, 2), (3, 2), (1, 4), (4, 3))),
+    ], ids=["one vertex", "2-cycle", "triangle", "leaf 0"])
+    def test_hand_built(self, g):
+        assert_walk(g)
+
+    def test_leaf_zero_by_hand(self):
+        g = DualGraph(4, ((1, 0), (2, 1), (1, 3), (3, 2)))
+        assert g.ends[0] == ((0, 1, False),)
+        assert g.ends[1] == ((0, 0, True), (1, 2, False), (2, 3, True))
+        assert g.tree == ((0, 0, 1), (1, 1, 2), (2, 1, 3))
+
+    def test_drawn_multigraphs(self):
+        """Property: on drawn loop-free edge lists on 1..7 vertices, each
+        orientation drawn, a connected graph keeps the oracles' ends and
+        tree, and a disconnected one names every vertex the oracle cannot
+        reach, by label, in vertex order."""
+        pytest.importorskip("hypothesis")
+        from hypothesis import given, settings, strategies as st
+
+        @st.composite
+        def edge_lists(draw):
+            n = draw(st.integers(1, 7))
+            pairs = st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True)
+            return n, tuple(map(tuple, draw(st.lists(pairs, max_size=2 * n) if n > 1
+                                            else st.just([]))))
+
+        seen = set()
+
+        @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+        @given(edge_lists())
+        def check(drawn):
+            n, edges = drawn
+            labels = ["x%d" % (n - v) for v in range(n)]
+            found = reachable(n, edges)
+            if len(found) < n:
+                missing = [labels[v] for v in range(n) if v not in found]
+                with pytest.raises(DisconnectedError) as caught:
+                    DualGraph(n, edges, labels)
+                assert str(caught.value) == "unreachable vertices: " + ", ".join(missing)
+                seen.add("disconnected")
+                return
+            g = DualGraph(n, edges, labels)
+            assert_walk(g)
+            seen.update({"one vertex"} if n == 1 else ())
+            seen.update({"parallel"} if len(set(map(frozenset, edges))) < len(edges) else ())
+            seen.update({"leaf 0"} if n > 1 and len(g.ends[0]) == 1 else ())
+            seen.update({"reversed"} if any(s > t for s, t in edges) else ())
+
+        check()
+        assert seen == {"one vertex", "parallel", "leaf 0", "reversed", "disconnected"}
 
 
 class TestIncidence:

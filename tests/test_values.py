@@ -76,3 +76,19 @@ def test_repr_names_each_field():
             == "Mat(rows=1, cols=2, nums=(((0, 2), (1, 1)),), dens=(2,))")
     assert repr(Subspace.zero(2)) == "Subspace(basis=Mat(rows=0, cols=2, nums=(), dens=()))"
 
+
+
+@pytest.mark.parametrize("fields", [
+    (1, (), None),
+    (3, ((0, 1), (1, 2), (0, 2)), ("a", "b", "c")),
+    (4, ((1, 0), (2, 1), (1, 2), (3, 1)), None),
+])
+def test_graphs_with_the_same_fields_stay_equal(fields):
+    # each graph keeps its walk's ends and tree, which are not fields: two
+    # graphs built apart from the same fields are equal, hash alike and
+    # print alike, by their fields only
+    g, h = DualGraph(*fields), DualGraph(*fields)
+    assert g is not h and g == h and hash(g) == hash(h)
+    assert (g.ends, g.tree) == (h.ends, h.tree)
+    assert repr(g) == repr(h) == "DualGraph(n=%r, edges=%r, labels=%r)" % fields
+    assert hash(g) == hash(fields)
