@@ -115,3 +115,20 @@ def test_tate_64_cycle_digest(capsys):
     assert len(out.encode("utf-8")) == 223578
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == \
         "0bc949ce412cd0934451dd18c61a16838a34fdf738f97be195ec48880981597d"
+
+
+# signed, zero-padded and unreduced literals on the 9-cycle: the system,
+# kernel and image grids hold rows over denominators up to 108, with
+# integer-valued cells among their fractions; the last value 22/3 makes the
+# holonomy 0, and 11/4 makes it 55/12
+RATIONAL_TATE_G = "+3,-0,007,5/10,-7/3,+4/6,-12/8,0/5,"
+
+
+@pytest.mark.parametrize("last, digest", [
+    ("22/3", "8cf91be1b97ac75f14e32febadefd7bc5395e7fbc5400253d1f0b09ef5df4d44"),
+    ("11/4", "c5ac48c9ee198f3a9898a2bc09057a83b047a93da708e3eee5bf123194266c8c"),
+], ids=["holonomy-0", "holonomy-nonzero"])
+def test_tate_rational_digest(last, digest, capsys):
+    assert main(["tate", "--ord", "9", "--g=" + RATIONAL_TATE_G + last]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
