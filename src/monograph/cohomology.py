@@ -262,9 +262,15 @@ def _layered(sys: LocalSystem) -> bool:
     with (i, d) over d.  On a tree no component is coupled, so the route
     would carry r dense partial solutions through all r components, about
     n r^3 work, while A fills in little under ``nullspace``."""
-    return sys.graph.m >= sys.graph.n and all(
-        pairs[:1] == ((i, d),) for u in sys.transitions
-        for i, (pairs, d) in enumerate(zip(u.nums, u.dens)))
+    if sys.graph.m < sys.graph.n:
+        return False
+    for u in sys.transitions:
+        i = 0
+        for pairs, d in zip(u.nums, u.dens):
+            if not pairs or pairs[0] != (i, d):
+                return False
+            i += 1
+    return True
 
 
 def _layered_kernel(a: Mat, n: int, r: int, graph: DualGraph | None = None) -> Subspace:

@@ -15,6 +15,10 @@ stored entries as Fractions, for code at the edges; the routines here and
 the documents read the integer rows.  Fractions appear only at the
 boundary: ``rat``, ``vec`` and ``parse_rational`` read values in,
 ``render_rational`` writes one out, and ``det`` returns one.
+``parse_rational`` reads a plain integer literal, a sign and at most
+MAX_DIGITS ASCII digits, with ``int`` alone, the form of nearly every
+value in a problem file or a ``--g`` list; every other literal takes the
+one regular expression, so each refusal keeps its message.
 
 The product writes each row of the right operand over its denominator, so
 row i of the result is a sum of integer rows with integer coefficients over
@@ -118,10 +122,14 @@ def parse_rational(text: str) -> Fraction:
     through an input file, and so are the digit separators ('1_000') that
     Fraction itself would accept.  A numerator or denominator of more than
     MAX_DIGITS digits is refused too, with a message that names that limit.
-    The literal is matched once, and the Fraction is built from the ints
-    its two parts read as.
+    A sign and at most MAX_DIGITS ASCII digits read as ``Fraction(int(text))``
+    with no match; any other literal is matched once, and the Fraction is
+    built from the ints its two parts read as.
     """
     text = text.strip()
+    digits = text[1:] if text[:1] in ("+", "-") else text
+    if digits.isdigit() and digits.isascii() and len(digits) <= MAX_DIGITS:
+        return Fraction(int(text))
     if "." in text or "e" in text.lower():
         raise ValueError("bad rational literal %r: decimals are not accepted, "
                          "write an integer or p/q" % (text,))
@@ -176,8 +184,12 @@ def _lowest(pairs: Sequence[tuple[int, int]], d: int) -> tuple[Row, int]:
 
 def _reduce(acc: dict[int, int], d: int) -> tuple[Row, int]:
     """The row acc / d in lowest terms, for a {column: numerator} dict and
-    d > 0; zero numerators are dropped."""
-    return _lowest([(j, acc[j]) for j in sorted(acc) if acc[j]], d)
+    d > 0; zero numerators, which only a sum that cancelled leaves, are
+    dropped."""
+    pairs = sorted(acc.items())
+    if 0 in acc.values():
+        pairs = [(j, n) for j, n in pairs if n]
+    return _lowest(pairs, d)
 
 
 def _over_lcm(entries: Sequence[tuple[int, int, int]]) -> tuple[Row, int]:

@@ -79,17 +79,24 @@ class LocalSystem(Value):
 
         Each [[1, g_e], [0, 1]] is stored by its integer rows, the first
         over g_e's denominator q: (q, p) / q for g_e = p / q.  Its inverse
-        is [[1, -g_e], [0, 1]], stored the same way.
+        is [[1, -g_e], [0, 1]], stored the same way.  Every edge with
+        g_e = 0 shares one identity, its own inverse.
         """
         values = vec(gvals)
         if len(values) != g.m:
             raise ValueError("%d cocycle values for %d edges" % (len(values), g.m))
         second = ((1, 1),)
-        return cls(g, 2, tuple([
-            _mat(2, 2, (((0, ge.denominator), (1, ge.numerator)) if ge else ((0, 1),),
-                        second), (ge.denominator, 1)) for ge in values]), tuple([
-            _mat(2, 2, (((0, ge.denominator), (1, -ge.numerator)) if ge else ((0, 1),),
-                        second), (ge.denominator, 1)) for ge in values]))
+        flat = _mat(2, 2, (((0, 1),), second), (1, 1))
+        transitions, inverses = [], []
+        for ge in values:
+            p, q = ge.numerator, ge.denominator
+            if p:
+                transitions.append(_mat(2, 2, (((0, q), (1, p)), second), (q, 1)))
+                inverses.append(_mat(2, 2, (((0, q), (1, -p)), second), (q, 1)))
+            else:
+                transitions.append(flat)
+                inverses.append(flat)
+        return cls(g, 2, tuple(transitions), tuple(inverses))
 
     def transition_inverse(self, e: int) -> Mat:
         return self._inverses[e]  # type: ignore[attr-defined]
@@ -109,10 +116,11 @@ class LocalSystem(Value):
             # row i of u is a / d and v_i is p / q: the new row is over lcm(d, q)
             rows = []
             for pairs, d, x in zip(u.nums, u.dens, v):
-                e = lcm(d, x.denominator)
-                row = [(j, n * (e // d)) for j, n in pairs]
-                if x:
-                    row.append((r, x.numerator * (e // x.denominator)))
+                p, q = x.numerator, x.denominator
+                e = lcm(d, q)
+                row = list(pairs) if e == d else [(j, n * (e // d)) for j, n in pairs]
+                if p:
+                    row.append((r, p * (e // q)))
                 rows.append(_lowest(row, e))
             return _stack(r + 1, rows + [last])
 
@@ -120,8 +128,9 @@ class LocalSystem(Value):
             # [[W, -W v], [0, 1]] for W the inverse of u: with v = y / q over
             # q the lcm of its denominators, row i of W, a / d, gives the
             # integer row (q a, -a . y) over d q
-            q = lcm(*[x.denominator for x in v])
-            y = [x.numerator * (q // x.denominator) for x in v]
+            fractions = [(x.numerator, x.denominator) for x in v]
+            q = lcm(*[b for _, b in fractions])
+            y = [a * (q // b) for a, b in fractions]
             rows = []
             for pairs, d in zip(w.nums, w.dens):
                 row = [(j, n * q) for j, n in pairs] if q != 1 else list(pairs)

@@ -17,6 +17,7 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import chain, repeat
 from json.encoder import encode_basestring_ascii as encode
+from math import gcd
 from typing import Sequence
 
 from . import cohomology, tate
@@ -34,9 +35,11 @@ class Grid(list):
 
 def matrix_grid(m: Mat) -> list[list[str]]:
     """The rows of m as strings, rendered from its stored integer rows.  In
-    a row over 1 each entry is str of its numerator; any other entry is
-    reduced by one gcd in ``render_ratio``, so every cell reads as str of
-    its Fraction.  A number over the digit limit refuses the document."""
+    a row over 1 each entry is str of its numerator; any other entry n / d
+    is reduced by one gcd, as ``render_ratio`` does, so every cell reads as
+    str of its Fraction.  Only a cell whose n or d reaches the digit bound
+    goes through ``render_ratio`` itself, which refuses the document when
+    the reduced number is over the digit limit."""
     grid, bound = Grid(), DIGIT_BOUND
     for pairs, d in zip(m.nums, m.dens):
         row = ["0"] * m.cols
@@ -45,7 +48,11 @@ def matrix_grid(m: Mat) -> list[list[str]]:
                 row[j] = str(n) if -bound < n < bound else render_ratio(n, 1)
         else:
             for j, n in pairs:
-                row[j] = render_ratio(n, d)
+                if -bound < n < bound and d < bound:
+                    g = gcd(n, d)
+                    row[j] = str(n // d) if g == d else "%d/%d" % (n // g, d // g)
+                else:
+                    row[j] = render_ratio(n, d)
         grid.append(row)
     return grid
 

@@ -15,7 +15,7 @@ from typing import Sequence
 
 from .cohomology import _kernel_route
 from .graph import DualGraph, cycle_graph
-from .linalg import Value, vec
+from .linalg import Value, render_rational, vec
 from .localsystem import LocalSystem
 from .problem import check_cells
 
@@ -41,8 +41,9 @@ def holonomy(gvals: Sequence[Fraction]) -> Fraction:
     """
     if not gvals:
         raise ValueError("a cocycle of length 0 has no holonomy: a cycle has at least 2 edges")
-    d = lcm(*[x.denominator for x in gvals])
-    n = [x.numerator * (d // x.denominator) for x in gvals]
+    fractions = [(x.numerator, x.denominator) for x in gvals]
+    d = lcm(*[q for _, q in fractions])
+    n = [p * (d // q) for p, q in fractions]
     return Fraction(sum(n[:-1]) - n[-1], d)
 
 
@@ -71,9 +72,17 @@ def tate_report(m: int, gvals: Sequence[int | str | Fraction]) -> TateReport:
     is 2m minus the kernel dimension, so one kernel solve gives both, and
     ``_kernel_route`` checks that solve: a kernel basis vector outside
     ker A raises InternalCheckError.
+
+    The holonomy is computed once, right after the build, and bounded by
+    ``render_rational`` before the kernel is solved: one whose numerator or
+    denominator is over the digit limit is refused with the document's own
+    ValueError, where the kernel of such a cycle can take tens of seconds.
     """
     values = vec(gvals)
-    _, a, kernel, images, blocked, _ = _kernel_route(build_tate(m, values)[1])
+    sys = build_tate(m, values)[1]
+    total = holonomy(values)
+    render_rational(total)
+    _, a, kernel, images, blocked, _ = _kernel_route(sys)
     return TateReport(
         m=m,
         gvals=values,
@@ -84,7 +93,7 @@ def tate_report(m: int, gvals: Sequence[int | str | Fraction]) -> TateReport:
         rank=a.cols - kernel.dim,
         kernel=kernel,
         edge_images=images,
-        holonomy=holonomy(values),
+        holonomy=total,
         defect=blocked.dim,
         quotient_dim=min(blocked.dim, 1),
     )

@@ -4,6 +4,7 @@ import hashlib
 import io
 import json
 import os
+import random
 import subprocess
 import sys
 from fractions import Fraction
@@ -129,6 +130,19 @@ class TestTate:
         doc = json.loads(out)
         assert doc["tate"]["holonomy"] == "0"
         assert doc["tate"]["defect"] == 0
+
+    def test_one_build_one_holonomy_one_kernel(self, capsys, monkeypatch):
+        # the holonomy bound before the kernel reuses the build and the
+        # holonomy that the document prints
+        calls = []
+        for name in ("build_tate", "holonomy", "_kernel_route"):
+            def spy(*args, real=getattr(tate, name), name=name):
+                calls.append(name)
+                return real(*args)
+            monkeypatch.setattr(tate, name, spy)
+        code, _, _ = run_cli(capsys, ["tate", "--ord", "4", "--g", "1/2,1/3,1/6,1"])
+        assert code == 0
+        assert calls == ["build_tate", "holonomy", "_kernel_route"]
 
     def test_short_cycle_rejected(self, capsys):
         code, _, err = run_cli(capsys, ["tate", "--ord", "1", "--g", "1"])
@@ -549,12 +563,27 @@ class TestLimits:
         assert str(limit) in err and "sys." not in err
 
     def test_tate_holonomy_past_the_digit_limit(self, capsys):
-        # every value has at most MAX_DIGITS digits and the analysis runs,
-        # but the holonomy's numerator has about 8000
+        # every value has at most MAX_DIGITS digits, but the holonomy's
+        # numerator has about 8000, so the document is refused before its
+        # kernel is solved
         g = ",".join(("7" * 4000, "3" * 4000, "1/" + "9" * 4000))
         code, out, err = run_cli(capsys, ["tate", "--ord", "3", "--g", g])
         self.assert_refused(code, out, err, MAX_DIGITS)
         assert "numerator or denominator" in err
+
+    def test_tate_holonomy_refused_before_the_kernel(self, capsys, monkeypatch):
+        # six p/q values of about 800 digits each: every value and every cell
+        # of the system matrix is within the limit, but the holonomy's
+        # denominator, the lcm of the six denominators, has about 4800 digits
+        rng = random.Random(5)
+        g = ",".join("%d/%d" % (rng.randrange(10 ** 799, 10 ** 800),
+                                rng.randrange(10 ** 799, 10 ** 800)) for _ in range(6))
+        entered = []
+        monkeypatch.setattr(tate, "_kernel_route", entered.append)
+        code, out, err = run_cli(capsys, ["tate", "--ord", "6", "--g=" + g])
+        assert (code, out, entered) == (2, "", [])
+        assert err == ("error: a number in the document has a numerator or denominator "
+                       "over the digit limit of %d\n" % MAX_DIGITS)
 
     def test_long_literal_in_g(self, capsys):
         code, out, err = run_cli(capsys, ["tate", "--ord", "3", "--g", "1,2," + "5" * 5000])

@@ -1,7 +1,9 @@
 """The coboundary map, residue constraints, system matrix and obstruction."""
 
 import hashlib
+import itertools
 import random
+import types
 from fractions import Fraction
 from math import lcm
 
@@ -657,6 +659,31 @@ def _cycle_defect_family():
             if closed:
                 gvals[-1] = sum(gvals[:-1])
             yield cycle_system(gvals)
+
+
+def generator_layered(sys):
+    """_layered before its plain loop: one generator over every stored row.
+    The oracle of the loop."""
+    return sys.graph.m >= sys.graph.n and all(
+        pairs[:1] == ((i, d),) for u in sys.transitions
+        for i, (pairs, d) in enumerate(zip(u.nums, u.dens)))
+
+
+def test_layered_matches_the_generator_form():
+    unitriangular = [Mat.identity(2), Mat.from_rows([[1, "1/3"], [0, 1]]),
+                     Mat.from_rows([[1, -2], [0, 1]])]
+    other = [Mat.from_rows([[1, 2], [0, 0]]),   # an empty row
+             Mat.from_rows([[0, 1], [1, 0]]),   # a zero diagonal
+             Mat.from_rows([[1, 0], [5, 1]]),   # an entry left of the diagonal
+             Mat.from_rows([[2, 0], [0, 1]]), Mat.from_rows([["1/2", 1], [0, 1]])]
+    seen = set()
+    for graph in (cycle_graph(3), DualGraph(3, ((0, 1), (1, 2))), DualGraph(1, ())):
+        for u, v, w in itertools.product(unitriangular + other, repeat=3):
+            sys = types.SimpleNamespace(graph=graph, transitions=(u, v, w)[:graph.m])
+            expected = generator_layered(sys)
+            assert cohomology._layered(sys) == expected
+            seen.add(expected)
+    assert seen == {False, True}
 
 
 class TestLayeredKernel:

@@ -2,11 +2,12 @@
 
 from fractions import Fraction
 import random
+import re
 
 import pytest
 
-from monograph.linalg import (DimensionMismatch, Mat, Subspace, colspace, det,
-                              nullspace, parse_rational, rank, rat, rref)
+from monograph.linalg import (MAX_DIGITS, DimensionMismatch, Mat, Subspace, _lowest, _reduce,
+                              colspace, det, nullspace, parse_rational, rank, rat, rref)
 
 from test_linalg_oracle import dense
 
@@ -37,7 +38,59 @@ def in_span(space, v):
     return Subspace.from_vectors(space.ambient_dim, [*spanning, v]) == space
 
 
+_LITERAL = re.compile(r"([+-]?[0-9]+)(?:/([0-9]+))?")
+
+
+def regex_parse_rational(text):
+    """parse_rational before its integer path: every literal is matched by
+    the one expression.  The oracle of the fast path."""
+    text = text.strip()
+    if "." in text or "e" in text.lower():
+        raise ValueError("bad rational literal %r: decimals are not accepted, "
+                         "write an integer or p/q" % (text,))
+    literal = _LITERAL.fullmatch(text)
+    if not literal:
+        raise ValueError("bad rational literal %r: write an integer or p/q" % (text,))
+    p, q = literal.groups()
+    digits = max(len(p.lstrip("+-")), len(q or ""))
+    if digits > MAX_DIGITS:
+        raise ValueError("bad rational literal %r...: %d digits; the limit is %d"
+                         % (text[:12], digits, MAX_DIGITS))
+    try:
+        return Fraction(int(p)) if q is None else Fraction(int(p), int(q))
+    except ZeroDivisionError as exc:
+        raise ValueError("bad rational literal %r: %s" % (text, exc)) from None
+
+
+def parsed(parse, text):
+    """The value and its type, or the message of the ValueError."""
+    try:
+        value = parse(text)
+    except ValueError as exc:
+        return str(exc)
+    return type(value), value
+
+
+# literals on both sides of the integer path: signs, zeros, padding, blanks,
+# MAX_DIGITS and one more, digits that are not ASCII, separators, and the
+# zero-denominator literals of test_zero_denominator_message
+ORACLE_LITERALS = [
+    "0", "+0", "-0", "007", "-007", "+", "-", "", "  ", "+-1", "--1", "++1", "1 2", "+ 1",
+    " 12 ", "\t-3\n", "1_000", "\u0661", "\u00b2", "1\u00b2", "-\u0661", "\uff11\uff12",
+    "9" * MAX_DIGITS, "-" + "9" * MAX_DIGITS, "+" + "0" * MAX_DIGITS,
+    "9" * (MAX_DIGITS + 1), "-" + "9" * (MAX_DIGITS + 1), "1.5", "2e3", "2E3", "abc", "0x1f",
+    "3/", "/3", "-7/2", "4/6", "1/0", "-3/00", "+007/0", "9" * MAX_DIGITS + "/7",
+]
+
+
 class TestRationals:
+    def test_integer_path_matches_the_expression(self):
+        rng = random.Random(30)
+        drawn = ["".join(rng.choice("0123456789+-/ _.e\u0661\u00b2")
+                         for _ in range(rng.randint(0, 6))) for _ in range(3000)]
+        for text in ORACLE_LITERALS + drawn:
+            assert parsed(parse_rational, text) == parsed(regex_parse_rational, text), text
+
     def test_parse_integer_and_fraction(self):
         assert parse_rational("3") == F(3)
         assert parse_rational("-7/2") == F(-7, 2)
@@ -80,6 +133,23 @@ class TestRationals:
             tate_report(3, (1, 2, bad))
         with pytest.raises(error):
             Mat.from_rows([[1, bad]])
+
+
+def comprehension_reduce(acc, d):
+    """_reduce before it sorted the items: one lookup per column and a zero
+    test on every entry.  The oracle of the sorted form."""
+    return _lowest([(j, acc[j]) for j in sorted(acc) if acc[j]], d)
+
+
+def test_reduce_matches_the_comprehension_form():
+    rng = random.Random(31)
+    rows = [({}, 1), ({}, 6), ({3: 0, 1: 0}, 6), ({2: 0, 0: 4, 1: -6}, 2), ({5: 3, 1: 0}, 9)]
+    for _ in range(2000):
+        columns = rng.sample(range(12), rng.randint(0, 8))  # in no order
+        rows.append(({j: rng.choice((0, 0, 1, -1, 2, -3, 6, 12)) for j in columns},
+                     rng.choice((1, 2, 3, 6, 12))))
+    for acc, d in rows:
+        assert _reduce(acc, d) == comprehension_reduce(acc, d), (acc, d)
 
 
 class TestRref:

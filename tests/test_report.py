@@ -6,7 +6,7 @@ import pytest
 
 from monograph.cli import main
 from monograph.graph import DisconnectedError, LoopEdgeError
-from monograph.linalg import Mat, Subspace, colspace, nullspace
+from monograph.linalg import DIGIT_BOUND, Mat, Subspace, colspace, nullspace, render_ratio
 from monograph.problem import ProblemSpec, SystemSpec, load_problem, parse_spec
 from monograph.report import (Grid, matrix_grid, render_pretty, run, tate_document,
                               to_json)
@@ -192,9 +192,56 @@ class TestToJson:
         check()
 
 
+def render_ratio_grid(m):
+    """matrix_grid before its inline cells: ``render_ratio`` on every stored
+    cell.  The oracle of the inline form."""
+    grid = [["0"] * m.cols for _ in range(m.rows)]
+    for row, pairs, d in zip(grid, m.nums, m.dens):
+        for j, n in pairs:
+            row[j] = render_ratio(n, d)
+    return grid
+
+
+def rendered(render, m):
+    """The grid as lists, or the message of the ValueError."""
+    try:
+        return list(render(m))
+    except ValueError as exc:
+        return str(exc)
+
+
+B = DIGIT_BOUND
+# rows at the digit bound: numerators B - 1, B and B + 1, and denominators
+# B - 1, B and B + 1, each over a row that is in lowest terms; the row over
+# B has cells 2^4000 / B and 5^4000 / B, which reduce to within the bound
+BOUND_ROWS = [
+    ((((0, B - 1), (1, 1)),), (2,)), ((((0, -(B - 1)),),), (2,)),
+    ((((0, B), (1, 1)),), (2,)), ((((0, -B), (1, -1)),), (2,)),
+    ((((0, B + 1),),), (2,)), ((((0, -(B + 1)),),), (2,)),
+    ((((0, 1),),), (B - 1,)), ((((0, 1),),), (B,)), ((((0, -1),),), (B + 1,)),
+    ((((0, 2 ** 4000), (1, -5 ** 4000)),), (B,)),
+    ((((0, B - 1), (1, 1 - B)),), (1,)), ((((0, B),),), (1,)),
+]
+
+
 class TestGrids:
     """Grids render from the stored nonzeros; on every shape they must read
     as the dense rows would."""
+
+    def test_inline_cells_match_render_ratio(self):
+        # reducible and integer-valued cells in rows over d != 1, with
+        # negative numerators; then the rows at the digit bound, which refuse
+        # the grid exactly where render_ratio does
+        sample = [Mat.from_rows([["4/6", "-3/9", "6/3", "-8/4", 0, "5/7", "-21/7"],
+                                 ["-1/2", 3, "-5/4", 0, 0, 0, "7/8"]]),
+                  *[Mat(1, 2, nums, dens) for nums, dens in BOUND_ROWS],
+                  *matrices(4, 150)]
+        seen = set()
+        for m in sample:
+            expected = rendered(render_ratio_grid, m)
+            assert rendered(matrix_grid, m) == expected
+            seen.add(isinstance(expected, str))
+        assert seen == {False, True}
 
     @pytest.mark.parametrize("seed", range(2))
     def test_matrix_grid_matches_dense_rows(self, seed):
