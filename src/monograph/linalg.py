@@ -147,18 +147,23 @@ def parse_rational(text: str) -> Fraction:
         raise ValueError("bad rational literal %r: %s" % (text, exc)) from None
 
 
-def render_ratio(n: int, d: int) -> str:
-    """str(Fraction(n, d)) for d > 0, from ints: n and d divided by their
-    gcd.  Refused with ValueError when the reduced numerator or denominator
+def check_digits(n: int, d: int) -> None:
+    """Refuse n / d, in lowest terms with d > 0, with ValueError when n or d
     has more than MAX_DIGITS digits, so no document carries a longer number.
-    The ints are compared with DIGIT_BOUND before any str, so the refusal
-    does not depend on the interpreter's own int-to-str limit."""
-    if d != 1:
-        g = gcd(n, d)
-        n, d = n // g, d // g
+    The ints are compared with DIGIT_BOUND, with no str, so the refusal does
+    not depend on the interpreter's own int-to-str limit."""
     if not (-DIGIT_BOUND < n < DIGIT_BOUND and d < DIGIT_BOUND):
         raise ValueError("a number in the document has a numerator or denominator "
                          "over the digit limit of %d" % MAX_DIGITS)
+
+
+def render_ratio(n: int, d: int) -> str:
+    """str(Fraction(n, d)) for d > 0, from ints: n and d divided by their
+    gcd, and refused by ``check_digits`` before any str."""
+    if d != 1:
+        g = gcd(n, d)
+        n, d = n // g, d // g
+    check_digits(n, d)
     return str(n) if d == 1 else "%d/%d" % (n, d)
 
 

@@ -116,11 +116,10 @@ class LocalSystem(Value):
             # row i of u is a / d and v_i is p / q: the new row is over lcm(d, q)
             rows = []
             for pairs, d, x in zip(u.nums, u.dens, v):
-                p, q = x.numerator, x.denominator
-                e = lcm(d, q)
-                row = list(pairs) if e == d else [(j, n * (e // d)) for j, n in pairs]
-                if p:
-                    row.append((r, p * (e // q)))
+                e = lcm(d, x.denominator)
+                row = [(j, n * (e // d)) for j, n in pairs]
+                if x:
+                    row.append((r, x.numerator * (e // x.denominator)))
                 rows.append(_lowest(row, e))
             return _stack(r + 1, rows + [last])
 
@@ -128,9 +127,8 @@ class LocalSystem(Value):
             # [[W, -W v], [0, 1]] for W the inverse of u: with v = y / q over
             # q the lcm of its denominators, row i of W, a / d, gives the
             # integer row (q a, -a . y) over d q
-            fractions = [(x.numerator, x.denominator) for x in v]
-            q = lcm(*[b for _, b in fractions])
-            y = [a * (q // b) for a, b in fractions]
+            q = lcm(*[x.denominator for x in v])
+            y = [x.numerator * (q // x.denominator) for x in v]
             rows = []
             for pairs, d in zip(w.nums, w.dens):
                 row = [(j, n * q) for j, n in pairs] if q != 1 else list(pairs)

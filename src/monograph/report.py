@@ -37,22 +37,26 @@ def matrix_grid(m: Mat) -> list[list[str]]:
     """The rows of m as strings, rendered from its stored integer rows.  In
     a row over 1 each entry is str of its numerator; any other entry n / d
     is reduced by one gcd, as ``render_ratio`` does, so every cell reads as
-    str of its Fraction.  Only a cell whose n or d reaches the digit bound
-    goes through ``render_ratio`` itself, which refuses the document when
-    the reduced number is over the digit limit."""
+    str of its Fraction.  Only a cell whose n reaches the digit bound, or
+    every cell of a row whose d does, goes through ``render_ratio`` itself,
+    which refuses the document when the reduced number is over the digit
+    limit."""
     grid, bound = Grid(), DIGIT_BOUND
     for pairs, d in zip(m.nums, m.dens):
         row = ["0"] * m.cols
         if d == 1:
             for j, n in pairs:
                 row[j] = str(n) if -bound < n < bound else render_ratio(n, 1)
-        else:
+        elif d < bound:
             for j, n in pairs:
-                if -bound < n < bound and d < bound:
+                if -bound < n < bound:
                     g = gcd(n, d)
                     row[j] = str(n // d) if g == d else "%d/%d" % (n // g, d // g)
                 else:
                     row[j] = render_ratio(n, d)
+        else:
+            for j, n in pairs:
+                row[j] = render_ratio(n, d)
         grid.append(row)
     return grid
 

@@ -15,7 +15,7 @@ from typing import Sequence
 
 from .cohomology import _kernel_route
 from .graph import DualGraph, cycle_graph
-from .linalg import Value, render_rational, vec
+from .linalg import Value, check_digits, vec
 from .localsystem import LocalSystem
 from .problem import check_cells
 
@@ -41,9 +41,8 @@ def holonomy(gvals: Sequence[Fraction]) -> Fraction:
     """
     if not gvals:
         raise ValueError("a cocycle of length 0 has no holonomy: a cycle has at least 2 edges")
-    fractions = [(x.numerator, x.denominator) for x in gvals]
-    d = lcm(*[q for _, q in fractions])
-    n = [p * (d // q) for p, q in fractions]
+    d = lcm(*[x.denominator for x in gvals])
+    n = [x.numerator * (d // x.denominator) for x in gvals]
     return Fraction(sum(n[:-1]) - n[-1], d)
 
 
@@ -74,14 +73,14 @@ def tate_report(m: int, gvals: Sequence[int | str | Fraction]) -> TateReport:
     ker A raises InternalCheckError.
 
     The holonomy is computed once, right after the build, and bounded by
-    ``render_rational`` before the kernel is solved: one whose numerator or
+    ``check_digits`` before the kernel is solved: one whose numerator or
     denominator is over the digit limit is refused with the document's own
     ValueError, where the kernel of such a cycle can take tens of seconds.
     """
     values = vec(gvals)
     sys = build_tate(m, values)[1]
     total = holonomy(values)
-    render_rational(total)
+    check_digits(total.numerator, total.denominator)
     _, a, kernel, images, blocked, _ = _kernel_route(sys)
     return TateReport(
         m=m,

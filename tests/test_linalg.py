@@ -6,8 +6,9 @@ import re
 
 import pytest
 
-from monograph.linalg import (MAX_DIGITS, DimensionMismatch, Mat, Subspace, _lowest, _reduce,
-                              colspace, det, nullspace, parse_rational, rank, rat, rref)
+from monograph.linalg import (DIGIT_BOUND, MAX_DIGITS, DimensionMismatch, Mat, Subspace, _lowest,
+                              _reduce, check_digits, colspace, det, nullspace, parse_rational,
+                              rank, rat, render_ratio, rref)
 
 from test_linalg_oracle import dense
 
@@ -118,6 +119,21 @@ class TestRationals:
     def test_float_rejected(self):
         with pytest.raises(TypeError):
             rat(0.5)
+
+    @pytest.mark.parametrize("n, d", [(DIGIT_BOUND, 1), (-DIGIT_BOUND, 1), (1, DIGIT_BOUND),
+                                      (DIGIT_BOUND + 1, 7), (-5, DIGIT_BOUND * 3 + 1)])
+    def test_digit_check_refuses_what_render_ratio_refuses(self, n, d):
+        message = "a number in the document has a numerator or denominator " \
+                  "over the digit limit of %d" % MAX_DIGITS
+        for refuse in (lambda: check_digits(n, d), lambda: render_ratio(n, d)):
+            with pytest.raises(ValueError) as caught:
+                refuse()
+            assert str(caught.value) == message
+
+    @pytest.mark.parametrize("n, d", [(DIGIT_BOUND - 1, 1), (1 - DIGIT_BOUND, 1),
+                                      (1, DIGIT_BOUND - 1), (0, 1)])
+    def test_digit_check_passes_up_to_the_limit(self, n, d):
+        assert check_digits(n, d) is None
 
     @pytest.mark.parametrize("bad", ["1.5", "2e3", "1_000", "\u0661", True],
                              ids=["decimal", "exponent", "separator",
