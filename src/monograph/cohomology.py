@@ -28,14 +28,14 @@ k = dim ker A rows.  Two identities make that enough:
   A x = R delta(x) = 0;
 * ker delta lies inside ker A, so H0 is cut out of ker A by the images.
 
-For a kernel basis k_1, ..., k_k the k rows [delta(k_i) | k_i] are
-written as int rows, delta(k_i) from delta's stored rows over
-one denominator, and reduced once by ``linalg._reduced``, the forward
-pass and back substitution; no Mat is built for them.  The reduced rows
-that pivot in the edge part span delta(ker A); cut to the edge part and
-written over their pivots, they are its RREF.  The others are zero on the
-edge part, so they are the x in ker A with delta(x) = 0, and their vertex
-part is the RREF of H0.
+For a kernel basis k_1, ..., k_k the k rows [delta(k_i) | k_i] are written
+as int rows, delta(k_i) from delta's stored rows, each row over its own
+denominator, and reduced once by ``linalg._reduced``, the forward pass and
+back substitution; no Mat is built for them.  The reduced rows that pivot
+in the edge part span delta(ker A); cut to the edge part and written over
+their pivots, they are its RREF.  The others are zero on the edge part, so
+they are the x in ker A with delta(x) = 0, and their vertex part is the
+RREF of H0.
 
 ker A is solved one frame component at a time on the scalar Laplacian L.
 Unipotent coefficients are successive extensions of the trivial one, so
@@ -62,12 +62,21 @@ y_v - y_parent along the breadth-first spanning tree the graph keeps from
 its one walk (``DualGraph.tree``) is the sum of -B lambda over v's
 subtree, corrected by the flow on the one non-tree edge, and going round
 the cycle gives that flow by one division (``_cycle_kernel``).  With more
-cycles, [B | L] goes to ``_turned_kernel``.  On a tree no component is
-coupled (H0 has dimension r there), so the route carries r dense
-solutions through every component, while A, with no cycle to fill in, is
-no slower to eliminate whole.  So trees, and systems with any other
-transition, which only an explicit ``LocalSystem(...)`` builds, take
-``nullspace(A)``, back-solved from one forward pass over all of A.
+cycles, [B | L] goes to ``_turned_kernel``.  Both solvers take B from
+one function, ``_coupling``, as beta = D B over D, the lcm of the
+denominators d_u of A's rows (u, i), and solve ker [beta | L] with L the
+integer Laplacian: (lambda, y) is in it exactly when (D lambda, y) is in
+ker [B | L], so lambda is multiplied by D before the lift.  Only beta's
+k columns carry D.  The fraction-free entries of an elimination are
+minors of its input (Bareiss 1968), and a minor is linear in each
+column, so D enters each minor at most once; the rows (u, i) of A over
+their own d_u would put d_u into every Laplacian entry, and so into
+every minor again.  On a tree no component is coupled (H0 has dimension r
+there), so the route carries r dense solutions through every component,
+while A, with no cycle to fill in, is no slower to eliminate whole.  So
+trees, and systems with any other transition, which only an explicit
+``LocalSystem(...)`` builds, take ``nullspace(A)``, back-solved from one
+forward pass over all of A.
 
 R is not eliminated: with T_0 = I and T_s U_e = T_t along the same stored
 tree, which the graph walked once when it was built,
@@ -279,17 +288,23 @@ def _layered_kernel(a: Mat, n: int, r: int, graph: DualGraph | None = None) -> S
 
     The partial solutions over components i + 1, ..., r - 1 are primitive
     int dicts over A's columns, starting from 1 in component r - 1.  At
-    component i, row u of [B | L] is row (u, i) of A over its denominator:
-    its component-i numerators are row u of L, and its dot product with
-    solution s is B's entry (u, s).  Given the ``graph``, one with one
-    independent cycle, ``_cycle_kernel`` solves each component along the
-    graph's stored breadth-first tree; the cycle it needs, the one non-tree
-    edge (s, t), ``side`` and the cycle's length, is worked out here, once.
-    side[v] is 1 when v's subtree holds s but not t, -1 when it holds t
-    but not s, and then the tree edge above v is on the cycle.  Without
-    the graph the rows go to ``_turned_kernel`` already turned, vertex u
-    at column n - 1 - u and s at n + k - 1 - s, so the k coefficient
-    columns are eliminated last.
+    component i, ``_coupling`` gives D and beta = D B, and both solvers
+    return ker [beta | L], whose lambda part is multiplied by D before the
+    lift.  Row u of L is the component-i numerators of row (u, i) of A
+    divided by its denominator d_u, and the division is exact:
+    ``system_matrix`` writes the row over d with component-i entries
+    deg(u) d and -d per edge, and ``_lowest`` divides it by a g that
+    divides d, so those numerators are d_u times row u of L.  A corrupted
+    A can make the division inexact; each kernel vector it puts outside
+    ker A then fails the check A K^T = 0 in ``_kernel_route``.  Given the
+    ``graph``, one with one independent cycle, ``_cycle_kernel`` solves
+    each component along the graph's stored breadth-first tree; the cycle
+    it needs, the one non-tree edge (s, t), ``side`` and the cycle's
+    length, is worked out here, once.  side[v] is 1 when v's subtree holds
+    s but not t, -1 when it holds t but not s, and then the tree edge
+    above v is on the cycle.  Without the graph the rows go to
+    ``_turned_kernel`` already turned, vertex u at column n - 1 - u and s
+    at n + k - 1 - s, so the k coefficient columns are eliminated last.
     """
     if graph is not None:
         (s, t), = [graph.edges[e] for e in set(range(n)) - {e for e, _, _ in graph.tree}]
@@ -305,20 +320,17 @@ def _layered_kernel(a: Mat, n: int, r: int, graph: DualGraph | None = None) -> S
         if graph is not None:
             kernel = _cycle_kernel(a, graph, r, i, solutions, side, length)
         else:
+            big, beta = _coupling(a, r, i, solutions)
             work = []
             for u in range(last, -1, -1):
-                row, rest = {}, []
-                for c, x in a.nums[u * r + i]:
-                    if c % r == i:
-                        row[last - c // r] = x
-                    else:
-                        rest.append((c, x))
-                for s, solution in enumerate(solutions if rest else ()):
-                    b = sum([x * solution[c] for c, x in rest if c in solution])
-                    if b:
-                        row[last + k - s] = b
+                d = a.dens[u * r + i]
+                row = {last - c // r: x // d for c, x in a.nums[u * r + i] if c % r == i}
+                for s, b in enumerate(beta):
+                    if b[u]:
+                        row[last + k - s] = b[u]
                 work.append(row)
-            kernel = [pairs for pairs, _ in _turned_kernel(work, n + k)]
+            kernel = [[(j, y * big if j < k else y) for j, y in pairs]
+                      for pairs, _ in _turned_kernel(work, n + k)]
         lifted = []
         for pairs in kernel:
             # (lambda, y): y in component i plus the lambda_s solution_s
@@ -335,32 +347,40 @@ def _layered_kernel(a: Mat, n: int, r: int, graph: DualGraph | None = None) -> S
     return Subspace(_stack(n * r, _reduced(solutions, n * r)[0]))
 
 
+def _coupling(a: Mat, r: int, i: int,
+              solutions: list[dict[int, int]]) -> tuple[int, list[list[int]]]:
+    """(D, beta), B = beta / D at component i: entry u of beta_s is row
+    (u, i) of A, over its denominator d_u, dotted with solution s, which
+    holds no component-i entry, and put over D, the lcm of the d_u.  Both
+    solvers of ``_layered_kernel`` take B from here."""
+    rows = range(i, len(a.nums), r)
+    big = lcm(*[a.dens[row] for row in rows])
+    return big, [[big // a.dens[row]
+                  * sum([x * solution[c] for c, x in a.nums[row] if c in solution])
+                  for row in rows] for solution in solutions]
+
+
 def _cycle_kernel(a: Mat, g: DualGraph, r: int, i: int, solutions: list[dict[int, int]],
                   side: list[int], length: int) -> list[list[tuple[int, int]]]:
     """ker [B | L] at component i on a graph with one independent cycle, in
     the column pairs ``_turned_kernel`` gives, lambda_s at s and y_v at
     k + v; no L row is built and A's component-i entries are not read.
 
-    Column s of B is beta_s / D: row (u, i) of A dotted with solution s,
-    which holds no component-i entry, over the row's denominator, all put
-    over their lcm D.  For each lambda with 1^T B lambda = 0 (every e_s
-    when P = 1^T B is 0, else P_p e_s - P_s e_p for the first p with
-    P_p != 0), L y = B lambda is solved as Kirchhoff did, and (-lambda, y)
-    is a kernel vector.  With f the flow y_s - y_t on the non-tree edge
-    (s, t), y_v - y_parent along the graph's stored tree is the sum S(v)
-    of B lambda over v's subtree, minus side[v] f, with ``side`` and the
-    cycle's ``length`` as ``_layered_kernel`` worked them out.  Going round
-    the cycle, y_s - y_t = f forces f = sum of side[v] S(v) over the length.
-    With y_0 = 0 and all of it scaled to ints by q D, q the denominator of
-    f, the kernel vector is (-q D lambda, y).  The constants in component
-    i are the last one.
+    Column s of B is beta_s / D, from ``_coupling``.  For each lambda
+    with 1^T B lambda = 0 (every e_s when P = 1^T B is 0, else
+    P_p e_s - P_s e_p for the first p with P_p != 0), L y = B lambda is
+    solved as Kirchhoff did, and (-lambda, y) is a kernel vector.  With f
+    the flow y_s - y_t on the non-tree edge (s, t), y_v - y_parent along
+    the graph's stored tree is the sum S(v) of B lambda over v's subtree,
+    minus side[v] f, with ``side`` and the cycle's ``length`` as
+    ``_layered_kernel`` worked them out.  Going round the cycle,
+    y_s - y_t = f forces f = sum of side[v] S(v) over the length.  With
+    y_0 = 0 and all of it scaled to ints by q D, q the denominator of f,
+    the kernel vector is (-q D lambda, y).  The constants in component i
+    are the last one.
     """
-    n, tree = g.n, g.tree
-    k, rows = len(solutions), range(i, n * r, r)
-    big = lcm(*[a.dens[row] for row in rows])
-    beta = [[big // a.dens[row]
-             * sum([x * solution[c] for c, x in a.nums[row] if c in solution])
-             for row in rows] for solution in solutions]
+    n, tree, k = g.n, g.tree, len(solutions)
+    big, beta = _coupling(a, r, i, solutions)
     totals = [sum(b) for b in beta]
     p = next((s for s, total in enumerate(totals) if total), None)
     if p is None:
@@ -394,10 +414,11 @@ def _kernel_route(sys: LocalSystem) -> tuple[Mat, Mat, Subspace, Mat, Subspace, 
     kernel's unique RREF basis.  Row i of the images
     is delta(k_i) for kernel basis row k_i = K / e: entry p is s_p / d_p
     over e, s_p the dot product of delta's stored row p, over d_p, with K,
-    so the row is the ints s_p (E / d_p) over E e, E the lcm of delta's
-    row denominators.  The obstruction and H0 are read off the
-    int rows [delta(k_i) | k_i], eliminated and back-substituted once, as
-    the module docstring explains.
+    so the row is the ints s_p (E_i / d_p) over E_i e, E_i the lcm of the
+    d_p with s_p != 0, which is 1 when the image is zero.  The obstruction
+    and H0 are read off the int rows [delta(k_i) | k_i], each times its
+    own E_i e, eliminated and back-substituted once, as the module
+    docstring explains; scaling a row does not change what it spans.
 
     Each kernel basis row is checked first, A k_i = 0 or
     InternalCheckError, by dot products with A's stored rows over the one
@@ -410,7 +431,7 @@ def _kernel_route(sys: LocalSystem) -> tuple[Mat, Mat, Subspace, Mat, Subspace, 
     g = sys.graph
     kernel = (_layered_kernel(a, g.n, sys.rank, g if g.m == g.n else None)
               if _layered(sys) else nullspace(a))
-    edges, e_all = cob.rows, lcm(*cob.dens)
+    edges, dens = cob.rows, cob.dens
     images, work = [], []
     for pairs, e in zip(kernel.basis.nums, kernel.basis.dens):
         x = [0] * a.cols
@@ -424,16 +445,18 @@ def _kernel_route(sys: LocalSystem) -> tuple[Mat, Mat, Subspace, Mat, Subspace, 
                 raise InternalCheckError("a kernel basis vector of the system matrix is "
                                          "not in its kernel")
         stacked = {}
-        for p, (row, d) in enumerate(zip(cob.nums, cob.dens)):
+        for p, row in enumerate(cob.nums):
             s = 0
             for j, n in row:
                 s += n * x[j]
             if s:
-                stacked[p] = s * (e_all // d)
-        images.append(_lowest(list(stacked.items()), e_all * e))
-        # [delta(k_i) | k_i] times E e
+                stacked[p] = s
+        big = lcm(*[dens[p] for p in stacked])
+        stacked = {p: s * (big // dens[p]) for p, s in stacked.items()}
+        images.append(_lowest(list(stacked.items()), big * e))
+        # [delta(k_i) | k_i] times E_i e
         for j, n in pairs:
-            stacked[edges + j] = e_all * n
+            stacked[edges + j] = big * n
         work.append(stacked)
     blocked, sections = [], []
     for (pairs, q), c in zip(*_reduced(work, edges + cob.cols)):

@@ -19,7 +19,7 @@ from monograph.cohomology import InternalCheckError
 from monograph.linalg import MAX_DIGITS, DimensionMismatch, Mat, Subspace
 from monograph.problem import MAX_CELLS, MAX_LAYERS, parse_spec
 
-from test_linalg_oracle import dense
+from test_linalg_oracle import dense, path_with_chords
 
 TRIANGLE_TRIVIAL = "VERTICES\nI II III\nEDGES\nI II\nII III\nI III\n"
 TRIANGLE_124 = TRIANGLE_TRIVIAL + "SYSTEM\nunipotent2 1 2 4\n"
@@ -582,6 +582,27 @@ class TestLimits:
         monkeypatch.setattr(tate, "_kernel_route", entered.append)
         code, out, err = run_cli(capsys, ["tate", "--ord", "6", "--g=" + g])
         assert (code, out, entered) == (2, "", [])
+        assert err == ("error: a number in the document has a numerator or denominator "
+                       "over the digit limit of %d\n" % MAX_DIGITS)
+
+    def test_rational_many_cycle_graph_past_the_digit_limit(self, capsys, tmp_path):
+        # unipotent2 on the path plus chords, 201 independent cycles on 100
+        # vertices, each value p/q with 20-digit p and q: every input value
+        # and matrix cell is within the limit, but the obstruction row has
+        # about 5300 digits; ker A is solved first, one frame component at a
+        # time, on the integer Laplacian
+        n, m, digits = 100, 300, 20
+        edges, _ = path_with_chords(n, m, 1000 * n + m)
+        rng = random.Random(n + m + digits)
+        low, high = 10 ** (digits - 1), 10 ** digits
+        values = ["%d/%d" % (rng.choice((1, -1)) * rng.randrange(low, high),
+                             rng.randrange(low, high)) for _ in edges]
+        text = ("VERTICES\n" + "".join("v%d\n" % v for v in range(n)) + "EDGES\n"
+                + "".join("v%d v%d\n" % e for e in edges)
+                + "SYSTEM\nunipotent2 " + " ".join(values) + "\n")
+        code, out, err = run_cli(capsys, ["defect", "--input",
+                                          write(tmp_path, "chords.txt", text)])
+        assert (code, out) == (2, "")
         assert err == ("error: a number in the document has a numerator or denominator "
                        "over the digit limit of %d\n" % MAX_DIGITS)
 

@@ -5,7 +5,7 @@ import itertools
 import random
 import types
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 
 import pytest
 
@@ -18,7 +18,7 @@ from monograph.cohomology import (InternalCheckError, _kernel_route, coboundary_
                                   coboundary_matrix, h0, h1_dim, invariant_cycles_report,
                                   obstruction, residue_constraint_matrix, residue_kernel,
                                   residue_rank, system_matrix)
-from monograph.graph import DualGraph, cycle_graph
+from monograph.graph import DualGraph, cycle_graph, laplacian
 from monograph.linalg import Mat, Subspace, colspace, det, nullspace, rank, rowspace, rref
 from monograph.localsystem import EdgeCochain, LocalSystem, _inverse
 from monograph.problem import ProblemSpec, SystemSpec, parse_spec
@@ -686,6 +686,66 @@ def test_layered_matches_the_generator_form():
     assert seen == {False, True}
 
 
+def row_scaled_layered_kernel(a, n, r):
+    """ker A as ``_layered_kernel`` solved it on graphs with more than one
+    independent cycle before B was put over one denominator: row u of
+    [B | L] is row (u, i) of A over its own denominator d_u, split into its
+    component-i part, which is d_u times row u of L, and the rest, which
+    gives B's entries.  The oracle of the column-scaled route."""
+    solutions = [{v * r + r - 1: 1 for v in range(n)}]
+    last = n - 1
+    for i in range(r - 2, -1, -1):
+        k = len(solutions)
+        work = []
+        for u in range(last, -1, -1):
+            row, rest = {}, []
+            for c, x in a.nums[u * r + i]:
+                if c % r == i:
+                    row[last - c // r] = x
+                else:
+                    rest.append((c, x))
+            for s, solution in enumerate(solutions if rest else ()):
+                b = sum([x * solution[c] for c, x in rest if c in solution])
+                if b:
+                    row[last + k - s] = b
+            work.append(row)
+        lifted = []
+        for pairs, _ in linalg._turned_kernel(work, n + k):
+            x = {}
+            for j, y in pairs:
+                if j < k:
+                    for c, z in solutions[j].items():
+                        x[c] = x.get(c, 0) + y * z
+                else:
+                    x[(j - k) * r + i] = y
+            g = gcd(*x.values())
+            lifted.append({c: y // g for c, y in x.items() if y})
+        solutions = lifted
+    return Subspace(linalg._stack(n * r, linalg._reduced(solutions, n * r)[0]))
+
+
+def test_turned_kernel_receives_the_integer_laplacian(monkeypatch):
+    """On the chord system, whose rows of A have denominators d_u > 1,
+    every row ``_layered_kernel`` hands ``_turned_kernel`` holds row u of
+    the graph's integer Laplacian in its y columns, turned, not d_u times
+    it; the kernel is the row-scaled oracle's and nullspace(A)."""
+    sys = _chord_system()
+    g, r = sys.graph, sys.rank
+    a = system_matrix(sys)
+    assert any(d > 1 for d in a.dens)
+    calls, real = [], cohomology._turned_kernel
+    monkeypatch.setattr(cohomology, "_turned_kernel", lambda work, cols: calls.append(
+        [dict(row) for row in work]) or real(work, cols))
+    kernel = cohomology._layered_kernel(a, g.n, r)
+    lap, last = laplacian(g), g.n - 1
+    assert set(lap.dens) == {1} and len(calls) == r - 1
+    for work in calls:
+        # work holds vertex u = last, ..., 0, vertex v at column last - v
+        assert [{last - j: x for j, x in row.items() if j < g.n} for row in work[::-1]] \
+            == [dict(pairs) for pairs in lap.nums]
+    assert kernel == row_scaled_layered_kernel(a, g.n, r) == nullspace(a)
+
+
 class TestLayeredKernel:
     """ker A one frame component at a time, against nullspace(A), through
     ``_turned_kernel`` and, with one independent cycle, along the tree."""
@@ -929,8 +989,9 @@ def _draw_chain(draw, st, g):
 def test_layered_kernel_on_drawn_chains():
     """Property: on drawn unipotent2 or trivial bases with trivial
     extensions up to rank 4, on multigraphs with a single vertex and
-    parallel edges, the layered route gives nullspace(A), and dim ker A is
-    r minus the coupled layers."""
+    parallel edges, the layered route gives nullspace(A) and the
+    row-scaled oracle's kernel, and dim ker A is r minus the coupled
+    layers."""
     pytest.importorskip("hypothesis")
     from hypothesis import given, settings, strategies as st
 
@@ -947,7 +1008,7 @@ def test_layered_kernel_on_drawn_chains():
         a = system_matrix(sys)
         assert cohomology._layered(sys) == (sys.graph.m >= n)
         kernel = cohomology._layered_kernel(a, n, r)
-        assert kernel == nullspace(a)
+        assert kernel == nullspace(a) == row_scaled_layered_kernel(a, n, r)
         coupled = coupled_layers(sys)
         assert kernel.dim == r - coupled
         seen.update({r, "coupled" if coupled else "uncoupled",
@@ -1010,6 +1071,40 @@ def test_cycle_route_on_drawn_unicyclic_graphs(monkeypatch):
     check()
     assert seen == {1, 2, 3, 4, "coupled", "uncoupled", "parallel pair", "misses 0",
                     "pendant", "p/q"}
+
+
+def test_images_scaled_row_by_row_on_a_basis_that_is_not_rref(monkeypatch):
+    """``_kernel_route`` scales each row [delta(k_i) | k_i] by its own E_i,
+    the lcm of the denominators of delta's rows where delta(k_i) is not
+    zero.  Only an H0 vector that combines kernel rows whose images differ
+    in support and denominators tells a row scaled on both sides from one
+    scaled on the image side only.  So the kernel source returns the basis
+    h1 + w1, w2 - w1, -w2, h2 of ker A, not its RREF, on the direct sum of
+    two unipotent2 systems with cocycles over 2 and over 3 that vanish on
+    different edges: h1 and h2 are flat, delta(w1) and delta(w2) are not
+    zero, and h1 is the sum of the first three rows."""
+    g = DualGraph(4, ((0, 1), (1, 2), (2, 3), (3, 0), (0, 2)))
+    first = (Fraction(1, 2), 0, Fraction(3, 2), 0, Fraction(5, 2))
+    second = (0, Fraction(1, 3), Fraction(2, 3), Fraction(-1, 3), 0)
+    sys = LocalSystem(g, 4, tuple(
+        Mat.from_rows([[1, x, 0, 0], [0, 1, 0, 0], [0, 0, 1, y], [0, 0, 0, 1]])
+        for x, y in zip(first, second)))
+    a, cob = system_matrix(sys), coboundary_matrix(sys)
+    assert cohomology._layered(sys)
+    rows = dense(nullspace(a).basis)
+    images = [[sum(c * x for c, x in zip(row, k)) for row in dense(cob)] for k in rows]
+    flat = [k for k, image in zip(rows, images) if not any(image)]
+    (w1, one), (w2, two) = [(k, image) for k, image in zip(rows, images) if any(image)]
+    support = [{p for p, x in enumerate(image) if x} for image in (one, two)]
+    scales = [lcm(*[cob.dens[p] for p in rows]) for rows in support]
+    assert len(flat) == 2 and support[0] != support[1] and scales == [2, 3]
+    basis = [[h + w for h, w in zip(flat[0], w1)], [y - x for x, y in zip(w1, w2)],
+             [-x for x in w2], flat[1]]
+    monkeypatch.setattr(cohomology, "_layered_kernel",
+                        lambda *args: Subspace(Mat.from_rows(basis)))
+    report = invariant_cycles_report(sys)
+    assert (report.h0_basis, report.obstruction) == (h0(sys), obstruction(sys))
+    assert report.defect == 2 and report.h0_dim == 2
 
 
 RATIONAL_EXTENSION = ("VERTICES\na b c d\nEDGES\na b\nb c\nc d\nd a\na c\nSYSTEM\n"
