@@ -82,8 +82,18 @@ R is not eliminated: with T_0 = I and T_s U_e = T_t along the same stored
 tree, which the graph walked once when it was built,
 x -> sum of T_v x_v is onto Q^r, its kernel is spanned by R's (n - 1) r
 independent tree columns, and it sends the block of a non-tree edge e to
-(T_s U_e - T_t) U_e^-1, T_t^-1 T_s U_e being e's monodromy.  So
-``residue_rank`` adds the rank of those r-row blocks side by side.
+(T_s U_e - T_t) U_e^-1.  So rank R is (n - 1) r plus the rank of the
+c = m - n + 1 blocks T_s U_e - T_t side by side, and the report reads
+dim ker R off the cycle count c:
+
+* c = 0, a tree: there is no block, so R is injective and dim ker R = 0;
+* c = 1: the one block is (M - I) T_t, with M = T_s U_e T_t^-1 the
+  monodromy round the cycle, so its rank is r - dim ker (M - I).  A flat
+  section is fixed by its value at vertex 0, as x_v = T_v^-1 x_0, and is
+  flat on e exactly when M x_0 = x_0, so dim ker (M - I) = dim H0, and
+  dim ker R = m r - n r + dim H0 = dim H0, for every invertible system;
+* c >= 2: ``residue_rank`` carries the transports along the tree and
+  eliminates the r-row blocks.
 
 The free functions ``h0``, ``h1_dim``, ``coboundary_image``,
 ``residue_kernel`` and ``obstruction`` compute each space directly from
@@ -217,7 +227,9 @@ def residue_rank(sys: LocalSystem) -> int:
     tree (see the module docstring): a tree edge e = (s, t) gives
     T_t = T_s U_e when reached from s, T_s = T_t U_e^-1 from t.  Block
     column e of the r-row matrix is T_s U_e - T_t, scaled to ints, for a
-    non-tree edge, else 0."""
+    non-tree edge, else 0.  This is the general route, for any cycle
+    count; ``invariant_cycles_report`` calls it only on graphs with two or
+    more independent cycles, and reads the rank off the count below that."""
     g, r = sys.graph, sys.rank
     transports: list[Transport | None] = [None] * g.n
     transports[0] = ([{i: 1} for i in range(r)], 1)
@@ -403,7 +415,9 @@ def _cycle_kernel(a: Mat, g: DualGraph, r: int, i: int, solutions: list[dict[int
     return kernel + [[(k + v, 1) for v in range(n)]]
 
 
-def _kernel_route(sys: LocalSystem) -> tuple[Mat, Mat, Subspace, Mat, Subspace, Subspace]:
+def _kernel_route(sys: LocalSystem) -> tuple[Mat, Mat, Subspace,
+                                             list[tuple[list[tuple[int, int]], int]],
+                                             Subspace, Subspace]:
     """Assemble delta and A, solve ker A, and map it through delta.
 
     Returns (delta, A, ker A, the images, the obstruction, H0).  ker A is
@@ -415,10 +429,14 @@ def _kernel_route(sys: LocalSystem) -> tuple[Mat, Mat, Subspace, Mat, Subspace, 
     is delta(k_i) for kernel basis row k_i = K / e: entry p is s_p / d_p
     over e, s_p the dot product of delta's stored row p, over d_p, with K,
     so the row is the ints s_p (E_i / d_p) over E_i e, E_i the lcm of the
-    d_p with s_p != 0, which is 1 when the image is zero.  The obstruction
-    and H0 are read off the int rows [delta(k_i) | k_i], each times its
-    own E_i e, eliminated and back-substituted once, as the module
-    docstring explains; scaling a row does not change what it spans.
+    d_p with s_p != 0, which is 1 when the image is zero.  Each image row
+    is returned as it is, (pairs, E_i e) and not in lowest terms: only
+    ``tate_report`` prints the images, and reduces them there, while the
+    graph documents, whose image rows can hold thousands of digits, never
+    read them.  The obstruction and H0 are read off the int rows
+    [delta(k_i) | k_i], each times its own E_i e, eliminated and
+    back-substituted once, as the module docstring explains; scaling a row
+    does not change what it spans.
 
     Each kernel basis row is checked first, A k_i = 0 or
     InternalCheckError, by dot products with A's stored rows over the one
@@ -453,7 +471,7 @@ def _kernel_route(sys: LocalSystem) -> tuple[Mat, Mat, Subspace, Mat, Subspace, 
                 stacked[p] = s
         big = lcm(*[dens[p] for p in stacked])
         stacked = {p: s * (big // dens[p]) for p, s in stacked.items()}
-        images.append(_lowest(list(stacked.items()), big * e))
+        images.append((list(stacked.items()), big * e))
         # [delta(k_i) | k_i] times E_i e
         for j, n in pairs:
             stacked[edges + j] = big * n
@@ -464,7 +482,7 @@ def _kernel_route(sys: LocalSystem) -> tuple[Mat, Mat, Subspace, Mat, Subspace, 
             blocked.append(_lowest([(j, n) for j, n in pairs if j < edges], q))
         else:
             sections.append((tuple([(j - edges, n) for j, n in pairs]), q))
-    return (cob, a, kernel, _stack(edges, images), Subspace(_stack(edges, blocked)),
+    return (cob, a, kernel, images, Subspace(_stack(edges, blocked)),
             Subspace(_stack(cob.cols, sections)))
 
 
@@ -525,7 +543,10 @@ def invariant_cycles_report(sys: LocalSystem) -> CohomologyReport:
     [delta(k_i) | k_i], for the k kernel basis rows k_i, gives both
     bases (see the module docstring), so no matrix with a row per edge or
     vertex is built after ker A.  h1 then follows from the Euler
-    characteristic and dim ker R from ``residue_rank``, so nothing else is
+    characteristic, and dim ker R from the cycle count c = m - n + 1: 0 on
+    a tree, dim H0 on one cycle, where R's one non-tree block is
+    (M - I) T_t for the monodromy M (see the module docstring), and from
+    ``residue_rank``'s transports only when c >= 2.  So nothing else is
     eliminated.  The free functions h0, h1_dim, coboundary_image,
     residue_kernel and obstruction keep the direct route as an oracle.
 
@@ -542,7 +563,7 @@ def invariant_cycles_report(sys: LocalSystem) -> CohomologyReport:
     if not _factors(residue, cob, a):
         raise InternalCheckError("system matrix does not factor through the residue and "
                                  "coboundary matrices")
-    image_dim = g.n * r - sections.dim
+    image_dim, cycles = g.n * r - sections.dim, g.m - g.n + 1
     return CohomologyReport(
         h0_dim=sections.dim,
         h1_dim=g.m * r - image_dim,
@@ -553,7 +574,8 @@ def invariant_cycles_report(sys: LocalSystem) -> CohomologyReport:
         system=a,
         system_rank=g.n * r - kernel.dim,
         coboundary_image_dim=image_dim,
-        residue_kernel_dim=g.m * r - residue_rank(sys),
+        residue_kernel_dim=(g.m * r - residue_rank(sys) if cycles > 1
+                            else sections.dim if cycles else 0),
         defect=blocked.dim,
         exact=blocked.dim == 0,
     )

@@ -10,15 +10,17 @@ and disconnected graphs, so every ``DualGraph`` is a valid dual graph.
 The connectivity check is the package's one walk of a graph: a
 breadth-first search from vertex 0 that takes each vertex's edges in edge
 order.  The graph keeps what it found, each vertex's edge ends and the
-spanning tree, and ``cohomology`` carries R's transports and solves the
-one-cycle kernel along that tree instead of walking the graph again.
+spanning tree.  The incidence and Laplacian rows are read off the stored
+ends, and ``cohomology`` solves the one-cycle kernel, and carries R's
+transports on a graph with two or more independent cycles, along that tree
+instead of walking the graph again.
 """
 
 from __future__ import annotations
 
 from typing import Iterable
 
-from .linalg import Mat, Value, _integer_rows
+from .linalg import Mat, Value, _mat
 
 
 class GraphError(ValueError):
@@ -94,24 +96,26 @@ class DualGraph(Value):
 
 
 def incidence_matrix(g: DualGraph) -> Mat:
-    """n x m matrix: +1 at (source, e), -1 at (target, e)."""
-    rows: list[dict[int, int]] = [{} for _ in range(g.n)]
-    for e, (s, t) in enumerate(g.edges):
-        rows[s][e], rows[t][e] = 1, -1
-    return _integer_rows(rows, (1,) * g.n, g.m)
+    """n x m matrix: +1 at (source, e), -1 at (target, e).  Row u is u's
+    stored edge ends, already in edge order with no edge twice."""
+    rows = [tuple([(e, 1 if source else -1) for e, _, source in ends]) for ends in g.ends]
+    return _mat(g.n, g.m, tuple(rows), (1,) * g.n)
 
 
 def laplacian(g: DualGraph) -> Mat:
     """n x n matrix with vertex degrees on the diagonal and, off the
     diagonal, minus the number of edges between the two vertices, counted
     in ints.  Its kernel is the constant line, so its rank is n - 1: the
-    graph is connected."""
-    rows: list[dict[int, int]] = [{} for _ in range(g.n)]
-    for s, t in g.edges:
-        for u, w in ((s, t), (t, s)):
-            rows[u][u] = rows[u].get(u, 0) + 1
-            rows[u][w] = rows[u].get(w, 0) - 1
-    return _integer_rows(rows, (1,) * g.n, g.n)
+    graph is connected.  Row u is one count over u's stored edge ends, in
+    which parallel edges add up; a vertex with no ends, on the one-vertex
+    graph, has the empty row."""
+    rows = []
+    for u, ends in enumerate(g.ends):
+        row = {u: len(ends)} if ends else {}
+        for _, v, _ in ends:
+            row[v] = row.get(v, 0) - 1
+        rows.append(tuple(sorted(row.items())))
+    return _mat(g.n, g.n, tuple(rows), (1,) * g.n)
 
 
 def cycle_graph(m: int) -> DualGraph:

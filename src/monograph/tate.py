@@ -15,7 +15,7 @@ from typing import Sequence
 
 from .cohomology import _kernel_route
 from .graph import DualGraph, cycle_graph
-from .linalg import Value, check_digits, vec
+from .linalg import Value, _lowest, _stack, check_digits, vec
 from .localsystem import LocalSystem
 from .problem import check_cells
 
@@ -70,7 +70,9 @@ def tate_report(m: int, gvals: Sequence[int | str | Fraction]) -> TateReport:
     shadow of the one-dimensional quotient the example exhibits.  The rank
     is 2m minus the kernel dimension, so one kernel solve gives both, and
     ``_kernel_route`` checks that solve: a kernel basis vector outside
-    ker A raises InternalCheckError.
+    ker A raises InternalCheckError.  It returns the edge images as it
+    accumulated them, and they are put in lowest terms here, the one
+    document that prints them.
 
     The holonomy is computed once, right after the build, and bounded by
     ``check_digits`` before the kernel is solved: one whose numerator or
@@ -81,7 +83,7 @@ def tate_report(m: int, gvals: Sequence[int | str | Fraction]) -> TateReport:
     sys = build_tate(m, values)[1]
     total = holonomy(values)
     check_digits(total.numerator, total.denominator)
-    _, a, kernel, images, blocked, _ = _kernel_route(sys)
+    cob, a, kernel, images, blocked, _ = _kernel_route(sys)
     return TateReport(
         m=m,
         gvals=values,
@@ -91,7 +93,7 @@ def tate_report(m: int, gvals: Sequence[int | str | Fraction]) -> TateReport:
         det=Fraction(0),
         rank=a.cols - kernel.dim,
         kernel=kernel,
-        edge_images=images,
+        edge_images=_stack(cob.rows, [_lowest(pairs, d) for pairs, d in images]),
         holonomy=total,
         defect=blocked.dim,
         quotient_dim=min(blocked.dim, 1),

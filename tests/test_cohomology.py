@@ -377,7 +377,9 @@ def test_kernel_route_matches_the_product_route():
         assert cob == coboundary_matrix(sys) and a == system_matrix(sys)
         assert kernel == nullspace(a)
         product = cob @ kernel.basis.transpose()
-        assert images == product.transpose()
+        # the image rows as _kernel_route leaves them, not in lowest terms
+        assert [{j: Fraction(x, d) for j, x in pairs} for pairs, d in images] == \
+            list(map(dict, product.transpose().entries))
         assert blocked == colspace(product) == obstruction(sys)
         relations = nullspace(product)
         assert sections == rowspace(relations.basis @ kernel.basis) == h0(sys)
@@ -488,6 +490,81 @@ class TestResidueRank:
             report = invariant_cycles_report(sys)
             assert report.residue_kernel_dim == g.m * r - residue_rank(sys)
             assert (g.n * r, g.m * r) not in shapes and shapes
+
+
+def _few_cycle_graphs(rng):
+    """The one-vertex graph, the 2-vertex double edge, then drawn trees on
+    2..8 vertices, each edge in a drawn orientation, and about half of them
+    with one more edge, at a drawn place in the edge list, which may double
+    a tree edge: graphs with c = m - n + 1 = 0 or 1 independent cycles."""
+    yield DualGraph(1, ())
+    yield DualGraph(2, ((0, 1), (1, 0)))
+    for _ in range(40):
+        n = rng.randint(2, 8)
+        edges = []
+        for v in range(1, n):
+            u = rng.randrange(v)
+            edges.append((u, v) if rng.random() < 0.5 else (v, u))
+        if rng.random() < 0.5:
+            edges.insert(rng.randint(0, len(edges)), tuple(rng.sample(range(n), 2)))
+        yield DualGraph(n, tuple(edges))
+
+
+def _few_cycle_systems(seed):
+    """On each of ``_few_cycle_graphs``: unipotent2 with p/q values and up
+    to two extension layers, and explicit ``LocalSystem(...)`` ones of rank
+    1..3 whose transitions are drawn permutations or drawn invertible
+    rational matrices, as in ``_general_systems``."""
+    rng = random.Random(seed)
+    for g in _few_cycle_graphs(rng):
+        sys = LocalSystem.unipotent_rank2(g, [random_rational(rng) for _ in range(g.m)])
+        for _ in range(rng.randint(0, 2)):
+            sys = sys.extend_by_trivial(EdgeCochain(sys, tuple(
+                tuple(random_rational(rng) for _ in range(sys.rank)) for _ in range(g.m))))
+        yield sys
+        r = rng.randint(1, 3)
+        permutations = []
+        for _ in range(g.m):
+            image = rng.sample(range(r), r)
+            permutations.append(Mat.from_rows([[int(image[i] == j) for j in range(r)]
+                                               for i in range(r)]))
+        yield LocalSystem(g, r, tuple(permutations))
+        yield LocalSystem(g, r, tuple(
+            _invertible([Fraction(rng.randint(-3, 3), rng.randint(1, 3))
+                         for _ in range(r * r)], r) for _ in range(g.m)))
+
+
+class TestResidueKernelByCycleCount:
+    """dim ker R in the report is read off the cycle count on trees (0) and
+    on one-cycle graphs (dim H0); the transports and the elimination of R
+    are the oracle."""
+
+    def test_trees_and_one_cycle_graphs(self):
+        seen = set()
+        for sys in _few_cycle_systems(20263):
+            g, r = sys.graph, sys.rank
+            report = invariant_cycles_report(sys)
+            assert report.residue_kernel_dim == g.m * r - residue_rank(sys) \
+                == g.m * r - rank(residue_constraint_matrix(sys))
+            cycles = g.m - g.n + 1
+            seen.add((cycles, min(report.h0_dim, 1) + (report.h0_dim == r)))
+            seen.update({"one vertex"} if g.n == 1 else ())
+            seen.update({"double edge"} if len(set(map(frozenset, g.edges))) < g.m else ())
+            seen.update({"not triangular"} if not cohomology._layered(sys) and cycles else ())
+        # on one cycle, H0 of every size: 0, strictly between 0 and r, and r
+        assert {(0, 2), (1, 0), (1, 1), (1, 2), "one vertex", "double edge",
+                "not triangular"} <= seen
+
+    def test_no_transports_below_two_cycles(self, monkeypatch):
+        entered, times = [], cohomology._times
+        monkeypatch.setattr(cohomology, "_times",
+                            lambda *args: entered.append(args) or times(*args))
+        for sys in itertools.islice(_few_cycle_systems(7), 60):
+            invariant_cycles_report(sys)
+        assert not entered
+        square = DualGraph(4, ((0, 1), (1, 2), (2, 3), (3, 0), (0, 2)))
+        invariant_cycles_report(LocalSystem.unipotent_rank2(square, (1, "1/2", 0, -3, 2)))
+        assert entered
 
 
 def _recorder(monkeypatch, name, record):

@@ -9,7 +9,7 @@ from monograph.checks import random_connected_multigraph
 from monograph.graph import (DisconnectedError, DualGraph, GraphError,
                              LoopEdgeError, cycle_graph, incidence_matrix,
                              laplacian)
-from monograph.linalg import Mat, Subspace, nullspace, rank
+from monograph.linalg import Mat, Subspace, _integer_rows, nullspace, rank
 
 from test_linalg_oracle import dense
 
@@ -230,6 +230,49 @@ class TestLaplacian:
             assert rank(lap) == g.n - 1
             assert rank(incidence_matrix(g)) == g.n - 1
             assert nullspace(lap) == Subspace.from_vectors(g.n, [[1] * g.n])
+
+
+def oracle_incidence(g):
+    """The incidence matrix from one dict row per vertex, filled edge by
+    edge: the builder that reading the stored ends replaced."""
+    rows = [{} for _ in range(g.n)]
+    for e, (s, t) in enumerate(g.edges):
+        rows[s][e], rows[t][e] = 1, -1
+    return _integer_rows(rows, (1,) * g.n, g.m)
+
+
+def oracle_laplacian(g):
+    """The Laplacian from one dict row per vertex, each edge adding to both
+    of its rows: the builder that reading the stored ends replaced."""
+    rows = [{} for _ in range(g.n)]
+    for s, t in g.edges:
+        for u, w in ((s, t), (t, s)):
+            rows[u][u] = rows[u].get(u, 0) + 1
+            rows[u][w] = rows[u].get(w, 0) - 1
+    return _integer_rows(rows, (1,) * g.n, g.n)
+
+
+class TestBuildersAgainstDictRows:
+    """Both builders read the rows off ``DualGraph.ends``; the dict-row
+    builders above are their oracle, stored form included."""
+
+    def test_hand_built(self):
+        # the one-vertex graph's rows are empty: no stored zero
+        for g in (DualGraph(1, ()), cycle_graph(2), DualGraph(2, ((1, 0), (0, 1), (1, 0))),
+                  DualGraph(4, ((0, 1), (1, 0), (2, 1), (3, 1)))):
+            assert incidence_matrix(g) == oracle_incidence(g)
+            assert laplacian(g) == oracle_laplacian(g)
+
+    def test_drawn_multigraphs(self):
+        # random_connected_multigraph puts at most 3 edges between two vertices
+        rng, parallel = random.Random(3), set()
+        for _ in range(300):
+            g = random_connected_multigraph(rng, max_vertices=rng.choice((2, 3, 9)))
+            assert incidence_matrix(g) == oracle_incidence(g)
+            assert laplacian(g) == oracle_laplacian(g)
+            pairs = list(map(frozenset, g.edges))
+            parallel.add(max(map(pairs.count, pairs)))
+        assert {2, 3} <= parallel
 
 
 class TestCycleGraph:

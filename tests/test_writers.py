@@ -14,7 +14,7 @@ import inspect
 import random
 import sys
 
-from monograph import cohomology, graph, linalg, localsystem, report
+from monograph import cohomology, graph, linalg, localsystem, report, tate
 from monograph.checks import (random_connected_multigraph, random_rational,
                               random_unipotent_system)
 from monograph.cohomology import (coboundary_image, h0, h1_dim, invariant_cycles_report,
@@ -26,7 +26,7 @@ from monograph.tate import tate_report
 
 from test_linalg_oracle import matrices, structured_matrices
 
-MODULES = (linalg, cohomology, graph, localsystem)
+MODULES = (linalg, cohomology, graph, localsystem, tate)
 # the trusted constructor and the two linalg helpers that reach it
 TRUSTED = {"_mat", "_stack", "_integer_rows"}
 
