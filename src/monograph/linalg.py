@@ -91,6 +91,9 @@ _RATIONAL_LITERAL = re.compile(r"([+-]?[0-9]+)(?:/([0-9]+))?")
 MAX_DIGITS = 4000
 # the least int with more than MAX_DIGITS digits
 DIGIT_BOUND = 10 ** MAX_DIGITS
+# its negative, made once: a bound test that wrote -DIGIT_BOUND would build
+# a fresh 13,288-bit int each time
+NEG_DIGIT_BOUND = -DIGIT_BOUND
 
 
 class DimensionMismatch(Exception):
@@ -150,9 +153,10 @@ def parse_rational(text: str) -> Fraction:
 def check_digits(n: int, d: int) -> None:
     """Refuse n / d, in lowest terms with d > 0, with ValueError when n or d
     has more than MAX_DIGITS digits, so no document carries a longer number.
-    The ints are compared with DIGIT_BOUND, with no str, so the refusal does
-    not depend on the interpreter's own int-to-str limit."""
-    if not (-DIGIT_BOUND < n < DIGIT_BOUND and d < DIGIT_BOUND):
+    The ints are compared with NEG_DIGIT_BOUND and DIGIT_BOUND, both made
+    once at import, with no str, so the refusal does not depend on the
+    interpreter's own int-to-str limit."""
+    if not (NEG_DIGIT_BOUND < n < DIGIT_BOUND and d < DIGIT_BOUND):
         raise ValueError("a number in the document has a numerator or denominator "
                          "over the digit limit of %d" % MAX_DIGITS)
 

@@ -18,11 +18,12 @@ from fractions import Fraction
 from itertools import chain, repeat
 from json.encoder import encode_basestring_ascii as encode
 from math import gcd
+from operator import itemgetter
 from typing import Sequence
 
 from . import cohomology, tate
 from .graph import incidence_matrix, laplacian
-from .linalg import DIGIT_BOUND, Mat, render_ratio, render_rational
+from .linalg import DIGIT_BOUND, NEG_DIGIT_BOUND, Mat, render_ratio, render_rational
 from .problem import ProblemSpec
 
 GRAPH_COMMANDS = ("laplacian", "cohomology", "defect")
@@ -40,16 +41,17 @@ def matrix_grid(m: Mat) -> list[list[str]]:
     str of its Fraction.  Only a cell whose n reaches the digit bound, or
     every cell of a row whose d does, goes through ``render_ratio`` itself,
     which refuses the document when the reduced number is over the digit
-    limit."""
-    grid, bound = Grid(), DIGIT_BOUND
+    limit.  Both bounds are the ints ``linalg`` made at import, so no cell
+    test builds one."""
+    grid, low, bound = Grid(), NEG_DIGIT_BOUND, DIGIT_BOUND
     for pairs, d in zip(m.nums, m.dens):
         row = ["0"] * m.cols
         if d == 1:
             for j, n in pairs:
-                row[j] = str(n) if -bound < n < bound else render_ratio(n, 1)
+                row[j] = str(n) if low < n < bound else render_ratio(n, 1)
         elif d < bound:
             for j, n in pairs:
-                if -bound < n < bound:
+                if low < n < bound:
                     g = gcd(n, d)
                     row[j] = str(n // d) if g == d else "%d/%d" % (n // g, d // g)
                 else:
@@ -141,8 +143,12 @@ def to_json(doc: dict) -> str:
     the text that closes it.  A list of strings is written in one join, with
     no escaping when its text is printable ASCII without '"' or '\\'.  So is
     a ``Grid`` with no empty row, unscanned, as every matrix of a document
-    is; so is a list of non-empty dicts of str, as the echo's edges are.
-    Any other list of lists or dicts takes the generic path.
+    is.  So is a list of non-empty dicts of str that all have the first
+    one's keys, as the echo's edges do: the keys are sorted once, each key's
+    column is encoded in one pass, and each item is written through one
+    '{...}' template of the encoded keys, '%' escaped.  Any other list of
+    lists or dicts takes the generic path, as does one whose keys or values
+    are not all str.
     """
     out: list[str] = []
     stack = [(iter((("", doc),)), "")]
@@ -178,13 +184,16 @@ def to_json(doc: dict) -> str:
                     out.append("[" + nl + start + (end + sep + start).join(
                         [cell.join(row) for row in value]) + end + close)
                     continue
-                if type(value[0]) is dict and all([type(item) is dict and item
-                                                   for item in value]):
-                    inner = "," + nl + "  "
+                first = value[0].keys() if type(value[0]) is dict else None
+                if first and all([type(item) is dict and item.keys() == first
+                                  for item in value]):
                     try:  # each item is '{', its sorted "key": "value" lines, '}'
-                        out.append("[" + nl + sep.join(["{" + inner[1:] + inner.join(
-                            [encode(k) + ": " + encode(v) for k, v in sorted(item.items())])
-                            + nl + "}" for item in value]) + close)
+                        keys = sorted(first)
+                        template = "{" + nl + "  " + ("," + nl + "  ").join(
+                            [encode(k).replace("%", "%%") + ": %s" for k in keys]) + nl + "}"
+                        columns = [map(encode, map(itemgetter(k), value)) for k in keys]
+                        out.append("[" + nl + sep.join([template % cells for cells in zip(*columns)])
+                                   + close)
                         continue
                     except TypeError:  # a key or value that is not a str
                         pass

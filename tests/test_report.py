@@ -1,6 +1,7 @@
 """Report documents built directly, without going through the CLI."""
 
 import json
+from fractions import Fraction
 
 import pytest
 
@@ -103,7 +104,10 @@ class TestToJson:
         for value in (["a", c + "1"], {c: [c]}, [[c, "b"], {"k": "x" + c}]):
             assert to_json(value) == dumps(value)
 
-    @pytest.mark.parametrize("value", [1.5, (1, 2), {"a": [0.0]}, [[(1,)]]])
+    # and keys are str: a list of dicts with another key falls through to
+    # the generic path, which refuses it
+    @pytest.mark.parametrize("value", [1.5, (1, 2), {"a": [0.0]}, [[(1,)]], [{1: "a"}],
+                                       [{"a": "b", 1: "c"}], [{"a": "b"}, {1: "c"}]])
     def test_float_and_tuple_raise(self, value):
         with pytest.raises(TypeError):
             to_json(value)
@@ -127,9 +131,45 @@ class TestToJson:
         [{"from": 'a"', "to": "\\"}, {"from": "\u00e9", "to": "\n"}],
         [{"a": 1}], [{"a": None}], [{"a": ["b"]}], [{"a": {"b": "c"}}], [{}, {"a": "b"}],
         [{"a": "b"}, {}], [{"a": "b"}, "c"], ["c", {"a": "b"}], {"k": [{"a": "b"}]},
+        # '%' in keys and values: only the keys are part of the item template
+        [{"%s": "%d"}, {"%s": "%%"}], [{"%": "%(x)s", "a%%b": "%"}],
+        # the same keys in different insertion orders
+        [{"to": "b", "from": "a"}, {"from": "c", "to": "d"}, {"to": "e", "from": "f"}],
+        # one item with a key more or less than the first
+        [{"from": "a", "to": "b"}, {"from": "b", "to": "c", "via": "d"}],
+        [{"from": "a", "to": "b", "via": "d"}, {"from": "b", "to": "c"}],
+        [{"from": "a", "to": "b"}, {"from": "b", "too": "c"}],
+        # escaped and non-ASCII names, in keys and values
+        [{'q"': "\u00e9t\u00e9", "\\": "\n"}, {'q"': "\U0001f600", "\\": '"'}],
+        [{"\u00e9": "\x00", "\u2603": "\x7f"}, {"\u2603": "\\", "\u00e9": "a"}],
+        [{"a": "b"}, {"a": 1}], [{"a": "b"}, {"a": None}],
     ])
     def test_dict_lists(self, value):
         assert to_json(value) == dumps(value)
+
+    def test_drawn_dict_lists(self):
+        pytest.importorskip("hypothesis")
+        from hypothesis import given, settings, strategies as st
+
+        # lists of dicts that share one drawn key set, each item's keys in a
+        # drawn insertion order; in half the lists a value may be no str
+        plain = st.text("a0 /-%", max_size=3)
+        text = plain | st.builds("{}{}{}".format, plain, st.characters(), plain)
+
+        @st.composite
+        def dict_lists(draw):
+            keys = draw(st.lists(text, min_size=1, max_size=4, unique=True))
+            orders = st.permutations(keys)
+            values = text | st.integers(-3, 3) | st.none() if draw(st.booleans()) else text
+            return [{k: draw(values) for k in draw(orders)}
+                    for _ in range(draw(st.integers(1, 4)))]
+
+        @settings(deadline=None, max_examples=300)
+        @given(dict_lists())
+        def check(value):
+            assert to_json(value) == dumps(value)
+
+        check()
 
     def test_echo_with_escaped_labels(self):
         # JSON-form vertex names may hold what json escapes
@@ -213,7 +253,10 @@ def rendered(render, m):
 B = DIGIT_BOUND
 # rows at the digit bound: numerators B - 1, B and B + 1, and denominators
 # B - 1, B and B + 1, each over a row that is in lowest terms; the row over
-# B has cells 2^4000 / B and 5^4000 / B, which reduce to within the bound
+# B has cells 2^4000 / B and 5^4000 / B, which reduce to within the bound;
+# the integer rows hold both signs at B - 1, B and B + 1, and so do the rows
+# over 3, where B and -B stay over the bound in lowest terms (over 2 they
+# reduce to within it)
 BOUND_ROWS = [
     ((((0, B - 1), (1, 1)),), (2,)), ((((0, -(B - 1)),),), (2,)),
     ((((0, B), (1, 1)),), (2,)), ((((0, -B), (1, -1)),), (2,)),
@@ -221,7 +264,11 @@ BOUND_ROWS = [
     ((((0, 1),),), (B - 1,)), ((((0, 1),),), (B,)), ((((0, -1),),), (B + 1,)),
     ((((0, 2 ** 4000), (1, -5 ** 4000)),), (B,)),
     ((((0, B - 1), (1, 1 - B)),), (1,)), ((((0, B),),), (1,)),
+    ((((0, -B),),), (1,)), ((((0, -(B + 1)), (1, 1)),), (1,)),
+    ((((0, B),),), (3,)), ((((0, -B), (1, 1)),), (3,)),
 ]
+LIMIT_MESSAGE = ("a number in the document has a numerator or denominator over "
+                 "the digit limit of 4000")
 
 
 class TestGrids:
@@ -242,6 +289,16 @@ class TestGrids:
             assert rendered(matrix_grid, m) == expected
             seen.add(isinstance(expected, str))
         assert seen == {False, True}
+
+    @pytest.mark.parametrize("nums, dens", BOUND_ROWS)
+    def test_bound_rows_refuse_exactly_past_the_limit(self, nums, dens):
+        # the oracle is the reduced Fraction's digit counts, with no bound
+        # the package defines
+        cells = [Fraction(n, d) for pairs, d in zip(nums, dens) for _, n in pairs]
+        over = any(len(str(abs(x.numerator))) > 4000 or len(str(x.denominator)) > 4000
+                   for x in cells)
+        expected = LIMIT_MESSAGE if over else [[str(x) for x in cells] + ["0"] * (2 - len(cells))]
+        assert rendered(matrix_grid, Mat(1, 2, nums, dens)) == expected
 
     @pytest.mark.parametrize("seed", range(2))
     def test_matrix_grid_matches_dense_rows(self, seed):

@@ -5,11 +5,12 @@ from fractions import Fraction
 
 import pytest
 
-from monograph import checks
+from monograph import checks, linalg, localsystem, tate
 from monograph.checks import random_rational
 from monograph.cohomology import obstruction
-from monograph.graph import GraphError
+from monograph.graph import GraphError, cycle_graph
 from monograph.linalg import Mat, Subspace, colspace, det, rat, vec
+from monograph.localsystem import LocalSystem
 from monograph.tate import TateReport, build_tate, holonomy, tate_report
 
 from test_linalg import in_span
@@ -50,6 +51,23 @@ class TestBuildTate:
     def test_wrong_value_count(self):
         with pytest.raises(ValueError):
             build_tate(3, (1, 2))
+
+    def test_document_path_coerces_once(self, monkeypatch):
+        # tate_report reads its cocycle once; build_tate and unipotent_rank2
+        # still read ints and strings for library callers
+        gvals = (1, "-2", "4/6")
+        calls = []
+
+        def spy(values, real=linalg.vec):
+            calls.append(values)
+            return real(values)
+        for module in (tate, localsystem):
+            monkeypatch.setattr(module, "vec", spy)
+        report = tate_report(3, gvals)
+        assert calls == [gvals]
+        assert report.gvals == (F(1), F(-2), F(2, 3))
+        assert build_tate(3, gvals)[1] == LocalSystem.unipotent_rank2(cycle_graph(3), gvals)
+        assert len(calls) == 3
 
 
 class TestHolonomy:
