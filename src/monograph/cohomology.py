@@ -104,10 +104,11 @@ documents and ``monograph check`` get the same guard.  ``_kernel_route``,
 which serves ``invariant_cycles_report`` and the tate workbench, checks
 A K^T = 0 for the kernel basis K it solved, and
 ``invariant_cycles_report`` checks the factorization R.delta = A with
-``_factors``, which accumulates each row of R.delta from R's stored row
-and compares it with A's row entry by entry, so no product Mat is
-built.  A failure raises InternalCheckError: it can only mean a bug,
-never bad input, and the command line gives it its own exit status.
+``_factors``, which takes each row of R.delta from ``linalg._products``,
+the product's own row loop, and compares it with A's row entry by entry,
+so no product Mat is built.  A failure raises InternalCheckError: it can
+only mean a bug, never bad input, and the command line gives it its own
+exit status.
 A K^T = 0 shows that K lies inside ker A, not that K is all of ker A;
 the tests compare K with ``nullspace(A)`` for that.
 """
@@ -117,8 +118,9 @@ from __future__ import annotations
 from math import gcd, lcm
 
 from .graph import DualGraph
-from .linalg import (DimensionMismatch, Mat, Subspace, Value, _echelon, _integer_rows, _lowest,
-                     _mat, _reduced, _stack, _turned_kernel, colspace, nullspace, rank)
+from .linalg import (DimensionMismatch, Mat, Row, Subspace, Value, _echelon, _integer_rows,
+                     _lowest, _mat, _products, _reduced, _stack, _turned_kernel, colspace,
+                     nullspace, rank)
 from .localsystem import LocalSystem
 
 
@@ -439,10 +441,10 @@ def _kernel_route(sys: LocalSystem) -> tuple[Mat, Mat, Subspace,
     does not change what it spans.
 
     Each kernel basis row is checked first, A k_i = 0 or
-    InternalCheckError, by dot products with A's stored rows over the one
-    dense copy of k_i that delta's rows read next.  ``a @
-    kernel.basis.transpose()`` would build the transpose and reduce every
-    product row, about ten times the cost when dim ker A is 1 or 2.
+    InternalCheckError: ``_dots`` takes the products of A's stored rows
+    with one dense copy of k_i, and then those of delta's rows, the s_p.
+    ``a @ kernel.basis.transpose()`` would build the transpose and reduce
+    every product row, about ten times the cost when dim ker A is 1 or 2.
     """
     cob = coboundary_matrix(sys)
     a = system_matrix(sys)
@@ -455,20 +457,10 @@ def _kernel_route(sys: LocalSystem) -> tuple[Mat, Mat, Subspace,
         x = [0] * a.cols
         for j, n in pairs:
             x[j] = n
-        for row in a.nums:
-            s = 0
-            for j, n in row:
-                s += n * x[j]
-            if s:
-                raise InternalCheckError("a kernel basis vector of the system matrix is "
-                                         "not in its kernel")
-        stacked = {}
-        for p, row in enumerate(cob.nums):
-            s = 0
-            for j, n in row:
-                s += n * x[j]
-            if s:
-                stacked[p] = s
+        if _dots(a.nums, x):
+            raise InternalCheckError("a kernel basis vector of the system matrix is "
+                                     "not in its kernel")
+        stacked = _dots(cob.nums, x)
         big = lcm(*[dens[p] for p in stacked])
         stacked = {p: s * (big // dens[p]) for p, s in stacked.items()}
         images.append((list(stacked.items()), big * e))
@@ -486,30 +478,36 @@ def _kernel_route(sys: LocalSystem) -> tuple[Mat, Mat, Subspace,
             Subspace(_stack(cob.cols, sections)))
 
 
+def _dots(rows: tuple[Row, ...], x: list[int]) -> dict[int, int]:
+    """{p: s_p} for the nonzero dot products s_p of the stored rows with the
+    dense int vector x."""
+    out = {}
+    for p, row in enumerate(rows):
+        s = 0
+        for j, n in row:
+            s += n * x[j]
+        if s:
+            out[p] = s
+    return out
+
+
 def _factors(residue: Mat, cob: Mat, a: Mat) -> bool:
     """Whether residue @ cob == a, row by row, with no product built.
 
-    Row i of R is x / d, row k of delta y_k / e_k: as in ``Mat.__matmul__``,
-    acc = sum of x_k (e / e_k) y_k over the lcm e of the e_k that row i
-    stores, so product row i is acc / (d e).  Each entry n / d_A that A's
-    row i stores must satisfy acc[j] d_A = n d e, and every other entry of
-    acc must be zero.  R.cols != delta.rows raises DimensionMismatch, as
-    the product would; any other shape mismatch is a failed check.
+    ``linalg._products`` gives product row i as acc / (d e), the loop
+    ``Mat.__matmul__`` runs, with no row put in lowest terms.  Each entry
+    n / d_A that A's row i stores must satisfy acc[j] d_A = n d e, and
+    every other entry of acc must be zero.  Both shapes are checked before
+    the rows are compared, so a short R cannot end the comparison early:
+    R.cols != delta.rows raises DimensionMismatch, as the product would,
+    and any other shape mismatch is a failed check.
     """
     if residue.cols != cob.rows:
         raise DimensionMismatch("multiply %dx%d by %dx%d"
                                 % (residue.rows, residue.cols, cob.rows, cob.cols))
     if residue.rows != a.rows or cob.cols != a.cols:
         return False
-    right, right_dens = cob.nums, cob.dens
-    for pairs, d, a_pairs, d_a in zip(residue.nums, residue.dens, a.nums, a.dens):
-        e = lcm(*[right_dens[k] for k, _ in pairs])
-        acc: dict[int, int] = {}
-        for k, x in pairs:
-            c = x * (e // right_dens[k]) if e != 1 else x
-            for j, y in right[k]:
-                acc[j] = acc[j] + c * y if j in acc else c * y
-        scale = d * e
+    for (acc, scale), a_pairs, d_a in zip(_products(residue, cob), a.nums, a.dens):
         for j, n in a_pairs:
             if acc.pop(j, 0) * d_a != n * scale:
                 return False

@@ -22,7 +22,9 @@ one regular expression, so each refusal keeps its message.
 
 The product writes each row of the right operand over its denominator, so
 row i of the result is a sum of integer rows with integer coefficients over
-d_i times the lcm of the right denominators it meets.
+d_i times the lcm of the right denominators it meets.  ``_products`` is
+that one row loop; ``Mat.__matmul__`` puts its rows in lowest terms, and
+the factorization check in ``cohomology`` compares them with A's rows.
 
 All elimination runs through one forward pass, ``_echelon``, over integer
 rows: {column: nonzero numerator} dicts, which it first divides by their
@@ -79,7 +81,7 @@ import re
 from bisect import bisect
 from fractions import Fraction
 from math import gcd, lcm, prod
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 Vector = tuple[Fraction, ...]
 # one stored row: its nonzero (column, numerator) pairs in column order
@@ -177,6 +179,12 @@ def render_rational(x: Fraction) -> str:
 
 
 def vec(values: Iterable[int | str | Fraction]) -> Vector:
+    """The values as a tuple of Fractions, each read by ``rat``.  A tuple
+    whose items are all exact Fractions is returned as it is, after one
+    scan of their types, so a vector read once is not read again; any
+    other input, a Fraction subclass among them, goes through ``rat``."""
+    if type(values) is tuple and set(map(type, values)) <= {Fraction}:
+        return values
     return tuple([rat(v) for v in values])
 
 
@@ -325,27 +333,32 @@ class Mat(Value):
         return _stack(self.rows, list(map(_over_lcm, out)))
 
     def __matmul__(self, other: Mat) -> Mat:
-        """The product, accumulated over Python ints.
-
-        Row i of self is x / d and row k of other is y_k / e_k.  Over the
-        lcm e of the e_k for the k that row i stores, product row i is
-        sum of x_k (e / e_k) y_k, an integer row, over d e; it is then put
-        in lowest terms.
-        """
+        """The product: each row that ``_products`` accumulates, put in
+        lowest terms."""
         if self.cols != other.rows:
             raise DimensionMismatch("multiply %dx%d by %dx%d"
                                     % (self.rows, self.cols, other.rows, other.cols))
-        right, right_dens = other.nums, other.dens
-        out = []
-        for pairs, d in zip(self.nums, self.dens):
-            e = lcm(*[right_dens[k] for k, _ in pairs])
-            acc: dict[int, int] = {}
-            for k, x in pairs:
-                c = x * (e // right_dens[k]) if e != 1 else x
-                for j, y in right[k]:
-                    acc[j] = acc[j] + c * y if j in acc else c * y
-            out.append(_reduce(acc, d * e))
-        return _stack(other.cols, out)
+        return _stack(other.cols, [_reduce(acc, q) for acc, q in _products(self, other)])
+
+
+def _products(left: Mat, right: Mat) -> Iterator[tuple[dict[int, int], int]]:
+    """Each row of left @ right, for left.cols == right.rows, as (acc, q):
+    a {column: numerator} dict over q, not in lowest terms, and holding
+    the zeros of any sum that cancelled.
+
+    Row i of left is x / d and row k of right is y_k / e_k.  Over the lcm
+    e of the e_k for the k that row i stores, product row i is the integer
+    row sum of x_k (e / e_k) y_k, over q = d e.
+    """
+    nums, dens = right.nums, right.dens
+    for pairs, d in zip(left.nums, left.dens):
+        e = lcm(*[dens[k] for k, _ in pairs])
+        acc: dict[int, int] = {}
+        for k, x in pairs:
+            c = x * (e // dens[k]) if e != 1 else x
+            for j, y in nums[k]:
+                acc[j] = acc[j] + c * y if j in acc else c * y
+        yield acc, d * e
 
 
 def _checked(m: Mat) -> Mat:

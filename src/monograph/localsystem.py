@@ -82,11 +82,7 @@ class LocalSystem(Value):
         is [[1, -g_e], [0, 1]], stored the same way.  Every edge with
         g_e = 0 shares one identity, its own inverse.
         """
-        return cls._unipotent(g, vec(gvals))
-
-    @classmethod
-    def _unipotent(cls, g: DualGraph, values: Vector) -> LocalSystem:
-        """``unipotent_rank2`` on values that are Fractions already."""
+        values = vec(gvals)
         if len(values) != g.m:
             raise ValueError("%d cocycle values for %d edges" % (len(values), g.m))
         second = ((1, 1),)

@@ -49,16 +49,13 @@ def matrix_grid(m: Mat) -> list[list[str]]:
         if d == 1:
             for j, n in pairs:
                 row[j] = str(n) if low < n < bound else render_ratio(n, 1)
-        elif d < bound:
+        else:
             for j, n in pairs:
-                if low < n < bound:
+                if low < n < bound and d < bound:
                     g = gcd(n, d)
                     row[j] = str(n // d) if g == d else "%d/%d" % (n // g, d // g)
                 else:
                     row[j] = render_ratio(n, d)
-        else:
-            for j, n in pairs:
-                row[j] = render_ratio(n, d)
         grid.append(row)
     return grid
 

@@ -15,24 +15,20 @@ from typing import Sequence
 
 from .cohomology import _kernel_route
 from .graph import DualGraph, cycle_graph
-from .linalg import Value, Vector, _lowest, _stack, check_digits, vec
+from .linalg import Value, _lowest, _stack, check_digits, vec
 from .localsystem import LocalSystem
 from .problem import check_cells
 
 
 def build_tate(m: int, gvals: Sequence[int | str | Fraction]) -> tuple[DualGraph, LocalSystem]:
     """Cycle graph on m >= 2 vertices with the rank-2 unipotent system."""
-    return _cycle_system(m, vec(gvals))
-
-
-def _cycle_system(m: int, values: Vector) -> tuple[DualGraph, LocalSystem]:
-    """``build_tate`` on values that are Fractions already."""
+    values = vec(gvals)
     if m >= 2:  # else cycle_graph refuses the cycle itself
         if len(values) != m:
             raise ValueError("%d cocycle values for a %d-cycle" % (len(values), m))
         check_cells(m, m, 2)  # the cap of the defect document on the same cycle
     g = cycle_graph(m)
-    return g, LocalSystem._unipotent(g, values)
+    return g, LocalSystem.unipotent_rank2(g, values)
 
 
 def holonomy(gvals: Sequence[Fraction]) -> Fraction:
@@ -83,8 +79,8 @@ def tate_report(m: int, gvals: Sequence[int | str | Fraction]) -> TateReport:
     denominator is over the digit limit is refused with the document's own
     ValueError, where the kernel of such a cycle can take tens of seconds.
     """
-    values = vec(gvals)  # the one coercion of the document path
-    sys = _cycle_system(m, values)[1]
+    values = vec(gvals)
+    sys = build_tate(m, values)[1]
     total = holonomy(values)
     check_digits(total.numerator, total.denominator)
     cob, a, kernel, images, blocked, _ = _kernel_route(sys)

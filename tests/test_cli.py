@@ -135,14 +135,14 @@ class TestTate:
         # the holonomy bound before the kernel reuses the build and the
         # holonomy that the document prints
         calls = []
-        for name in ("_cycle_system", "holonomy", "_kernel_route"):
+        for name in ("build_tate", "holonomy", "_kernel_route"):
             def spy(*args, real=getattr(tate, name), name=name):
                 calls.append(name)
                 return real(*args)
             monkeypatch.setattr(tate, name, spy)
         code, _, _ = run_cli(capsys, ["tate", "--ord", "4", "--g", "1/2,1/3,1/6,1"])
         assert code == 0
-        assert calls == ["_cycle_system", "holonomy", "_kernel_route"]
+        assert calls == ["build_tate", "holonomy", "_kernel_route"]
 
     def test_short_cycle_rejected(self, capsys):
         code, _, err = run_cli(capsys, ["tate", "--ord", "1", "--g", "1"])

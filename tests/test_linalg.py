@@ -8,7 +8,7 @@ import pytest
 
 from monograph.linalg import (DIGIT_BOUND, MAX_DIGITS, DimensionMismatch, Mat, Subspace, _lowest,
                               _reduce, check_digits, colspace, det, nullspace, parse_rational,
-                              rank, rat, render_ratio, rref)
+                              rank, rat, render_ratio, rref, vec)
 
 from test_linalg_oracle import dense
 
@@ -134,6 +134,36 @@ class TestRationals:
                                       (1, DIGIT_BOUND - 1), (0, 1)])
     def test_digit_check_passes_up_to_the_limit(self, n, d):
         assert check_digits(n, d) is None
+
+    def test_vec_returns_an_exact_tuple_as_it_is(self):
+        values = (F(1), F(-2, 3), F(0))
+        assert vec(values) is values
+        assert vec(()) == vec([]) == vec(iter(())) == ()
+
+    def test_vec_reads_a_list_or_a_generator_once(self):
+        values = [F(1), 2, "-4/6", F(5, 3)]
+        read = []
+
+        def drawn():
+            for value in values:
+                read.append(value)
+                yield value
+        want = (F(1), F(2), F(-2, 3), F(5, 3))
+        assert vec(values) == vec(drawn()) == want
+        assert read == values
+
+    def test_vec_copies_a_fraction_subclass(self):
+        class Exact(F):
+            pass
+        for values in ((F(1), Exact(3, 4)), (Exact(3, 4),)):
+            out = vec(values)
+            assert out == values and set(map(type, out)) == {F}
+
+    @pytest.mark.parametrize("bad", [True, 1.5])
+    def test_vec_refuses_a_bool_or_float_among_fractions(self, bad):
+        for values in ((F(1), bad), [F(1), bad], (bad, F(2))):
+            with pytest.raises(TypeError):
+                vec(values)
 
     @pytest.mark.parametrize("bad", ["1.5", "2e3", "1_000", "\u0661", True],
                              ids=["decimal", "exponent", "separator",

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from monograph import linalg, problem
 from monograph.cli import main
 from monograph.graph import DisconnectedError, LoopEdgeError
 from monograph.linalg import DIGIT_BOUND, Mat, Subspace, colspace, nullspace, render_ratio
@@ -56,6 +57,30 @@ class TestRun:
         doc = run(TRIANGLE, "cohomology")
         assert json.loads(to_json(doc)) == doc
         assert to_json(doc).endswith("\n")
+
+    def test_values_read_once_on_the_way_to_the_document(self, monkeypatch):
+        # the parsers read every value; the system spec, the unipotent2
+        # constructor and the extension's cochain take the Fractions as
+        # they are, so the text form calls rat not at all and the JSON
+        # form once per value, in _json_rational
+        text = ("VERTICES\na b c\nEDGES\na b\nb c\nc a\nSYSTEM\n"
+                "unipotent2 1 -1/2 3\nextend 1 0 -2/3 1 0 5\n")
+        calls = []
+
+        def spy(where, real):
+            def read(value):
+                calls.append(where)
+                return real(value)
+            return read
+        monkeypatch.setattr(linalg, "rat", spy("linalg", linalg.rat))
+        monkeypatch.setattr(problem, "rat", spy("problem", problem.rat))
+        spec = load_problem(text)
+        doc = run(spec, "defect")
+        assert calls == []
+        # one value as a JSON int, the others as strings
+        json_text = json.dumps(spec.to_json_dict()).replace('"5"', "5")
+        assert run(load_problem(json_text), "defect") == doc
+        assert calls == ["problem"] * 9
 
 
 def dumps(value) -> str:

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from monograph import checks, linalg, localsystem, tate
+from monograph import checks, linalg, tate
 from monograph.checks import random_rational
 from monograph.cohomology import obstruction
 from monograph.graph import GraphError, cycle_graph
@@ -53,21 +53,20 @@ class TestBuildTate:
             build_tate(3, (1, 2))
 
     def test_document_path_coerces_once(self, monkeypatch):
-        # tate_report reads its cocycle once; build_tate and unipotent_rank2
-        # still read ints and strings for library callers
+        # tate_report reads each cocycle value once; build_tate and
+        # unipotent_rank2 still read ints and strings for library callers
         gvals = (1, "-2", "4/6")
         calls = []
 
-        def spy(values, real=linalg.vec):
-            calls.append(values)
-            return real(values)
-        for module in (tate, localsystem):
-            monkeypatch.setattr(module, "vec", spy)
+        def spy(value, real=linalg.rat):
+            calls.append(value)
+            return real(value)
+        monkeypatch.setattr(linalg, "rat", spy)
         report = tate_report(3, gvals)
-        assert calls == [gvals]
+        assert calls == list(gvals)
         assert report.gvals == (F(1), F(-2), F(2, 3))
         assert build_tate(3, gvals)[1] == LocalSystem.unipotent_rank2(cycle_graph(3), gvals)
-        assert len(calls) == 3
+        assert calls == list(gvals) * 3
 
 
 class TestHolonomy:
