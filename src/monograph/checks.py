@@ -11,8 +11,8 @@ seed, so a run is reproducible and the aggregated table is deterministic.
 from __future__ import annotations
 
 import random
+from collections.abc import Iterator
 from fractions import Fraction
-from typing import Iterator
 
 from .cohomology import (coboundary_image, coboundary_matrix, h0, h1_dim,
                          invariant_cycles_report, obstruction,

@@ -62,21 +62,23 @@ y_v - y_parent along the breadth-first spanning tree the graph keeps from
 its one walk (``DualGraph.tree``) is the sum of -B lambda over v's
 subtree, corrected by the flow on the one non-tree edge, and going round
 the cycle gives that flow by one division (``_cycle_kernel``).  With more
-cycles, [B | L] goes to ``_turned_kernel``.  Both solvers take B from
-one function, ``_coupling``, as beta = D B over D, the lcm of the
-denominators d_u of A's rows (u, i), and solve ker [beta | L] with L the
-integer Laplacian: (lambda, y) is in it exactly when (D lambda, y) is in
-ker [B | L], so lambda is multiplied by D before the lift.  Only beta's
-k columns carry D.  The fraction-free entries of an elimination are
-minors of its input (Bareiss 1968), and a minor is linear in each
-column, so D enters each minor at most once; the rows (u, i) of A over
-their own d_u would put d_u into every Laplacian entry, and so into
-every minor again.  On a tree no component is coupled (H0 has dimension r
-there), so the route carries r dense solutions through every component,
-while A, with no cycle to fill in, is no slower to eliminate whole.  So
-trees, and systems with any other transition, which only an explicit
-``LocalSystem(...)`` builds, take ``nullspace(A)``, back-solved from one
-forward pass over all of A.
+cycles, [B | L] goes to ``_turned_kernel``, with row u of L read off
+A's row (u, r - 1): each transition's last row is e_{r-1}, so that row
+holds only component r - 1, over 1, with L's integers.  Both solvers
+take B from one function, ``_coupling``, as beta = D B over D, the lcm
+of the denominators d_u of A's rows (u, i), and solve ker [beta | L]
+with L the integer Laplacian: (lambda, y) is in it exactly when
+(D lambda, y) is in ker [B | L], so lambda is multiplied by D before the
+lift.  Only beta's k columns carry D.  The fraction-free entries of an
+elimination are minors of its input (Bareiss 1968), and a minor is
+linear in each column, so D enters each minor at most once; the rows
+(u, i) of A over their own d_u would put d_u into every Laplacian entry,
+and so into every minor again.  On a tree no component is coupled (H0
+has dimension r there), so the route carries r dense solutions through
+every component, while A, with no cycle to fill in, is no slower to
+eliminate whole.  So trees, and systems with any other transition, which
+only an explicit ``LocalSystem(...)`` builds, take ``nullspace(A)``,
+back-solved from one forward pass over all of A.
 
 R is not eliminated: with T_0 = I and T_s U_e = T_t along the same stored
 tree, which the graph walked once when it was built,
@@ -118,8 +120,8 @@ from __future__ import annotations
 from math import gcd, lcm
 
 from .graph import DualGraph
-from .linalg import (DimensionMismatch, Mat, Row, Subspace, Value, _echelon, _integer_rows,
-                     _lowest, _mat, _products, _reduced, _stack, _turned_kernel, colspace,
+from .linalg import (DimensionMismatch, Mat, Row, Subspace, Value, _echelon, _lowest, _mat,
+                     _products, _reduce, _reduced, _stack, _turned_kernel, colspace,
                      nullspace, rank)
 from .localsystem import LocalSystem
 
@@ -185,7 +187,7 @@ def system_matrix(sys: LocalSystem) -> Mat:
     factorization through the coboundary and residue matrices stays an
     independent check; parallel edges add up.
     """
-    r, rows, dens = sys.rank, [], []
+    r, rows = sys.rank, []
     for u, ends in enumerate(_ends(sys)):
         for i in range(r):
             d = lcm(*[w.dens[i] for _, _, w, _ in ends])
@@ -195,9 +197,8 @@ def system_matrix(sys: LocalSystem) -> Mat:
                 for j, n in w.nums[i]:
                     k = v * r + j
                     row[k] = row[k] - c * n if k in row else -c * n
-            rows.append(row)
-            dens.append(d)
-    return _integer_rows(rows, dens, sys.graph.n * r)
+            rows.append(_reduce(row, d))
+    return _stack(sys.graph.n * r, rows)
 
 
 Transport = tuple[list[dict[int, int]], int]  # r x r, int rows over one denominator
@@ -296,7 +297,7 @@ def _layered(sys: LocalSystem) -> bool:
     return True
 
 
-def _layered_kernel(a: Mat, n: int, r: int, graph: DualGraph | None = None) -> Subspace:
+def _layered_kernel(a: Mat, graph: DualGraph, r: int) -> Subspace:
     """ker A for upper unitriangular transitions, one frame component at a
     time on the scalar Laplacian (see the module docstring).
 
@@ -304,23 +305,20 @@ def _layered_kernel(a: Mat, n: int, r: int, graph: DualGraph | None = None) -> S
     int dicts over A's columns, starting from 1 in component r - 1.  At
     component i, ``_coupling`` gives D and beta = D B, and both solvers
     return ker [beta | L], whose lambda part is multiplied by D before the
-    lift.  Row u of L is the component-i numerators of row (u, i) of A
-    divided by its denominator d_u, and the division is exact:
-    ``system_matrix`` writes the row over d with component-i entries
-    deg(u) d and -d per edge, and ``_lowest`` divides it by a g that
-    divides d, so those numerators are d_u times row u of L.  A corrupted
-    A can make the division inexact; each kernel vector it puts outside
-    ker A then fails the check A K^T = 0 in ``_kernel_route``.  Given the
-    ``graph``, one with one independent cycle, ``_cycle_kernel`` solves
+    lift.  On a graph with one independent cycle, ``_cycle_kernel`` solves
     each component along the graph's stored breadth-first tree; the cycle
     it needs, the one non-tree edge (s, t), ``side`` and the cycle's
     length, is worked out here, once.  side[v] is 1 when v's subtree holds
     s but not t, -1 when it holds t but not s, and then the tree edge
-    above v is on the cycle.  Without the graph the rows go to
+    above v is on the cycle.  With more cycles the rows of [beta | L] go to
     ``_turned_kernel`` already turned, vertex u at column n - 1 - u and s
     at n + k - 1 - s, so the k coefficient columns are eliminated last.
+    Row u of L is row (u, r - 1) of A: each transition's last row is
+    e_{r-1}, so that row holds only component r - 1, over 1, with L's
+    integers.
     """
-    if graph is not None:
+    n, last = graph.n, graph.n - 1
+    if graph.m == n:
         (s, t), = [graph.edges[e] for e in set(range(n)) - {e for e, _, _ in graph.tree}]
         side = [0] * n
         side[s], side[t] = 1, -1
@@ -328,17 +326,15 @@ def _layered_kernel(a: Mat, n: int, r: int, graph: DualGraph | None = None) -> S
             side[u] += side[v]
         length = 1 + sum(map(abs, side))
     solutions = [{v * r + r - 1: 1 for v in range(n)}]
-    last = n - 1
     for i in range(r - 2, -1, -1):
         k = len(solutions)
-        if graph is not None:
+        if graph.m == n:
             kernel = _cycle_kernel(a, graph, r, i, solutions, side, length)
         else:
             big, beta = _coupling(a, r, i, solutions)
             work = []
             for u in range(last, -1, -1):
-                d = a.dens[u * r + i]
-                row = {last - c // r: x // d for c, x in a.nums[u * r + i] if c % r == i}
+                row = {last - c // r: x for c, x in a.nums[u * r + r - 1]}
                 for s, b in enumerate(beta):
                     if b[u]:
                         row[last + k - s] = b[u]
@@ -424,9 +420,8 @@ def _kernel_route(sys: LocalSystem) -> tuple[Mat, Mat, Subspace,
 
     Returns (delta, A, ker A, the images, the obstruction, H0).  ker A is
     ``_layered_kernel`` when ``_layered`` holds, on a graph with a cycle
-    and the upper unitriangular transitions every constructor builds,
-    given the graph, for its spanning-tree route, exactly when m = n; and
-    ``nullspace(A)`` for a tree or any other system.  All give the
+    and the upper unitriangular transitions every constructor builds; and
+    ``nullspace(A)`` for a tree or any other system.  Both give the
     kernel's unique RREF basis.  Row i of the images
     is delta(k_i) for kernel basis row k_i = K / e: entry p is s_p / d_p
     over e, s_p the dot product of delta's stored row p, over d_p, with K,
@@ -448,9 +443,7 @@ def _kernel_route(sys: LocalSystem) -> tuple[Mat, Mat, Subspace,
     """
     cob = coboundary_matrix(sys)
     a = system_matrix(sys)
-    g = sys.graph
-    kernel = (_layered_kernel(a, g.n, sys.rank, g if g.m == g.n else None)
-              if _layered(sys) else nullspace(a))
+    kernel = _layered_kernel(a, sys.graph, sys.rank) if _layered(sys) else nullspace(a)
     edges, dens = cob.rows, cob.dens
     images, work = [], []
     for pairs, e in zip(kernel.basis.nums, kernel.basis.dens):

@@ -18,7 +18,7 @@ instead of walking the graph again.
 
 from __future__ import annotations
 
-from typing import Iterable
+from collections.abc import Iterable
 
 from .linalg import Mat, Value, _mat
 

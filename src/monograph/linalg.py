@@ -79,9 +79,9 @@ from __future__ import annotations
 
 import re
 from bisect import bisect
+from collections.abc import Iterable, Iterator, Sequence
 from fractions import Fraction
 from math import gcd, lcm, prod
-from typing import Iterable, Iterator, Sequence
 
 Vector = tuple[Fraction, ...]
 # one stored row: its nonzero (column, numerator) pairs in column order
@@ -394,13 +394,6 @@ def _stack(cols: int, rows: Sequence[tuple[Row, int]]) -> Mat:
     terms."""
     return _mat(len(rows), cols, tuple([pairs for pairs, _ in rows]),
                 tuple([d for _, d in rows]))
-
-
-def _integer_rows(rows: Sequence[dict[int, int]], dens: Sequence[int], cols: int) -> Mat:
-    """The Mat of one {column: numerator} dict per row, with columns below
-    cols, over dens[i] > 0; zeros are dropped and each row is put in lowest
-    terms."""
-    return _stack(cols, list(map(_reduce, rows, dens)))
 
 
 def _combine(row: dict[int, int], prow: dict[int, int], c: int) -> dict[int, int]:

@@ -17,9 +17,9 @@ vector.
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Sequence
 from fractions import Fraction
 from math import lcm
-from typing import Iterable, Sequence
 
 from .graph import DualGraph
 from .linalg import DimensionMismatch, Mat, Value, Vector, _lowest, _mat, _reduced, _stack, vec

@@ -35,8 +35,8 @@ so no inexact value can enter.
 from __future__ import annotations
 
 import json
+from collections.abc import Iterable
 from fractions import Fraction
-from typing import Iterable
 
 from .graph import DualGraph
 from .linalg import Value, parse_rational, rat, vec

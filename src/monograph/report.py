@@ -14,12 +14,12 @@ computed.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from fractions import Fraction
 from itertools import chain, repeat
 from json.encoder import encode_basestring_ascii as encode
 from math import gcd
 from operator import itemgetter
-from typing import Sequence
 
 from . import cohomology, tate
 from .graph import incidence_matrix, laplacian

@@ -9,9 +9,9 @@ holonomy of the cocycle around the cycle, and the exactness defect.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from fractions import Fraction
 from math import lcm
-from typing import Sequence
 
 from .cohomology import _kernel_route
 from .graph import DualGraph, cycle_graph

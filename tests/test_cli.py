@@ -485,8 +485,8 @@ class TestErrors:
         # as well as in the document
         real = cohomology._layered_kernel
 
-        def wrong(a, n, r, graph):
-            rows = [list(row) for row in dense(real(a, n, r, graph).basis)]
+        def wrong(a, graph, r):
+            rows = [list(row) for row in dense(real(a, graph, r).basis)]
             rows[0][-1] += 1
             return Subspace.from_vectors(a.cols, rows)
 
@@ -701,6 +701,18 @@ def test_cli_import_leaves_the_check_suite_unloaded():
     proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
                           env=env, timeout=60)
     assert (proc.returncode, proc.stdout) == (0, "False\n")
+
+
+def test_cli_import_leaves_typing_unloaded():
+    """The package's annotations take their names from ``collections.abc``,
+    so importing the command line does not load ``typing``.  ``-S`` keeps
+    ``site`` from loading it first through a ``.pth`` file."""
+    env = dict(os.environ,
+               PYTHONPATH=str(Path(monograph.__file__).resolve().parents[1]))
+    probe = "import monograph.cli, sys; print('typing' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-S", "-c", probe], capture_output=True,
+                          text=True, env=env, timeout=60)
+    assert (proc.returncode, proc.stdout) == (0, "False\n"), proc.stderr
 
 
 def test_fresh_run_loads_no_introspection_modules():

@@ -396,16 +396,15 @@ def _assemble(block_rows, block_cols, r, blocks):
     for bi, bj, coefficient, block in blocks:
         for i, (pairs, d) in enumerate(zip(block.nums, block.dens)):
             parts[bi * r + i].append((bj * r, coefficient, pairs, d))
-    rows, dens = [], []
+    rows = []
     for row_parts in parts:
         e = lcm(*[d for _, _, _, d in row_parts])
         row = {}
         for offset, coefficient, pairs, d in row_parts:
             for j, n in pairs:
                 row[offset + j] = row.get(offset + j, 0) + coefficient * (e // d) * n
-        rows.append(row)
-        dens.append(e)
-    return linalg._integer_rows(rows, dens, block_cols * r)
+        rows.append(linalg._reduce(row, e))
+    return linalg._stack(block_cols * r, rows)
 
 
 def _assembled(sys):
@@ -813,7 +812,7 @@ def test_turned_kernel_receives_the_integer_laplacian(monkeypatch):
     calls, real = [], cohomology._turned_kernel
     monkeypatch.setattr(cohomology, "_turned_kernel", lambda work, cols: calls.append(
         [dict(row) for row in work]) or real(work, cols))
-    kernel = cohomology._layered_kernel(a, g.n, r)
+    kernel = cohomology._layered_kernel(a, g, r)
     lap, last = laplacian(g), g.n - 1
     assert set(lap.dens) == {1} and len(calls) == r - 1
     for work in calls:
@@ -824,19 +823,19 @@ def test_turned_kernel_receives_the_integer_laplacian(monkeypatch):
 
 
 class TestLayeredKernel:
-    """ker A one frame component at a time, against nullspace(A), through
-    ``_turned_kernel`` and, with one independent cycle, along the tree."""
+    """ker A one frame component at a time, against nullspace(A) and the
+    row-scaled oracle, through ``_turned_kernel`` and, with one independent
+    cycle, along the tree."""
 
     def test_matches_nullspace(self):
         systems = [*_oracle_systems(20261), *_cycle_defect_family(), _chord_system()]
         for sys in systems:
+            g, r = sys.graph, sys.rank
             a = system_matrix(sys)
             kernel = nullspace(a)
-            assert cohomology._layered(sys) == (sys.graph.m >= sys.graph.n)
-            assert cohomology._layered_kernel(a, sys.graph.n, sys.rank) == kernel
-            if sys.graph.m == sys.graph.n:
-                assert cohomology._layered_kernel(a, sys.graph.n, sys.rank,
-                                                  sys.graph) == kernel
+            assert cohomology._layered(sys) == (g.m >= g.n)
+            assert cohomology._layered_kernel(a, g, r) == kernel
+            assert row_scaled_layered_kernel(a, g.n, r) == kernel
             assert _kernel_route(sys)[2] == kernel
 
     def test_kernel_dimension_counts_coupled_layers(self):
@@ -1065,10 +1064,12 @@ def _draw_chain(draw, st, g):
 
 def test_layered_kernel_on_drawn_chains():
     """Property: on drawn unipotent2 or trivial bases with trivial
-    extensions up to rank 4, on multigraphs with a single vertex and
-    parallel edges, the layered route gives nullspace(A) and the
-    row-scaled oracle's kernel, and dim ker A is r minus the coupled
-    layers."""
+    extensions up to rank 4 with p/q values, on multigraphs with a single
+    vertex, parallel edges and two or more independent cycles, the layered
+    route gives nullspace(A) and the row-scaled oracle's kernel, and dim
+    ker A is r minus the coupled layers.  Row (u, r - 1) of A, where the
+    route reads L, is row u of the Laplacian at the columns v r + r - 1,
+    over 1."""
     pytest.importorskip("hypothesis")
     from hypothesis import given, settings, strategies as st
 
@@ -1084,18 +1085,26 @@ def test_layered_kernel_on_drawn_chains():
         n, r = sys.graph.n, sys.rank
         a = system_matrix(sys)
         assert cohomology._layered(sys) == (sys.graph.m >= n)
-        kernel = cohomology._layered_kernel(a, n, r)
+        kernel = cohomology._layered_kernel(a, sys.graph, r)
         assert kernel == nullspace(a) == row_scaled_layered_kernel(a, n, r)
         coupled = coupled_layers(sys)
         assert kernel.dim == r - coupled
+        lap = laplacian(sys.graph)
+        for u in range(n):
+            assert (a.nums[u * r + r - 1], a.dens[u * r + r - 1]) \
+                == (tuple([(v * r + r - 1, x) for v, x in lap.nums[u]]), 1)
         seen.update({r, "coupled" if coupled else "uncoupled",
                      "single vertex" if n == 1 else "edges"})
         if len(set(sys.graph.edges)) < sys.graph.m:
             seen.add("parallel")
+        if sys.graph.m - n + 1 >= 2:
+            seen.add("two cycles")
+        if any(d > 1 for u in sys.transitions for d in u.dens):
+            seen.add("p/q")
 
     check()
     assert seen == {1, 2, 3, 4, "coupled", "uncoupled", "single vertex", "edges",
-                    "parallel"}
+                    "parallel", "two cycles", "p/q"}
 
 
 def test_cycle_route_on_drawn_unicyclic_graphs(monkeypatch):
@@ -1103,9 +1112,9 @@ def test_cycle_route_on_drawn_unicyclic_graphs(monkeypatch):
     (a parallel pair) to 5, with up to 4 pendant vertices hanging off it
     in trees, vertices and edges shuffled so that the cycle may miss vertex
     0, and drawn chains up to rank 4 with p/q values, the spanning-tree
-    route of ``_layered_kernel`` gives what the forced ``_turned_kernel``
-    route gives, which is nullspace(A), and ``_kernel_route`` takes it once
-    per component i < r - 1."""
+    route of ``_layered_kernel`` gives nullspace(A) and the row-scaled
+    oracle's kernel, and ``_kernel_route`` takes it once per component
+    i < r - 1."""
     pytest.importorskip("hypothesis")
     from hypothesis import given, settings, strategies as st
 
@@ -1133,9 +1142,9 @@ def test_cycle_route_on_drawn_unicyclic_graphs(monkeypatch):
         g, r = sys.graph, sys.rank
         a = system_matrix(sys)
         kernel = nullspace(a)
-        assert cohomology._layered_kernel(a, g.n, r) == kernel
+        assert row_scaled_layered_kernel(a, g.n, r) == kernel
         solves.clear()
-        assert cohomology._layered_kernel(a, g.n, r, g) == kernel
+        assert cohomology._layered_kernel(a, g, r) == kernel
         assert _kernel_route(sys)[2] == kernel
         assert solves == [*range(r - 2, -1, -1)] * 2
         seen.update({r, "coupled" if coupled_layers(sys) else "uncoupled"})
@@ -1193,6 +1202,26 @@ def _with_row(a, i, pairs, d):
     row, d = linalg._lowest(sorted([(j, n) for j, n in pairs if n]), d)
     return Mat(a.rows, a.cols, a.nums[:i] + (row,) + a.nums[i + 1:],
                a.dens[:i] + (d,) + a.dens[i + 1:])
+
+
+def test_a_block_the_solver_does_not_read_is_still_checked(monkeypatch):
+    """On a rank-3 system with two independent cycles, ``_layered_kernel``
+    reads neither A's diagonal in component 0 nor any row (u, 0) for L.
+    A changed diagonal entry there leaves the kernel it solves as it was,
+    so the check A K^T = 0 in ``_kernel_route`` must catch it."""
+    sys = parse_spec(RATIONAL_EXTENSION).local_system()
+    g, r = sys.graph, sys.rank
+    assert (r, g.m - g.n + 1) == (3, 2)
+    a = system_matrix(sys)
+    kernel = cohomology._layered_kernel(a, g, r)
+    touched = {j for pairs in kernel.basis.nums for j, _ in pairs}
+    u = next(u for u in range(g.n) if u * r in touched)
+    pairs, d = dict(a.nums[u * r]), a.dens[u * r]
+    wrong = _with_row(a, u * r, [*{**pairs, u * r: pairs[u * r] + d}.items()], d)
+    assert cohomology._layered_kernel(wrong, g, r) == kernel
+    monkeypatch.setattr(cohomology, "system_matrix", lambda sys: wrong)
+    with pytest.raises(InternalCheckError, match="not in its kernel"):
+        _kernel_route(sys)
 
 
 def _mutants(a, rng):

@@ -9,7 +9,7 @@ from monograph.checks import random_connected_multigraph
 from monograph.graph import (DisconnectedError, DualGraph, GraphError,
                              LoopEdgeError, cycle_graph, incidence_matrix,
                              laplacian)
-from monograph.linalg import Mat, Subspace, _integer_rows, nullspace, rank
+from monograph.linalg import Mat, Subspace, _reduce, _stack, nullspace, rank
 
 from test_linalg_oracle import dense
 
@@ -238,7 +238,7 @@ def oracle_incidence(g):
     rows = [{} for _ in range(g.n)]
     for e, (s, t) in enumerate(g.edges):
         rows[s][e], rows[t][e] = 1, -1
-    return _integer_rows(rows, (1,) * g.n, g.m)
+    return _stack(g.m, [_reduce(row, 1) for row in rows])
 
 
 def oracle_laplacian(g):
@@ -249,7 +249,7 @@ def oracle_laplacian(g):
         for u, w in ((s, t), (t, s)):
             rows[u][u] = rows[u].get(u, 0) + 1
             rows[u][w] = rows[u].get(w, 0) - 1
-    return _integer_rows(rows, (1,) * g.n, g.n)
+    return _stack(g.n, [_reduce(row, 1) for row in rows])
 
 
 class TestBuildersAgainstDictRows:

@@ -27,8 +27,8 @@ from monograph.tate import tate_report
 from test_linalg_oracle import matrices, structured_matrices
 
 MODULES = (linalg, cohomology, graph, localsystem, tate)
-# the trusted constructor and the two linalg helpers that reach it
-TRUSTED = {"_mat", "_stack", "_integer_rows"}
+# the trusted constructor and the linalg helper that reaches it
+TRUSTED = {"_mat", "_stack"}
 
 
 def writers():
