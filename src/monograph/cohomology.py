@@ -28,14 +28,17 @@ k = dim ker A rows.  Two identities make that enough:
   A x = R delta(x) = 0;
 * ker delta lies inside ker A, so H0 is cut out of ker A by the images.
 
-For a kernel basis k_1, ..., k_k the k rows [delta(k_i) | k_i] are written
-as int rows, delta(k_i) from delta's stored rows, each row over its own
-denominator, and reduced once by ``linalg._reduced``, the forward pass and
-back substitution; no Mat is built for them.  The reduced rows that pivot
-in the edge part span delta(ker A); cut to the edge part and written over
-their pivots, they are its RREF.  The others are zero on the edge part, so
-they are the x in ker A with delta(x) = 0, and their vertex part is the
-RREF of H0.
+``_kernel_route`` ends at the checked kernel: it returns delta, A, a
+kernel basis k_1, ..., k_k and the images delta(k_i), each an int row
+from delta's stored rows over its own denominator.  The tate workbench
+reads the obstruction's dimension as the rank of the images.
+``invariant_cycles_report`` writes k_i after each image, making the k rows
+[delta(k_i) | k_i], and reduces them once by ``linalg._reduced``, the
+forward pass and back substitution; no Mat is built for them.  The reduced
+rows that pivot in the edge part span delta(ker A); cut to the edge part
+and written over their pivots, they are its RREF.  The others are zero on
+the edge part, so they are the x in ker A with delta(x) = 0, and their
+vertex part is the RREF of H0.
 
 ker A is solved one frame component at a time on the scalar Laplacian L.
 Unipotent coefficients are successive extensions of the trivial one, so
@@ -414,26 +417,21 @@ def _cycle_kernel(a: Mat, g: DualGraph, r: int, i: int, solutions: list[dict[int
 
 
 def _kernel_route(sys: LocalSystem) -> tuple[Mat, Mat, Subspace,
-                                             list[tuple[list[tuple[int, int]], int]],
-                                             Subspace, Subspace]:
-    """Assemble delta and A, solve ker A, and map it through delta.
+                                             list[tuple[dict[int, int], int]]]:
+    """Assemble delta and A, solve ker A, check it, and map it through delta.
 
-    Returns (delta, A, ker A, the images, the obstruction, H0).  ker A is
-    ``_layered_kernel`` when ``_layered`` holds, on a graph with a cycle
-    and the upper unitriangular transitions every constructor builds; and
+    Returns (delta, A, ker A, the images).  ker A is ``_layered_kernel``
+    when ``_layered`` holds, on a graph with a cycle and the upper
+    unitriangular transitions every constructor builds; and
     ``nullspace(A)`` for a tree or any other system.  Both give the
-    kernel's unique RREF basis.  Row i of the images
-    is delta(k_i) for kernel basis row k_i = K / e: entry p is s_p / d_p
-    over e, s_p the dot product of delta's stored row p, over d_p, with K,
-    so the row is the ints s_p (E_i / d_p) over E_i e, E_i the lcm of the
-    d_p with s_p != 0, which is 1 when the image is zero.  Each image row
-    is returned as it is, (pairs, E_i e) and not in lowest terms: only
-    ``tate_report`` prints the images, and reduces them there, while the
-    graph documents, whose image rows can hold thousands of digits, never
-    read them.  The obstruction and H0 are read off the int rows
-    [delta(k_i) | k_i], each times its own E_i e, eliminated and
-    back-substituted once, as the module docstring explains; scaling a row
-    does not change what it spans.
+    kernel's unique RREF basis.  Image i is delta(k_i) for kernel basis
+    row k_i = K / e, as the int row {p: s_p (E_i / d_p)} with its E_i:
+    s_p is the dot product of delta's stored row p, over d_p, with K, and
+    E_i is the lcm of the d_p with s_p != 0, which is 1 when the image is
+    zero.  So delta(k_i) is the row over E_i e.  It is not put in lowest
+    terms: ``tate_report`` prints the images and reduces them there, while
+    ``invariant_cycles_report`` writes E_i K after each one, in place, and
+    reduces the rows [delta(k_i) | k_i] times E_i e once.
 
     Each kernel basis row is checked first, A k_i = 0 or
     InternalCheckError: ``_dots`` takes the products of A's stored rows
@@ -444,31 +442,18 @@ def _kernel_route(sys: LocalSystem) -> tuple[Mat, Mat, Subspace,
     cob = coboundary_matrix(sys)
     a = system_matrix(sys)
     kernel = _layered_kernel(a, sys.graph, sys.rank) if _layered(sys) else nullspace(a)
-    edges, dens = cob.rows, cob.dens
-    images, work = [], []
-    for pairs, e in zip(kernel.basis.nums, kernel.basis.dens):
+    dens, images = cob.dens, []
+    for pairs in kernel.basis.nums:
         x = [0] * a.cols
         for j, n in pairs:
             x[j] = n
         if _dots(a.nums, x):
             raise InternalCheckError("a kernel basis vector of the system matrix is "
                                      "not in its kernel")
-        stacked = _dots(cob.nums, x)
-        big = lcm(*[dens[p] for p in stacked])
-        stacked = {p: s * (big // dens[p]) for p, s in stacked.items()}
-        images.append((list(stacked.items()), big * e))
-        # [delta(k_i) | k_i] times E_i e
-        for j, n in pairs:
-            stacked[edges + j] = big * n
-        work.append(stacked)
-    blocked, sections = [], []
-    for (pairs, q), c in zip(*_reduced(work, edges + cob.cols)):
-        if c < edges:
-            blocked.append(_lowest([(j, n) for j, n in pairs if j < edges], q))
-        else:
-            sections.append((tuple([(j - edges, n) for j, n in pairs]), q))
-    return (cob, a, kernel, images, Subspace(_stack(edges, blocked)),
-            Subspace(_stack(cob.cols, sections)))
+        image = _dots(cob.nums, x)
+        big = lcm(*[dens[p] for p in image])
+        images.append(({p: s * (big // dens[p]) for p, s in image.items()}, big))
+    return cob, a, kernel, images
 
 
 def _dots(rows: tuple[Row, ...], x: list[int]) -> dict[int, int]:
@@ -529,11 +514,14 @@ def invariant_cycles_report(sys: LocalSystem) -> CohomologyReport:
     A = R.delta is solved once (``_kernel_route``).  K gives everything
     else: the obstruction is delta(K), because delta(x) lies in ker R
     exactly when A x = 0; and H0 = ker delta is the set of x in K with
-    delta(x) = 0, because ker delta lies inside ker A.  One reduction of
-    the k int rows
-    [delta(k_i) | k_i], for the k kernel basis rows k_i, gives both
-    bases (see the module docstring), so no matrix with a row per edge or
-    vertex is built after ker A.  h1 then follows from the Euler
+    delta(x) = 0, because ker delta lies inside ker A.  The route returns
+    each image delta(k_i) as an int row with its E_i; E_i times the kernel
+    row is written after it, in place, and one reduction of the k rows
+    [delta(k_i) | k_i] times E_i e gives both bases (see the module
+    docstring): the reduced rows that pivot in the edge part span the
+    obstruction, the others H0.  Scaling a row does not change what it
+    spans, so no matrix with a row per edge or vertex is built after
+    ker A.  h1 then follows from the Euler
     characteristic, and dim ker R from the cycle count c = m - n + 1: 0 on
     a tree, dim H0 on one cycle, where R's one non-tree block is
     (M - I) T_t for the monodromy M (see the module docstring), and from
@@ -549,11 +537,23 @@ def invariant_cycles_report(sys: LocalSystem) -> CohomologyReport:
     ker A, not that it spans all of it.
     """
     g, r = sys.graph, sys.rank
-    cob, a, kernel, _, blocked, sections = _kernel_route(sys)
+    cob, a, kernel, images = _kernel_route(sys)
     residue = residue_constraint_matrix(sys)
     if not _factors(residue, cob, a):
         raise InternalCheckError("system matrix does not factor through the residue and "
                                  "coboundary matrices")
+    edges = cob.rows
+    for (image, big), pairs in zip(images, kernel.basis.nums):
+        # [delta(k_i) | k_i] times E_i e
+        for j, n in pairs:
+            image[edges + j] = big * n
+    blocked, sections = [], []
+    for (pairs, q), c in zip(*_reduced([image for image, _ in images], edges + cob.cols)):
+        if c < edges:
+            blocked.append(_lowest([(j, n) for j, n in pairs if j < edges], q))
+        else:
+            sections.append((tuple([(j - edges, n) for j, n in pairs]), q))
+    blocked, sections = Subspace(_stack(edges, blocked)), Subspace(_stack(cob.cols, sections))
     image_dim, cycles = g.n * r - sections.dim, g.m - g.n + 1
     return CohomologyReport(
         h0_dim=sections.dim,

@@ -109,39 +109,38 @@ class LocalSystem(Value):
         """
         if c.system != self:
             raise ValueError("cochain is valued in a different system")
-        r = self.rank
-        last = (((r, 1),), 1)
+        return self._extended(c.values)
 
-        def extended(u: Mat, v: Vector) -> Mat:
-            # row i of u is a / d and v_i is p / q: the new row is over lcm(d, q)
-            rows = []
-            for pairs, d, x in zip(u.nums, u.dens, v):
-                e = lcm(d, x.denominator)
-                row = [(j, n * (e // d)) for j, n in pairs]
-                if x:
-                    row.append((r, x.numerator * (e // x.denominator)))
-                rows.append(_lowest(row, e))
-            return _stack(r + 1, rows + [last])
+    def _extended(self, values: Sequence[Vector]) -> LocalSystem:
+        """``extend_by_trivial`` on one exact r-vector per edge, unchecked.
 
-        def extended_inverse(w: Mat, v: Vector) -> Mat:
-            # [[W, -W v], [0, 1]] for W the inverse of u: with v = y / q over
-            # q the lcm of its denominators, row i of W, a / d, gives the
-            # integer row (q a, -a . y) over d q
+        U_e is bordered by v_e, and its inverse W by -W v_e: with v_e = y / q
+        over q the lcm of its denominators, row i of W, a / d, gives entry i
+        of -W v_e as (-a . y, d q).
+        """
+        transitions, inverses = [], []
+        for e, (u, v) in enumerate(zip(self.transitions, values)):
+            w = self.transition_inverse(e)
             q = lcm(*[x.denominator for x in v])
             y = [x.numerator * (q // x.denominator) for x in v]
-            rows = []
-            for pairs, d in zip(w.nums, w.dens):
-                row = [(j, n * q) for j, n in pairs] if q != 1 else list(pairs)
-                s = -sum([n * y[j] for j, n in pairs])
-                if s:
-                    row.append((r, s))
-                rows.append(_lowest(row, d * q))
-            return _stack(r + 1, rows + [last])
+            transitions.append(_bordered(u, [(x.numerator, x.denominator) for x in v]))
+            inverses.append(_bordered(w, [(-sum([n * y[j] for j, n in pairs]), d * q)
+                                          for pairs, d in zip(w.nums, w.dens)]))
+        return LocalSystem(self.graph, self.rank + 1, tuple(transitions), tuple(inverses))
 
-        return LocalSystem(self.graph, r + 1, tuple([
-            extended(u, v) for u, v in zip(self.transitions, c.values)]), tuple([
-            extended_inverse(self.transition_inverse(e), v)
-            for e, v in enumerate(c.values)]))
+
+def _bordered(m: Mat, column: Sequence[tuple[int, int]]) -> Mat:
+    """[[m, c], [0, 1]] for the column c whose entry i is (p, q), meaning
+    p / q: row i of m, a / d, becomes the row (a e / d, p e / q) over
+    e = lcm(d, q), in lowest terms."""
+    r, rows = m.rows, []
+    for pairs, d, (p, q) in zip(m.nums, m.dens, column):
+        e = lcm(d, q)
+        row = [(j, n * (e // d)) for j, n in pairs]
+        if p:
+            row.append((r, p * (e // q)))
+        rows.append(_lowest(row, e))
+    return _stack(r + 1, rows + [(((r, 1),), 1)])
 
 
 class EdgeCochain(Value):

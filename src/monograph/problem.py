@@ -40,7 +40,7 @@ from fractions import Fraction
 
 from .graph import DualGraph
 from .linalg import Value, parse_rational, rat, vec
-from .localsystem import EdgeCochain, LocalSystem
+from .localsystem import LocalSystem
 
 BASE_KINDS = ("trivial", "unipotent2")
 SECTIONS = ("VERTICES", "EDGES", "SYSTEM")
@@ -107,9 +107,10 @@ class SystemSpec(Value):
             system = LocalSystem.trivial(g, self.rank)
         else:
             system = LocalSystem.unipotent_rank2(g, self.params)
+        # check_params has counted the values and vec has read them, so
+        # each layer goes in without an EdgeCochain
         for r, values in enumerate(self.layers, self.rank):
-            system = system.extend_by_trivial(EdgeCochain(
-                system, tuple(values[e * r:(e + 1) * r] for e in range(g.m))))
+            system = system._extended([values[e * r:(e + 1) * r] for e in range(g.m)])
         return system
 
     def to_json_dict(self) -> dict:

@@ -15,7 +15,7 @@ from math import lcm
 
 from .cohomology import _kernel_route
 from .graph import DualGraph, cycle_graph
-from .linalg import Value, _lowest, _stack, check_digits, vec
+from .linalg import Value, _lowest, _stack, check_digits, rank, vec
 from .localsystem import LocalSystem
 from .problem import check_cells
 
@@ -60,19 +60,20 @@ class TateReport(Value):
 def tate_report(m: int, gvals: Sequence[int | str | Fraction]) -> TateReport:
     """Compute the full report for the m-cycle with the given cocycle.
 
-    The defect is computed from the obstruction space itself; the holonomy
-    dichotomy (defect 1 exactly when the holonomy is nonzero) is a property
-    of this family, checked in the test suite rather than assumed here.
     The obstruction is the span of the kernel's edge images, since the
-    system matrix factors through the coboundary (see ``cohomology``).
-    The quotient dimension is that of the line a nonzero kernel image spans
-    inside it, so 1 exactly when the obstruction is nonzero: the residue
-    shadow of the one-dimensional quotient the example exhibits.  The rank
-    is 2m minus the kernel dimension, so one kernel solve gives both, and
-    ``_kernel_route`` checks that solve: a kernel basis vector outside
-    ker A raises InternalCheckError.  It returns the edge images as it
-    accumulated them, and they are put in lowest terms here, the one
-    document that prints them.
+    system matrix factors through the coboundary (see ``cohomology``), so
+    the defect is the rank of the edge images the document prints: one
+    forward pass over their k = dim ker A rows, with no back substitution
+    and no H0 split.  The holonomy dichotomy (defect 1 exactly when the
+    holonomy is nonzero) is a property of this family, checked in the test
+    suite rather than assumed here.  The quotient dimension is that of the
+    line a nonzero kernel image spans inside the obstruction, so 1 exactly
+    when it is nonzero: the residue shadow of the one-dimensional quotient
+    the example exhibits.  The rank is 2m minus the kernel dimension, so
+    one kernel solve gives both, and ``_kernel_route`` checks that solve:
+    a kernel basis vector outside ker A raises InternalCheckError.  It
+    returns each image as an int row with its E_i, and the row is put over
+    E_i e in lowest terms here, the one document that prints the images.
 
     The holonomy is computed once, right after the build, and bounded by
     ``check_digits`` before the kernel is solved: one whose numerator or
@@ -83,7 +84,10 @@ def tate_report(m: int, gvals: Sequence[int | str | Fraction]) -> TateReport:
     sys = build_tate(m, values)[1]
     total = holonomy(values)
     check_digits(total.numerator, total.denominator)
-    cob, a, kernel, images, blocked, _ = _kernel_route(sys)
+    cob, a, kernel, images = _kernel_route(sys)
+    edge_images = _stack(cob.rows, [_lowest(tuple(image.items()), big * e)
+                                    for (image, big), e in zip(images, kernel.basis.dens)])
+    defect = rank(edge_images)
     return TateReport(
         m=m,
         gvals=values,
@@ -93,8 +97,8 @@ def tate_report(m: int, gvals: Sequence[int | str | Fraction]) -> TateReport:
         det=Fraction(0),
         rank=a.cols - kernel.dim,
         kernel=kernel,
-        edge_images=_stack(cob.rows, [_lowest(pairs, d) for pairs, d in images]),
+        edge_images=edge_images,
         holonomy=total,
-        defect=blocked.dim,
-        quotient_dim=min(blocked.dim, 1),
+        defect=defect,
+        quotient_dim=min(defect, 1),
     )

@@ -153,6 +153,30 @@ class TestEdgeImages:
         assert span == obstruction(sys)
         assert span == Subspace.from_vectors(6, [obstruction_pattern(1, 2, 4)])
 
+    def test_defect_is_the_rank_of_the_images(self):
+        # the report reads its defect off the images it prints; the oracle
+        # intersects the coboundary image with the residue kernel.  One
+        # draw in three closes the cocycle, so both verdicts are drawn
+        pytest.importorskip("hypothesis")
+        from hypothesis import given, settings, strategies as st
+
+        values = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 5))
+        seen = set()
+
+        @settings(max_examples=60, deadline=None)
+        @given(st.integers(2, 10).flatmap(lambda m: st.lists(
+            values, min_size=m, max_size=m)), st.integers(0, 2))
+        def check(drawn, closing):
+            body = drawn[:-1]
+            gvals = (*body, sum(body, F(0)) if closing == 0 else drawn[-1])
+            r = tate_report(len(gvals), gvals)
+            assert r.defect == linalg.rank(r.edge_images) == \
+                obstruction(build_tate(len(gvals), gvals)[1]).dim
+            seen.add(r.defect)
+
+        check()
+        assert seen == {0, 1}
+
 
 class TestDichotomy:
     def test_forced_zero_holonomy(self):
