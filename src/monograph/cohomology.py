@@ -65,18 +65,19 @@ y_v - y_parent along the breadth-first spanning tree the graph keeps from
 its one walk (``DualGraph.tree``) is the sum of -B lambda over v's
 subtree, corrected by the flow on the one non-tree edge, and going round
 the cycle gives that flow by one division (``_cycle_kernel``).  With more
-cycles, [B | L] goes to ``_turned_kernel``, with row u of L read off
-A's row (u, r - 1): each transition's last row is e_{r-1}, so that row
-holds only component r - 1, over 1, with L's integers.  Both solvers
-take B from one function, ``_coupling``, as beta = D B over D, the lcm
-of the denominators d_u of A's rows (u, i), and solve ker [beta | L]
-with L the integer Laplacian: (lambda, y) is in it exactly when
-(D lambda, y) is in ker [B | L], so lambda is multiplied by D before the
-lift.  Only beta's k columns carry D.  The fraction-free entries of an
-elimination are minors of its input (Bareiss 1968), and a minor is
-linear in each column, so D enters each minor at most once; the rows
-(u, i) of A over their own d_u would put d_u into every Laplacian entry,
-and so into every minor again.  On a tree no component is coupled (H0
+cycles, the rows of [B | L] go to ``linalg._kernel`` in their natural
+order, with row u of L read off A's row (u, r - 1): each transition's
+last row is e_{r-1}, so that row holds only component r - 1, over 1,
+with L's integers.  B comes from one ``_coupling`` call per component,
+made before a solver is picked, so both solvers take the same
+beta = D B over D, the lcm of the denominators d_u of A's rows (u, i),
+and solve ker [beta | L] with L the integer Laplacian: (lambda, y) is in
+it exactly when (D lambda, y) is in ker [B | L], so lambda is multiplied
+by D before the lift.  Only beta's k columns carry D.  The fraction-free
+entries of an elimination are minors of its input (Bareiss 1968), and a
+minor is linear in each column, so D enters each minor at most once; the
+rows (u, i) of A over their own d_u would put d_u into every Laplacian
+entry, and so into every minor again.  On a tree no component is coupled (H0
 has dimension r there), so the route carries r dense solutions through
 every component, while A, with no cycle to fill in, is no slower to
 eliminate whole.  So trees, and systems with any other transition, which
@@ -123,9 +124,8 @@ from __future__ import annotations
 from math import gcd, lcm
 
 from .graph import DualGraph
-from .linalg import (DimensionMismatch, Mat, Row, Subspace, Value, _echelon, _lowest, _mat,
-                     _products, _reduce, _reduced, _stack, _turned_kernel, colspace,
-                     nullspace, rank)
+from .linalg import (DimensionMismatch, Mat, Row, Subspace, Value, _echelon, _kernel, _lowest,
+                     _mat, _products, _reduce, _reduced, _stack, colspace, nullspace, rank)
 from .localsystem import LocalSystem
 
 
@@ -306,21 +306,21 @@ def _layered_kernel(a: Mat, graph: DualGraph, r: int) -> Subspace:
 
     The partial solutions over components i + 1, ..., r - 1 are primitive
     int dicts over A's columns, starting from 1 in component r - 1.  At
-    component i, ``_coupling`` gives D and beta = D B, and both solvers
-    return ker [beta | L], whose lambda part is multiplied by D before the
-    lift.  On a graph with one independent cycle, ``_cycle_kernel`` solves
-    each component along the graph's stored breadth-first tree; the cycle
-    it needs, the one non-tree edge (s, t), ``side`` and the cycle's
-    length, is worked out here, once.  side[v] is 1 when v's subtree holds
-    s but not t, -1 when it holds t but not s, and then the tree edge
-    above v is on the cycle.  With more cycles the rows of [beta | L] go to
-    ``_turned_kernel`` already turned, vertex u at column n - 1 - u and s
-    at n + k - 1 - s, so the k coefficient columns are eliminated last.
-    Row u of L is row (u, r - 1) of A: each transition's last row is
-    e_{r-1}, so that row holds only component r - 1, over 1, with L's
-    integers.
+    component i, one ``_coupling`` call gives D and beta = D B, and both
+    solvers return ker [beta | L] from them, its lambda part multiplied by D
+    before the lift.  On a graph with one independent cycle,
+    ``_cycle_kernel`` solves each component along the graph's stored
+    breadth-first tree; the cycle it needs, the one non-tree edge (s, t),
+    ``side`` and the cycle's length, is worked out here, once.  side[v] is 1
+    when v's subtree holds s but not t, -1 when it holds t but not s, and
+    then the tree edge above v is on the cycle.  With more cycles the rows
+    of [beta | L] go to ``_kernel`` as the pairs the lift reads back,
+    lambda_s at column s and y_u at k + u; ``_kernel`` turns them, so the k
+    coefficient columns are eliminated last.  Row u of L is row (u, r - 1)
+    of A: each transition's last row is e_{r-1}, so that row holds only
+    component r - 1, over 1, with L's integers.
     """
-    n, last = graph.n, graph.n - 1
+    n = graph.n
     if graph.m == n:
         (s, t), = [graph.edges[e] for e in set(range(n)) - {e for e, _, _ in graph.tree}]
         side = [0] * n
@@ -331,19 +331,14 @@ def _layered_kernel(a: Mat, graph: DualGraph, r: int) -> Subspace:
     solutions = [{v * r + r - 1: 1 for v in range(n)}]
     for i in range(r - 2, -1, -1):
         k = len(solutions)
+        big, beta = _coupling(a, r, i, solutions)
         if graph.m == n:
-            kernel = _cycle_kernel(a, graph, r, i, solutions, side, length)
+            kernel = _cycle_kernel(graph, big, beta, side, length)
         else:
-            big, beta = _coupling(a, r, i, solutions)
-            work = []
-            for u in range(last, -1, -1):
-                row = {last - c // r: x for c, x in a.nums[u * r + r - 1]}
-                for s, b in enumerate(beta):
-                    if b[u]:
-                        row[last + k - s] = b[u]
-                work.append(row)
+            rows = [[(s, b[u]) for s, b in enumerate(beta) if b[u]]
+                    + [(k + c // r, x) for c, x in a.nums[u * r + r - 1]] for u in range(n)]
             kernel = [[(j, y * big if j < k else y) for j, y in pairs]
-                      for pairs, _ in _turned_kernel(work, n + k)]
+                      for pairs, _ in _kernel(rows, n + k)]
         lifted = []
         for pairs in kernel:
             # (lambda, y): y in component i plus the lambda_s solution_s
@@ -364,8 +359,9 @@ def _coupling(a: Mat, r: int, i: int,
               solutions: list[dict[int, int]]) -> tuple[int, list[list[int]]]:
     """(D, beta), B = beta / D at component i: entry u of beta_s is row
     (u, i) of A, over its denominator d_u, dotted with solution s, which
-    holds no component-i entry, and put over D, the lcm of the d_u.  Both
-    solvers of ``_layered_kernel`` take B from here."""
+    holds no component-i entry, and put over D, the lcm of the d_u.
+    ``_layered_kernel`` calls it once per component, before it picks a
+    solver, and hands both solvers the same (D, beta)."""
     rows = range(i, len(a.nums), r)
     big = lcm(*[a.dens[row] for row in rows])
     return big, [[big // a.dens[row]
@@ -373,13 +369,13 @@ def _coupling(a: Mat, r: int, i: int,
                   for row in rows] for solution in solutions]
 
 
-def _cycle_kernel(a: Mat, g: DualGraph, r: int, i: int, solutions: list[dict[int, int]],
-                  side: list[int], length: int) -> list[list[tuple[int, int]]]:
-    """ker [B | L] at component i on a graph with one independent cycle, in
-    the column pairs ``_turned_kernel`` gives, lambda_s at s and y_v at
-    k + v; no L row is built and A's component-i entries are not read.
+def _cycle_kernel(g: DualGraph, big: int, beta: list[list[int]], side: list[int],
+                  length: int) -> list[list[tuple[int, int]]]:
+    """ker [B | L] on graph g with one independent cycle, for (D, beta)
+    from ``_coupling``, in the column pairs ``_kernel`` gives, lambda_s at
+    s and y_v at k + v; no L row is built and A is not read.
 
-    Column s of B is beta_s / D, from ``_coupling``.  For each lambda
+    Column s of B is beta_s / D.  For each lambda
     with 1^T B lambda = 0 (every e_s when P = 1^T B is 0, else
     P_p e_s - P_s e_p for the first p with P_p != 0), L y = B lambda is
     solved as Kirchhoff did, and (-lambda, y) is a kernel vector.  With f
@@ -389,11 +385,10 @@ def _cycle_kernel(a: Mat, g: DualGraph, r: int, i: int, solutions: list[dict[int
     ``_layered_kernel`` worked them out.  Going round the cycle,
     y_s - y_t = f forces f = sum of side[v] S(v) over the length.  With
     y_0 = 0 and all of it scaled to ints by q D, q the denominator of f,
-    the kernel vector is (-q D lambda, y).  The constants in component i
-    are the last one.
+    the kernel vector is (-q D lambda, y).  The constants, y = 1 with
+    lambda = 0, are the last one.
     """
-    n, tree, k = g.n, g.tree, len(solutions)
-    big, beta = _coupling(a, r, i, solutions)
+    n, tree, k = g.n, g.tree, len(beta)
     totals = [sum(b) for b in beta]
     p = next((s for s, total in enumerate(totals) if total), None)
     if p is None:

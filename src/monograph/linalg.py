@@ -41,15 +41,16 @@ numerators, and reads its value off the two halves of the echelon rows.
 same row operation, from the last pivot row upward, and each row written
 over its pivot.  ``rref`` pads it to a Mat; ``rowspace`` and ``colspace``
 stack its rows, and so do the inverse in ``localsystem`` and the kernel
-splits in ``cohomology``.  ``nullspace`` runs only the forward pass, once,
-on m turned by 180 degrees, and back-solves one int vector per free
-column from the echelon rows (``_turned_kernel``, which ``cohomology``
-also calls on the rows it writes already turned): those vectors, turned
-back, are the kernel's RREF.  So an elimination does the row work its
-output needs: a kernel of dimension k costs the forward pass and k
-back-solves, not a back substitution of every pivot row.  Every result
-is unique (a rank, an RREF, a kernel's RREF, a determinant), so none
-depends on the pivot order.
+splits in ``cohomology``.  ``_kernel`` runs only the forward pass, once,
+on int rows turned by 180 degrees, and back-solves one int vector per
+free column from the echelon rows: those vectors, turned back, are the
+kernel's RREF.  It takes the rows in their natural order and is the only
+code that turns them; ``nullspace`` hands it m's stored rows, and the
+layered kernel in ``cohomology`` the rows it writes.  So an elimination
+does the row work its output needs: a kernel of dimension k costs the
+forward pass and k back-solves, not a back substitution of every pivot
+row.  Every result is unique (a rank, an RREF, a kernel's RREF, a
+determinant), so none depends on the pivot order.
 
 A ``Subspace`` basis is the k x n matrix of the nonzero rows of the
 subspace's RREF, one row per basis vector.  That basis is unique, so
@@ -593,37 +594,34 @@ def rowspace(m: Mat) -> Subspace:
 
 
 def nullspace(m: Mat) -> Subspace:
-    """Canonical basis of {x : m x = 0}, back-solved from one forward pass.
-
-    m is turned by 180 degrees, its rows and its columns both reversed, and
-    its turned numerator rows go to ``_turned_kernel``; they come from m's
-    stored rows, already in stored form, so no second Mat is built.  The rows turn
-    with the columns because reversing the columns alone about doubles the
-    row-operation work on the banded system matrix of a cycle.
-    """
-    last = m.cols - 1
-    work = [{last - j: n for j, n in reversed(pairs)} for pairs in reversed(m.nums)]
-    return Subspace(_stack(m.cols, _turned_kernel(work, m.cols)))
+    """Canonical basis of {x : m x = 0}, back-solved from one forward pass
+    by ``_kernel`` over m's numerator rows, each a positive multiple of m's
+    row; no second Mat is built."""
+    return Subspace(_stack(m.cols, _kernel(m.nums, m.cols)))
 
 
-def _turned_kernel(work: list[dict[int, int]], cols: int) -> list[tuple[Row, int]]:
-    """The RREF rows of the kernel of the matrix m whose rows, turned by
-    180 degrees, are the integer rows work: column j of work is column
-    cols - 1 - j of m.
+def _kernel(rows: Sequence[Iterable[tuple[int, int]]], cols: int) -> list[tuple[Row, int]]:
+    """The RREF rows of the kernel of the matrix whose rows are the int
+    rows given as (column, nonzero int) pairs, columns below cols, in any
+    order within a row.
 
-    Only the forward elimination runs on work.  Each free column f of the
-    echelon rows gives one solution x: x_f = 1, every other free column 0,
-    and from the last pivot row upward x_c = -(row . x) / row[c] at the
-    row's pivot c.  x is kept as one int vector over one denominator: when
-    row[c] does not divide the sum s, the vector and its denominator are
-    first multiplied by |row[c]| / gcd(s, row[c]).  A pivot right of f only
-    sees columns right of it, so it solves to 0, and only the rows that
-    pivot left of f are visited.  Turned back, x leads with the 1 at f and
-    is zero at every other free column, so the vectors in the order of f
-    are already the RREF.
+    The matrix is turned by 180 degrees, its rows and its columns both
+    reversed, column j going to cols - 1 - j; the rows turn with the
+    columns because reversing the columns alone about doubles the
+    row-operation work on the banded system matrix of a cycle.  Only the
+    forward elimination runs on the turned rows.  Each free column f of
+    the echelon rows gives one solution x: x_f = 1, every other free
+    column 0, and from the last pivot row upward x_c = -(row . x) / row[c]
+    at the row's pivot c.  x is kept as one int vector over one
+    denominator: when row[c] does not divide the sum s, the vector and its
+    denominator are first multiplied by |row[c]| / gcd(s, row[c]).  A
+    pivot right of f only sees columns right of it, so it solves to 0, and
+    only the rows that pivot left of f are visited.  Turned back, x leads
+    with the 1 at f and is zero at every other free column, so the vectors
+    in the order of f are already the RREF.
     """
     last = cols - 1
-    rows, pivots = _echelon(work, cols)
+    rows, pivots = _echelon([{last - j: n for j, n in row} for row in reversed(rows)], cols)
     pivot_set = set(pivots)
     vectors = []
     for f in range(last, -1, -1):

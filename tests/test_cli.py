@@ -458,12 +458,16 @@ class TestErrors:
         # the spanning-tree route reads A only off component i and never
         # its diagonal, so a corrupted A solves without a KeyError or a
         # ZeroDivisionError, and one of the two checks fails instead
-        real, solves = cohomology._cycle_kernel, []
+        # each component's index from its one _coupling call, then "cycle"
+        # for the one _cycle_kernel solve that takes its (D, beta)
+        solves, coupling, cycle_kernel = [], cohomology._coupling, cohomology._cycle_kernel
+        monkeypatch.setattr(cohomology, "_coupling",
+                            lambda *args: solves.append(args[2]) or coupling(*args))
         monkeypatch.setattr(cohomology, "_cycle_kernel",
-                            lambda *args: solves.append(args[3]) or real(*args))
+                            lambda *args: solves.append("cycle") or cycle_kernel(*args))
         self.assert_check_fails(capsys, tmp_path, monkeypatch, self.corrupter(cell, value),
                                 self.UNICYCLIC)
-        assert solves == [1, 0] * 3
+        assert solves == [1, "cycle", 0, "cycle"] * 3
 
     def test_factorization_mismatch_in_a_denominator_exit_3(self, capsys, tmp_path,
                                                             monkeypatch):

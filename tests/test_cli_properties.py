@@ -1,4 +1,5 @@
-"""Drawn inputs to the graph commands: every one exits 0 or 2, never 3.
+"""Drawn inputs to the graph commands: every one exits 0 or 2, never 3,
+and one that exits 2 writes nothing to stdout.
 
 Random bytes, and random lines built from the text grammar's keywords, are
 given to ``laplacian``, ``cohomology`` and ``defect`` through ``--input``.
@@ -69,6 +70,8 @@ def run(path, data, command):
     with redirect_stdout(out), redirect_stderr(err):
         code = main([command, "--input", str(path)])
     assert code in (0, 2), err.getvalue()
+    # the exit contract: a nonzero exit writes nothing to stdout
+    assert not code or out.getvalue() == ""
     assert "Traceback" not in err.getvalue()
     assert err.getvalue().count("\n") == 1
     return code

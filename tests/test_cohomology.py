@@ -774,24 +774,24 @@ def row_scaled_layered_kernel(a, n, r):
     component-i part, which is d_u times row u of L, and the rest, which
     gives B's entries.  The oracle of the column-scaled route."""
     solutions = [{v * r + r - 1: 1 for v in range(n)}]
-    last = n - 1
     for i in range(r - 2, -1, -1):
         k = len(solutions)
-        work = []
-        for u in range(last, -1, -1):
-            row, rest = {}, []
+        rows = []
+        for u in range(n):
+            # row u of [B | L] in column order: lambda_s at s, vertex v at k + v
+            row, ys, rest = [], [], []
             for c, x in a.nums[u * r + i]:
                 if c % r == i:
-                    row[last - c // r] = x
+                    ys.append((k + c // r, x))
                 else:
                     rest.append((c, x))
             for s, solution in enumerate(solutions if rest else ()):
                 b = sum([x * solution[c] for c, x in rest if c in solution])
                 if b:
-                    row[last + k - s] = b
-            work.append(row)
+                    row.append((s, b))
+            rows.append(row + ys)
         lifted = []
-        for pairs, _ in linalg._turned_kernel(work, n + k):
+        for pairs, _ in linalg._kernel(rows, n + k):
             x = {}
             for j, y in pairs:
                 if j < k:
@@ -805,31 +805,31 @@ def row_scaled_layered_kernel(a, n, r):
     return Subspace(linalg._stack(n * r, linalg._reduced(solutions, n * r)[0]))
 
 
-def test_turned_kernel_receives_the_integer_laplacian(monkeypatch):
+def test_kernel_receives_the_integer_laplacian(monkeypatch):
     """On the chord system, whose rows of A have denominators d_u > 1,
-    every row ``_layered_kernel`` hands ``_turned_kernel`` holds row u of
-    the graph's integer Laplacian in its y columns, turned, not d_u times
+    row u of every [beta | L] ``_layered_kernel`` hands ``_kernel`` holds
+    row u of the graph's integer Laplacian in its y columns, not d_u times
     it; the kernel is the row-scaled oracle's and nullspace(A)."""
     sys = _chord_system()
     g, r = sys.graph, sys.rank
     a = system_matrix(sys)
     assert any(d > 1 for d in a.dens)
-    calls, real = [], cohomology._turned_kernel
-    monkeypatch.setattr(cohomology, "_turned_kernel", lambda work, cols: calls.append(
-        [dict(row) for row in work]) or real(work, cols))
+    calls, real = [], cohomology._kernel
+    monkeypatch.setattr(cohomology, "_kernel", lambda rows, cols: calls.append(
+        (cols - g.n, [list(row) for row in rows])) or real(rows, cols))
     kernel = cohomology._layered_kernel(a, g, r)
-    lap, last = laplacian(g), g.n - 1
+    lap = laplacian(g)
     assert set(lap.dens) == {1} and len(calls) == r - 1
-    for work in calls:
-        # work holds vertex u = last, ..., 0, vertex v at column last - v
-        assert [{last - j: x for j, x in row.items() if j < g.n} for row in work[::-1]] \
+    for k, rows in calls:
+        # row u holds lambda_s at column s and vertex v at column k + v
+        assert [{j - k: x for j, x in row if j >= k} for row in rows] \
             == [dict(pairs) for pairs in lap.nums]
     assert kernel == row_scaled_layered_kernel(a, g.n, r) == nullspace(a)
 
 
 class TestLayeredKernel:
     """ker A one frame component at a time, against nullspace(A) and the
-    row-scaled oracle, through ``_turned_kernel`` and, with one independent
+    row-scaled oracle, through ``linalg._kernel`` and, with one independent
     cycle, along the tree."""
 
     def test_matches_nullspace(self):
@@ -1134,10 +1134,13 @@ def test_cycle_route_on_drawn_unicyclic_graphs(monkeypatch):
                  for s, t in draw(st.permutations(edges))]
         return _draw_chain(draw, st, DualGraph(n, tuple(edges))), 0 in label[length:]
 
-    solves = []
-    real = cohomology._cycle_kernel
+    # each component's index, from its one _coupling call, then "cycle"
+    # for the one _cycle_kernel solve that takes its (D, beta)
+    solves, coupling, cycle_kernel = [], cohomology._coupling, cohomology._cycle_kernel
+    monkeypatch.setattr(cohomology, "_coupling",
+                        lambda *args: solves.append(args[2]) or coupling(*args))
     monkeypatch.setattr(cohomology, "_cycle_kernel",
-                        lambda *args: solves.append(args[3]) or real(*args))
+                        lambda *args: solves.append("cycle") or cycle_kernel(*args))
     seen = set()
 
     @settings(max_examples=150, deadline=None, derandomize=True, database=None)
@@ -1151,7 +1154,7 @@ def test_cycle_route_on_drawn_unicyclic_graphs(monkeypatch):
         solves.clear()
         assert cohomology._layered_kernel(a, g, r) == kernel
         assert _kernel_route(sys)[2] == kernel
-        assert solves == [*range(r - 2, -1, -1)] * 2
+        assert solves == [x for i in range(r - 2, -1, -1) for x in (i, "cycle")] * 2
         seen.update({r, "coupled" if coupled_layers(sys) else "uncoupled"})
         seen.update({"parallel pair"} if len(set(map(frozenset, g.edges))) < g.m else ())
         seen.update({"misses 0"} if misses_0 else ())

@@ -16,7 +16,7 @@ from math import gcd, lcm
 
 import pytest
 
-from monograph.linalg import Mat, nullspace, rank, rref
+from monograph.linalg import Mat, _kernel, nullspace, rank, rref
 from monograph.report import matrix_grid
 
 from test_linalg_oracle import dense, dense_matmul, first_pivot, oracle_nullspace
@@ -118,7 +118,7 @@ def test_product_matches_dense_loop():
 
 
 def test_nullspace_matches_oracle():
-    """Also on a row-permuted copy: nullspace reverses the row order before
+    """Also on a row-permuted copy: ``_kernel`` reverses the row order before
     it eliminates, and the kernel must not depend on that order.  The
     back-solve is seen to rescale its vector (a kernel row over a
     denominator other than 1) and to solve a free column left of every
@@ -143,6 +143,26 @@ def test_nullspace_matches_oracle():
     check()
     assert seen == {"zero row", "zero column", "row cancels", "negative pivot",
                     "mixed denominators", "rescaled", "free column left of every pivot"}
+
+
+def test_kernel_reads_pairs_in_any_order():
+    """``_kernel`` reads each row's (column, int) pairs in any order: with
+    every row's pairs shuffled, it gives nullspace(m)'s rows."""
+    seen = set()
+
+    @fixed
+    @given(matrices(), st.data())
+    def check(m, data):
+        rows = [data.draw(st.permutations(pairs)) for pairs in m.nums]
+        basis = nullspace(m).basis
+        assert _kernel(rows, m.cols) == list(zip(basis.nums, basis.dens))
+        if any(list(row) != sorted(row) for row in rows):
+            seen.add("shuffled")
+        if basis.rows:
+            seen.add("kernel")
+
+    check()
+    assert seen == {"shuffled", "kernel"}
 
 
 def unreduced(x, k):
