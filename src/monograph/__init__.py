@@ -16,15 +16,15 @@ from .graph import (DisconnectedError, DualGraph, GraphError, LoopEdgeError,
                     cycle_graph, incidence_matrix, laplacian)
 from .linalg import (Mat, Subspace, colspace, det, nullspace, parse_rational,
                      rank, rowspace, rref, vec)
-from .localsystem import EdgeCochain, LocalSystem
+from .localsystem import LocalSystem
 from .problem import ParseError, ProblemSpec, SystemSpec, load_problem, parse_spec, render
 from .tate import TateReport, build_tate, holonomy, tate_report
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "CohomologyReport", "DisconnectedError", "DualGraph", "EdgeCochain",
-    "GraphError", "LocalSystem", "LoopEdgeError", "Mat", "ParseError",
+    "CohomologyReport", "DisconnectedError", "DualGraph", "GraphError",
+    "LocalSystem", "LoopEdgeError", "Mat", "ParseError",
     "ProblemSpec", "Subspace", "SystemSpec", "TateReport",
     "build_tate", "coboundary_image", "coboundary_matrix",
     "colspace", "cycle_graph", "det", "h0", "h1_dim",

@@ -203,8 +203,7 @@ def _cycle_golden_values(rng: random.Random, instances: int) -> Iterator[str]:
         yield "kernel mismatch"
     if r.defect != 1 or r.holonomy != -1 or r.quotient_dim != 1:
         yield "defect/holonomy mismatch"
-    _, sys124 = build_tate(3, (1, 2, 4))
-    if obstruction(sys124) != Subspace.from_vectors(6, [CYCLE_OBSTRUCTION_124]):
+    if obstruction(build_tate(3, (1, 2, 4))) != Subspace.from_vectors(6, [CYCLE_OBSTRUCTION_124]):
         yield "obstruction mismatch"
     balanced = tate_report(3, (1, 2, 3))
     if (balanced.defect, balanced.quotient_dim, balanced.holonomy, balanced.rank) \
@@ -231,7 +230,7 @@ def _defect_dichotomy(rng: random.Random, draws: int) -> Iterator[str]:
             yield "det/rank/kernel shape wrong (draw %d)" % i
         if r.quotient_dim != r.defect:
             yield "quotient dim != defect (draw %d)" % i
-        blocked = obstruction(build_tate(m, gvals)[1]).dim
+        blocked = obstruction(build_tate(m, gvals)).dim
         if blocked != expected:
             yield "obstruction dim %d, expected %d (draw %d)" % (blocked, expected, i)
 

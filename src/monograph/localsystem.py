@@ -10,9 +10,11 @@ inverses in closed form and hand them to the system, so only a system
 built directly as ``LocalSystem(...)`` inverts its transitions, each by
 ``_inverse``, the RREF of [U | I].
 
-Edge cochains hold one r-vector per edge, pinned to the source-vertex
-frame.  The value seen from the target side is minus the inverse-transported
-vector.
+An extension layer is one flat edge-major tuple of m r values, r per edge,
+as an ``extend`` line and a JSON ``"extension"`` object hold it: a vector
+of ``cohomology``'s edge space in its coordinates.  Edge e's block is
+pinned to the source-vertex frame; the value seen from the target side is
+minus the inverse-transported vector.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from fractions import Fraction
 from math import lcm
 
 from .graph import DualGraph
-from .linalg import DimensionMismatch, Mat, Value, Vector, _lowest, _mat, _reduced, _stack, vec
+from .linalg import DimensionMismatch, Mat, Value, _lowest, _mat, _reduced, _stack, vec
 
 
 def _inverse(m: Mat) -> Mat:
@@ -101,32 +103,31 @@ class LocalSystem(Value):
     def transition_inverse(self, e: int) -> Mat:
         return self._inverses[e]  # type: ignore[attr-defined]
 
-    def extend_by_trivial(self, c: EdgeCochain) -> LocalSystem:
+    def extend_by_trivial(self, values: Iterable[int | str | Fraction]) -> LocalSystem:
         """Rank r+1 system with block transitions [[U_e, c_e], [0, 1]].
 
-        The first r coordinates embed this system; the last coordinate
-        projects onto the trivial rank-1 system.
-        """
-        if c.system != self:
-            raise ValueError("cochain is valued in a different system")
-        return self._extended(c.values)
+        ``values`` is the layer, r values per edge, edge-major, m r in all:
+        c_e = values[e r:(e + 1) r].  Any other count is refused with
+        ValueError.  The first r coordinates embed this system; the last
+        coordinate projects onto the trivial rank-1 system.
 
-    def _extended(self, values: Sequence[Vector]) -> LocalSystem:
-        """``extend_by_trivial`` on one exact r-vector per edge, unchecked.
-
-        U_e is bordered by v_e, and its inverse W by -W v_e: with v_e = y / q
+        U_e is bordered by c_e, and its inverse W by -W c_e: with c_e = y / q
         over q the lcm of its denominators, row i of W, a / d, gives entry i
-        of -W v_e as (-a . y, d q).
+        of -W c_e as (-a . y, d q).
         """
+        values, r = vec(values), self.rank
+        if len(values) != self.graph.m * r:
+            raise ValueError("%d extension values for %d edges at rank %d, want %d"
+                             % (len(values), self.graph.m, r, self.graph.m * r))
         transitions, inverses = [], []
-        for e, (u, v) in enumerate(zip(self.transitions, values)):
-            w = self.transition_inverse(e)
+        for e, u in enumerate(self.transitions):
+            v, w = values[e * r:(e + 1) * r], self.transition_inverse(e)
             q = lcm(*[x.denominator for x in v])
             y = [x.numerator * (q // x.denominator) for x in v]
             transitions.append(_bordered(u, [(x.numerator, x.denominator) for x in v]))
             inverses.append(_bordered(w, [(-sum([n * y[j] for j, n in pairs]), d * q)
                                           for pairs, d in zip(w.nums, w.dens)]))
-        return LocalSystem(self.graph, self.rank + 1, tuple(transitions), tuple(inverses))
+        return LocalSystem(self.graph, r + 1, tuple(transitions), tuple(inverses))
 
 
 def _bordered(m: Mat, column: Sequence[tuple[int, int]]) -> Mat:
@@ -142,20 +143,3 @@ def _bordered(m: Mat, column: Sequence[tuple[int, int]]) -> Mat:
         rows.append(_lowest(row, e))
     return _stack(r + 1, rows + [(((r, 1),), 1)])
 
-
-class EdgeCochain(Value):
-    """One r-vector per edge, in the source-vertex frame."""
-
-    _fields = ("system", "values")
-
-    def __init__(self, system: LocalSystem,
-                 values: Iterable[Iterable[int | str | Fraction]]) -> None:
-        super().__init__(system, values)
-        object.__setattr__(self, "values", tuple(vec(v) for v in self.values))
-        if len(self.values) != self.system.graph.m:
-            raise ValueError("%d edge values for %d edges"
-                             % (len(self.values), self.system.graph.m))
-        for e, v in enumerate(self.values):
-            if len(v) != self.system.rank:
-                raise DimensionMismatch("value on edge %d has length %d, rank is %d"
-                                        % (e, len(v), self.system.rank))

@@ -107,10 +107,8 @@ class SystemSpec(Value):
             system = LocalSystem.trivial(g, self.rank)
         else:
             system = LocalSystem.unipotent_rank2(g, self.params)
-        # check_params has counted the values and vec has read them, so
-        # each layer goes in without an EdgeCochain
-        for r, values in enumerate(self.layers, self.rank):
-            system = system._extended([values[e * r:(e + 1) * r] for e in range(g.m)])
+        for values in self.layers:
+            system = system.extend_by_trivial(values)
         return system
 
     def to_json_dict(self) -> dict:

@@ -14,21 +14,20 @@ from fractions import Fraction
 from math import lcm
 
 from .cohomology import _kernel_route
-from .graph import DualGraph, cycle_graph
+from .graph import cycle_graph
 from .linalg import Value, _lowest, _stack, check_digits, rank, vec
 from .localsystem import LocalSystem
 from .problem import check_cells
 
 
-def build_tate(m: int, gvals: Sequence[int | str | Fraction]) -> tuple[DualGraph, LocalSystem]:
-    """Cycle graph on m >= 2 vertices with the rank-2 unipotent system."""
+def build_tate(m: int, gvals: Sequence[int | str | Fraction]) -> LocalSystem:
+    """The rank-2 unipotent system on the cycle graph of m >= 2 vertices."""
     values = vec(gvals)
     if m >= 2:  # else cycle_graph refuses the cycle itself
         if len(values) != m:
             raise ValueError("%d cocycle values for a %d-cycle" % (len(values), m))
         check_cells(m, m, 2)  # the cap of the defect document on the same cycle
-    g = cycle_graph(m)
-    return g, LocalSystem.unipotent_rank2(g, values)
+    return LocalSystem.unipotent_rank2(cycle_graph(m), values)
 
 
 def holonomy(gvals: Sequence[Fraction]) -> Fraction:
@@ -81,7 +80,7 @@ def tate_report(m: int, gvals: Sequence[int | str | Fraction]) -> TateReport:
     ValueError, where the kernel of such a cycle can take tens of seconds.
     """
     values = vec(gvals)
-    sys = build_tate(m, values)[1]
+    sys = build_tate(m, values)
     total = holonomy(values)
     check_digits(total.numerator, total.denominator)
     cob, a, kernel, images = _kernel_route(sys)

@@ -331,7 +331,7 @@ class TestContains:
         # the nonzero kernel edge image lies in the coboundary image
         from monograph.cohomology import coboundary_image
         from monograph.tate import build_tate
-        _, sys = build_tate(3, (1, 2, 4))
+        sys = build_tate(3, (1, 2, 4))
         assert in_span(coboundary_image(sys), ["1/3", 0, "1/3", 0, "-1/3", 0])
 
 

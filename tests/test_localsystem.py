@@ -10,8 +10,8 @@ from monograph.checks import (random_connected_multigraph, random_rational,
 from monograph.cli import main
 from monograph.cohomology import residue_constraint_matrix
 from monograph.graph import DualGraph, cycle_graph
-from monograph.linalg import DimensionMismatch, Mat
-from monograph.localsystem import EdgeCochain, LocalSystem, _inverse
+from monograph.linalg import DimensionMismatch, Mat, vec
+from monograph.localsystem import LocalSystem, _inverse
 
 from test_graph import reorient_edge
 from test_linalg_oracle import dense, oracle_inverse
@@ -115,14 +115,12 @@ class TestExtendByTrivial:
     def test_extension_of_trivial_is_unipotent(self):
         g = triangle()
         base = LocalSystem.trivial(g, 1)
-        c = EdgeCochain(base, [[1], [2], [4]])
-        assert base.extend_by_trivial(c) == LocalSystem.unipotent_rank2(g, (1, 2, 4))
+        assert base.extend_by_trivial([1, 2, 4]) == LocalSystem.unipotent_rank2(g, (1, 2, 4))
 
     def test_zero_cochain_splits(self):
         g = triangle()
         base = LocalSystem.unipotent_rank2(g, (1, 2, 4))
-        c = EdgeCochain(base, [[0, 0]] * 3)
-        extended = base.extend_by_trivial(c)
+        extended = base.extend_by_trivial([0] * 6)
         for e in range(3):
             u = extended.transitions[e]
             cells = dense(u)
@@ -133,10 +131,8 @@ class TestExtendByTrivial:
         # below must give exactly these 3x3 transitions
         g = triangle()
         base = LocalSystem.trivial(g, 1)
-        level1 = base.extend_by_trivial(
-            EdgeCochain(base, [[5], [7], [11]]))
-        level2 = level1.extend_by_trivial(
-            EdgeCochain(level1, [[1, 2], [3, 4], ["1/2", 0]]))
+        level1 = base.extend_by_trivial([5, 7, 11])
+        level2 = level1.extend_by_trivial([1, 2, 3, 4, "1/2", 0])
         assert level2.rank == 3
         assert level2.transitions[0] == Mat.from_rows([[1, 5, 1], [0, 1, 2], [0, 0, 1]])
         assert level2.transitions[1] == Mat.from_rows([[1, 7, 3], [0, 1, 4], [0, 0, 1]])
@@ -151,37 +147,69 @@ class TestExtendByTrivial:
             assert unipotent_upper_triangular(sys)
 
     def test_cochain_on_other_system_rejected(self):
-        g = triangle()
-        base = LocalSystem.trivial(g, 1)
-        other = LocalSystem.unipotent_rank2(g, (1, 1, 1))
-        c = EdgeCochain(other, [[0, 0]] * 3)
+        # six values are a layer over a rank-2 system on the triangle
+        base = LocalSystem.trivial(triangle(), 1)
         with pytest.raises(ValueError):
-            base.extend_by_trivial(c)
+            base.extend_by_trivial([0] * 6)
+
+    @pytest.mark.parametrize("count", [5, 7])
+    def test_one_value_short_or_over_rejected(self, count):
+        # m r = 6 values on the triangle at rank 2
+        base = LocalSystem.trivial(triangle(), 2)
+        with pytest.raises(ValueError, match="^%d extension values" % count):
+            base.extend_by_trivial([1] * count)
+
+    def test_nested_layer_rejected(self):
+        # one r-vector per edge is not a layer: rat refuses each vector
+        base = LocalSystem.trivial(triangle(), 1)
+        with pytest.raises(TypeError):
+            base.extend_by_trivial([[1], [2], [4]])
+
+    def test_the_one_writer_of_a_document_layer(self, monkeypatch, tmp_path):
+        # a document with two extend lines calls extend_by_trivial twice,
+        # and nothing else borders a transition
+        real, bordered, calls = LocalSystem.extend_by_trivial, localsystem._bordered, []
+
+        def spy(self, values):
+            calls.append("extend")
+            return real(self, values)
+
+        def counted(m, column):
+            calls.append("bordered")
+            return bordered(m, column)
+        monkeypatch.setattr(LocalSystem, "extend_by_trivial", spy)
+        monkeypatch.setattr(localsystem, "_bordered", counted)
+        path = tmp_path / "t.txt"
+        path.write_text("VERTICES\nI II III\nEDGES\nI II\nII III\nI III\nSYSTEM\n"
+                        "trivial 1\nextend 1 2 4\nextend 1 0 2 0 3 1/5\n")
+        assert main(["defect", "--input", str(path)]) == 0
+        # each layer borders each of the 3 transitions and its inverse
+        assert calls == (["extend"] + ["bordered"] * 6) * 2
 
 
-class TestEdgeCochain:
+class TestEdgeLayer:
     """The value seen from the target end, -(U_e^-1 value), is what the
     residue constraints pick up at the target vertex."""
 
     def test_reversed_value(self):
         g = DualGraph(2, ((0, 1),))
         sys = LocalSystem.unipotent_rank2(g, (3,))
-        c = EdgeCochain(sys, [[1, 2]])
         # -(U^-1 (1,2)) = -((1-6, 2)) = (5, -2)
-        assert residue_constraint_matrix(sys) @ column(c.values[0]) == \
+        assert residue_constraint_matrix(sys) @ column(vec([1, 2])) == \
             column([1, 2, 5, -2])
 
     def test_trivial_reversal_is_negation(self):
         sys = LocalSystem.trivial(triangle(), 1)
-        c = EdgeCochain(sys, [[2], [-3], ["1/5"]])
+        values = vec([2, -3, "1/5"])
         # only edge 1 = (1, 2): its source sees -3, its target 3
-        only_edge_1 = (0, c.values[1][0], 0)
+        only_edge_1 = (0, values[1], 0)
         assert residue_constraint_matrix(sys) @ column(only_edge_1) == column([0, -3, 3])
 
     def test_wrong_shape(self):
+        # one value per edge is a layer at rank 1, not at rank 2
         sys = LocalSystem.trivial(triangle(), 2)
-        with pytest.raises(DimensionMismatch):
-            EdgeCochain(sys, [[1], [1], [1]])
+        with pytest.raises(ValueError):
+            sys.extend_by_trivial([1, 1, 1])
 
 
 class TestReorientEdge:
@@ -291,8 +319,8 @@ class TestHandedInverses:
             else:
                 sys = LocalSystem.trivial(g, rng.randint(1, 2))
             for _ in range(rng.randint(0, 2)):
-                sys = sys.extend_by_trivial(EdgeCochain(sys, tuple(
-                    [random_rational(rng) for _ in range(sys.rank)] for _ in range(g.m))))
+                sys = sys.extend_by_trivial(
+                    [random_rational(rng) for _ in range(g.m * sys.rank)])
             yield sys
 
     def test_match_the_general_inverse(self):
@@ -304,7 +332,7 @@ class TestHandedInverses:
         # the closed form [[W, -W c], [0, 1]] holds for any inverse W
         u = Mat.from_rows([[2, 1], [1, "1/3"]])
         base = LocalSystem(DualGraph(2, ((0, 1),)), 2, (u,))
-        extended = base.extend_by_trivial(EdgeCochain(base, [["1/2", -3]]))
+        extended = base.extend_by_trivial(["1/2", -3])
         assert extended.transition_inverse(0) == _inverse(extended.transitions[0])
 
     def test_take_no_part_in_equality_hash_or_repr(self):
@@ -322,10 +350,7 @@ class TestHandedInverses:
     def test_wrong_one_fails_the_factorization_check(self, name, system, monkeypatch,
                                                      capsys, tmp_path):
         # the constructor hands the transitions as their own inverses: R.delta
-        # then holds U U in a diagonal block where A holds the identity.  A
-        # document builds each extension layer by _extended, the writer
-        # extend_by_trivial calls after its checks
-        name = "_extended" if name == "extend_by_trivial" else name
+        # then holds U U in a diagonal block where A holds the identity
         real = getattr(LocalSystem, name)
 
         def wrong(*args):

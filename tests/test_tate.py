@@ -35,14 +35,14 @@ def obstruction_pattern(g1, g2, g3):
 
 class TestBuildTate:
     def test_triangle_configuration(self):
-        g, sys = build_tate(3, (1, 2, 4))
-        assert g.edges == ((0, 1), (1, 2), (0, 2))
+        sys = build_tate(3, (1, 2, 4))
+        assert sys.graph.edges == ((0, 1), (1, 2), (0, 2))
         assert sys.rank == 2
         assert sys.transitions[1] == Mat.from_rows([[1, 2], [0, 1]])
 
     def test_two_cycle(self):
-        g, sys = build_tate(2, (1, 0))
-        assert g.m == 2 and sys.rank == 2
+        sys = build_tate(2, (1, 0))
+        assert sys.graph.m == 2 and sys.rank == 2
 
     def test_one_cycle_rejected(self):
         with pytest.raises(GraphError):
@@ -65,7 +65,7 @@ class TestBuildTate:
         report = tate_report(3, gvals)
         assert calls == list(gvals)
         assert report.gvals == (F(1), F(-2), F(2, 3))
-        assert build_tate(3, gvals)[1] == LocalSystem.unipotent_rank2(cycle_graph(3), gvals)
+        assert build_tate(3, gvals) == LocalSystem.unipotent_rank2(cycle_graph(3), gvals)
         assert calls == list(gvals) * 3
 
 
@@ -108,7 +108,7 @@ class TestGoldenInstances:
         assert r.holonomy == 1
         assert r.rank == 4 and r.det == 0
         assert r.defect == 1 and r.quotient_dim == 1
-        _, sys = build_tate(3, (1, 1, 1))
+        sys = build_tate(3, (1, 1, 1))
         image = Subspace.from_vectors(6, [obstruction_pattern(1, 1, 1)])
         assert obstruction(sys) == image
 
@@ -134,7 +134,7 @@ class TestGoldenInstances:
 
     @pytest.mark.parametrize("gvals", [(1, 2, 4), (1, 1, 1), (-2, "1/3", 5)])
     def test_obstruction_matches_closed_form(self, gvals):
-        _, sys = build_tate(3, gvals)
+        sys = build_tate(3, gvals)
         pattern = obstruction_pattern(*gvals)
         assert obstruction(sys) == Subspace.from_vectors(6, [pattern])
 
@@ -148,7 +148,7 @@ class TestEdgeImages:
 
     def test_second_image_spans_obstruction(self):
         r = tate_report(3, (1, 2, 4))
-        _, sys = build_tate(3, (1, 2, 4))
+        sys = build_tate(3, (1, 2, 4))
         span = colspace(r.edge_images.transpose() @ Mat.from_rows([[0], [1]]))
         assert span == obstruction(sys)
         assert span == Subspace.from_vectors(6, [obstruction_pattern(1, 2, 4)])
@@ -171,7 +171,7 @@ class TestEdgeImages:
             gvals = (*body, sum(body, F(0)) if closing == 0 else drawn[-1])
             r = tate_report(len(gvals), gvals)
             assert r.defect == linalg.rank(r.edge_images) == \
-                obstruction(build_tate(len(gvals), gvals)[1]).dim
+                obstruction(build_tate(len(gvals), gvals)).dim
             seen.add(r.defect)
 
         check()
@@ -219,7 +219,7 @@ class TestDeterminant:
             m = 2 + draw % 7
             gvals = tuple(random_rational(rng) for _ in range(m))
             r = tate_report(m, gvals)
-            _, sys = build_tate(m, gvals)
+            sys = build_tate(m, gvals)
             span = colspace(r.edge_images.transpose())
             assert span == obstruction(sys)
             assert r.defect == span.dim

@@ -6,7 +6,7 @@ import pytest
 from monograph.cohomology import CohomologyReport, invariant_cycles_report
 from monograph.graph import DualGraph
 from monograph.linalg import Mat, Subspace
-from monograph.localsystem import EdgeCochain, LocalSystem
+from monograph.localsystem import LocalSystem
 from monograph.problem import ProblemSpec, SystemSpec
 from monograph.tate import TateReport, tate_report
 
@@ -25,8 +25,6 @@ VALUES = [
     (Subspace, lambda: Subspace.from_vectors(3, [[1, 2, 0], [2, 4, "1/3"]]), ("basis",)),
     (DualGraph, triangle, ("n", "edges", "labels")),
     (LocalSystem, unipotent, ("graph", "rank", "transitions")),
-    (EdgeCochain, lambda: EdgeCochain(unipotent(), [[1, 0], [0, "1/2"], [2, -3]]),
-     ("system", "values")),
     (SystemSpec, lambda: SystemSpec("unipotent2", 2, (1, 2, 4), ((1, 0, 2, 0, 3, "1/5"),)),
      ("kind", "rank", "params", "layers")),
     (ProblemSpec, lambda: ProblemSpec(("a", "b", "c"), (("a", "b"), ("b", "c"), ("a", "c")),
