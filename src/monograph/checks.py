@@ -93,20 +93,6 @@ def random_unipotent_systems(rng: random.Random, count: int) -> Iterator[LocalSy
         yield random_unipotent_system(rng, g, rng.randint(1, 3))
 
 
-def _min_propagates(g: DualGraph, pairs: tuple[tuple[int, Fraction], ...]) -> bool:
-    """The ordered-field reading of the kernel: at a vertex attaining the
-    minimum value, every neighbor attains it too, so no edge has exactly one
-    end at the minimum, hence all entries agree.  The kernel vector comes as
-    its nonzero (vertex, value) pairs."""
-    stored = dict(pairs)
-    kernel_vector = [stored.get(v, 0) for v in range(g.n)]
-    low = min(kernel_vector)
-    if any((kernel_vector[s] == low) != (kernel_vector[t] == low)
-           for s, t in g.edges):
-        return False
-    return len(set(kernel_vector)) == 1
-
-
 def _trivial_coefficients(rng: random.Random, instances: int) -> Iterator[str]:
     """Trivial rank-1 sweep: obstruction vanishes and the balance matrix is
     the graph laplacian with the expected rank and kernel."""
@@ -124,8 +110,6 @@ def _trivial_coefficients(rng: random.Random, instances: int) -> Iterator[str]:
             yield "rank != n-1 (instance %d)" % i
         if kernel != Subspace.from_vectors(g.n, [[1] * g.n]):
             yield "kernel is not the all-ones line (instance %d)" % i
-        if any(not _min_propagates(g, k) for k in kernel.basis.entries):
-            yield "minimum argument failed (instance %d)" % i
         if system_matrix(sys) != lap:
             yield "system matrix != laplacian (instance %d)" % i
         if obstruction(sys) != Subspace.zero(g.m):

@@ -125,27 +125,19 @@ def tate_document(m: int, gvals: Sequence[Fraction]) -> dict:
     }
 
 
-def _plain(text: str) -> bool:
-    """Whether json writes each str in text as itself between quotes:
-    printable ASCII with no '"' and no '\\'."""
-    return text.isascii() and text.isprintable() and '"' not in text and "\\" not in text
-
-
 def to_json(doc: dict) -> str:
     """json.dumps(doc, sort_keys=True, indent=2) + "\n", byte for byte.
 
     Values are dicts with str keys, lists, str, int, bool and None; any
     other type (float and tuple included) raises TypeError.  Each open
     container is one stack frame: an iterator of (prefix, value) pairs and
-    the text that closes it.  A list of strings is written in one join, with
-    no escaping when its text is printable ASCII without '"' or '\\'.  So is
-    a ``Grid`` with no empty row, unscanned, as every matrix of a document
-    is.  So is a list of non-empty dicts of str that all have the first
-    one's keys, as the echo's edges do: the keys are sorted once, each key's
+    the text that closes it.  Two list shapes are written in one join: a
+    ``Grid`` with no empty row, unscanned, as every matrix of a document
+    is; and a list of non-empty dicts of str that all have the first one's
+    keys, as the echo's edges do: the keys are sorted once, each key's
     column is encoded in one pass, and each item is written through one
-    '{...}' template of the encoded keys, '%' escaped.  Any other list of
-    lists or dicts takes the generic path, as does one whose keys or values
-    are not all str.
+    '{...}' template of the encoded keys, '%' escaped.  Every other list,
+    one of strings included, takes the generic path, item by item.
     """
     out: list[str] = []
     stack = [(iter((("", doc),)), "")]
@@ -194,16 +186,9 @@ def to_json(doc: dict) -> str:
                         continue
                     except TypeError:  # a key or value that is not a str
                         pass
-                try:
-                    text = "".join(value)
-                except TypeError:  # an item that is not a str
-                    stack.append((zip(chain((nl,), repeat(sep)), value), close))
-                    out.append("[")
-                    break
-                if _plain(text):
-                    out.append("[" + nl + '"' + ('"' + sep + '"').join(value) + '"' + close)
-                else:
-                    out.append("[" + nl + sep.join(map(encode, value)) + close)
+                stack.append((zip(chain((nl,), repeat(sep)), value), close))
+                out.append("[")
+                break
         else:
             out.append(stack.pop()[1])
     out.append("\n")

@@ -1,13 +1,15 @@
 """Drawn inputs to the graph commands: every one exits 0 or 2, never 3,
 and one that exits 2 writes nothing to stdout.
 
-Random bytes, and random lines built from the text grammar's keywords, are
-given to ``laplacian``, ``cohomology`` and ``defect`` through ``--input``.
-``main`` turns any exception into one line, so a bug shows as exit 3; the
-cell cap keeps every drawn problem small enough to run.
+Random bytes, random lines built from the text grammar's keywords, and
+JSON problems, well-formed and not, are given to ``laplacian``,
+``cohomology`` and ``defect`` through ``--input``.  ``main`` turns any
+exception into one line, so a bug shows as exit 3; the cell cap keeps every
+drawn problem small enough to run.
 """
 
 import io
+import json
 from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
@@ -59,6 +61,84 @@ def keyword_lines(draw):
     return "\n".join(out) + "\n"
 
 
+# JSON vertex names json escapes, writes past ASCII, or the text grammar
+# cannot hold
+json_names = st.sampled_from(["a", "b", "c", '"', "\\", "\u00e9", "a b", "#", "", "EDGES"])
+json_values = st.sampled_from([0, 1, -1, 2, 3, -5, "1/2", "-3/4", "5/7", "7", "-2/9"])
+# the JSON stand-in for a 5000-digit number, replaced in the written text
+BIG = "<5000 digits>"
+bad_values = st.sampled_from([1.5, 0.0, True, None, "1/0", BIG, "9" * 5000])
+FAULTS = ("loop", "unknown vertex", "unreachable", "value", "count", "rank",
+          "layer rank", "unknown key", "truncated")
+
+
+@st.composite
+def json_problems(draw):
+    """A problem in the JSON form, its names and values drawn, with 0-3
+    extension layers: well-formed in about half the draws, the rest with one
+    fault of FAULTS planted where the problem has room for it."""
+    fault = draw(st.sampled_from((None,) * len(FAULTS) + FAULTS))
+    names = draw(st.lists(json_names, min_size=1, max_size=4, unique=True))
+    # a path through the names and up to two chords
+    edges = list(zip(names, names[1:]))
+    if len(names) > 1:
+        edges += draw(st.lists(st.permutations(names).map(lambda p: tuple(p[:2])),
+                               max_size=2))
+    m = len(edges)
+    if fault == "rank" or draw(st.booleans()):
+        rank = draw(st.sampled_from([0, -1, True, "2", 99999999]) if fault == "rank"
+                    else st.integers(1, 3))
+        base = {"kind": "trivial", "rank": rank}
+        value_lists = []
+    else:
+        rank = 2
+        base = {"kind": "unipotent2",
+                "params": draw(st.lists(json_values, min_size=m, max_size=m))}
+        value_lists = [base["params"]]
+    system, layers = base, []
+    r0 = rank if type(rank) is int and 1 <= rank <= 3 else 1
+    for r in range(r0, r0 + draw(st.integers(0, 3))):
+        system = {"kind": "extension", "base": system,
+                  "params": draw(st.lists(json_values, min_size=m * r, max_size=m * r))}
+        if draw(st.booleans()):
+            system["rank"] = r + 1
+        value_lists.append(system["params"])
+        layers.append((system, r + 1))
+    doc = {"vertices": names, "edges": [{"from": a, "to": b} for a, b in edges],
+           "system": system}
+
+    if fault == "loop":
+        v = draw(st.sampled_from(names))
+        doc["edges"].insert(draw(st.integers(0, m)), {"from": v, "to": v})
+    elif fault == "unknown vertex":
+        doc["edges"].insert(draw(st.integers(0, m)),
+                            {"from": draw(st.sampled_from(names)), "to": "z"})
+    elif fault == "unreachable":
+        names.insert(draw(st.integers(0, len(names))), "z")
+    elif fault == "value" and any(value_lists):
+        values = draw(st.sampled_from([v for v in value_lists if v]))
+        values[draw(st.integers(0, len(values) - 1))] = draw(bad_values)
+    elif fault == "count" and value_lists:  # one value too few or too many
+        values = draw(st.sampled_from(value_lists))
+        if values and draw(st.booleans()):
+            values.pop()
+        else:
+            values.append(draw(json_values))
+    elif fault == "count":  # a trivial base takes no values
+        base["params"] = [draw(json_values)]
+    elif fault == "layer rank" and layers:
+        layer, want = draw(st.sampled_from(layers))
+        layer["rank"] = want + draw(st.sampled_from([-1, 1]))
+    elif fault == "unknown key":
+        objects = [doc, base, *(layer for layer, _ in layers), *doc["edges"]]
+        draw(st.sampled_from(objects))["rnak"] = 1
+    text = json.dumps(doc, ensure_ascii=draw(st.booleans())).replace(
+        json.dumps(BIG), "9" * 5000)
+    if fault == "truncated":
+        text = text[:draw(st.integers(0, len(text) - 1))]
+    return text
+
+
 @pytest.fixture(scope="module")
 def problem_path(tmp_path_factory):
     return tmp_path_factory.mktemp("drawn") / "problem"
@@ -74,7 +154,7 @@ def run(path, data, command):
     assert not code or out.getvalue() == ""
     assert "Traceback" not in err.getvalue()
     assert err.getvalue().count("\n") == 1
-    return code
+    return code, out.getvalue()
 
 
 @relaxed
@@ -87,3 +167,11 @@ def test_random_bytes_exit_0_or_2(problem_path, data, command):
 @given(keyword_lines(), commands)
 def test_keyword_lines_exit_0_or_2(problem_path, text, command):
     run(problem_path, text.encode("utf-8"), command)
+
+
+@relaxed
+@given(json_problems(), commands)
+def test_json_problems_exit_0_or_2(problem_path, text, command):
+    code, out = run(problem_path, text.encode("utf-8"), command)
+    if code == 0:  # the echo's escaped names come out as json.dumps writes them
+        assert out == json.dumps(json.loads(out), sort_keys=True, indent=2) + "\n"

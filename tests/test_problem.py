@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from monograph.graph import DisconnectedError, LoopEdgeError
+from monograph.graph import DisconnectedError, LoopEdgeError, cycle_graph
 from monograph.linalg import Mat
 from monograph.problem import (ParseError, ProblemSpec, SystemSpec,
                                load_problem, parse_spec, render)
@@ -209,3 +209,20 @@ class TestLoadProblem:
     def test_json_missing_edge_keys(self):
         with pytest.raises(ParseError):
             load_problem('{"vertices": ["a"], "edges": [{"from": "a"}]}')
+
+
+class TestBuild:
+    # a spec made without a ProblemSpec reaches build unchecked, so build
+    # counts the values against the graph it is given
+    @pytest.mark.parametrize("spec, message", [
+        (SystemSpec("trivial", 1, [5]),
+         "trivial system wants 0 values for 3 edges, got 1"),
+        (SystemSpec("unipotent2", 2, [1, 2]),
+         "unipotent2 system wants 3 values for 3 edges, got 2"),
+        (SystemSpec("trivial", 1, (), [[1, 2]]),
+         "extension system wants 3 values for 3 edges, got 2"),
+    ], ids=["trivial", "unipotent2", "extension"])
+    def test_value_count_checked_against_the_graph(self, spec, message):
+        with pytest.raises(ParseError) as info:
+            spec.build(cycle_graph(3))
+        assert str(info.value) == message

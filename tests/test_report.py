@@ -123,7 +123,8 @@ class TestToJson:
     def test_edge_values(self, value):
         assert to_json(value) == dumps(value)
 
-    # each character alone must take a string row off the unescaped path
+    # each character json escapes, or writes past ASCII, comes out as json.dumps
+    # writes it, in a list item, a key and a cell of a nested list
     @pytest.mark.parametrize("c", list('"\\\x00\n\x1f\x7f\u00e9\u2603\U0001f600'))
     def test_escaped_character(self, c):
         for value in (["a", c + "1"], {c: [c]}, [[c, "b"], {"k": "x" + c}]):
@@ -244,7 +245,8 @@ class TestToJson:
             text | st.integers() | st.booleans() | st.none(),
             lambda inner: st.lists(inner) | st.dictionaries(text, inner),
             max_leaves=20)
-        # a row of strings, drawn on its own too: the one-join path
+        # a list of strings, drawn on its own too, as the echo's vertex and
+        # params lists are
         rows = st.lists(plain | st.builds("{}{}{}".format, plain, odd, plain),
                         max_size=3)
 
